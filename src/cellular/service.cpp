@@ -1,7 +1,6 @@
 #include "cellular/service.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -58,29 +57,6 @@ ServiceMetrics ServiceMetrics::create(support::MetricRegistry& registry,
 }
 
 namespace {
-
-/// Splitmix64-style chained mix over 64-bit words, used to fingerprint a
-/// planning input (word-at-a-time — ~5 ALU ops per word where the old
-/// byte-wise FNV-1a took 16; the signature runs on every planned locate(),
-/// so its cost is hot-path cost). A collision would silently serve a stale
-/// strategy; at 64 bits and a few thousand live signatures per service
-/// that risk is negligible for a simulation component (and the worst case
-/// is one suboptimally-ordered search, not an incorrect one — every
-/// strategy still pages every cell).
-class SignatureHasher {
- public:
-  void add(std::uint64_t word) noexcept {
-    std::uint64_t x = hash_ + word + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    hash_ = x ^ (x >> 31);
-  }
-  void add(double value) noexcept { add(std::bit_cast<std::uint64_t>(value)); }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 /// Validated before LocationDatabase construction (which would otherwise
 /// surface out-of-range cells as std::out_of_range from area lookups).
@@ -165,6 +141,20 @@ LocationService::LocationService(const GridTopology& grid,
     }
   }
   plan_cache_.resize(areas_->num_areas());
+  if (config_.shared_plan_table != nullptr) {
+    LastSeenDigests& shared = config_.shared_plan_table->digests;
+    if (!shared.built_for(grid, areas, mobility, config_.last_seen_horizon)) {
+      throw std::invalid_argument(
+          "LocationService: shared_plan_table was built for another grid, "
+          "area layout, mobility model or last_seen_horizon");
+    }
+    digests_ = &shared;
+  } else if (config_.enable_plan_cache &&
+             config_.profile_kind == ProfileKind::kLastSeen) {
+    owned_digests_ = std::make_unique<LastSeenDigests>(
+        grid, areas, mobility, config_.last_seen_horizon);
+    digests_ = owned_digests_.get();
+  }
 }
 
 void LocationService::attach_faults(FaultPlan* faults) {
@@ -226,14 +216,15 @@ prob::ProbabilityVector LocationService::profile_for(
                                  config_.laplace_alpha);
     case ProfileKind::kStationary:
       return stationary_area_.at(area);
-    case ProfileKind::kLastSeen: {
-      const std::size_t steps = std::min(db_.steps_since_report(user),
-                                         config_.last_seen_horizon);
-      return last_seen_profile(*mobility_, db_.reported_cell(user), steps,
-                               cells);
-    }
+    case ProfileKind::kLastSeen:
+      return last_seen_profile(*mobility_, db_.reported_cell(user),
+                               last_seen_steps(user), cells);
   }
   throw std::logic_error("profile_for: unknown profile kind");
+}
+
+std::size_t LocationService::last_seen_steps(UserId user) const {
+  return std::min(db_.steps_since_report(user), config_.last_seen_horizon);
 }
 
 bool LocationService::page_answered(std::size_t cohabitants,
@@ -246,18 +237,58 @@ bool LocationService::page_answered(std::size_t cohabitants,
   return rng.next_double() < q;
 }
 
+void LocationService::stage_rows(std::span<const UserId> group_users,
+                                 std::size_t area) const {
+  // Under the stationary profile every callee shares the area's cached
+  // row; other profile kinds materialize into the reused scratch rows.
+  auto& rows = scratch_.rows;
+  auto& row_ptrs = scratch_.row_ptrs;
+  rows.clear();
+  row_ptrs.clear();
+  if (config_.profile_kind == ProfileKind::kStationary) {
+    row_ptrs.assign(group_users.size(), &stationary_area_[area]);
+    return;
+  }
+  rows.reserve(group_users.size());
+  for (const UserId user : group_users) {
+    rows.push_back(profile_for(user, area));
+  }
+  for (const auto& row : rows) row_ptrs.push_back(&row);
+}
+
 std::uint64_t LocationService::plan_signature(
-    std::span<const prob::ProbabilityVector* const> rows,
-    std::size_t num_cells, std::size_t area, std::size_t d) const {
+    std::span<const UserId> group_users, std::size_t num_cells,
+    std::size_t area, std::size_t d) const {
   SignatureHasher hasher;
   hasher.add(static_cast<std::uint64_t>(d));
   hasher.add(static_cast<std::uint64_t>(num_cells));
-  hasher.add(static_cast<std::uint64_t>(rows.size()));
-  for (const prob::ProbabilityVector* row : rows) {
-    for (const double p : *row) {
-      hasher.add(p);
+  hasher.add(static_cast<std::uint64_t>(group_users.size()));
+  // One digest per callee row. A last-seen row is a pure function of
+  // (reported cell, capped steps) — the reported cell fixes the area, and
+  // the group's area is every callee's reported one — so its digest comes
+  // from the memo without building the row. Rows are built only when some
+  // key is new (always, for the other profile kinds); a miss plans from
+  // those same staged rows.
+  const bool last_seen = config_.profile_kind == ProfileKind::kLastSeen;
+  auto& digests = scratch_.digests;
+  digests.assign(group_users.size(), 0);
+  if (last_seen) {
+    for (std::size_t k = 0; k < group_users.size(); ++k) {
+      digests[k] = digests_->find(db_.reported_cell(group_users[k]),
+                                  last_seen_steps(group_users[k]));
     }
   }
+  if (std::find(digests.begin(), digests.end(), 0) != digests.end()) {
+    stage_rows(group_users, area);
+    for (std::size_t k = 0; k < group_users.size(); ++k) {
+      digests[k] = profile_digest(*scratch_.row_ptrs[k]);
+      if (last_seen) {
+        digests_->store(db_.reported_cell(group_users[k]),
+                        last_seen_steps(group_users[k]), digests[k]);
+      }
+    }
+  }
+  for (const std::uint64_t digest : digests) hasher.add(digest);
   // Fold in the area's outage state so a fault taking cells down (or
   // bringing them back) forces a replan. Only hashed while some cell of
   // THIS area is dark: the all-up state signs identically whether or not
@@ -274,6 +305,18 @@ std::uint64_t LocationService::plan_signature(
     }
   }
   return hasher.value();
+}
+
+LocationService::PlanCacheEntry& LocationService::PlanCacheShard::put(
+    PlanCacheEntry entry) {
+  if (entries.size() < kCapacity) {
+    entries.push_back(std::move(entry));
+    return entries.back();
+  }
+  const std::size_t slot = next_slot;
+  entries[slot] = std::move(entry);
+  next_slot = (slot + 1) % kCapacity;
+  return entries[slot];
 }
 
 namespace {
@@ -308,106 +351,81 @@ const core::Strategy* LocationService::plan_area_strategy(
     scratch_.planned = core::Strategy::blanket(num_cells);
     return &*scratch_.planned;
   }
-  // Stage one profile-row pointer per callee. Under the stationary
-  // profile every callee shares the area's cached row, so the hot
-  // cache-hit path does no profile work at all; other profile kinds
-  // materialize into the reused scratch rows.
-  auto& rows = scratch_.rows;
-  auto& row_ptrs = scratch_.row_ptrs;
-  rows.clear();
-  row_ptrs.clear();
-  if (config_.profile_kind == ProfileKind::kStationary) {
-    const prob::ProbabilityVector& shared = stationary_area_[area];
-    row_ptrs.assign(group_users.size(), &shared);
-  } else {
-    rows.reserve(group_users.size());
-    for (const UserId user : group_users) {
-      rows.push_back(profile_for(user, area));
+  // Rows are staged at most once per call, and only when something reads
+  // them: signing a new key, a planner run, or an EP fill.
+  scratch_.row_ptrs.clear();
+  const auto instance = [&] {
+    if (scratch_.row_ptrs.empty()) stage_rows(group_users, area);
+    return instance_from_row_ptrs(scratch_.row_ptrs);
+  };
+  const auto plan = [&](const core::Instance& planned_instance) {
+    return config_.planner != nullptr
+               ? config_.planner->plan(planned_instance, d)
+               : core::plan_greedy(planned_instance, d).strategy;
+  };
+  // Fills a cached entry's EP when this call wants it and nobody has
+  // computed it yet (the -1 sentinel) — the only hit lane that builds
+  // rows.
+  const auto report_ep = [&](PlanCacheEntry& entry) {
+    if (ep_out == nullptr) return;
+    if (entry.expected_paging < 0.0) {
+      entry.expected_paging =
+          core::expected_paging(instance(), entry.strategy);
     }
-    for (const auto& row : rows) row_ptrs.push_back(&row);
-  }
+    *ep_out = entry.expected_paging;
+  };
 
-  if (config_.enable_plan_cache) {
-    const std::uint64_t signature =
-        plan_signature(row_ptrs, num_cells, area, d);
-    PlanCacheShard& shard = plan_cache_[area];
-    for (PlanCacheEntry& entry : shard.entries) {
-      if (entry.signature == signature) {
-        ++plan_cache_stats_.hits;
-        config_.metrics.cache_hits.inc();
-        if (ep_out != nullptr) {
-          // Lazily fill the cached EP: a cache populated before the EP
-          // histogram was wanted (or by an uninstrumented service) holds
-          // the -1 sentinel until the first asking hit. Only this slow
-          // lane ever builds an Instance on a hit.
-          if (entry.expected_paging < 0.0) {
-            entry.expected_paging = core::expected_paging(
-                instance_from_row_ptrs(row_ptrs), entry.strategy);
-          }
-          *ep_out = entry.expected_paging;
-        }
-        return &entry.strategy;
-      }
-    }
-    if (config_.shared_plan_table != nullptr) {
-      // Local miss: before paying the planner, ask the process-wide
-      // signature table whether another service (another fleet area,
-      // usually on another shard) already planned these exact inputs.
-      // The copy lands in the local cache so subsequent hits stay on
-      // the lock-free local path.
-      if (std::optional<core::Strategy> shared_strategy =
-              config_.shared_plan_table->lookup(signature)) {
-        PlanCacheEntry entry{signature, std::move(*shared_strategy), -1.0};
-        if (ep_out != nullptr) {
-          entry.expected_paging = core::expected_paging(
-              instance_from_row_ptrs(row_ptrs), entry.strategy);
-          *ep_out = entry.expected_paging;
-        }
-        ++plan_cache_stats_.hits;
-        config_.metrics.cache_hits.inc();
-        if (shard.entries.size() < PlanCacheShard::kCapacity) {
-          shard.entries.push_back(std::move(entry));
-          return &shard.entries.back().strategy;
-        }
-        const std::size_t slot = shard.next_slot;
-        shard.entries[slot] = std::move(entry);
-        shard.next_slot = (slot + 1) % PlanCacheShard::kCapacity;
-        return &shard.entries[slot].strategy;
-      }
-    }
-    const core::Instance instance = instance_from_row_ptrs(row_ptrs);
-    core::Strategy strategy =
-        config_.planner != nullptr
-            ? config_.planner->plan(instance, d)
-            : core::plan_greedy(instance, d).strategy;
-    if (config_.shared_plan_table != nullptr) {
-      (void)config_.shared_plan_table->insert(signature, strategy);
-    }
-    PlanCacheEntry entry{signature, std::move(strategy), -1.0};
+  if (!config_.enable_plan_cache) {
+    const core::Instance uncached = instance();
+    scratch_.planned = plan(uncached);
     if (ep_out != nullptr) {
-      entry.expected_paging = core::expected_paging(instance, entry.strategy);
-      *ep_out = entry.expected_paging;
+      *ep_out = core::expected_paging(uncached, *scratch_.planned);
     }
-    ++plan_cache_stats_.misses;
-    config_.metrics.cache_misses.inc();
-    if (shard.entries.size() < PlanCacheShard::kCapacity) {
-      shard.entries.push_back(std::move(entry));
-      return &shard.entries.back().strategy;
-    }
-    const std::size_t slot = shard.next_slot;
-    shard.entries[slot] = std::move(entry);
-    shard.next_slot = (slot + 1) % PlanCacheShard::kCapacity;
-    return &shard.entries[slot].strategy;
+    return &*scratch_.planned;
   }
 
-  const core::Instance instance = instance_from_row_ptrs(row_ptrs);
-  scratch_.planned = config_.planner != nullptr
-                         ? config_.planner->plan(instance, d)
-                         : core::plan_greedy(instance, d).strategy;
-  if (ep_out != nullptr) {
-    *ep_out = core::expected_paging(instance, *scratch_.planned);
+  const std::uint64_t signature =
+      plan_signature(group_users, num_cells, area, d);
+  PlanCacheShard& shard = plan_cache_[area];
+  for (PlanCacheEntry& entry : shard.entries) {
+    if (entry.signature == signature) {
+      ++plan_cache_stats_.hits;
+      config_.metrics.cache_hits.inc();
+      report_ep(entry);
+      return &entry.strategy;
+    }
   }
-  return &*scratch_.planned;
+  if (config_.shared_plan_table != nullptr) {
+    // Local miss: before paying the planner, ask the process-wide
+    // signature table whether another service (another fleet area,
+    // usually on another shard) already planned these exact inputs. The
+    // plan carries its EP, so a shared hit needs no rows either. The copy
+    // lands in the local cache so subsequent hits stay on the lock-free
+    // local path.
+    if (std::optional<SharedPlan> shared =
+            config_.shared_plan_table->plans.lookup(signature)) {
+      ++plan_cache_stats_.hits;
+      config_.metrics.cache_hits.inc();
+      PlanCacheEntry& entry = shard.put(PlanCacheEntry{
+          signature, std::move(shared->strategy), shared->expected_paging});
+      report_ep(entry);
+      return &entry.strategy;
+    }
+  }
+  const core::Instance planned_instance = instance();
+  PlanCacheEntry entry{signature, plan(planned_instance), -1.0};
+  if (ep_out != nullptr) {
+    entry.expected_paging =
+        core::expected_paging(planned_instance, entry.strategy);
+    *ep_out = entry.expected_paging;
+  }
+  if (config_.shared_plan_table != nullptr) {
+    (void)config_.shared_plan_table->plans.insert(
+        signature, SharedPlan{entry.strategy, entry.expected_paging});
+  }
+  ++plan_cache_stats_.misses;
+  config_.metrics.cache_misses.inc();
+  return &shard.put(std::move(entry)).strategy;
 }
 
 LocationService::AreaOutcome LocationService::execute_area_strategy(

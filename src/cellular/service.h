@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -39,6 +40,7 @@
 #include "cellular/faults.h"
 #include "cellular/location_db.h"
 #include "cellular/mobility.h"
+#include "cellular/profile_digest.h"
 #include "cellular/topology.h"
 #include "core/strategy.h"
 #include "prob/distribution.h"
@@ -131,6 +133,33 @@ struct ServiceMetrics {
       support::MetricRegistry& registry, const support::MetricLabels& labels = {});
 };
 
+/// A plan published to a SharedPlanTable: the strategy and its Lemma 2.1
+/// expected paging (-1 when the publisher had no EP histogram attached;
+/// the first asking reader then computes it for its own cache).
+struct SharedPlan {
+  core::Strategy strategy;
+  double expected_paging = -1.0;
+};
+
+/// What the services of one world share (cellular/service_fleet.h wires
+/// every area to one): the signature -> plan table, so identically
+/// distributed areas plan once per process, and the last-seen digest
+/// memo, so each (reported cell, steps) profile is evolved once per
+/// process instead of once per area. The topology objects must outlive
+/// it; a service over a different grid, area layout, mobility model or
+/// horizon refuses to attach it.
+struct SharedPlanTable {
+  /// `capacity` bounds the plan table (0 = unbounded); see
+  /// support::SignatureTable.
+  SharedPlanTable(const GridTopology& grid, const LocationAreas& areas,
+                  const MarkovMobility& mobility,
+                  std::size_t last_seen_horizon, std::size_t capacity = 4096)
+      : plans(capacity), digests(grid, areas, mobility, last_seen_horizon) {}
+
+  support::SignatureTable<SharedPlan> plans;
+  LastSeenDigests digests;
+};
+
 /// A network-side location management service over one cell grid.
 class LocationService {
  public:
@@ -188,18 +217,21 @@ class LocationService {
     /// root keeps throughput within 5% of untraced (E16) and never
     /// tears a trace.
     support::Tracer* tracer = nullptr;
-    /// Optional process-wide signature -> strategy table shared across
-    /// services (non-owning; must outlive the service). On a local
-    /// plan-cache miss the table is consulted before the planner, and a
-    /// freshly planned strategy is published back — identically
+    /// Optional plan table shared across services (non-owning; must
+    /// outlive the service). On a local plan-cache miss its signature ->
+    /// plan table is consulted before the planner, and a freshly planned
+    /// strategy (with its EP) is published back — identically
     /// distributed areas then plan once per PROCESS instead of once per
-    /// service (see cellular/service_fleet.h). Consulted only with
+    /// service (see cellular/service_fleet.h). Its last-seen digest memo
+    /// replaces the service's private one. Consulted only with
     /// enable_plan_cache on (a shared hit is copied into the local
     /// cache, which is what makes later hits free). Results are
     /// unchanged with or without the table: a shared hit returns
     /// exactly the strategy the deterministic planner would produce for
-    /// the same signed inputs.
-    support::SignatureTable<core::Strategy>* shared_plan_table = nullptr;
+    /// the same signed inputs. The constructor throws
+    /// std::invalid_argument when the table was built for a different
+    /// grid, area layout, mobility model or last_seen_horizon.
+    SharedPlanTable* shared_plan_table = nullptr;
 
     /// Consolidated validation with one specific message per rejection.
     /// Called by the constructor; exposed so SimConfig and tests can
@@ -209,8 +241,9 @@ class LocationService {
 
   /// Registers `initial_cells.size()` devices at their starting cells (a
   /// power-on attach). Throws std::invalid_argument on an invalid config
-  /// (see Config::validate) or empty user set. The topology objects must
-  /// outlive the service.
+  /// (see Config::validate), an empty user set, or a shared_plan_table
+  /// built for another world. The topology objects must outlive the
+  /// service.
   LocationService(const GridTopology& grid, const LocationAreas& areas,
                   const MarkovMobility& mobility, Config config,
                   std::vector<CellId> initial_cells);
@@ -401,20 +434,29 @@ class LocationService {
   /// the returned strategy (or stays untouched on the blanket/cheap path,
   /// which never builds an instance). The value is cached alongside the
   /// strategy, so attaching the EP histogram does not re-run the
-  /// evaluator on cache hits. Returns a pointer (never null) into either
-  /// the plan cache or scratch_.planned; it is valid until the next
-  /// plan_area_strategy call on this service.
+  /// evaluator on cache hits. Profile rows are built only for a new
+  /// last-seen key, a planner run or a lazy EP fill; a plan-cache hit on
+  /// known keys signs from digests alone.
+  /// Returns a pointer (never null) into either the plan cache or
+  /// scratch_.planned; it is valid until the next plan_area_strategy
+  /// call on this service.
   const core::Strategy* plan_area_strategy(std::span<const UserId> group_users,
                                            std::size_t area,
                                            std::size_t num_cells,
                                            std::size_t d, bool plan_cheap,
                                            double* ep_out = nullptr) const;
-  /// Signs the planning inputs straight off the profile rows (one pointer
-  /// per device — rows may alias, e.g. the shared per-area stationary
-  /// profile), so the hot cache-hit path never materializes an Instance.
+  /// Stages one profile-row pointer per callee in scratch_.row_ptrs
+  /// (rows may alias, e.g. the shared per-area stationary profile).
+  void stage_rows(std::span<const UserId> group_users, std::size_t area) const;
+  /// Signs the planning inputs from one profile digest per callee: the
+  /// memo's under kLastSeen when every key is known, else the staged
+  /// rows' (filling the memo).
   [[nodiscard]] std::uint64_t plan_signature(
-      std::span<const prob::ProbabilityVector* const> rows,
-      std::size_t num_cells, std::size_t area, std::size_t d) const;
+      std::span<const UserId> group_users, std::size_t num_cells,
+      std::size_t area, std::size_t d) const;
+  /// Steps since `user`'s last report, capped at last_seen_horizon: with
+  /// the reported cell, the key of its last-seen profile.
+  [[nodiscard]] std::size_t last_seen_steps(UserId user) const;
   void run_recovery(std::span<const UserId> users,
                     std::span<const CellId> true_cells,
                     std::vector<std::size_t> missing,
@@ -435,6 +477,12 @@ class LocationService {
   /// for every user, so the planning path shares one cached vector per
   /// area instead of rebuilding it per callee per call.
   std::vector<prob::ProbabilityVector> stationary_area_;
+  /// Last-seen digest memo signing kLastSeen plans: the shared table's
+  /// when one is attached, else owned_digests_ (built only under
+  /// kLastSeen with the plan cache on). nullptr when nothing signs from
+  /// it.
+  LastSeenDigests* digests_ = nullptr;
+  std::unique_ptr<LastSeenDigests> owned_digests_;
 
   /// A cached strategy plus the signature of the planning inputs it was
   /// built from, and its Lemma 2.1 expected paging (-1 until someone
@@ -455,6 +503,10 @@ class LocationService {
     static constexpr std::size_t kCapacity = 8;
     std::vector<PlanCacheEntry> entries;
     std::size_t next_slot = 0;
+
+    /// Stores `entry` (evicting round-robin when full) and returns its
+    /// resident copy.
+    PlanCacheEntry& put(PlanCacheEntry entry);
   };
   /// One shard per location area, index-addressed (areas are dense
   /// 0..num_areas-1): the hot path replaces a std::map walk with one
@@ -478,6 +530,7 @@ class LocationService {
     std::vector<bool> area_paged_fully;
     std::vector<prob::ProbabilityVector> rows;
     std::vector<const prob::ProbabilityVector*> row_ptrs;
+    std::vector<std::uint64_t> digests;
     std::optional<core::Strategy> planned;  ///< uncached / blanket plans
   };
   mutable LocateScratch scratch_;

@@ -48,7 +48,8 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
       base_config_(std::move(base_config)),
       initial_cells_(std::move(initial_cells)),
       config_(std::move(config)),
-      shared_table_(std::make_unique<support::SignatureTable<core::Strategy>>(
+      shared_table_(std::make_unique<SharedPlanTable>(
+          grid, areas, mobility, base_config_.last_seen_horizon,
           config_.shared_table_capacity)),
       pool_(config_.num_shards),
       core_map_(support::ShardCoreMap::round_robin(config_.num_shards)) {
@@ -94,6 +95,10 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
     shared_entries_metric_ = registry.gauge(
         "confcall_fleet_shared_plan_entries",
         "Strategies resident in the process-wide signature table");
+    shared_rejected_metric_ = registry.counter(
+        "confcall_fleet_shared_plan_rejected_total",
+        "Plans the process-wide signature table refused at capacity "
+        "(the publisher keeps its local copy)");
   }
   areas_state_.reserve(config_.num_areas);
   for (std::size_t a = 0; a < config_.num_areas; ++a) {
@@ -262,11 +267,13 @@ void ServiceFleet::step_all() {
 
 void ServiceFleet::export_shared_table_metrics() {
   if (config_.registry == nullptr) return;
-  const auto stats = shared_table_->stats();
+  const auto stats = shared_table_->plans.stats();
   shared_hits_metric_.inc(stats.hits - exported_shared_hits_);
   shared_misses_metric_.inc(stats.misses - exported_shared_misses_);
+  shared_rejected_metric_.inc(stats.rejected - exported_shared_rejected_);
   exported_shared_hits_ = stats.hits;
   exported_shared_misses_ = stats.misses;
+  exported_shared_rejected_ = stats.rejected;
   shared_entries_metric_.set(static_cast<double>(stats.entries));
 }
 

@@ -31,12 +31,13 @@
 // it; work is never dropped.
 //
 // Cross-shard plan sharing: every area's LocationService is wired to one
-// process-wide support::SignatureTable<core::Strategy>. Identically
+// fleet-wide SharedPlanTable (cellular/service.h). Identically
 // distributed areas produce identical plan signatures (the signature
 // hashes planning inputs, not the area index), so the first area to plan
-// a signature publishes the strategy and every other area — on any shard
-// — copies it into its local plan cache instead of re-running the
-// Fig. 1 DP.
+// a signature publishes the strategy and its EP, and every other area —
+// on any shard — copies it into its local plan cache instead of
+// re-running the Fig. 1 DP. The same object carries the last-seen digest
+// memo, so a (reported cell, steps) profile is evolved once per fleet.
 #pragma once
 
 #include <atomic>
@@ -76,7 +77,7 @@ struct FleetConfig {
   std::size_t queue_capacity = 1024;
   /// Root of every area substream (areas derive mix_seed(seed, area)).
   std::uint64_t seed = 1;
-  /// Capacity of the process-wide signature -> strategy table.
+  /// Capacity of the fleet-wide signature -> plan table.
   std::size_t shared_table_capacity = 4096;
   /// Optional: registers the confcall_fleet_* family (per-shard labelled
   /// series plus fleet-wide aggregates). Must outlive the fleet.
@@ -160,9 +161,12 @@ class ServiceFleet {
   };
   [[nodiscard]] const FleetStats& stats() const noexcept { return stats_; }
 
-  [[nodiscard]] const support::SignatureTable<core::Strategy>& shared_table()
+  [[nodiscard]] const support::SignatureTable<SharedPlan>& shared_table()
       const noexcept {
-    return *shared_table_;
+    return shared_table_->plans;
+  }
+  [[nodiscard]] const LastSeenDigests& shared_digests() const noexcept {
+    return shared_table_->digests;
   }
 
   /// Checkpointing: one master section guarding the fleet shape plus one
@@ -228,7 +232,7 @@ class ServiceFleet {
   std::vector<CellId> initial_cells_;
   FleetConfig config_;
 
-  std::unique_ptr<support::SignatureTable<core::Strategy>> shared_table_;
+  std::unique_ptr<SharedPlanTable> shared_table_;
   std::vector<std::unique_ptr<AreaState>> areas_state_;
   support::ThreadPool pool_;
   support::ShardCoreMap core_map_;
@@ -240,8 +244,10 @@ class ServiceFleet {
   support::Counter shared_hits_metric_;
   support::Counter shared_misses_metric_;
   support::Gauge shared_entries_metric_;
+  support::Counter shared_rejected_metric_;
   std::uint64_t exported_shared_hits_ = 0;
   std::uint64_t exported_shared_misses_ = 0;
+  std::uint64_t exported_shared_rejected_ = 0;
 
   FleetStats stats_;
   std::atomic<std::size_t> areas_restored_{0};

@@ -5,7 +5,8 @@
 //
 //   * SignatureTable<V> — a process-wide content-signature -> value table
 //     with insert-once semantics behind a sharded mutex. The serving use
-//     is signature -> planned Strategy: identically-distributed location
+//     is signature -> planned strategy and its expected paging
+//     (cellular::SharedPlan): identically-distributed location
 //     areas sign identically (LocationService::plan_signature hashes the
 //     planning INPUTS, never the area index), so whichever shard plans a
 //     signature first publishes the strategy and every other shard's

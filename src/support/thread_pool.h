@@ -27,9 +27,14 @@ namespace confcall::support {
 /// A blocking fork-join pool. Threads are spawned per parallel_for call
 /// and joined before it returns — the pool holds no background state, so
 /// a ThreadPool member never outlives its tasks and TSan sees a clean
-/// happens-before edge at every join. For the call counts this library
-/// cares about (dozens of parallel_for invocations per process, each
-/// running milliseconds to seconds of work) spawn cost is noise.
+/// happens-before edge at every join. Spawn cost is noise for the batch
+/// callers (Monte-Carlo shards, simulation replications: a few calls per
+/// run, each milliseconds to seconds of work), but NOT for ServiceFleet,
+/// which calls parallel_for on every locate_many dispatch and every
+/// step_all: a 1-call dispatch measured ~68 us at 2 shards against
+/// ~18 us at 1 shard, where the caller runs inline and nothing spawns
+/// (perfbench/README.md). A persistent-worker pool is the fix that
+/// measurement points at.
 class ThreadPool {
  public:
   /// `num_threads` = 0 picks the hardware concurrency.

@@ -310,6 +310,38 @@ TEST(Fleet, ConcurrentLocateStormIsRaceFreeAndDeterministic) {
   EXPECT_GT(wide.stats().tasks, 0u);
 }
 
+TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
+  // The digest-memo TSan row: under kLastSeen every area signs its
+  // callees from ONE fleet-wide last-seen digest array and publishes to
+  // ONE shared plan table. 8 lanes over 16 areas with a steal limit of
+  // zero start cold, so lanes race to fill the same digest slots and
+  // table entries. Outcomes, checkpoint bytes and the set of filled keys
+  // must match the 1-shard run.
+  const FleetWorld world;
+  LocationService::Config last_seen = FleetWorld::service_config();
+  last_seen.profile_kind = ProfileKind::kLastSeen;
+  const auto make = [&](std::size_t shards) {
+    FleetConfig config;
+    config.num_shards = shards;
+    config.num_areas = 16;
+    config.steal_limit = 0;
+    config.seed = 7;
+    return ServiceFleet(world.grid, world.areas, world.mobility, last_seen,
+                        world.initial_cells, config);
+  };
+  ServiceFleet wide = make(8);
+  ServiceFleet narrow = make(1);
+  ASSERT_EQ(wide.shared_digests().filled(), 0u);
+  const auto wide_outcomes = drive(wide, 8);
+  const auto narrow_outcomes = drive(narrow, 8);
+  EXPECT_TRUE(same_outcomes(wide_outcomes, narrow_outcomes));
+  EXPECT_EQ(save_bytes(wide), save_bytes(narrow));
+  EXPECT_GT(wide.shared_digests().filled(), 0u);
+  EXPECT_EQ(wide.shared_digests().filled(), narrow.shared_digests().filled());
+  EXPECT_EQ(wide.shared_table().size(), narrow.shared_table().size());
+  EXPECT_GT(narrow.shared_table().stats().hits, 0u);
+}
+
 TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {
   // The tracing TSan row: ONE SamplingTracer shared by every lane while
   // 8 shards storm 16 areas with a steal limit of zero — the sampling

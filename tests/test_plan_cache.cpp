@@ -12,8 +12,11 @@
 #include <vector>
 
 #include "cellular/faults.h"
+#include "cellular/profile.h"
+#include "cellular/profile_digest.h"
 #include "cellular/service.h"
 #include "cellular/simulator.h"
+#include "cellular/workload.h"
 #include "prob/rng.h"
 
 namespace confcall::cellular {
@@ -150,6 +153,102 @@ TEST(PlanCache, ChurningProfilesStayCorrect) {
   SimConfig off = on;
   off.enable_plan_cache = false;
   expect_same_observables(run_simulation(on), run_simulation(off));
+}
+
+TEST(PlanCache, ServiceShapesInOneProcessDoNotShareDigests) {
+  // Last-seen digests are keyed by (cell, steps), which only means
+  // something within one grid, area layout, mobility model and horizon.
+  // Three differently shaped scenarios served back to back in one
+  // process, cache on (digest-signed) and off (never signed), must give
+  // identical reports: a memo leaking across shapes would sign one
+  // world's callees with another world's profiles and serve stale plans.
+  const std::vector<Scenario> scenarios = {
+      dense_urban_scenario(3), campus_scenario(3), highway_scenario(3)};
+  std::vector<SimReport> cached;
+  std::size_t hits = 0;
+  for (const Scenario& scenario : scenarios) {
+    SimConfig on = scenario.config;
+    on.enable_plan_cache = true;
+    cached.push_back(run_simulation(on));
+    hits += cached.back().plan_cache_hits;
+  }
+  EXPECT_GT(hits, 0u);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    SimConfig off = scenarios[i].config;
+    off.enable_plan_cache = false;
+    SCOPED_TRACE(scenarios[i].name);
+    expect_same_observables(cached[i], run_simulation(off));
+    EXPECT_GT(cached[i].plan_cache_hits + cached[i].plan_cache_misses, 0u);
+  }
+}
+
+TEST(PlanCache, LastSeenDigestMemoHoldsEachKeysRowDigest) {
+  // Every (cell, steps) slot a serving service filled must hold exactly
+  // the digest of the row that key names — the contract that lets a hit
+  // sign from the memo instead of building the row.
+  const GridTopology grid(4, 4, true, Neighborhood::kVonNeumann);
+  const LocationAreas areas = LocationAreas::tiles(grid, 2, 2);
+  const MarkovMobility mobility(grid, 0.4);
+  LocationService::Config config;
+  config.profile_kind = ProfileKind::kLastSeen;
+  config.last_seen_horizon = 6;
+  SharedPlanTable shared(grid, areas, mobility, config.last_seen_horizon);
+  config.shared_plan_table = &shared;
+  LocationService service(grid, areas, mobility, config, {0, 5, 10, 15});
+
+  // A locate re-registers every found callee, so waiting t ticks before
+  // each call signs keys (cell, min(t, horizon)) for t = 0..8.
+  prob::Rng rng(11);
+  const UserId users[] = {0, 1, 2, 3};
+  const CellId cells[] = {0, 5, 10, 15};
+  for (std::size_t t = 0; t < 9; ++t) {
+    for (std::size_t tick = 0; tick < t; ++tick) service.tick();
+    (void)service.locate(users, cells, rng);
+  }
+  EXPECT_EQ(shared.digests.filled(), 4u * 7u);
+  for (CellId cell = 0; cell < grid.num_cells(); ++cell) {
+    for (std::size_t steps = 0; steps <= config.last_seen_horizon; ++steps) {
+      const std::uint64_t stored = shared.digests.find(cell, steps);
+      if (stored == 0) continue;
+      EXPECT_EQ(stored, profile_digest(last_seen_profile(
+                            mobility, cell, steps,
+                            areas.cells_in(areas.area_of(cell)))))
+          << "cell " << cell << " steps " << steps;
+    }
+  }
+  EXPECT_THROW((void)shared.digests.find(0, config.last_seen_horizon + 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)shared.digests.find(16, 0), std::invalid_argument);
+}
+
+TEST(PlanCache, SharedTableFromAnotherWorldIsRejected) {
+  const GridTopology grid(4, 4, true, Neighborhood::kVonNeumann);
+  const LocationAreas areas = LocationAreas::tiles(grid, 2, 2);
+  const MarkovMobility mobility(grid, 0.4);
+  const GridTopology other_grid(4, 4, true, Neighborhood::kVonNeumann);
+  const LocationAreas other_areas = LocationAreas::tiles(grid, 2, 2);
+  const MarkovMobility other_mobility(other_grid, 0.4);
+  const std::vector<CellId> cells = {0, 5, 10};
+
+  LocationService::Config config;
+  SharedPlanTable matching(grid, areas, mobility, config.last_seen_horizon);
+  config.shared_plan_table = &matching;
+  EXPECT_NO_THROW(LocationService(grid, areas, mobility, config, cells));
+
+  SharedPlanTable wrong_grid(other_grid, areas, other_mobility,
+                             config.last_seen_horizon);
+  SharedPlanTable wrong_areas(grid, other_areas, mobility,
+                              config.last_seen_horizon);
+  SharedPlanTable wrong_mobility(grid, areas, other_mobility,
+                                 config.last_seen_horizon);
+  SharedPlanTable wrong_horizon(grid, areas, mobility,
+                                config.last_seen_horizon + 1);
+  for (SharedPlanTable* table :
+       {&wrong_grid, &wrong_areas, &wrong_mobility, &wrong_horizon}) {
+    config.shared_plan_table = table;
+    EXPECT_THROW(LocationService(grid, areas, mobility, config, cells),
+                 std::invalid_argument);
+  }
 }
 
 TEST(SimBatch, BitIdenticalAcrossThreadCounts) {
