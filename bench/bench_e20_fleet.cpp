@@ -157,7 +157,7 @@ double run_throughput(const World& world, std::size_t num_shards,
       }
     }
   }
-  if (hits_out != nullptr) *hits_out = fleet.shared_table().stats().hits;
+  if (hits_out != nullptr) *hits_out = fleet.shared_table()->plans.stats().hits;
   return static_cast<double>(done) / elapsed;
 }
 

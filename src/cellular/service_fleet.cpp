@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <thread>
 
 namespace confcall::cellular {
 
@@ -35,6 +36,7 @@ void FleetConfig::validate() const {
   if (queue_capacity == 0) {
     throw std::invalid_argument("FleetConfig: queue_capacity must be >= 1");
   }
+  faults.validate();
 }
 
 ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
@@ -48,9 +50,12 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
       base_config_(std::move(base_config)),
       initial_cells_(std::move(initial_cells)),
       config_(std::move(config)),
-      shared_table_(std::make_unique<SharedPlanTable>(
-          grid, areas, mobility, base_config_.last_seen_horizon,
-          config_.shared_table_capacity)),
+      shared_table_(config_.num_areas > 1
+                        ? std::make_unique<SharedPlanTable>(
+                              grid, areas, mobility,
+                              base_config_.last_seen_horizon,
+                              config_.shared_table_capacity)
+                        : nullptr),
       pool_(config_.num_shards),
       core_map_(support::ShardCoreMap::round_robin(config_.num_shards)) {
   config_.validate();
@@ -130,6 +135,12 @@ std::unique_ptr<ServiceFleet::AreaState> ServiceFleet::build_area(
   }
   state->service = std::make_unique<LocationService>(
       *grid_, *la_, *mobility_, std::move(cfg), initial_cells_);
+  if (config_.faults.any_enabled()) {
+    FaultConfig faults = config_.faults;
+    faults.seed = prob::mix_seed(config_.faults.seed, area);
+    state->faults.emplace(faults, grid_->num_cells());
+    state->service->attach_faults(&*state->faults);
+  }
   state->user_cells = initial_cells_;
   return state;
 }
@@ -202,8 +213,11 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> tasks_run{0};
   const bool instrumented = !shard_metrics_.empty();
+  const std::thread::id caller = std::this_thread::get_id();
   pool_.parallel_for(config_.num_shards, [&](std::size_t worker) {
-    if (config_.pin_threads) {
+    // The caller runs one lane inline; pinning it would confine the
+    // daemon's loop and HTTP workers to one core for good.
+    if (config_.pin_threads && std::this_thread::get_id() != caller) {
       (void)support::pin_current_thread_to_core(
           core_map_.core_of_shard[worker]);
     }
@@ -256,6 +270,7 @@ void ServiceFleet::step_all() {
     AreaState& state = *areas_state_[area];
     prob::Rng step_rng = prob::Rng::substream(
         prob::mix_seed(area_seed(area), kStepStream), state.step_counter++);
+    if (state.faults) state.faults->begin_step();
     for (std::size_t u = 0; u < state.user_cells.size(); ++u) {
       state.user_cells[u] = mobility_->step(state.user_cells[u], step_rng);
       (void)state.service->observe_move(static_cast<UserId>(u),
@@ -266,7 +281,7 @@ void ServiceFleet::step_all() {
 }
 
 void ServiceFleet::export_shared_table_metrics() {
-  if (config_.registry == nullptr) return;
+  if (config_.registry == nullptr || !shared_table_) return;
   const auto stats = shared_table_->plans.stats();
   shared_hits_metric_.inc(stats.hits - exported_shared_hits_);
   shared_misses_metric_.inc(stats.misses - exported_shared_misses_);

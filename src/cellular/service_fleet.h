@@ -30,14 +30,15 @@
 // a queue routes the excess through a shared overflow lane and counts
 // it; work is never dropped.
 //
-// Cross-shard plan sharing: every area's LocationService is wired to one
-// fleet-wide SharedPlanTable (cellular/service.h). Identically
-// distributed areas produce identical plan signatures (the signature
-// hashes planning inputs, not the area index), so the first area to plan
-// a signature publishes the strategy and its EP, and every other area —
-// on any shard — copies it into its local plan cache instead of
-// re-running the Fig. 1 DP. The same object carries the last-seen digest
-// memo, so a (reported cell, steps) profile is evolved once per fleet.
+// Cross-shard plan sharing: with two or more areas, every area's
+// LocationService is wired to one fleet-wide SharedPlanTable
+// (cellular/service.h). Identically distributed areas produce identical
+// plan signatures (the signature hashes planning inputs, not the area
+// index), so the first area to plan a signature publishes the strategy
+// and its EP, and every other area — on any shard — copies it into its
+// local plan cache instead of re-running the Fig. 1 DP. The same object
+// carries the last-seen digest memo, so a (reported cell, steps) profile
+// is evolved once per fleet.
 #pragma once
 
 #include <atomic>
@@ -45,10 +46,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "cellular/faults.h"
 #include "cellular/mobility.h"
 #include "cellular/service.h"
 #include "cellular/topology.h"
@@ -82,9 +85,17 @@ struct FleetConfig {
   /// Optional: registers the confcall_fleet_* family (per-shard labelled
   /// series plus fleet-wide aggregates). Must outlive the fleet.
   support::MetricRegistry* registry = nullptr;
-  /// Best-effort pinning of shard workers to their mapped cores
-  /// (Linux-only; purely a locality hint, results never depend on it).
+  /// Best-effort pinning of the helper threads a dispatch spawns to
+  /// their shard's mapped core (Linux-only; purely a locality hint,
+  /// results never depend on it). The thread calling locate_many is
+  /// never pinned: it runs one lane inline and keeps its own affinity.
   bool pin_threads = false;
+  /// Fault injection. When any class is enabled, every area owns a
+  /// FaultPlan over this config seeded mix_seed(faults.seed, area) (the
+  /// simulator's per-replicate idiom), advanced by step_all. All rates
+  /// zero (the default) attaches nothing, so fault-free fleets are
+  /// unchanged bit for bit.
+  FaultConfig faults{};
 
   /// Throws std::invalid_argument with a specific message on nonsense.
   void validate() const;
@@ -125,9 +136,10 @@ class ServiceFleet {
   std::vector<LocationService::LocateOutcome> locate_many(
       std::span<const Request> requests);
 
-  /// Advances every area one mobility step (moves, reports, tick) in
-  /// parallel, deterministically: area a's step t draws from substream
-  /// (area step seed, t) regardless of execution order.
+  /// Advances every area one mobility step (fault clocks, moves,
+  /// reports, tick) in parallel, deterministically: area a's step t
+  /// draws from substream (area step seed, t) regardless of execution
+  /// order, and its faults from its own plan's stream.
   void step_all();
 
   [[nodiscard]] std::size_t num_shards() const noexcept {
@@ -161,12 +173,12 @@ class ServiceFleet {
   };
   [[nodiscard]] const FleetStats& stats() const noexcept { return stats_; }
 
-  [[nodiscard]] const support::SignatureTable<SharedPlan>& shared_table()
-      const noexcept {
-    return shared_table_->plans;
-  }
-  [[nodiscard]] const LastSeenDigests& shared_digests() const noexcept {
-    return shared_table_->digests;
+  /// The plan table and last-seen digest memo every area shares, or
+  /// nullptr in a one-area fleet: there is nobody to share with, so its
+  /// service keeps a private memo like a standalone LocationService
+  /// instead of a table that would only hold plans its cache evicted.
+  [[nodiscard]] const SharedPlanTable* shared_table() const noexcept {
+    return shared_table_.get();
   }
 
   /// Checkpointing: one master section guarding the fleet shape plus one
@@ -203,6 +215,7 @@ class ServiceFleet {
   /// Everything one area owns. Heap-allocated so hot per-area state
   /// never false-shares across the areas a dispatch runs in parallel.
   struct AreaState {
+    std::optional<FaultPlan> faults;  ///< set when FleetConfig::faults is on
     std::unique_ptr<LocationService> service;
     std::vector<CellId> user_cells;
     std::uint64_t locate_counter = 0;  ///< calls served (rng substream index)

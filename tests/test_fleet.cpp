@@ -7,6 +7,7 @@
 #include "cellular/service_fleet.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cstdint>
 #include <optional>
@@ -15,6 +16,8 @@
 
 #include "cellular/service.h"
 #include "cellular/topology.h"
+#include "cellular/workload.h"
+#include "core/resilient_planner.h"
 #include "prob/rng.h"
 #include "support/fleet.h"
 #include "support/metrics.h"
@@ -112,12 +115,14 @@ struct FleetWorld {
 
   [[nodiscard]] ServiceFleet make_fleet(std::size_t num_shards,
                                         std::size_t num_areas = 6,
-                                        std::size_t steal_limit = 2) const {
+                                        std::size_t steal_limit = 2,
+                                        FaultConfig faults = {}) const {
     FleetConfig config;
     config.num_shards = num_shards;
     config.num_areas = num_areas;
     config.steal_limit = steal_limit;
     config.seed = 7;
+    config.faults = faults;
     return ServiceFleet(grid, areas, mobility, service_config(),
                         initial_cells, config);
   }
@@ -167,17 +172,57 @@ std::string save_bytes(const ServiceFleet& fleet) {
 }
 
 TEST(Fleet, ResultsIdenticalAcrossShardCounts) {
+  // Fault-free, and under degraded-urban's fault mix: each area's fault
+  // plan draws from its own stream, so faults reshard as cleanly as
+  // mobility does.
   const FleetWorld world;
-  ServiceFleet reference = world.make_fleet(1);
-  const auto reference_outcomes = drive(reference, 6);
-  const std::string reference_state = save_bytes(reference);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
-    ServiceFleet fleet = world.make_fleet(shards);
-    const auto outcomes = drive(fleet, 6);
-    EXPECT_TRUE(same_outcomes(reference_outcomes, outcomes))
-        << "outcomes diverged at " << shards << " shards";
-    EXPECT_EQ(save_bytes(fleet), reference_state)
-        << "state diverged at " << shards << " shards";
+  const FaultConfig faulted = degraded_urban_scenario().config.faults;
+  for (const FaultConfig& faults : {FaultConfig{}, faulted}) {
+    ServiceFleet reference = world.make_fleet(1, 6, 2, faults);
+    const auto reference_outcomes = drive(reference, 6);
+    const std::string reference_state = save_bytes(reference);
+    for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
+      ServiceFleet fleet = world.make_fleet(shards, 6, 2, faults);
+      const auto outcomes = drive(fleet, 6);
+      EXPECT_TRUE(same_outcomes(reference_outcomes, outcomes))
+          << "outcomes diverged at " << shards << " shards";
+      EXPECT_EQ(save_bytes(fleet), reference_state)
+          << "state diverged at " << shards << " shards";
+    }
+    if (faults.any_enabled()) {
+      std::size_t retries = 0;
+      for (const auto& outcome : reference_outcomes) {
+        retries += outcome.retries;
+      }
+      EXPECT_GT(retries, 0u) << "the fault path never fired";
+    }
+  }
+}
+
+TEST(Fleet, DispatchNeverRepinsTheCallingThread) {
+  // pin_threads places the helper threads a dispatch spawns, never the
+  // caller: it runs one lane inline, and pinning it would confine the
+  // daemon's loop and HTTP workers to one core for good.
+  cpu_set_t before;
+  CPU_ZERO(&before);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(before), &before), 0);
+  if (CPU_COUNT(&before) < 2) GTEST_SKIP() << "the process has one CPU";
+  const FleetWorld world;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    FleetConfig config;
+    config.num_shards = shards;
+    config.num_areas = 4;
+    config.seed = 7;
+    config.pin_threads = true;
+    ServiceFleet fleet(world.grid, world.areas, world.mobility,
+                       FleetWorld::service_config(), world.initial_cells,
+                       config);
+    (void)drive(fleet, 2);
+    cpu_set_t after;
+    CPU_ZERO(&after);
+    ASSERT_EQ(::sched_getaffinity(0, sizeof(after), &after), 0);
+    EXPECT_TRUE(CPU_EQUAL(&before, &after))
+        << "locate_many re-pinned its caller at " << shards << " shards";
   }
 }
 
@@ -201,7 +246,7 @@ TEST(Fleet, SharedPlanTableAnswersAcrossAreas) {
   batch[1].area = 1;
   batch[1].users = {1, 2, 3};
   (void)fleet.locate_many(batch);
-  const auto stats = fleet.shared_table().stats();
+  const auto stats = fleet.shared_table()->plans.stats();
   EXPECT_GE(stats.hits, 1u);
   EXPECT_GE(stats.entries, 1u);
 }
@@ -331,15 +376,17 @@ TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
   };
   ServiceFleet wide = make(8);
   ServiceFleet narrow = make(1);
-  ASSERT_EQ(wide.shared_digests().filled(), 0u);
+  ASSERT_EQ(wide.shared_table()->digests.filled(), 0u);
   const auto wide_outcomes = drive(wide, 8);
   const auto narrow_outcomes = drive(narrow, 8);
   EXPECT_TRUE(same_outcomes(wide_outcomes, narrow_outcomes));
   EXPECT_EQ(save_bytes(wide), save_bytes(narrow));
-  EXPECT_GT(wide.shared_digests().filled(), 0u);
-  EXPECT_EQ(wide.shared_digests().filled(), narrow.shared_digests().filled());
-  EXPECT_EQ(wide.shared_table().size(), narrow.shared_table().size());
-  EXPECT_GT(narrow.shared_table().stats().hits, 0u);
+  const SharedPlanTable& wide_table = *wide.shared_table();
+  const SharedPlanTable& narrow_table = *narrow.shared_table();
+  EXPECT_GT(wide_table.digests.filled(), 0u);
+  EXPECT_EQ(wide_table.digests.filled(), narrow_table.digests.filled());
+  EXPECT_EQ(wide_table.plans.size(), narrow_table.plans.size());
+  EXPECT_GT(narrow_table.plans.stats().hits, 0u);
 }
 
 TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {
@@ -380,6 +427,34 @@ TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {
     any_exemplar = any_exemplar || exemplar.valid();
   }
   EXPECT_TRUE(any_exemplar);
+}
+
+TEST(Fleet, SharedResilientPlannerAcrossLanesIsRaceFree) {
+  // The daemon's wiring: ONE ResilientPlanner chain (exact -> greedy ->
+  // blanket) serves every lane, so its breakers and tier counters take
+  // concurrent traffic from 8 shards over 16 areas with a steal limit of
+  // zero. Every planner run must be counted by exactly one tier.
+  const FleetWorld world;
+  const std::unique_ptr<core::ResilientPlanner> planner =
+      core::ResilientPlanner::standard();
+  LocationService::Config service_config = FleetWorld::service_config();
+  service_config.planner = planner.get();
+  FleetConfig config;
+  config.num_shards = 8;
+  config.num_areas = 16;
+  config.steal_limit = 0;
+  config.seed = 7;
+  ServiceFleet fleet(world.grid, world.areas, world.mobility, service_config,
+                     world.initial_cells, config);
+  (void)drive(fleet, 8);
+  std::uint64_t served = 0;
+  for (const std::uint64_t count : planner->served_counts()) served += count;
+  std::uint64_t planner_runs = 0;
+  for (std::size_t area = 0; area < fleet.num_areas(); ++area) {
+    planner_runs += fleet.service(area).plan_cache_stats().misses;
+  }
+  EXPECT_GT(planner_runs, 0u);
+  EXPECT_EQ(served, planner_runs);
 }
 
 }  // namespace

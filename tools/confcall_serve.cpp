@@ -2,10 +2,11 @@
 // daemon with a live observability surface.
 //
 // Loads a named scenario (cellular/workload.h), builds the same stack the
-// simulator builds — grid, location areas, mobility, LocationService,
-// fault plan, admission control, resilient planner — but drives it on the
-// REAL clock: a paced locate loop moves users and serves arriving
-// conference calls while an embedded HTTP server (support/http.h) exposes
+// simulator builds — grid, location areas, mobility, fault plans,
+// admission control, resilient planner — as a cellular::ServiceFleet
+// (DESIGN.md §14), and drives it on the REAL clock: a paced locate loop
+// moves users and serves arriving conference calls while an embedded
+// HTTP server (support/http.h) exposes
 //
 //   GET  /metrics   Prometheus text, one consistent registry snapshot
 //   GET  /vars      the same snapshot as JSON
@@ -17,15 +18,30 @@
 //                   balancer drains BEFORE the SLO is broken
 //                   (scenarios without admission control always
 //                   report healthy)
+//   GET  /readyz    the startup lifecycle (below), with areas_ready /
+//                   areas_total in the body
 //   GET  /traces    recent sampled spans, Chrome trace_event JSON
+//   GET  /fleetz    per-shard JSON drill-down (queue depth, steals,
+//                   task p99, plan-cache hits, exemplar trace ids)
 //   POST /locate    serve conference calls right now and report the
 //                   outcomes as JSON. The body grammar lives in
 //                   cellular/locate_api.h: empty body or one object =
 //                   one call (503 when admission sheds it); a JSON
 //                   array = a batch served through
-//                   LocationService::locate_many (200 with per-element
-//                   "admitted" verdicts). Malformed bodies get 400
-//                   with a JSON error.
+//                   ServiceFleet::locate_many (200 with per-element
+//                   "admitted" verdicts); an optional "area" member
+//                   routes a call. Malformed bodies get 400 with a
+//                   JSON error.
+//
+// There is one serving path. A single service is a one-area, one-shard
+// fleet: without --shards the daemon runs exactly that. --shards N|auto
+// runs N per-core lanes over --fleet-areas independent serving areas
+// (default 4 per shard), each a full location-management domain over
+// the scenario's topology. Requests route by area (loop arrivals rotate
+// areas round-robin), shards steal work when a lane backs up, and every
+// area's planner shares one process-wide signature -> strategy table
+// and one resilient-planner chain. Locate metrics carry a `shard` label
+// (confcall_locate_*{shard=...}, confcall_fleet_*).
 //
 // Tracing is always on at a deterministic 1-in-N sample (--trace-every,
 // default 64; 0 disables) through support::SamplingTracer, so /traces
@@ -37,42 +53,34 @@
 // exit 0.
 //
 // Crash safety (DESIGN.md §13): --state-out F checkpoints the learned
-// serving state — the location database, visit statistics, plan cache
-// and SLO actuator positions — through support/state_io's atomic
-// versioned+checksummed writer, every --checkpoint-every-ms on the
-// clock's period grid plus once at shutdown. --state-in F restores a
-// checkpoint at startup; a valid one skips warmup entirely (warm
-// restart: the DB, cache and controller resume at their converged
-// operating point), while a missing, torn, corrupt or version-skewed
-// file is REJECTED into a counted cold start
-// (confcall_state_restore_total{result=...}) — never a crash. GET
-// /readyz stays 503 through restore and warmup so a balancer holds
-// traffic until the process is actually warm. --supervise wraps the
-// whole daemon in a fork/exec supervisor: the child is restarted on any
-// unclean exit with exponential backoff and a bounded crash-loop budget
-// (--max-restarts, reset after a healthy run).
+// serving state — one section per area (location database, visit
+// statistics, plan cache, ground-truth cells) plus the SLO actuator
+// positions — through support/state_io's atomic versioned+checksummed
+// writer, every --checkpoint-every-ms on the clock's period grid plus
+// once at shutdown. --state-in F restores a checkpoint at startup; a
+// valid one skips warmup entirely (warm restart: the DB, cache and
+// controller resume at their converged operating point), while a
+// missing, torn, corrupt, version-skewed or differently shaped file is
+// REJECTED into a counted cold start
+// (confcall_state_restore_total{result=...}) — never a crash. The
+// restore is all-or-nothing across the fleet, and GET /readyz stays 503
+// through restore and warmup so a balancer holds traffic until the
+// process is actually warm. --supervise wraps the whole daemon in a
+// fork/exec supervisor: the child is restarted on any unclean exit with
+// exponential backoff and a bounded crash-loop budget (--max-restarts,
+// reset after a healthy run).
 //
-// Fleet serving (DESIGN.md §14): --shards N|auto swaps the single
-// LocationService for a cellular::ServiceFleet — N per-core shard lanes
-// executing --fleet-areas independent serving areas (default 4 per
-// shard), each a full location-management domain over the scenario's
-// topology. Requests route by area (POST /locate accepts an "area"
-// member; loop arrivals rotate areas round-robin), shards steal work
-// when a lane backs up, and every area's planner shares one process-wide
-// signature -> strategy table. Metrics grow a `shard` label
-// (confcall_locate_*{shard=...}, confcall_fleet_*); checkpoints carry
-// one section per area and /readyz stays 503 until EVERY area restored
-// (the restore is all-or-nothing across the fleet; the /readyz body
-// reports areas_ready/areas_total while a restore is in flight).
-// --slo-p99-ms composes with --shards: the controller senses the
-// label-summed fleet-wide rounds window (RegistrySnapshot::sum_by), so
-// one controller sees the same admitted-latency distribution at every
-// shard count and drives bit-identical control trajectories (the E21
-// gate at shard counts 1/2/8). GET /fleetz renders a per-shard JSON
-// drill-down (queue depth, steals, task p99, plan-cache hits, exemplar
-// trace ids); --metrics-exemplars opts /metrics into OpenMetrics
-// exemplar suffixes that carry a sampled trace id on each latency
-// bucket (off by default so the exposition stays byte-identical).
+// --slo-p99-ms T attaches a closed-loop SloController (requires a
+// scenario with admission control, e.g. overloaded-urban): every
+// --control-period-ms of wall time it reads the label-summed fleet-wide
+// admitted-rounds histogram delta (RegistrySnapshot::sum_by) and adapts
+// the admission token rate, degrade threshold and breaker cooldowns to
+// hold an admitted-latency p99 of T ms, with bit-identical control
+// trajectories at every shard count (the E21 gate). 0 (the default)
+// leaves the static thresholds in charge. --metrics-exemplars opts
+// /metrics into OpenMetrics exemplar suffixes that carry a sampled trace
+// id on each latency bucket (off by default so the exposition stays
+// byte-identical).
 //
 //   confcall_serve [--scenario dense-urban|campus|highway|degraded-urban|
 //                              overloaded-urban]
@@ -86,13 +94,6 @@
 //                  [--state-in FILE] [--state-out FILE]
 //                  [--checkpoint-every-ms MS]
 //                  [--supervise] [--max-restarts N]
-//
-// --slo-p99-ms T attaches a closed-loop SloController (requires a
-// scenario with admission control, e.g. overloaded-urban): every
-// --control-period-ms of wall time it reads the registry's admitted-
-// rounds histogram delta and adapts the admission token rate, degrade
-// threshold and breaker cooldowns to hold an admitted-latency p99 of
-// T ms. 0 (the default) leaves the static thresholds in charge.
 //
 // --port 0 (the default) binds an ephemeral port; --port-file writes the
 // resolved port for scripts (the CI smoke test starts the daemon with an
@@ -267,8 +268,8 @@ constexpr const char* kUsage =
     "\n"
     "Runs the location-management service as a daemon: a paced locate\n"
     "loop over the chosen scenario plus an HTTP observability surface\n"
-    "(GET /metrics /vars /healthz /readyz /traces — plus /fleetz with\n"
-    "--shards — and POST /locate).\n"
+    "(GET /metrics /vars /healthz /readyz /traces /fleetz and POST\n"
+    "/locate).\n"
     "--port 0 binds an ephemeral port (--port-file writes the resolved\n"
     "one); --steps 0 serves until SIGINT/SIGTERM, which drain gracefully\n"
     "and dump a final snapshot to --snapshot-out. --slo-p99-ms T closes\n"
@@ -285,20 +286,20 @@ constexpr const char* kUsage =
     "supervisor with exponential-backoff restarts bounded by\n"
     "--max-restarts (default 5, refilled after a 10 s healthy run).\n"
     "\n"
-    "Fleet serving: --shards N (or 'auto' = hardware threads) runs a\n"
-    "ServiceFleet of --fleet-areas independent serving areas (default\n"
-    "4 per shard) on N per-core lanes with work stealing and a\n"
-    "process-wide shared plan table. POST /locate gains an \"area\"\n"
-    "member; metrics gain a shard label; checkpoints restore\n"
-    "all-or-nothing across every area before /readyz goes 200 (the\n"
-    "/readyz body reports areas_ready/areas_total meanwhile). GET\n"
-    "/fleetz renders a per-shard JSON drill-down. --slo-p99-ms composes\n"
-    "with --shards: the controller senses the label-summed fleet-wide\n"
-    "rounds window, so control trajectories are bit-identical at every\n"
-    "shard count. --metrics-exemplars opts /metrics into OpenMetrics\n"
-    "exemplar suffixes (sampled trace ids on latency buckets).\n";
+    "Serving runs a ServiceFleet: one shard and one area by default.\n"
+    "--shards N (or 'auto' = hardware threads) runs N per-core lanes\n"
+    "with work stealing over --fleet-areas independent serving areas\n"
+    "(default 1, or 4 per shard with --shards) and a process-wide shared\n"
+    "plan table. POST /locate takes an \"area\" member; metrics carry a\n"
+    "shard label; checkpoints restore all-or-nothing across every area\n"
+    "before /readyz goes 200 (its body reports areas_ready/areas_total).\n"
+    "GET /fleetz renders a per-shard JSON drill-down. The SLO controller\n"
+    "senses the label-summed fleet-wide rounds window, so control\n"
+    "trajectories are bit-identical at every shard count.\n"
+    "--metrics-exemplars opts /metrics into OpenMetrics exemplar\n"
+    "suffixes (sampled trace ids on latency buckets).\n";
 
-/// Resolves --shards: absent/"0" = legacy single-service path, "auto" =
+/// Resolves --shards: absent/"0" = 0 (one shard, one area), "auto" =
 /// one shard per hardware thread, otherwise a positive count.
 std::size_t parse_shards_flag(const std::string& raw) {
   if (raw.empty() || raw == "0") return 0;
@@ -333,6 +334,7 @@ cellular::Scenario find_scenario(const std::string& name,
 
 }  // namespace
 
+
 int main(int argc, char** argv) {
   try {
     const support::Cli cli(argc, argv);
@@ -366,7 +368,7 @@ int main(int argc, char** argv) {
     const std::string state_out = cli.get_string("state-out", "");
     const std::int64_t checkpoint_every_ms =
         cli.get_int("checkpoint-every-ms", 0);
-    const std::size_t num_shards =
+    const std::size_t shards_flag =
         parse_shards_flag(cli.get_string("shards", ""));
     const std::int64_t fleet_areas_flag = cli.get_int("fleet-areas", 0);
     (void)cli.get_int("max-restarts", 5);  // consumed by the supervisor
@@ -391,548 +393,17 @@ int main(int argc, char** argv) {
     if (fleet_areas_flag < 0) {
       throw std::invalid_argument("--fleet-areas must be >= 0");
     }
-    if (fleet_areas_flag > 0 && num_shards == 0) {
-      throw std::invalid_argument("--fleet-areas needs --shards");
-    }
+    // A single service is a one-area, one-shard fleet; --shards N keeps
+    // the 4-areas-per-shard default.
+    const std::size_t num_shards = std::max<std::size_t>(1, shards_flag);
+    const std::size_t num_areas =
+        fleet_areas_flag > 0 ? static_cast<std::size_t>(fleet_areas_flag)
+        : shards_flag > 0    ? shards_flag * 4
+                             : 1;
 
     const cellular::Scenario scenario = find_scenario(scenario_name, seed);
     const cellular::SimConfig& config = scenario.config;
     config.validate();
-
-    if (num_shards > 0) {
-      // ---- Fleet serving path (DESIGN.md §14). Independent of the
-      // single-service path below: a ServiceFleet of num_areas serving
-      // domains on num_shards per-core lanes. Admission control, SLO
-      // control (sensing the label-summed fleet-wide rounds window),
-      // per-call tracing, checkpointing and the readiness lifecycle are
-      // all threaded through; only the resilient-planner chain remains
-      // single-service-only (ROADMAP — fleet areas plan with Fig. 1).
-      const std::size_t num_areas =
-          fleet_areas_flag > 0 ? static_cast<std::size_t>(fleet_areas_flag)
-                               : num_shards * 4;
-
-      const support::ClockSource& clock =
-          support::SteadyClockSource::shared();
-      const cellular::GridTopology grid(config.grid_rows, config.grid_cols,
-                                        config.toroidal,
-                                        config.neighborhood);
-      const cellular::LocationAreas areas = cellular::LocationAreas::tiles(
-          grid, config.la_tile_rows, config.la_tile_cols);
-      const cellular::MarkovMobility mobility(grid,
-                                              config.stay_probability);
-      // Every area starts from the same initial cells (drawn exactly as
-      // the single-service path draws them); divergence comes from the
-      // fleet's per-area mobility substreams.
-      prob::Rng rng(config.seed);
-      std::vector<cellular::CellId> user_cells;
-      user_cells.reserve(config.num_users);
-      for (std::size_t u = 0; u < config.num_users; ++u) {
-        user_cells.push_back(static_cast<cellular::CellId>(
-            rng.next_below(grid.num_cells())));
-      }
-
-      support::MetricRegistry registry;
-      // One process-wide tracer shared by every area: root sampling is a
-      // single atomic counter (exactly 1-in-N fleet-wide) and span stacks
-      // are thread_local, so shard lanes trace safely (trace.h audit).
-      std::unique_ptr<support::SamplingTracer> tracer;
-      if (trace_every > 0) {
-        tracer = std::make_unique<support::SamplingTracer>(
-            static_cast<std::size_t>(trace_every),
-            static_cast<std::size_t>(trace_capacity), clock);
-      }
-      const cellular::OverloadConfig& overload = config.overload;
-      std::optional<support::AdmissionController> admission;
-      cellular::LocationService::Config service_cfg =
-          config.service_config();
-      service_cfg.planner = nullptr;  // fleet areas plan with Fig. 1
-      service_cfg.tracer = tracer.get();  // carried into every area
-      if (overload.enabled) {
-        service_cfg.clock = &clock;
-        service_cfg.round_duration_ns = overload.round_duration_ns;
-        admission.emplace(overload.admission, clock);
-        admission->bind_metrics(registry);
-      }
-      // The fleet-wide closed loop: ONE controller over ONE shared
-      // admission throttle. It senses sum_by("confcall_locate_rounds") —
-      // the label-erased union of every shard's window — which is
-      // invariant under resharding, so the control trajectory is
-      // bit-identical at every shard count (the E21 gate).
-      std::unique_ptr<support::SloController> slo;
-      if (slo_p99_ms > 0) {
-        if (!admission) {
-          throw std::invalid_argument(
-              "--slo-p99-ms needs a scenario with admission control "
-              "(e.g. overloaded-urban)");
-        }
-        support::SloOptions slo_options = overload.slo;
-        slo_options.enabled = true;
-        slo_options.target_p99_ns =
-            static_cast<std::uint64_t>(slo_p99_ms) * 1'000'000ULL;
-        slo_options.control_period_ns =
-            static_cast<std::uint64_t>(control_period_ms) * 1'000'000ULL;
-        slo = std::make_unique<support::SloController>(
-            slo_options, registry, *admission, clock,
-            overload.round_duration_ns);
-        slo->bind_metrics(registry);
-      }
-
-      cellular::FleetConfig fleet_cfg;
-      fleet_cfg.num_shards = num_shards;
-      fleet_cfg.num_areas = num_areas;
-      fleet_cfg.seed = config.seed;
-      fleet_cfg.registry = &registry;
-      fleet_cfg.pin_threads = true;
-      cellular::ServiceFleet fleet(grid, areas, mobility, service_cfg,
-                                   user_cells, fleet_cfg);
-
-      const cellular::CallGenerator calls(config.call_rate,
-                                          config.num_users,
-                                          config.group_min,
-                                          config.group_max);
-      const cellular::CallGenerator forced_calls(1.0, config.num_users,
-                                                 config.group_min,
-                                                 config.group_max);
-
-      const support::Counter steps_metric = registry.counter(
-          "confcall_serve_steps_total", "Locate-loop steps the daemon ran");
-      const support::Counter arrivals_metric = registry.counter(
-          "confcall_serve_calls_arrived_total",
-          "Conference-call arrivals (loop traffic plus POST /locate)");
-      const support::Counter shed_metric = registry.counter(
-          "confcall_serve_calls_shed_total",
-          "Arrivals rejected by admission control");
-      const support::Counter checkpoints_metric = registry.counter(
-          "confcall_state_checkpoints_total",
-          "State checkpoints written successfully");
-      const support::Counter checkpoint_failed_metric = registry.counter(
-          "confcall_state_checkpoint_failed_total",
-          "State checkpoint writes that failed (I/O)");
-      const support::Gauge checkpoint_bytes_metric = registry.gauge(
-          "confcall_state_checkpoint_bytes",
-          "Size of the last checkpoint file written");
-      const auto count_restore = [&registry](const std::string& result) {
-        registry
-            .counter("confcall_state_restore_total",
-                     "Startup state-restore attempts by result: restored, "
-                     "or the cold-start cause",
-                     {{"result", result}})
-            .inc();
-      };
-
-      // One mutex serializes every fleet dispatch (loop vs POST /locate
-      // vs checkpoints); parallelism happens INSIDE a dispatch, across
-      // the fleet's shard lanes.
-      std::mutex sim_mutex;
-      support::ReadinessGate readiness;
-
-      std::uint64_t checkpoints_written = 0;
-      const auto write_checkpoint = [&] {
-        support::StateBundle bundle;
-        {
-          std::lock_guard<std::mutex> lock(sim_mutex);
-          fleet.add_state_sections(bundle);
-        }
-        if (slo) {
-          bundle.add(support::SloController::kStateSection,
-                     support::SloController::kStateVersion,
-                     slo->save_state());
-        }
-        try {
-          const std::size_t bytes =
-              support::save_state_file(state_out, bundle);
-          checkpoints_metric.inc();
-          checkpoint_bytes_metric.set(static_cast<double>(bytes));
-          ++checkpoints_written;
-          return true;
-        } catch (const std::exception& error) {
-          checkpoint_failed_metric.inc();
-          std::cerr << "confcall_serve: checkpoint failed: " << error.what()
-                    << "\n";
-          return false;
-        }
-      };
-
-      // Synthesized arrivals rotate areas round-robin so every serving
-      // domain sees loop traffic.
-      std::uint64_t area_rotor = 0;
-      const auto admit = [&](std::size_t participants,
-                             cellular::LocationService::LocateContext*
-                                 context) {
-        if (!admission) return true;
-        const support::AdmissionController::Decision decision =
-            admission->admit(static_cast<double>(participants));
-        if (decision == support::AdmissionController::Decision::kShed) {
-          shed_metric.inc();
-          return false;
-        }
-        if (decision ==
-            support::AdmissionController::Decision::kAdmitDegraded) {
-          context->plan_cheap = true;
-        }
-        if (overload.call_deadline_ns != 0) {
-          context->deadline =
-              support::Deadline::after(overload.call_deadline_ns, clock);
-        }
-        return true;
-      };
-
-      const auto step_once = [&] {
-        std::lock_guard<std::mutex> lock(sim_mutex);
-        fleet.step_all();
-        steps_metric.inc();
-        const cellular::CallEvent event = calls.maybe_call(rng);
-        if (!event.participants.empty()) {
-          arrivals_metric.inc();
-          cellular::ServiceFleet::Request request;
-          request.area = area_rotor++ % num_areas;
-          request.users = event.participants;
-          if (admit(request.users.size(), &request.context)) {
-            (void)fleet.locate_many({&request, 1});
-          }
-        }
-        // Controller steps land on the wall-clock period grid; polling
-        // it every loop step is one clock read when no boundary passed.
-        if (slo) (void)slo->maybe_step();
-      };
-
-      support::HttpServerOptions http_options;
-      http_options.port = port;
-      http_options.workers = workers;
-      support::HttpServer server(http_options);
-      server.bind_metrics(registry);
-      // Restore progress in the /readyz body: a balancer (or operator)
-      // polling through a warm restart sees how many areas validated so
-      // far, not just a bare 503.
-      support::ObservabilityOptions observability;
-      observability.exemplars = metrics_exemplars;
-      observability.readyz_detail = [&fleet, &readiness, num_areas] {
-        const support::Readiness phase = readiness.state();
-        std::size_t ready = 0;
-        if (phase == support::Readiness::kReady ||
-            phase == support::Readiness::kDraining) {
-          ready = num_areas;
-        } else if (phase == support::Readiness::kRestoring) {
-          ready = fleet.areas_restored();
-        }
-        return "\"areas_ready\": " + std::to_string(ready) +
-               ", \"areas_total\": " + std::to_string(num_areas);
-      };
-      support::install_observability_routes(
-          server, &registry, tracer.get(),
-          admission ? &*admission : nullptr, slo.get(), &readiness,
-          observability);
-      // Fleet drill-down: ONE consistent registry snapshot rendered as
-      // per-shard JSON — queue depth, work stealing, task latency, plan
-      // cache traffic and the exemplar trace ids that bridge the rounds
-      // histogram to /traces. Counters come from the snapshot rather
-      // than FleetStats: the snapshot is a race-free consistent cut the
-      // dispatcher thread never has to pause for.
-      server.handle("GET", "/fleetz", [&](const support::HttpRequest&) {
-        support::HttpResponse response;
-        response.content_type = "application/json";
-        const support::RegistrySnapshot snap = registry.snapshot();
-        const auto find = [&snap](std::string_view name,
-                                  const std::string& shard)
-            -> const support::MetricSnapshot* {
-          for (const support::MetricSnapshot& metric : snap.metrics) {
-            if (metric.name != name) continue;
-            if (shard.empty() && metric.labels.empty()) return &metric;
-            for (const auto& label : metric.labels) {
-              if (label.first == "shard" && label.second == shard) {
-                return &metric;
-              }
-            }
-          }
-          return nullptr;
-        };
-        const auto counter = [&find](std::string_view name,
-                                     const std::string& shard) {
-          const support::MetricSnapshot* metric = find(name, shard);
-          return metric ? metric->counter_value : std::uint64_t{0};
-        };
-        const auto hex16 = [](std::uint64_t id) {
-          std::ostringstream os;
-          os << std::hex << std::setfill('0') << std::setw(16) << id;
-          return os.str();
-        };
-        const support::Readiness phase = readiness.state();
-        std::size_t areas_ready = 0;
-        if (phase == support::Readiness::kReady ||
-            phase == support::Readiness::kDraining) {
-          areas_ready = num_areas;
-        } else if (phase == support::Readiness::kRestoring) {
-          areas_ready = fleet.areas_restored();
-        }
-        std::ostringstream body;
-        body << "{\"shards\": " << num_shards
-             << ", \"areas\": " << num_areas
-             << ", \"areas_ready\": " << areas_ready
-             << ", \"phase\": \"" << support::readiness_name(phase)
-             << "\", \"dispatches\": "
-             << counter("confcall_fleet_dispatches_total", "")
-             << ", \"requests\": "
-             << counter("confcall_fleet_requests_total", "")
-             << ", \"queue_overflows\": "
-             << counter("confcall_fleet_queue_overflow_total", "");
-        const support::MetricSnapshot* entries =
-            find("confcall_fleet_shared_plan_entries", "");
-        body << ", \"shared_plan\": {\"hits\": "
-             << counter("confcall_fleet_shared_plan_hits_total", "")
-             << ", \"misses\": "
-             << counter("confcall_fleet_shared_plan_misses_total", "")
-             << ", \"entries\": "
-             << (entries != nullptr
-                     ? static_cast<std::uint64_t>(entries->gauge_value)
-                     : 0)
-             << "}, \"per_shard\": [";
-        for (std::size_t s = 0; s < num_shards; ++s) {
-          const std::string shard = std::to_string(s);
-          if (s > 0) body << ", ";
-          const support::MetricSnapshot* depth =
-              find("confcall_fleet_queue_depth", shard);
-          const support::MetricSnapshot* task_ns =
-              find("confcall_fleet_task_ns", shard);
-          const support::MetricSnapshot* rounds =
-              find("confcall_locate_rounds", shard);
-          body << "{\"shard\": " << s << ", \"queue_depth\": "
-               << (depth != nullptr
-                       ? static_cast<std::uint64_t>(depth->gauge_value)
-                       : 0)
-               << ", \"tasks\": "
-               << counter("confcall_fleet_tasks_total", shard)
-               << ", \"steals\": "
-               << counter("confcall_fleet_steals_total", shard)
-               << ", \"task_p99_ns\": "
-               << (task_ns != nullptr ? task_ns->histogram.quantile(0.99)
-                                      : 0.0)
-               << ", \"locate_calls\": "
-               << counter("confcall_locate_calls_total", shard)
-               << ", \"plan_cache_hits\": "
-               << counter("confcall_locate_plan_cache_hits_total", shard)
-               << ", \"plan_cache_misses\": "
-               << counter("confcall_locate_plan_cache_misses_total", shard)
-               << ", \"rounds_p99\": "
-               << (rounds != nullptr ? rounds->histogram.quantile(0.99)
-                                     : 0.0)
-               << ", \"exemplar_trace_ids\": [";
-          bool first = true;
-          if (rounds != nullptr) {
-            for (const support::Exemplar& exemplar :
-                 rounds->histogram.exemplars) {
-              if (!exemplar.valid()) continue;
-              if (!first) body << ", ";
-              first = false;
-              body << "\"" << hex16(exemplar.trace_id) << "\"";
-            }
-          }
-          body << "]}";
-        }
-        body << "]}\n";
-        response.body = body.str();
-        return response;
-      });
-      server.handle("POST", "/locate", [&](const support::HttpRequest&
-                                               http_request) {
-        support::HttpResponse response;
-        response.content_type = "application/json";
-        cellular::LocateApiRequest api;
-        try {
-          api = cellular::parse_locate_body(http_request.body,
-                                            config.num_users, num_areas);
-        } catch (const std::exception& error) {
-          response.status = 400;
-          response.body = "{\"error\": \"" +
-                          support::json_escape(error.what()) + "\"}\n";
-          return response;
-        }
-
-        std::lock_guard<std::mutex> lock(sim_mutex);
-        struct PendingCall {
-          cellular::ServiceFleet::Request request;
-          bool admitted = false;
-        };
-        std::vector<PendingCall> pending;
-        pending.reserve(api.calls.size());
-        std::vector<cellular::ServiceFleet::Request> admitted;
-        admitted.reserve(api.calls.size());
-        for (const cellular::LocateCallSpec& spec : api.calls) {
-          PendingCall call;
-          call.request.area = spec.area;
-          call.request.users =
-              spec.users.empty()
-                  ? forced_calls.maybe_call(rng).participants
-                  : spec.users;
-          arrivals_metric.inc();
-          call.admitted =
-              admit(call.request.users.size(), &call.request.context);
-          pending.push_back(std::move(call));
-        }
-        for (const PendingCall& call : pending) {
-          if (call.admitted) admitted.push_back(call.request);
-        }
-        const std::vector<cellular::LocationService::LocateOutcome>
-            outcomes = fleet.locate_many(admitted);
-
-        std::string body;
-        std::size_t next_outcome = 0;
-        if (api.batch) {
-          body += "[";
-          for (std::size_t i = 0; i < pending.size(); ++i) {
-            if (i > 0) body += ", ";
-            const PendingCall& call = pending[i];
-            cellular::append_outcome_json(
-                body, call.admitted, call.request.users.size(),
-                call.admitted ? &outcomes[next_outcome] : nullptr);
-            if (call.admitted) ++next_outcome;
-          }
-          body += "]\n";
-        } else {
-          const PendingCall& call = pending.front();
-          if (!call.admitted) response.status = 503;
-          cellular::append_outcome_json(
-              body, call.admitted, call.request.users.size(),
-              call.admitted ? &outcomes.front() : nullptr);
-          body += "\n";
-        }
-        response.body = std::move(body);
-        return response;
-      });
-
-      (void)std::signal(SIGINT, on_signal);
-      (void)std::signal(SIGTERM, on_signal);
-      server.start();
-      if (!port_file.empty()) {
-        std::ofstream out(port_file);
-        if (!out) {
-          throw std::runtime_error("cannot write port file '" + port_file +
-                                   "'");
-        }
-        out << server.port() << "\n";
-      }
-      std::cout << "confcall_serve: scenario=" << scenario.name
-                << " serving on 127.0.0.1:" << server.port()
-                << " (fleet: " << num_shards << " shards, " << num_areas
-                << " areas";
-      if (slo) {
-        std::cout << ", slo-p99-ms=" << slo_p99_ms
-                  << ", control-period-ms=" << control_period_ms;
-      }
-      std::cout << ")" << std::endl;
-
-      // Warm restart or cold start, fleet-wide. /readyz holds 503 until
-      // EVERY area has restored (the fleet restore is all-or-nothing) or
-      // the whole fleet has warmed up.
-      bool restored = false;
-      if (!state_in.empty()) {
-        readiness.set(support::Readiness::kRestoring);
-        const support::StateLoadResult loaded =
-            support::load_state_file(state_in);
-        if (!loaded.ok()) {
-          count_restore(std::string("cold_") +
-                        support::state_load_status_name(loaded.status));
-          std::cout << "confcall_serve: state: cold start ("
-                    << support::state_load_status_name(loaded.status)
-                    << ": " << loaded.message << ")" << std::endl;
-        } else {
-          bool sections_ok = false;
-          {
-            std::lock_guard<std::mutex> lock(sim_mutex);
-            sections_ok = fleet.restore_state_sections(loaded.bundle);
-          }
-          if (sections_ok && slo) {
-            // Controller actuators resume at their converged operating
-            // point together with the fleet state they converged on.
-            const support::StateSection* section =
-                loaded.bundle.find(support::SloController::kStateSection);
-            sections_ok = section != nullptr &&
-                          slo->restore_state(section->payload,
-                                             section->version);
-          }
-          if (sections_ok) {
-            restored = true;
-            count_restore("restored");
-            std::cout << "confcall_serve: state: restored all "
-                      << num_areas << " fleet areas from " << state_in
-                      << std::endl;
-          } else {
-            count_restore("cold_section_mismatch");
-            std::cout << "confcall_serve: state: cold start (fleet "
-                         "section missing, version skew, or shape "
-                         "mismatch)"
-                      << std::endl;
-          }
-        }
-      }
-      if (!restored) {
-        readiness.set(support::Readiness::kWarmup);
-        for (std::size_t t = 0; t < config.warmup_steps; ++t) {
-          std::lock_guard<std::mutex> lock(sim_mutex);
-          fleet.step_all();
-        }
-      }
-      readiness.set(support::Readiness::kReady);
-
-      const std::uint64_t checkpoint_period_ns =
-          static_cast<std::uint64_t>(checkpoint_every_ms) * 1'000'000ULL;
-      std::uint64_t next_checkpoint_ns =
-          checkpoint_period_ns == 0 ? 0
-                                    : clock.now_ns() + checkpoint_period_ns;
-
-      std::uint64_t steps_run = 0;
-      while (!g_stop.load()) {
-        if (steps > 0 && steps_run >= static_cast<std::uint64_t>(steps)) {
-          break;
-        }
-        step_once();
-        ++steps_run;
-        if (checkpoint_period_ns != 0) {
-          const std::uint64_t now = clock.now_ns();
-          if (now >= next_checkpoint_ns) {
-            while (next_checkpoint_ns <= now) {
-              next_checkpoint_ns += checkpoint_period_ns;
-            }
-            (void)write_checkpoint();
-          }
-        }
-        if (step_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(step_ms));
-        }
-      }
-
-      readiness.set(support::Readiness::kDraining);
-      server.stop();
-      if (!state_out.empty()) (void)write_checkpoint();
-      const support::RegistrySnapshot snapshot = registry.snapshot();
-      if (!snapshot_out.empty()) {
-        std::string error;
-        if (!support::write_file_atomic(
-                snapshot_out, support::to_json(snapshot), &error)) {
-          throw std::runtime_error("cannot write snapshot file: " + error);
-        }
-      }
-      const cellular::ServiceFleet::FleetStats& fleet_stats = fleet.stats();
-      std::cout << "confcall_serve: stopped after " << steps_run
-                << " steps, served " << server.requests_served()
-                << " http requests (" << server.connections_shed()
-                << " shed), fleet ran " << fleet_stats.tasks
-                << " area-tasks (" << fleet_stats.steals << " stolen, "
-                << fleet_stats.overflows << " overflowed)";
-      if (!state_out.empty()) {
-        std::cout << ", wrote " << checkpoints_written << " checkpoints";
-      }
-      if (tracer) {
-        std::cout << ", sampled " << tracer->roots_sampled() << "/"
-                  << tracer->roots_seen() << " traces";
-      }
-      if (slo) {
-        std::cout << ", ran " << slo->control_steps() << " control steps ("
-                  << slo->breaches() << " breached, "
-                  << slo->pre_breach_signals() << " pre-breach)";
-      }
-      std::cout << std::endl;
-      return 0;
-    }
 
     // The simulator's stack, assembled on the REAL clock: token refill,
     // call deadlines and breaker cooldowns all track wall time here,
@@ -943,6 +414,8 @@ int main(int argc, char** argv) {
     const cellular::LocationAreas areas = cellular::LocationAreas::tiles(
         grid, config.la_tile_rows, config.la_tile_cols);
     const cellular::MarkovMobility mobility(grid, config.stay_probability);
+    // Every area starts from the same initial cells; divergence comes
+    // from the fleet's per-area mobility substreams.
     prob::Rng rng(config.seed);
     std::vector<cellular::CellId> user_cells;
     user_cells.reserve(config.num_users);
@@ -952,19 +425,22 @@ int main(int argc, char** argv) {
     }
 
     support::MetricRegistry registry;
+    // One process-wide tracer shared by every area: root sampling is a
+    // single atomic counter (exactly 1-in-N fleet-wide) and span stacks
+    // are thread_local, so shard lanes trace safely (trace.h audit).
     std::unique_ptr<support::SamplingTracer> tracer;
     if (trace_every > 0) {
       tracer = std::make_unique<support::SamplingTracer>(
           static_cast<std::size_t>(trace_every),
           static_cast<std::size_t>(trace_capacity), clock);
     }
-
     const cellular::OverloadConfig& overload = config.overload;
+    // One resilient-planner chain serves every lane: its breakers and
+    // tier telemetry are atomic or internally locked (resilient_planner.h).
     std::unique_ptr<core::ResilientPlanner> resilient;
     std::optional<support::AdmissionController> admission;
     cellular::LocationService::Config service_cfg = config.service_config();
-    service_cfg.metrics = cellular::ServiceMetrics::create(registry);
-    service_cfg.tracer = tracer.get();
+    service_cfg.tracer = tracer.get();  // carried into every area
     if (overload.enabled) {
       if (overload.resilient_planner) {
         std::vector<std::unique_ptr<core::Planner>> chain;
@@ -982,8 +458,11 @@ int main(int argc, char** argv) {
       admission.emplace(overload.admission, clock);
       admission->bind_metrics(registry);
     }
-    // The closed loop, on wall time: target and period scale from the
-    // simulator's virtual-ns defaults to the flags' milliseconds.
+    // The fleet-wide closed loop: ONE controller over ONE shared
+    // admission throttle. It senses sum_by("confcall_locate_rounds") —
+    // the label-erased union of every shard's window — which is
+    // invariant under resharding, so the control trajectory is
+    // bit-identical at every shard count (the E21 gate).
     std::unique_ptr<support::SloController> slo;
     if (slo_p99_ms > 0) {
       if (!admission) {
@@ -1008,12 +487,16 @@ int main(int argc, char** argv) {
       slo->bind_metrics(registry);
     }
 
-    cellular::LocationService service(grid, areas, mobility, service_cfg,
-                                      user_cells);
-    cellular::FaultPlan faults(config.faults, grid.num_cells());
-    if (config.paging_policy != cellular::PagingPolicy::kAdaptive) {
-      service.attach_faults(&faults);
-    }
+    cellular::FleetConfig fleet_cfg;
+    fleet_cfg.num_shards = num_shards;
+    fleet_cfg.num_areas = num_areas;
+    fleet_cfg.seed = config.seed;
+    fleet_cfg.registry = &registry;
+    fleet_cfg.pin_threads = true;
+    fleet_cfg.faults = config.faults;
+    cellular::ServiceFleet fleet(grid, areas, mobility, service_cfg,
+                                 user_cells, fleet_cfg);
+
     const cellular::CallGenerator calls(config.call_rate, config.num_users,
                                         config.group_min, config.group_max);
     // Forced arrivals for POST /locate: same group-size law, rate 1.
@@ -1034,19 +517,6 @@ int main(int argc, char** argv) {
     const support::Counter shed_metric = registry.counter(
         "confcall_serve_calls_shed_total",
         "Arrivals rejected by admission control");
-
-    // One mutex serializes every touch of the simulation state (service,
-    // user cells, rng, generators) between the locate loop and the POST
-    // /locate handler. Registry/tracer/admission are internally locked
-    // and stay readable by the scrape handlers without it.
-    std::mutex sim_mutex;
-
-    // Crash-safety surface: the readiness gate the balancer watches, the
-    // checkpoint/restore metrics, and the daemon's own state section
-    // (ground-truth user cells — without them a restored location
-    // database would describe users the freshly randomized world
-    // contradicts, and every warm locate would fall into recovery).
-    support::ReadinessGate readiness;
     const support::Counter checkpoints_metric = registry.counter(
         "confcall_state_checkpoints_total",
         "State checkpoints written successfully");
@@ -1065,54 +535,27 @@ int main(int argc, char** argv) {
           .inc();
     };
 
-    constexpr const char* kDaemonSection = "serve_daemon";
-    constexpr std::uint32_t kDaemonVersion = 1;
-    const auto save_daemon_state = [&user_cells] {
-      support::StateWriter writer;
-      writer.put_u64(user_cells.size());
-      for (const cellular::CellId cell : user_cells) writer.put_u32(cell);
-      return std::move(writer).take();
-    };
-    const auto restore_daemon_state = [&](std::string_view payload,
-                                          std::uint32_t version) {
-      if (version != kDaemonVersion) return false;
-      try {
-        support::StateReader reader(payload);
-        if (reader.get_u64() != user_cells.size()) return false;
-        std::vector<cellular::CellId> cells;
-        cells.reserve(user_cells.size());
-        for (std::size_t u = 0; u < user_cells.size(); ++u) {
-          const cellular::CellId cell = reader.get_u32();
-          if (cell >= grid.num_cells()) return false;
-          cells.push_back(cell);
-        }
-        if (!reader.at_end()) return false;
-        user_cells = std::move(cells);
-        return true;
-      } catch (const support::StateFormatError&) {
-        return false;
-      }
-    };
+    // One mutex serializes every fleet dispatch (loop vs POST /locate vs
+    // checkpoints) and the daemon's rng and generators; parallelism
+    // happens INSIDE a dispatch, across the fleet's shard lanes.
+    // Registry, tracer and admission are internally locked and stay
+    // readable by the scrape handlers without it.
+    std::mutex sim_mutex;
+    support::ReadinessGate readiness;
 
     std::uint64_t checkpoints_written = 0;
     const auto write_checkpoint = [&] {
       support::StateBundle bundle;
       {
-        // The sim lock covers service + user cells; the SLO controller
-        // is internally locked and snapshots itself outside it.
         std::lock_guard<std::mutex> lock(sim_mutex);
-        bundle.add(cellular::LocationService::kStateSection,
-                   cellular::LocationService::kStateVersion,
-                   service.save_state());
-        bundle.add(kDaemonSection, kDaemonVersion, save_daemon_state());
+        fleet.add_state_sections(bundle);
       }
       if (slo) {
         bundle.add(support::SloController::kStateSection,
                    support::SloController::kStateVersion, slo->save_state());
       }
       try {
-        const std::size_t bytes =
-            support::save_state_file(state_out, bundle);
+        const std::size_t bytes = support::save_state_file(state_out, bundle);
         checkpoints_metric.inc();
         checkpoint_bytes_metric.set(static_cast<double>(bytes));
         ++checkpoints_written;
@@ -1126,56 +569,62 @@ int main(int argc, char** argv) {
       }
     };
 
-    // One paced step: move everyone, then maybe serve one arriving call.
-    // Returns false when the call was shed.
-    const auto serve_call = [&](const cellular::CallEvent& event,
-                                cellular::LocationService::LocateOutcome*
-                                    outcome_out) {
+    const auto admit = [&](std::size_t participants,
+                           cellular::LocationService::LocateContext*
+                               context) {
       arrivals_metric.inc();
-      cellular::LocationService::LocateContext context;
-      if (admission) {
-        const support::AdmissionController::Decision decision =
-            admission->admit(static_cast<double>(event.participants.size()));
-        if (decision == support::AdmissionController::Decision::kShed) {
-          shed_metric.inc();
-          return false;
-        }
-        if (decision ==
-            support::AdmissionController::Decision::kAdmitDegraded) {
-          context.plan_cheap = true;
-        }
-        if (overload.call_deadline_ns != 0) {
-          context.deadline =
-              support::Deadline::after(overload.call_deadline_ns, clock);
-        }
+      if (!admission) return true;
+      const support::AdmissionController::Decision decision =
+          admission->admit(static_cast<double>(participants));
+      if (decision == support::AdmissionController::Decision::kShed) {
+        shed_metric.inc();
+        return false;
       }
-      std::vector<cellular::CellId> true_cells;
-      true_cells.reserve(event.participants.size());
-      for (const cellular::UserId user : event.participants) {
-        true_cells.push_back(user_cells[user]);
+      if (decision == support::AdmissionController::Decision::kAdmitDegraded) {
+        context->plan_cheap = true;
       }
-      const cellular::LocationService::LocateOutcome outcome =
-          service.locate(event.participants, true_cells, rng, context);
-      if (outcome_out != nullptr) *outcome_out = outcome;
+      if (overload.call_deadline_ns != 0) {
+        context->deadline =
+            support::Deadline::after(overload.call_deadline_ns, clock);
+      }
       return true;
     };
 
+    // One paced step: move everyone, then maybe serve one arriving call.
+    // Loop arrivals rotate areas round-robin so every serving domain
+    // sees loop traffic.
+    std::uint64_t area_rotor = 0;
     const auto step_once = [&] {
       std::lock_guard<std::mutex> lock(sim_mutex);
-      faults.begin_step();
-      for (std::size_t u = 0; u < config.num_users; ++u) {
-        user_cells[u] = mobility.step(user_cells[u], rng);
-        (void)service.observe_move(static_cast<cellular::UserId>(u),
-                                   user_cells[u]);
-      }
-      service.tick();
+      fleet.step_all();
       steps_metric.inc();
       const cellular::CallEvent event =
           bursty ? bursty->maybe_call(rng) : calls.maybe_call(rng);
-      if (!event.participants.empty()) (void)serve_call(event, nullptr);
+      if (!event.participants.empty()) {
+        cellular::ServiceFleet::Request request;
+        request.area = area_rotor++ % num_areas;
+        request.users = event.participants;
+        if (admit(request.users.size(), &request.context)) {
+          (void)fleet.locate_many({&request, 1});
+        }
+      }
       // Controller steps land on the wall-clock period grid; polling it
       // every loop step is one clock read when no boundary passed.
       if (slo) (void)slo->maybe_step();
+    };
+
+    // Areas whose state is live: all of them once ready, the restore's
+    // progress while one is in flight, none before.
+    const auto areas_ready = [&fleet, num_areas](support::Readiness phase) {
+      switch (phase) {
+        case support::Readiness::kReady:
+        case support::Readiness::kDraining:
+          return num_areas;
+        case support::Readiness::kRestoring:
+          return fleet.areas_restored();
+        default:
+          return std::size_t{0};
+      }
     };
 
     support::HttpServerOptions http_options;
@@ -1185,20 +634,126 @@ int main(int argc, char** argv) {
     server.bind_metrics(registry);
     support::ObservabilityOptions observability;
     observability.exemplars = metrics_exemplars;
+    observability.readyz_detail = [&areas_ready, &readiness, num_areas] {
+      return "\"areas_ready\": " +
+             std::to_string(areas_ready(readiness.state())) +
+             ", \"areas_total\": " + std::to_string(num_areas);
+    };
     support::install_observability_routes(
-        server, &registry, tracer.get(),
-        admission ? &*admission : nullptr, slo.get(), &readiness,
-        observability);
+        server, &registry, tracer.get(), admission ? &*admission : nullptr,
+        slo.get(), &readiness, observability);
+    // Fleet drill-down: ONE consistent registry snapshot rendered as
+    // per-shard JSON — queue depth, work stealing, task latency, plan
+    // cache traffic and the exemplar trace ids that bridge the rounds
+    // histogram to /traces. Counters come from the snapshot rather
+    // than FleetStats: the snapshot is a race-free consistent cut the
+    // dispatcher thread never has to pause for.
+    server.handle("GET", "/fleetz", [&](const support::HttpRequest&) {
+      support::HttpResponse response;
+      response.content_type = "application/json";
+      const support::RegistrySnapshot snap = registry.snapshot();
+      const auto find = [&snap](std::string_view name,
+                                const std::string& shard)
+          -> const support::MetricSnapshot* {
+        for (const support::MetricSnapshot& metric : snap.metrics) {
+          if (metric.name != name) continue;
+          if (shard.empty() && metric.labels.empty()) return &metric;
+          for (const auto& label : metric.labels) {
+            if (label.first == "shard" && label.second == shard) {
+              return &metric;
+            }
+          }
+        }
+        return nullptr;
+      };
+      const auto counter = [&find](std::string_view name,
+                                   const std::string& shard) {
+        const support::MetricSnapshot* metric = find(name, shard);
+        return metric ? metric->counter_value : std::uint64_t{0};
+      };
+      const auto hex16 = [](std::uint64_t id) {
+        std::ostringstream os;
+        os << std::hex << std::setfill('0') << std::setw(16) << id;
+        return os.str();
+      };
+      const support::Readiness phase = readiness.state();
+      std::ostringstream body;
+      body << "{\"shards\": " << num_shards << ", \"areas\": " << num_areas
+           << ", \"areas_ready\": " << areas_ready(phase) << ", \"phase\": \""
+           << support::readiness_name(phase)
+           << "\", \"dispatches\": "
+           << counter("confcall_fleet_dispatches_total", "")
+           << ", \"requests\": "
+           << counter("confcall_fleet_requests_total", "")
+           << ", \"queue_overflows\": "
+           << counter("confcall_fleet_queue_overflow_total", "");
+      const support::MetricSnapshot* entries =
+          find("confcall_fleet_shared_plan_entries", "");
+      body << ", \"shared_plan\": {\"hits\": "
+           << counter("confcall_fleet_shared_plan_hits_total", "")
+           << ", \"misses\": "
+           << counter("confcall_fleet_shared_plan_misses_total", "")
+           << ", \"entries\": "
+           << (entries != nullptr
+                   ? static_cast<std::uint64_t>(entries->gauge_value)
+                   : 0)
+           << "}, \"per_shard\": [";
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        const std::string shard = std::to_string(s);
+        if (s > 0) body << ", ";
+        const support::MetricSnapshot* depth =
+            find("confcall_fleet_queue_depth", shard);
+        const support::MetricSnapshot* task_ns =
+            find("confcall_fleet_task_ns", shard);
+        const support::MetricSnapshot* rounds =
+            find("confcall_locate_rounds", shard);
+        body << "{\"shard\": " << s << ", \"queue_depth\": "
+             << (depth != nullptr
+                     ? static_cast<std::uint64_t>(depth->gauge_value)
+                     : 0)
+             << ", \"tasks\": "
+             << counter("confcall_fleet_tasks_total", shard)
+             << ", \"steals\": "
+             << counter("confcall_fleet_steals_total", shard)
+             << ", \"task_p99_ns\": "
+             << (task_ns != nullptr ? task_ns->histogram.quantile(0.99)
+                                    : 0.0)
+             << ", \"locate_calls\": "
+             << counter("confcall_locate_calls_total", shard)
+             << ", \"plan_cache_hits\": "
+             << counter("confcall_locate_plan_cache_hits_total", shard)
+             << ", \"plan_cache_misses\": "
+             << counter("confcall_locate_plan_cache_misses_total", shard)
+             << ", \"rounds_p99\": "
+             << (rounds != nullptr ? rounds->histogram.quantile(0.99)
+                                   : 0.0)
+             << ", \"exemplar_trace_ids\": [";
+        bool first = true;
+        if (rounds != nullptr) {
+          for (const support::Exemplar& exemplar :
+               rounds->histogram.exemplars) {
+            if (!exemplar.valid()) continue;
+            if (!first) body << ", ";
+            first = false;
+            body << "\"" << hex16(exemplar.trace_id) << "\"";
+          }
+        }
+        body << "]}";
+      }
+      body << "]}\n";
+      response.body = body.str();
+      return response;
+    });
     server.handle("POST", "/locate", [&](const support::HttpRequest&
                                              http_request) {
       support::HttpResponse response;
       response.content_type = "application/json";
       // Parse outside the sim lock: malformed input never touches (or
-      // blocks) the simulation state.
+      // blocks) the serving state.
       cellular::LocateApiRequest api;
       try {
         api = cellular::parse_locate_body(http_request.body,
-                                          config.num_users);
+                                          config.num_users, num_areas);
       } catch (const std::exception& error) {
         response.status = 400;
         response.body = "{\"error\": \"" +
@@ -1207,57 +762,29 @@ int main(int argc, char** argv) {
       }
 
       std::lock_guard<std::mutex> lock(sim_mutex);
-      // One admission pass over the whole batch, then a single
-      // locate_many over the admitted calls — the batch amortizes the
-      // span root, the batch-size histogram and every per-call scratch
-      // structure inside the service.
+      // One admission pass over the whole batch, then a single fleet
+      // dispatch over the admitted calls.
       struct PendingCall {
-        std::vector<cellular::UserId> users;
-        std::vector<cellular::CellId> true_cells;
-        cellular::LocationService::LocateContext context;
+        cellular::ServiceFleet::Request request;
         bool admitted = false;
       };
       std::vector<PendingCall> pending;
       pending.reserve(api.calls.size());
-      std::vector<cellular::LocationService::LocateRequest> admitted;
+      std::vector<cellular::ServiceFleet::Request> admitted;
       admitted.reserve(api.calls.size());
       for (const cellular::LocateCallSpec& spec : api.calls) {
         PendingCall call;
-        call.users = spec.users.empty()
-                         ? forced_calls.maybe_call(rng).participants
-                         : spec.users;
-        arrivals_metric.inc();
-        call.admitted = true;
-        if (admission) {
-          const support::AdmissionController::Decision decision =
-              admission->admit(static_cast<double>(call.users.size()));
-          if (decision == support::AdmissionController::Decision::kShed) {
-            shed_metric.inc();
-            call.admitted = false;
-          } else if (decision ==
-                     support::AdmissionController::Decision::
-                         kAdmitDegraded) {
-            call.context.plan_cheap = true;
-          }
-          if (call.admitted && overload.call_deadline_ns != 0) {
-            call.context.deadline = support::Deadline::after(
-                overload.call_deadline_ns, clock);
-          }
-        }
-        if (call.admitted) {
-          call.true_cells.reserve(call.users.size());
-          for (const cellular::UserId user : call.users) {
-            call.true_cells.push_back(user_cells[user]);
-          }
-        }
+        call.request.area = spec.area;
+        call.request.users = spec.users.empty()
+                                 ? forced_calls.maybe_call(rng).participants
+                                 : spec.users;
+        call.admitted =
+            admit(call.request.users.size(), &call.request.context);
+        if (call.admitted) admitted.push_back(call.request);
         pending.push_back(std::move(call));
       }
-      for (const PendingCall& call : pending) {
-        if (!call.admitted) continue;
-        admitted.push_back({call.users, call.true_cells, call.context});
-      }
       const std::vector<cellular::LocationService::LocateOutcome> outcomes =
-          service.locate_many(admitted, rng);
+          fleet.locate_many(admitted);
 
       std::string body;
       std::size_t next_outcome = 0;
@@ -1267,7 +794,7 @@ int main(int argc, char** argv) {
           if (i > 0) body += ", ";
           const PendingCall& call = pending[i];
           cellular::append_outcome_json(
-              body, call.admitted, call.users.size(),
+              body, call.admitted, call.request.users.size(),
               call.admitted ? &outcomes[next_outcome] : nullptr);
           if (call.admitted) ++next_outcome;
         }
@@ -1277,7 +804,7 @@ int main(int argc, char** argv) {
         const PendingCall& call = pending.front();
         if (!call.admitted) response.status = 503;
         cellular::append_outcome_json(
-            body, call.admitted, call.users.size(),
+            body, call.admitted, call.request.users.size(),
             call.admitted ? &outcomes.front() : nullptr);
         body += "\n";
       }
@@ -1297,8 +824,9 @@ int main(int argc, char** argv) {
       out << server.port() << "\n";
     }
     std::cout << "confcall_serve: scenario=" << scenario.name
-              << " serving on 127.0.0.1:" << server.port()
-              << " (trace-every=" << trace_every;
+              << " serving on 127.0.0.1:" << server.port() << " (shards="
+              << num_shards << ", areas=" << num_areas
+              << ", trace-every=" << trace_every;
     if (slo) {
       std::cout << ", slo-p99-ms=" << slo_p99_ms
                 << ", control-period-ms=" << control_period_ms;
@@ -1308,9 +836,8 @@ int main(int argc, char** argv) {
     // Warm restart or cold start. The server is already answering, but
     // /readyz holds 503 through restore and warmup so a balancer does
     // not route to a half-warm backend. A valid checkpoint stands in for
-    // the whole warmup phase: the location database, visit statistics,
-    // plan cache and SLO actuators resume where the previous process
-    // left them.
+    // the whole warmup phase, and only when EVERY area restores (the
+    // fleet restore is all-or-nothing).
     bool restored = false;
     if (!state_in.empty()) {
       readiness.set(support::Readiness::kRestoring);
@@ -1323,20 +850,14 @@ int main(int argc, char** argv) {
                   << support::state_load_status_name(loaded.status) << ": "
                   << loaded.message << ")" << std::endl;
       } else {
-        bool sections_ok = true;
+        bool sections_ok = false;
         {
           std::lock_guard<std::mutex> lock(sim_mutex);
-          const support::StateSection* svc =
-              loaded.bundle.find(cellular::LocationService::kStateSection);
-          sections_ok = svc != nullptr &&
-                        service.restore_state(svc->payload, svc->version);
-          const support::StateSection* daemon =
-              loaded.bundle.find(kDaemonSection);
-          sections_ok = sections_ok && daemon != nullptr &&
-                        restore_daemon_state(daemon->payload,
-                                             daemon->version);
+          sections_ok = fleet.restore_state_sections(loaded.bundle);
         }
         if (sections_ok && slo) {
+          // Controller actuators resume at their converged operating
+          // point together with the fleet state they converged on.
           const support::StateSection* section =
               loaded.bundle.find(support::SloController::kStateSection);
           sections_ok = section != nullptr &&
@@ -1358,18 +879,12 @@ int main(int argc, char** argv) {
       }
     }
     if (!restored) {
-      // Warmup (movement only, unpaced) so the location database is
+      // Warmup (movement only, unpaced) so every location database is
       // warm before the first routed locate.
       readiness.set(support::Readiness::kWarmup);
       for (std::size_t t = 0; t < config.warmup_steps; ++t) {
         std::lock_guard<std::mutex> lock(sim_mutex);
-        faults.begin_step();
-        for (std::size_t u = 0; u < config.num_users; ++u) {
-          user_cells[u] = mobility.step(user_cells[u], rng);
-          (void)service.observe_move(static_cast<cellular::UserId>(u),
-                                     user_cells[u]);
-        }
-        service.tick();
+        fleet.step_all();
       }
     }
     readiness.set(support::Readiness::kReady);
@@ -1380,8 +895,7 @@ int main(int argc, char** argv) {
     const std::uint64_t checkpoint_period_ns =
         static_cast<std::uint64_t>(checkpoint_every_ms) * 1'000'000ULL;
     std::uint64_t next_checkpoint_ns =
-        checkpoint_period_ns == 0 ? 0
-                                  : clock.now_ns() + checkpoint_period_ns;
+        checkpoint_period_ns == 0 ? 0 : clock.now_ns() + checkpoint_period_ns;
 
     std::uint64_t steps_run = 0;
     while (!g_stop.load()) {
@@ -1418,10 +932,13 @@ int main(int argc, char** argv) {
         throw std::runtime_error("cannot write snapshot file: " + error);
       }
     }
+    const cellular::ServiceFleet::FleetStats& fleet_stats = fleet.stats();
     std::cout << "confcall_serve: stopped after " << steps_run
               << " steps, served " << server.requests_served()
               << " http requests (" << server.connections_shed()
-              << " shed)";
+              << " shed), fleet ran " << fleet_stats.tasks
+              << " area-tasks (" << fleet_stats.steals << " stolen, "
+              << fleet_stats.overflows << " overflowed)";
     if (!state_out.empty()) {
       std::cout << ", wrote " << checkpoints_written << " checkpoints";
     }
