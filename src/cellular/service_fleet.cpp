@@ -24,6 +24,18 @@ std::uint64_t now_ns() {
           .count());
 }
 
+/// Pins a pool helper to `core` the first time it serves the fleet (a
+/// lane or a step task) and never again: helpers persist, so
+/// steady-state dispatches and steps make no affinity call. Each fleet
+/// owns its pool, so a helper only ever serves one fleet and one memo
+/// per thread is enough.
+void pin_helper_once(unsigned core) {
+  thread_local bool pinned = false;
+  if (pinned) return;
+  pinned = true;
+  (void)support::pin_current_thread_to_core(core);
+}
+
 }  // namespace
 
 void FleetConfig::validate() const {
@@ -167,6 +179,73 @@ void ServiceFleet::run_area_task(
   }
 }
 
+void ServiceFleet::run_task(
+    std::size_t area, std::size_t owner, std::span<const Request> requests,
+    std::span<LocationService::LocateOutcome> outcomes) {
+  const bool instrumented = !shard_metrics_.empty();
+  const std::uint64_t start_ns = instrumented ? now_ns() : 0;
+  run_area_task(area, requests, area_groups_[area], outcomes);
+  if (instrumented) {
+    shard_metrics_[owner].tasks.inc();
+    shard_metrics_[owner].task_ns.observe(
+        static_cast<double>(now_ns() - start_ns));
+  }
+}
+
+void ServiceFleet::run_lanes(
+    std::span<const Request> requests,
+    std::span<LocationService::LocateOutcome> outcomes) {
+  // Route area-tasks to their shards. The queue set is rebuilt per
+  // dispatch (a handful of deques) so high-water marks describe THIS
+  // dispatch; overflow routes through a shared lane any worker drains.
+  support::ShardQueueSet queues(config_.num_shards, config_.queue_capacity,
+                                config_.steal_limit);
+  std::vector<std::size_t> overflow;
+  for (const std::size_t area : active_areas_) {
+    if (!queues.push(shard_of(area), area)) overflow.push_back(area);
+  }
+  for (std::size_t s = 0; s < shard_metrics_.size(); ++s) {
+    shard_metrics_[s].queue_depth.set(
+        static_cast<double>(queues.high_water(s)));
+  }
+
+  std::atomic<std::size_t> overflow_next{0};
+  std::atomic<std::uint64_t> steals{0};
+  const bool instrumented = !shard_metrics_.empty();
+  const std::thread::id caller = std::this_thread::get_id();
+  pool_.parallel_for(config_.num_shards, [&](std::size_t worker) {
+    // The caller runs one lane inline; pinning it would confine the
+    // daemon's loop and HTTP workers to one core for good.
+    if (config_.pin_threads && std::this_thread::get_id() != caller) {
+      pin_helper_once(core_map_.core_of_shard[worker]);
+    }
+    for (;;) {
+      std::size_t area;
+      std::size_t owner;
+      if (const auto local = queues.pop_local(worker)) {
+        area = *local;
+        owner = worker;
+      } else if (const std::size_t slot =
+                     overflow_next.fetch_add(1, std::memory_order_relaxed);
+                 slot < overflow.size()) {
+        area = overflow[slot];
+        owner = shard_of(area);
+      } else if (const auto stolen = queues.steal(worker)) {
+        area = stolen->task;
+        owner = stolen->victim;
+        steals.fetch_add(1, std::memory_order_relaxed);
+        if (instrumented) shard_metrics_[stolen->victim].steals.inc();
+      } else {
+        break;
+      }
+      run_task(area, owner, requests, outcomes);
+    }
+  });
+  stats_.steals += steals.load();
+  stats_.overflows += overflow.size();
+  overflow_metric_.inc(overflow.size());
+}
+
 std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
     std::span<const Request> requests) {
   std::vector<LocationService::LocateOutcome> outcomes(requests.size());
@@ -195,70 +274,25 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
   }
   std::sort(active_areas_.begin(), active_areas_.end());
 
-  // Route area-tasks to their shards. The queue set is rebuilt per
-  // dispatch (a handful of deques) so high-water marks describe THIS
-  // dispatch; overflow routes through a shared lane any worker drains.
-  support::ShardQueueSet queues(config_.num_shards, config_.queue_capacity,
-                                config_.steal_limit);
-  std::vector<std::size_t> overflow;
-  for (const std::size_t area : active_areas_) {
-    if (!queues.push(shard_of(area), area)) overflow.push_back(area);
-  }
-  for (std::size_t s = 0; s < shard_metrics_.size(); ++s) {
-    shard_metrics_[s].queue_depth.set(
-        static_cast<double>(queues.high_water(s)));
-  }
-
-  std::atomic<std::size_t> overflow_next{0};
-  std::atomic<std::uint64_t> steals{0};
-  std::atomic<std::uint64_t> tasks_run{0};
-  const bool instrumented = !shard_metrics_.empty();
-  const std::thread::id caller = std::this_thread::get_id();
-  pool_.parallel_for(config_.num_shards, [&](std::size_t worker) {
-    // The caller runs one lane inline; pinning it would confine the
-    // daemon's loop and HTTP workers to one core for good.
-    if (config_.pin_threads && std::this_thread::get_id() != caller) {
-      (void)support::pin_current_thread_to_core(
-          core_map_.core_of_shard[worker]);
+  // One area-task needs no lanes: run it on the caller. Nothing is
+  // queued, no helper wakes, and the owner's queue reads as the one-deep
+  // backlog the lane path would have recorded. Areas are the unit of
+  // state, so which thread runs a task never changes its outcome.
+  if (active_areas_.size() == 1) {
+    const std::size_t area = active_areas_.front();
+    for (std::size_t s = 0; s < shard_metrics_.size(); ++s) {
+      shard_metrics_[s].queue_depth.set(s == shard_of(area) ? 1.0 : 0.0);
     }
-    for (;;) {
-      std::size_t area;
-      std::size_t owner;
-      if (const auto local = queues.pop_local(worker)) {
-        area = *local;
-        owner = worker;
-      } else if (const std::size_t slot =
-                     overflow_next.fetch_add(1, std::memory_order_relaxed);
-                 slot < overflow.size()) {
-        area = overflow[slot];
-        owner = shard_of(area);
-      } else if (const auto stolen = queues.steal(worker)) {
-        area = stolen->task;
-        owner = stolen->victim;
-        steals.fetch_add(1, std::memory_order_relaxed);
-        if (instrumented) shard_metrics_[stolen->victim].steals.inc();
-      } else {
-        break;
-      }
-      tasks_run.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t start_ns = instrumented ? now_ns() : 0;
-      run_area_task(area, requests, area_groups_[area], outcomes);
-      if (instrumented) {
-        shard_metrics_[owner].tasks.inc();
-        shard_metrics_[owner].task_ns.observe(
-            static_cast<double>(now_ns() - start_ns));
-      }
-    }
-  });
+    run_task(area, shard_of(area), requests, outcomes);
+  } else {
+    run_lanes(requests, outcomes);
+  }
 
   stats_.dispatches += 1;
   stats_.requests += requests.size();
-  stats_.tasks += tasks_run.load();
-  stats_.steals += steals.load();
-  stats_.overflows += overflow.size();
+  stats_.tasks += active_areas_.size();  // one task per touched area
   requests_metric_.inc(requests.size());
   dispatches_metric_.inc();
-  overflow_metric_.inc(overflow.size());
   export_shared_table_metrics();
 
   for (const std::size_t area : active_areas_) area_groups_[area].clear();
@@ -266,7 +300,11 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
 }
 
 void ServiceFleet::step_all() {
+  const std::thread::id caller = std::this_thread::get_id();
   pool_.parallel_for(config_.num_areas, [&](std::size_t area) {
+    if (config_.pin_threads && std::this_thread::get_id() != caller) {
+      pin_helper_once(core_map_.core_of_shard[shard_of(area)]);
+    }
     AreaState& state = *areas_state_[area];
     prob::Rng step_rng = prob::Rng::substream(
         prob::mix_seed(area_seed(area), kStepStream), state.step_counter++);

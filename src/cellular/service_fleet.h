@@ -85,10 +85,11 @@ struct FleetConfig {
   /// Optional: registers the confcall_fleet_* family (per-shard labelled
   /// series plus fleet-wide aggregates). Must outlive the fleet.
   support::MetricRegistry* registry = nullptr;
-  /// Best-effort pinning of the helper threads a dispatch spawns to
-  /// their shard's mapped core (Linux-only; purely a locality hint,
-  /// results never depend on it). The thread calling locate_many is
-  /// never pinned: it runs one lane inline and keeps its own affinity.
+  /// Best-effort pinning of each pool helper, once, to the mapped core
+  /// of the first lane (or stepped area's shard) it serves (Linux-only;
+  /// purely a locality hint, results never depend on it). The thread
+  /// calling locate_many is never pinned: it runs one lane inline and
+  /// keeps its own affinity.
   bool pin_threads = false;
   /// Fault injection. When any class is enabled, every area owns a
   /// FaultPlan over this config seeded mix_seed(faults.seed, area) (the
@@ -131,7 +132,9 @@ class ServiceFleet {
   /// Serves a batch: groups by area (preserving within-area order),
   /// routes area-tasks to shards, executes with work stealing, and
   /// gathers outcomes back into request order — outcomes[i] answers
-  /// requests[i]. Bit-identical results at every shard count. Throws
+  /// requests[i]. A batch touching one area runs its one task on the
+  /// calling thread (no queue, no lane wake-up), with the same metrics.
+  /// Bit-identical results at every shard count. Throws
   /// std::invalid_argument on an out-of-range area or user id.
   std::vector<LocationService::LocateOutcome> locate_many(
       std::span<const Request> requests);
@@ -236,6 +239,14 @@ class ServiceFleet {
   void run_area_task(std::size_t area, std::span<const Request> requests,
                      std::span<const std::size_t> indices,
                      std::span<LocationService::LocateOutcome> outcomes);
+  /// run_area_task plus the per-task metrics, charged to shard `owner`.
+  void run_task(std::size_t area, std::size_t owner,
+                std::span<const Request> requests,
+                std::span<LocationService::LocateOutcome> outcomes);
+  /// Runs the active areas on the pool's lanes with work stealing and
+  /// counts the dispatch's steals and overflows.
+  void run_lanes(std::span<const Request> requests,
+                 std::span<LocationService::LocateOutcome> outcomes);
   void export_shared_table_metrics();
 
   const GridTopology* grid_;

@@ -14,8 +14,11 @@
 // machine.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 namespace confcall::support {
@@ -24,22 +27,23 @@ namespace confcall::support {
 /// (std::thread::hardware_concurrency, itself clamped to >= 1).
 [[nodiscard]] std::size_t resolve_threads(std::size_t requested) noexcept;
 
-/// A blocking fork-join pool. Threads are spawned per parallel_for call
-/// and joined before it returns — the pool holds no background state, so
-/// a ThreadPool member never outlives its tasks and TSan sees a clean
-/// happens-before edge at every join. Spawn cost is noise for the batch
-/// callers (Monte-Carlo shards, simulation replications: a few calls per
-/// run, each milliseconds to seconds of work), but NOT for ServiceFleet,
-/// which calls parallel_for on every locate_many dispatch and every
-/// step_all: a 1-call dispatch measured ~68 us at 2 shards against
-/// ~18 us at 1 shard, where the caller runs inline and nothing spawns
-/// (perfbench/README.md). A persistent-worker pool is the fix that
-/// measurement points at.
+/// A blocking fork-join pool over persistent workers. The constructor
+/// spawns size() - 1 helper threads and the destructor joins them; no
+/// call spawns a thread. Between calls the helpers park on a condition
+/// variable: an idle pool burns no CPU. A call wakes only as many
+/// helpers as it has tasks to share, and returns only after every
+/// helper that joined it has left, so the mutex hand-offs give TSan the
+/// same happens-before edges a join would. Concurrent parallel_for
+/// calls on one pool are serialized; a task must not call parallel_for
+/// on the pool that runs it (it would wait for itself).
 class ThreadPool {
  public:
   /// `num_threads` = 0 picks the hardware concurrency.
-  explicit ThreadPool(std::size_t num_threads = 0)
-      : num_threads_(resolve_threads(num_threads)) {}
+  explicit ThreadPool(std::size_t num_threads = 0);
+  ~ThreadPool();
+
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return num_threads_; }
 
@@ -47,12 +51,31 @@ class ThreadPool {
   /// to size() threads (the caller included), and blocks until all have
   /// finished. Task order across threads is unspecified; callers must not
   /// rely on it. The first exception thrown by any task is captured and
-  /// rethrown on the calling thread after every worker has joined.
+  /// rethrown on the calling thread after every participant is done.
   void parallel_for(std::size_t num_tasks,
                     const std::function<void(std::size_t)>& fn) const;
 
  private:
+  struct Job;
+
+  void helper_loop() const;
+  void stop_helpers() noexcept;
+
   std::size_t num_threads_;
+
+  /// Serializes concurrent callers: one job is in flight at a time.
+  mutable std::mutex call_mutex_;
+  /// Guards job_, open_slots_, running_ and stopping_.
+  mutable std::mutex mutex_;
+  mutable std::condition_variable wake_;  ///< helpers park here
+  mutable std::condition_variable done_;  ///< the caller waits here
+  mutable Job* job_ = nullptr;
+  mutable std::size_t open_slots_ = 0;  ///< helpers the job may still take
+  mutable std::size_t running_ = 0;     ///< helpers inside the job
+  bool stopping_ = false;
+
+  /// Declared last: the helpers use every member above.
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace confcall::support

@@ -9,14 +9,19 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cellular/service.h"
 #include "cellular/topology.h"
 #include "cellular/workload.h"
+#include "core/planner.h"
 #include "core/resilient_planner.h"
 #include "prob/rng.h"
 #include "support/fleet.h"
@@ -200,8 +205,8 @@ TEST(Fleet, ResultsIdenticalAcrossShardCounts) {
 }
 
 TEST(Fleet, DispatchNeverRepinsTheCallingThread) {
-  // pin_threads places the helper threads a dispatch spawns, never the
-  // caller: it runs one lane inline, and pinning it would confine the
+  // pin_threads places the pool's helper threads, never the caller: it
+  // runs one lane inline, and pinning it would confine the
   // daemon's loop and HTTP workers to one core for good.
   cpu_set_t before;
   CPU_ZERO(&before);
@@ -223,6 +228,114 @@ TEST(Fleet, DispatchNeverRepinsTheCallingThread) {
     ASSERT_EQ(::sched_getaffinity(0, sizeof(after), &after), 0);
     EXPECT_TRUE(CPU_EQUAL(&before, &after))
         << "locate_many re-pinned its caller at " << shards << " shards";
+  }
+}
+
+/// Greedy planning that records which threads planned while armed.
+class RecordingPlanner final : public core::Planner {
+ public:
+  [[nodiscard]] std::string name() const override { return "recording"; }
+  [[nodiscard]] core::Strategy plan(const core::Instance& instance,
+                                    std::size_t num_rounds) const override {
+    if (armed.load()) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    return greedy_.plan(instance, num_rounds);
+  }
+  [[nodiscard]] std::set<std::thread::id> threads() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return threads_;
+  }
+
+  std::atomic<bool> armed{false};
+
+ private:
+  core::GreedyPlanner greedy_;
+  mutable std::mutex mutex_;
+  mutable std::set<std::thread::id> threads_;
+};
+
+TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
+  // A 1-request batch is one area-task. At every shard count it runs on
+  // the calling thread, is charged to its owning shard like a lane task,
+  // steals nothing, and leaves the owner's queue depth at 1.
+  const FleetWorld world;
+  constexpr std::size_t kAreas = 6;
+  constexpr std::size_t kDispatches = 60;
+  std::vector<LocationService::LocateOutcome> reference_outcomes;
+  std::string reference_state;
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    RecordingPlanner planner;
+    support::MetricRegistry registry;
+    LocationService::Config service_config = FleetWorld::service_config();
+    service_config.planner = &planner;
+    FleetConfig config;
+    config.num_shards = shards;
+    config.num_areas = kAreas;
+    config.seed = 7;
+    config.registry = &registry;
+    ServiceFleet fleet(world.grid, world.areas, world.mobility,
+                       service_config, world.initial_cells, config);
+    const support::Counter dispatches =
+        registry.counter("confcall_fleet_dispatches_total", "");
+    std::vector<support::Counter> tasks;
+    std::vector<support::Counter> steals;
+    std::vector<support::Gauge> depth;
+    for (std::size_t s = 0; s < shards; ++s) {
+      const support::MetricLabels labels{{"shard", std::to_string(s)}};
+      tasks.push_back(registry.counter("confcall_fleet_tasks_total", "",
+                                       labels));
+      steals.push_back(registry.counter("confcall_fleet_steals_total", "",
+                                        labels));
+      depth.push_back(registry.gauge("confcall_fleet_queue_depth", "",
+                                     labels));
+    }
+
+    prob::Rng fixture_rng(4242);
+    std::vector<LocationService::LocateOutcome> outcomes;
+    for (std::size_t d = 0; d < kDispatches; ++d) {
+      if (d % 5 == 0) fleet.step_all();
+      std::vector<ServiceFleet::Request> batch(1);
+      batch[0].area = fixture_rng.next_below(kAreas);
+      for (std::size_t k = 0; k < 3; ++k) {
+        batch[0].users.push_back(static_cast<UserId>(
+            k * 16 + fixture_rng.next_below(16)));
+      }
+      const std::size_t owner = fleet.shard_of(batch[0].area);
+      const std::uint64_t tasks_before = tasks[owner].value();
+      const std::uint64_t dispatches_before = dispatches.value();
+      planner.armed.store(true);
+      const auto answered = fleet.locate_many(batch);
+      planner.armed.store(false);
+      outcomes.insert(outcomes.end(), answered.begin(), answered.end());
+      EXPECT_EQ(tasks[owner].value(), tasks_before + 1);
+      EXPECT_EQ(dispatches.value(), dispatches_before + 1);
+      for (std::size_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(depth[s].value(), s == owner ? 1.0 : 0.0)
+            << "shard " << s << " at " << shards << " shards";
+      }
+    }
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(steals[s].value(), 0u) << "shard " << s;
+    }
+    EXPECT_EQ(fleet.stats().steals, 0u);
+    EXPECT_EQ(fleet.stats().tasks, kDispatches);
+    EXPECT_EQ(planner.threads(),
+              std::set<std::thread::id>{std::this_thread::get_id()})
+        << "a 1-task dispatch planned off the caller at " << shards
+        << " shards";
+
+    if (shards == 1) {
+      reference_outcomes = outcomes;
+      reference_state = save_bytes(fleet);
+    } else {
+      EXPECT_TRUE(same_outcomes(reference_outcomes, outcomes))
+          << "outcomes diverged at " << shards << " shards";
+      EXPECT_EQ(save_bytes(fleet), reference_state)
+          << "state diverged at " << shards << " shards";
+    }
   }
 }
 

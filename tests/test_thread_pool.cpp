@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "prob/rng.h"
@@ -69,6 +71,92 @@ TEST(ThreadPool, PropagatesTheFirstException) {
                           }
                         }),
       std::runtime_error);
+}
+
+/// Counts constructions of a thread_local, i.e. distinct threads that
+/// touched it.
+std::atomic<int> g_thread_constructions{0};
+struct ThreadTally {
+  ThreadTally() { g_thread_constructions.fetch_add(1); }
+};
+
+TEST(ThreadPool, ReusesItsWorkersAcrossCalls) {
+  // Every call holds each task until all size() tasks have started, so
+  // every helper takes part in every call. Helpers that persist touch
+  // their thread_local once in their life; a pool that spawned per call
+  // would construct it on every call.
+  const ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  g_thread_constructions.store(0);
+  for (int call = 0; call < 1000; ++call) {
+    std::atomic<std::size_t> started{0};
+    pool.parallel_for(pool.size(), [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        thread_local ThreadTally tally;
+        (void)tally;
+      }
+      started.fetch_add(1);
+      while (started.load() < pool.size()) std::this_thread::yield();
+    });
+  }
+  EXPECT_LE(g_thread_constructions.load(),
+            static_cast<int>(pool.size() - 1));
+}
+
+TEST(ThreadPool, UsableAfterATaskThrew) {
+  const ThreadPool pool(4);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_THROW(pool.parallel_for(16,
+                                   [](std::size_t task) {
+                                     if (task == 5) {
+                                       throw std::runtime_error("boom");
+                                     }
+                                   }),
+                 std::runtime_error);
+    std::vector<std::atomic<int>> hits(100);
+    pool.parallel_for(hits.size(), [&](std::size_t task) {
+      hits[task].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "task " << i << " round " << round;
+    }
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersEachRunEveryTaskOnce) {
+  const ThreadPool pool(3);
+  constexpr int kCalls = 200;
+  constexpr std::size_t kTasks = 64;
+  const auto caller = [&](std::vector<int>& failures) {
+    for (int call = 0; call < kCalls; ++call) {
+      std::vector<std::atomic<int>> hits(kTasks);
+      pool.parallel_for(kTasks, [&](std::size_t task) {
+        hits[task].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < kTasks; ++i) {
+        if (hits[i].load() != 1) failures.push_back(call);
+      }
+    }
+  };
+  std::vector<int> failures_a;
+  std::vector<int> failures_b;
+  std::thread other([&] { caller(failures_b); });
+  caller(failures_a);
+  other.join();
+  EXPECT_TRUE(failures_a.empty()) << failures_a.size() << " bad tasks";
+  EXPECT_TRUE(failures_b.empty()) << failures_b.size() << " bad tasks";
+}
+
+TEST(ThreadPool, DestroyedWhileIdle) {
+  // Never used, and used then left parked: both must join promptly.
+  { const ThreadPool pool(8); }
+  {
+    const ThreadPool pool(8);
+    std::atomic<int> ran{0};
+    pool.parallel_for(2, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 }
 
 TEST(Substream, DistinctIndicesGiveDistinctStreams) {
