@@ -3,7 +3,7 @@
 //
 // Theorem 4.8 prices ONE plan at O(c(m+dc)); serving paging traffic for
 // millions of users also needs that cost amortized across calls (the
-// per-area plan cache) and the embarrassingly-parallel work spread over
+// plan table) and the embarrassingly-parallel work spread over
 // cores (thread-pool Monte-Carlo shards and simulation replications).
 // This harness measures all three and emits a machine-readable
 // BENCH_E13.json so the repo's performance trajectory is recorded run

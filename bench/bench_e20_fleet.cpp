@@ -3,8 +3,8 @@
 //
 // PR9 added cellular::ServiceFleet (DESIGN.md §14): N serving areas on
 // M per-core shard lanes, a bounded queue per shard with back-stealing
-// past a limit, and a process-wide signature -> strategy table so
-// identically-distributed areas plan once per process. This harness
+// past a limit, and one bounded signature -> strategy table so
+// identically-distributed areas plan once per fleet. This harness
 // gates the claims that make sharding worth having, and emits
 // BENCH_E20.json:
 //
@@ -26,7 +26,7 @@
 //     bench_compare.py can strict-path it.
 //   * Cross-shard plan sharing works: with every area identically
 //     distributed (kStationary profiles over the same grid), the
-//     process-wide signature table must answer at least one area's
+//     fleet's one plan table must answer at least one area's
 //     plan from another area's publish.
 //
 // Flags (shared bench set): --smoke, --threads N (unused, accepted for
@@ -85,8 +85,8 @@ struct World {
   static cellular::LocationService::Config service_config() {
     cellular::LocationService::Config config;
     // Stationary profiles: every area's planning inputs are identical,
-    // which is exactly the workload the shared signature table exists
-    // for (one Fig. 1 plan per distinct signature per PROCESS).
+    // which is exactly the workload the fleet's plan table exists for
+    // (one Fig. 1 plan per resident signature per FLEET).
     config.profile_kind = cellular::ProfileKind::kStationary;
     config.max_paging_rounds = 3;
     config.enable_plan_cache = true;
@@ -157,7 +157,7 @@ double run_throughput(const World& world, std::size_t num_shards,
       }
     }
   }
-  if (hits_out != nullptr) *hits_out = fleet.shared_table()->plans.stats().hits;
+  if (hits_out != nullptr) *hits_out = fleet.shared_table().plans.stats().hits;
   return static_cast<double>(done) / elapsed;
 }
 

@@ -140,20 +140,24 @@ LocationService::LocationService(const GridTopology& grid,
           restrict_to_area(stationary_, areas_->cells_in(area)));
     }
   }
-  plan_cache_.resize(areas_->num_areas());
-  if (config_.shared_plan_table != nullptr) {
-    LastSeenDigests& shared = config_.shared_plan_table->digests;
-    if (!shared.built_for(grid, areas, mobility, config_.last_seen_horizon)) {
-      throw std::invalid_argument(
-          "LocationService: shared_plan_table was built for another grid, "
-          "area layout, mobility model or last_seen_horizon");
-    }
-    digests_ = &shared;
-  } else if (config_.enable_plan_cache &&
-             config_.profile_kind == ProfileKind::kLastSeen) {
-    owned_digests_ = std::make_unique<LastSeenDigests>(
-        grid, areas, mobility, config_.last_seen_horizon);
-    digests_ = owned_digests_.get();
+  const bool last_seen = config_.profile_kind == ProfileKind::kLastSeen;
+  table_ = config_.shared_plan_table;
+  if (table_ != nullptr &&
+      (table_->digests ? !table_->digests->built_for(
+                             grid, areas, mobility, config_.last_seen_horizon)
+                       : last_seen)) {
+    throw std::invalid_argument(
+        "LocationService: shared_plan_table was built for another grid, "
+        "area layout, mobility model, last_seen_horizon or profile kind");
+  }
+  if (!config_.enable_plan_cache) {
+    table_ = nullptr;
+  } else if (table_ == nullptr) {
+    own_table_ = std::make_unique<SharedPlanTable>(
+        grid, areas, mobility, config_.profile_kind,
+        config_.last_seen_horizon,
+        SharedPlanTable::kPlansPerArea * areas.num_areas());
+    table_ = own_table_.get();
   }
 }
 
@@ -274,8 +278,8 @@ std::uint64_t LocationService::plan_signature(
   digests.assign(group_users.size(), 0);
   if (last_seen) {
     for (std::size_t k = 0; k < group_users.size(); ++k) {
-      digests[k] = digests_->find(db_.reported_cell(group_users[k]),
-                                  last_seen_steps(group_users[k]));
+      digests[k] = table_->digests->find(db_.reported_cell(group_users[k]),
+                                         last_seen_steps(group_users[k]));
     }
   }
   if (std::find(digests.begin(), digests.end(), 0) != digests.end()) {
@@ -283,8 +287,8 @@ std::uint64_t LocationService::plan_signature(
     for (std::size_t k = 0; k < group_users.size(); ++k) {
       digests[k] = profile_digest(*scratch_.row_ptrs[k]);
       if (last_seen) {
-        digests_->store(db_.reported_cell(group_users[k]),
-                        last_seen_steps(group_users[k]), digests[k]);
+        table_->digests->store(db_.reported_cell(group_users[k]),
+                               last_seen_steps(group_users[k]), digests[k]);
       }
     }
   }
@@ -305,18 +309,6 @@ std::uint64_t LocationService::plan_signature(
     }
   }
   return hasher.value();
-}
-
-LocationService::PlanCacheEntry& LocationService::PlanCacheShard::put(
-    PlanCacheEntry entry) {
-  if (entries.size() < kCapacity) {
-    entries.push_back(std::move(entry));
-    return entries.back();
-  }
-  const std::size_t slot = next_slot;
-  entries[slot] = std::move(entry);
-  next_slot = (slot + 1) % kCapacity;
-  return entries[slot];
 }
 
 namespace {
@@ -344,88 +336,60 @@ const core::Strategy* LocationService::plan_area_strategy(
     std::span<const UserId> group_users, std::size_t area,
     std::size_t num_cells, std::size_t d, bool plan_cheap,
     double* ep_out) const {
+  SharedPlan& planned = scratch_.planned;
   if (config_.paging_policy == PagingPolicy::kBlanketArea || plan_cheap) {
     // Degraded health plans with the cheap tier directly: a blanket area
     // page costs zero planning work and one round, which is exactly what
     // an overloaded control plane can still afford.
-    scratch_.planned = core::Strategy::blanket(num_cells);
-    return &*scratch_.planned;
+    planned.strategy = std::make_shared<const core::Strategy>(
+        core::Strategy::blanket(num_cells));
+    return planned.strategy.get();
   }
   // Rows are staged at most once per call, and only when something reads
-  // them: signing a new key, a planner run, or an EP fill.
+  // them: signing a new key, a planner run, or an EP the publisher left
+  // out.
   scratch_.row_ptrs.clear();
   const auto instance = [&] {
     if (scratch_.row_ptrs.empty()) stage_rows(group_users, area);
     return instance_from_row_ptrs(scratch_.row_ptrs);
   };
-  const auto plan = [&](const core::Instance& planned_instance) {
-    return config_.planner != nullptr
-               ? config_.planner->plan(planned_instance, d)
-               : core::plan_greedy(planned_instance, d).strategy;
-  };
-  // Fills a cached entry's EP when this call wants it and nobody has
-  // computed it yet (the -1 sentinel) — the only hit lane that builds
-  // rows.
-  const auto report_ep = [&](PlanCacheEntry& entry) {
-    if (ep_out == nullptr) return;
-    if (entry.expected_paging < 0.0) {
-      entry.expected_paging =
-          core::expected_paging(instance(), entry.strategy);
-    }
-    *ep_out = entry.expected_paging;
+  const auto plan = [&] {
+    const core::Instance planned_instance = instance();
+    planned.strategy = std::make_shared<const core::Strategy>(
+        config_.planner != nullptr
+            ? config_.planner->plan(planned_instance, d)
+            : core::plan_greedy(planned_instance, d).strategy);
+    planned.expected_paging =
+        ep_out != nullptr
+            ? core::expected_paging(planned_instance, *planned.strategy)
+            : -1.0;
   };
 
-  if (!config_.enable_plan_cache) {
-    const core::Instance uncached = instance();
-    scratch_.planned = plan(uncached);
-    if (ep_out != nullptr) {
-      *ep_out = core::expected_paging(uncached, *scratch_.planned);
-    }
-    return &*scratch_.planned;
-  }
-
-  const std::uint64_t signature =
-      plan_signature(group_users, num_cells, area, d);
-  PlanCacheShard& shard = plan_cache_[area];
-  for (PlanCacheEntry& entry : shard.entries) {
-    if (entry.signature == signature) {
+  if (table_ == nullptr) {
+    plan();
+  } else {
+    // One path: sign, look up, or plan and publish. Another area (on any
+    // shard) may have published these exact inputs; its plan carries its
+    // EP, so a hit on known keys builds no rows.
+    const std::uint64_t signature =
+        plan_signature(group_users, num_cells, area, d);
+    if (table_->plans.lookup(signature, planned)) {
       ++plan_cache_stats_.hits;
       config_.metrics.cache_hits.inc();
-      report_ep(entry);
-      return &entry.strategy;
+      // Published without an EP: compute it for this call only.
+      if (ep_out != nullptr && planned.expected_paging < 0.0) {
+        planned.expected_paging =
+            core::expected_paging(instance(), *planned.strategy);
+      }
+    } else {
+      plan();
+      (void)table_->plans.insert(signature, planned);
+      ++plan_cache_stats_.misses;
+      config_.metrics.cache_misses.inc();
     }
   }
-  if (config_.shared_plan_table != nullptr) {
-    // Local miss: before paying the planner, ask the process-wide
-    // signature table whether another service (another fleet area,
-    // usually on another shard) already planned these exact inputs. The
-    // plan carries its EP, so a shared hit needs no rows either. The copy
-    // lands in the local cache so subsequent hits stay on the lock-free
-    // local path.
-    if (std::optional<SharedPlan> shared =
-            config_.shared_plan_table->plans.lookup(signature)) {
-      ++plan_cache_stats_.hits;
-      config_.metrics.cache_hits.inc();
-      PlanCacheEntry& entry = shard.put(PlanCacheEntry{
-          signature, std::move(shared->strategy), shared->expected_paging});
-      report_ep(entry);
-      return &entry.strategy;
-    }
-  }
-  const core::Instance planned_instance = instance();
-  PlanCacheEntry entry{signature, plan(planned_instance), -1.0};
-  if (ep_out != nullptr) {
-    entry.expected_paging =
-        core::expected_paging(planned_instance, entry.strategy);
-    *ep_out = entry.expected_paging;
-  }
-  if (config_.shared_plan_table != nullptr) {
-    (void)config_.shared_plan_table->plans.insert(
-        signature, SharedPlan{entry.strategy, entry.expected_paging});
-  }
-  ++plan_cache_stats_.misses;
-  config_.metrics.cache_misses.inc();
-  return &shard.put(std::move(entry)).strategy;
+  if (ep_out != nullptr) *ep_out = planned.expected_paging;
+  return planned.strategy.get();
 }
 
 LocationService::AreaOutcome LocationService::execute_area_strategy(
@@ -788,25 +752,6 @@ std::string LocationService::save_state() const {
   for (const std::vector<double>& row : visit_counts_) {
     for (const double count : row) writer.put_f64(count);
   }
-
-  // Plan cache: per-area shards with every live entry. Entries carry
-  // their input signature, so restored entries self-invalidate on lookup
-  // when planning inputs drifted since the checkpoint.
-  for (const PlanCacheShard& shard : plan_cache_) {
-    writer.put_u64(shard.next_slot);
-    writer.put_u64(shard.entries.size());
-    for (const PlanCacheEntry& entry : shard.entries) {
-      writer.put_u64(entry.signature);
-      writer.put_f64(entry.expected_paging);
-      writer.put_u64(entry.strategy.num_cells());
-      const auto& groups = entry.strategy.groups();
-      writer.put_u64(groups.size());
-      for (const std::vector<CellId>& group : groups) {
-        writer.put_u64(group.size());
-        for (const CellId cell : group) writer.put_u32(cell);
-      }
-    }
-  }
   return std::move(writer).take();
 }
 
@@ -854,39 +799,6 @@ bool LocationService::restore_state(std::string_view payload,
       }
     }
 
-    std::vector<PlanCacheShard> cache(areas_->num_areas());
-    for (std::size_t area = 0; area < cache.size(); ++area) {
-      PlanCacheShard& shard = cache[area];
-      const std::uint64_t next_slot =
-          reader.get_count(PlanCacheShard::kCapacity);
-      shard.next_slot = static_cast<std::size_t>(next_slot);
-      const std::uint64_t entries =
-          reader.get_count(PlanCacheShard::kCapacity);
-      const std::size_t area_cells = areas_->cells_in(area).size();
-      for (std::uint64_t i = 0; i < entries; ++i) {
-        PlanCacheEntry entry{0, core::Strategy::blanket(1), -1.0};
-        entry.signature = reader.get_u64();
-        entry.expected_paging = reader.get_f64();
-        if (std::isnan(entry.expected_paging)) return false;
-        const std::uint64_t num_cells = reader.get_u64();
-        if (num_cells != area_cells) return false;
-        const std::uint64_t num_groups = reader.get_count(num_cells);
-        std::vector<std::vector<CellId>> groups(num_groups);
-        for (std::uint64_t g = 0; g < num_groups; ++g) {
-          const std::uint64_t group_size = reader.get_count(num_cells);
-          groups[g].reserve(group_size);
-          for (std::uint64_t c = 0; c < group_size; ++c) {
-            groups[g].push_back(reader.get_u32());
-          }
-        }
-        // from_groups re-checks every strategy invariant (partition,
-        // ranges, non-empty groups) — a forged payload that survives the
-        // checksum still cannot install a malformed strategy.
-        entry.strategy = core::Strategy::from_groups(
-            std::move(groups), static_cast<std::size_t>(num_cells));
-        shard.entries.push_back(std::move(entry));
-      }
-    }
     if (!reader.at_end()) return false;
 
     // Commit.
@@ -895,11 +807,8 @@ bool LocationService::restore_state(std::string_view payload,
                          records[user].second);
     }
     visit_counts_ = std::move(visits);
-    plan_cache_ = std::move(cache);
     return true;
   } catch (const support::StateFormatError&) {
-    return false;
-  } catch (const std::invalid_argument&) {
     return false;
   }
 }

@@ -135,29 +135,41 @@ struct ServiceMetrics {
 
 /// A plan published to a SharedPlanTable: the strategy and its Lemma 2.1
 /// expected paging (-1 when the publisher had no EP histogram attached;
-/// the first asking reader then computes it for its own cache).
+/// a reader that needs it computes it for that call only). The strategy
+/// is immutable once planned, so a copy shares it: a table hit costs a
+/// reference-count increment, not a strategy copy, and an eviction
+/// cannot pull it from under a reader still paging by it.
 struct SharedPlan {
-  core::Strategy strategy;
+  std::shared_ptr<const core::Strategy> strategy;
   double expected_paging = -1.0;
 };
 
-/// What the services of one world share (cellular/service_fleet.h wires
-/// every area to one): the signature -> plan table, so identically
-/// distributed areas plan once per process, and the last-seen digest
-/// memo, so each (reported cell, steps) profile is evolved once per
-/// process instead of once per area. The topology objects must outlive
-/// it; a service over a different grid, area layout, mobility model or
-/// horizon refuses to attach it.
+/// The plan table every planned search goes through: a bounded
+/// signature -> plan table (support::SignatureTable, CLOCK eviction), so
+/// identical planning inputs plan once per table, and the last-seen
+/// digest memo, so each (reported cell, steps) profile is evolved once
+/// per table instead of once per call. ServiceFleet wires every area to
+/// one; a service given none builds a private one. The topology objects
+/// must outlive it; a service over a different grid, area layout,
+/// mobility model or horizon refuses to attach it.
 struct SharedPlanTable {
-  /// `capacity` bounds the plan table (0 = unbounded); see
-  /// support::SignatureTable.
+  /// Table entries per (serving area, in-grid location area) — the
+  /// sizing rule both the fleet and a private table apply.
+  static constexpr std::size_t kPlansPerArea = 32;
+
+  /// Holds up to `capacity` plans. The digest memo is built only under
+  /// ProfileKind::kLastSeen, the one profile kind that signs from it.
   SharedPlanTable(const GridTopology& grid, const LocationAreas& areas,
-                  const MarkovMobility& mobility,
-                  std::size_t last_seen_horizon, std::size_t capacity = 4096)
-      : plans(capacity), digests(grid, areas, mobility, last_seen_horizon) {}
+                  const MarkovMobility& mobility, ProfileKind profile_kind,
+                  std::size_t last_seen_horizon, std::size_t capacity)
+      : plans(capacity) {
+    if (profile_kind == ProfileKind::kLastSeen) {
+      digests.emplace(grid, areas, mobility, last_seen_horizon);
+    }
+  }
 
   support::SignatureTable<SharedPlan> plans;
-  LastSeenDigests digests;
+  std::optional<LastSeenDigests> digests;
 };
 
 /// A network-side location management service over one cell grid.
@@ -187,14 +199,14 @@ class LocationService {
     /// core::ResilientPlanner to keep serving locate() through planner
     /// failures. Ignored under kBlanketArea and kAdaptive.
     const core::Planner* planner = nullptr;
-    /// Reuse each area's last planned strategy while its planning inputs
-    /// are unchanged. The cache key is a content signature of everything
-    /// the planner reads (callee profiles, delay budget, area size, and
-    /// the area's injected-outage state), so a hit returns exactly the
-    /// strategy a fresh plan would produce: locate() results are
-    /// identical with the cache on or off, only the Fig. 1 DP cost is
-    /// skipped. Profile refreshes and fault transitions change the
-    /// signature and force a replan.
+    /// Reuse a planned strategy while its planning inputs are unchanged.
+    /// The cache key is a content signature of everything the planner
+    /// reads (callee profiles, delay budget, area size, and the area's
+    /// injected-outage state), so a hit returns exactly the strategy a
+    /// fresh plan would produce: locate() results are identical with the
+    /// cache on or off, only the Fig. 1 DP cost is skipped. Profile
+    /// refreshes and fault transitions change the signature and force a
+    /// replan.
     bool enable_plan_cache = true;
     /// Virtual duration of one paging round, used to convert a
     /// propagated Deadline into a per-call round budget. 0 (the default)
@@ -218,19 +230,18 @@ class LocationService {
     /// tears a trace.
     support::Tracer* tracer = nullptr;
     /// Optional plan table shared across services (non-owning; must
-    /// outlive the service). On a local plan-cache miss its signature ->
-    /// plan table is consulted before the planner, and a freshly planned
-    /// strategy (with its EP) is published back — identically
-    /// distributed areas then plan once per PROCESS instead of once per
-    /// service (see cellular/service_fleet.h). Its last-seen digest memo
-    /// replaces the service's private one. Consulted only with
-    /// enable_plan_cache on (a shared hit is copied into the local
-    /// cache, which is what makes later hits free). Results are
-    /// unchanged with or without the table: a shared hit returns
-    /// exactly the strategy the deterministic planner would produce for
-    /// the same signed inputs. The constructor throws
-    /// std::invalid_argument when the table was built for a different
-    /// grid, area layout, mobility model or last_seen_horizon.
+    /// outlive the service). Without one, a service with the plan cache
+    /// on builds a private table of kPlansPerArea entries per location
+    /// area. Every planned search signs its inputs, looks the signature
+    /// up in the table and, on a miss, plans and publishes the strategy
+    /// with its EP — identically distributed areas then plan once per
+    /// table (see cellular/service_fleet.h). Results are unchanged with
+    /// or without the table: a hit returns exactly the strategy the
+    /// deterministic planner would produce for the same signed inputs.
+    /// The constructor throws std::invalid_argument when the table was
+    /// built for a different grid, area layout, mobility model or
+    /// last_seen_horizon, or lacks the digest memo a kLastSeen service
+    /// signs from.
     SharedPlanTable* shared_plan_table = nullptr;
 
     /// Consolidated validation with one specific message per rejection.
@@ -370,9 +381,10 @@ class LocationService {
   [[nodiscard]] prob::ProbabilityVector profile_for(UserId user,
                                                     std::size_t area) const;
 
-  /// Plan-cache hit/miss counters since construction. Only planned
-  /// searches count: the blanket policy never plans and the adaptive
-  /// policy re-plans by design, so neither touches the cache.
+  /// Plan-table hit/miss counters of this service's lookups since
+  /// construction. Only planned searches count: the blanket policy never
+  /// plans and the adaptive policy re-plans by design, so neither touches
+  /// the table.
   struct PlanCacheStats {
     std::size_t hits = 0;
     std::size_t misses = 0;
@@ -393,25 +405,25 @@ class LocationService {
   /// Section name + version for checkpoint bundles (see
   /// support/state_io.h).
   static constexpr const char* kStateSection = "location_service";
-  static constexpr std::uint32_t kStateVersion = 1;
+  /// Version 2 dropped the plan-cache entries version 1 carried: which
+  /// plans a shared evicting table holds depends on lane interleaving.
+  static constexpr std::uint32_t kStateVersion = 2;
 
   /// Serializes the service's learned state — the location database
-  /// records, per-user visit statistics, and every plan-cache entry
-  /// (signature, strategy, expected paging) — prefixed with a shape
-  /// guard (user/cell/area counts and the policy knobs the bytes depend
-  /// on). Pure function of the logical state: identical state yields
-  /// identical bytes regardless of thread count.
+  /// records and per-user visit statistics — prefixed with a shape guard
+  /// (user/cell/area counts and the policy knobs the bytes depend on).
+  /// Pure function of the logical state: identical state yields
+  /// identical bytes regardless of thread count. Plans are not state: a
+  /// warm restart refills the table from its first lookups.
   [[nodiscard]] std::string save_state() const;
 
   /// Restores a kStateSection payload written by save_state against a
   /// freshly constructed service over the SAME topology and config.
   /// All-or-nothing: the payload is fully parsed and validated (shape
-  /// guard, cell ranges, strategy invariants via Strategy::from_groups)
-  /// before any field is touched, so a rejected payload leaves the
-  /// service in its cold-start state. Returns false on any mismatch or
-  /// malformed payload; NEVER throws on bad input. Restored plan-cache
-  /// entries are still signature-checked on lookup, so an entry whose
-  /// planning inputs changed since the checkpoint simply misses.
+  /// guard, cell ranges, counts) before any field is touched, so a
+  /// rejected payload leaves the service in its cold-start state.
+  /// Returns false on any mismatch (a version-1 payload included) or
+  /// malformed payload; NEVER throws on bad input.
   [[nodiscard]] bool restore_state(std::string_view payload,
                                    std::uint32_t version);
 
@@ -432,14 +444,14 @@ class LocationService {
                                     LocateOutcome& outcome, prob::Rng& rng);
   /// `ep_out`, when non-null, receives the Lemma 2.1 expected paging of
   /// the returned strategy (or stays untouched on the blanket/cheap path,
-  /// which never builds an instance). The value is cached alongside the
+  /// which never builds an instance). The value is published with the
   /// strategy, so attaching the EP histogram does not re-run the
-  /// evaluator on cache hits. Profile rows are built only for a new
-  /// last-seen key, a planner run or a lazy EP fill; a plan-cache hit on
-  /// known keys signs from digests alone.
-  /// Returns a pointer (never null) into either the plan cache or
-  /// scratch_.planned; it is valid until the next plan_area_strategy
-  /// call on this service.
+  /// evaluator on table hits. Profile rows are built only for a new
+  /// last-seen key, a planner run or an EP the publisher left out; a
+  /// table hit on known keys signs from digests alone.
+  /// Returns a pointer (never null) to the strategy scratch_.planned
+  /// holds; it is valid until the next plan_area_strategy call on this
+  /// service.
   const core::Strategy* plan_area_strategy(std::span<const UserId> group_users,
                                            std::size_t area,
                                            std::size_t num_cells,
@@ -477,41 +489,10 @@ class LocationService {
   /// for every user, so the planning path shares one cached vector per
   /// area instead of rebuilding it per callee per call.
   std::vector<prob::ProbabilityVector> stationary_area_;
-  /// Last-seen digest memo signing kLastSeen plans: the shared table's
-  /// when one is attached, else owned_digests_ (built only under
-  /// kLastSeen with the plan cache on). nullptr when nothing signs from
-  /// it.
-  LastSeenDigests* digests_ = nullptr;
-  std::unique_ptr<LastSeenDigests> owned_digests_;
-
-  /// A cached strategy plus the signature of the planning inputs it was
-  /// built from, and its Lemma 2.1 expected paging (-1 until someone
-  /// asks — computed lazily only when the EP histogram is attached, so
-  /// the uninstrumented hot path never pays for the evaluator).
-  struct PlanCacheEntry {
-    std::uint64_t signature;
-    core::Strategy strategy;
-    double expected_paging = -1.0;
-  };
-  /// Per-area cache shard: a handful of entries (one per live signature —
-  /// in practice one per conference-subgroup size and outage state) with
-  /// round-robin eviction, so churning profile kinds (kLastSeen changes
-  /// every tick) stay bounded while steady workloads keep every live
-  /// signature resident. Mutable because caching is invisible to callers
-  /// of the const planning path.
-  struct PlanCacheShard {
-    static constexpr std::size_t kCapacity = 8;
-    std::vector<PlanCacheEntry> entries;
-    std::size_t next_slot = 0;
-
-    /// Stores `entry` (evicting round-robin when full) and returns its
-    /// resident copy.
-    PlanCacheEntry& put(PlanCacheEntry entry);
-  };
-  /// One shard per location area, index-addressed (areas are dense
-  /// 0..num_areas-1): the hot path replaces a std::map walk with one
-  /// vector index.
-  mutable std::vector<PlanCacheShard> plan_cache_;
+  /// The table planned searches go through: config_.shared_plan_table,
+  /// else own_table_. nullptr with the plan cache off.
+  SharedPlanTable* table_ = nullptr;
+  std::unique_ptr<SharedPlanTable> own_table_;
   mutable PlanCacheStats plan_cache_stats_;
 
   /// Per-call scratch reused across locate() calls (and across a whole
@@ -531,7 +512,9 @@ class LocationService {
     std::vector<prob::ProbabilityVector> rows;
     std::vector<const prob::ProbabilityVector*> row_ptrs;
     std::vector<std::uint64_t> digests;
-    std::optional<core::Strategy> planned;  ///< uncached / blanket plans
+    /// The plan this call pages by. A table hit is copy-assigned here,
+    /// which allocates nothing.
+    SharedPlan planned;
   };
   mutable LocateScratch scratch_;
 };

@@ -62,16 +62,14 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
       base_config_(std::move(base_config)),
       initial_cells_(std::move(initial_cells)),
       config_(std::move(config)),
-      shared_table_(config_.num_areas > 1
-                        ? std::make_unique<SharedPlanTable>(
-                              grid, areas, mobility,
-                              base_config_.last_seen_horizon,
-                              config_.shared_table_capacity)
-                        : nullptr),
+      shared_table_(grid, areas, mobility, base_config_.profile_kind,
+                    base_config_.last_seen_horizon,
+                    SharedPlanTable::kPlansPerArea * config_.num_areas *
+                        areas.num_areas()),
       pool_(config_.num_shards),
       core_map_(support::ShardCoreMap::round_robin(config_.num_shards)) {
   config_.validate();
-  base_config_.shared_plan_table = shared_table_.get();
+  base_config_.shared_plan_table = &shared_table_;
   if (config_.registry != nullptr) {
     support::MetricRegistry& registry = *config_.registry;
     shard_metrics_.resize(config_.num_shards);
@@ -104,18 +102,16 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
         "is rerouted, never dropped)");
     shared_hits_metric_ = registry.counter(
         "confcall_fleet_shared_plan_hits_total",
-        "Local plan-cache misses answered by the process-wide "
-        "signature table");
+        "Planned searches answered by the fleet-wide plan table");
     shared_misses_metric_ = registry.counter(
         "confcall_fleet_shared_plan_misses_total",
-        "Signature-table lookups that fell through to the planner");
+        "Plan-table lookups that fell through to the planner");
     shared_entries_metric_ = registry.gauge(
         "confcall_fleet_shared_plan_entries",
-        "Strategies resident in the process-wide signature table");
-    shared_rejected_metric_ = registry.counter(
-        "confcall_fleet_shared_plan_rejected_total",
-        "Plans the process-wide signature table refused at capacity "
-        "(the publisher keeps its local copy)");
+        "Strategies resident in the fleet-wide plan table");
+    shared_evictions_metric_ = registry.counter(
+        "confcall_fleet_shared_plan_evictions_total",
+        "Plans the fleet-wide plan table evicted (CLOCK) to make room");
   }
   areas_state_.reserve(config_.num_areas);
   for (std::size_t a = 0; a < config_.num_areas; ++a) {
@@ -319,14 +315,14 @@ void ServiceFleet::step_all() {
 }
 
 void ServiceFleet::export_shared_table_metrics() {
-  if (config_.registry == nullptr || !shared_table_) return;
-  const auto stats = shared_table_->plans.stats();
+  if (config_.registry == nullptr) return;
+  const auto stats = shared_table_.plans.stats();
   shared_hits_metric_.inc(stats.hits - exported_shared_hits_);
   shared_misses_metric_.inc(stats.misses - exported_shared_misses_);
-  shared_rejected_metric_.inc(stats.rejected - exported_shared_rejected_);
+  shared_evictions_metric_.inc(stats.evictions - exported_shared_evictions_);
   exported_shared_hits_ = stats.hits;
   exported_shared_misses_ = stats.misses;
-  exported_shared_rejected_ = stats.rejected;
+  exported_shared_evictions_ = stats.evictions;
   shared_entries_metric_.set(static_cast<double>(stats.entries));
 }
 

@@ -30,15 +30,17 @@
 // a queue routes the excess through a shared overflow lane and counts
 // it; work is never dropped.
 //
-// Cross-shard plan sharing: with two or more areas, every area's
-// LocationService is wired to one fleet-wide SharedPlanTable
-// (cellular/service.h). Identically distributed areas produce identical
-// plan signatures (the signature hashes planning inputs, not the area
-// index), so the first area to plan a signature publishes the strategy
-// and its EP, and every other area — on any shard — copies it into its
-// local plan cache instead of re-running the Fig. 1 DP. The same object
-// carries the last-seen digest memo, so a (reported cell, steps) profile
-// is evolved once per fleet.
+// Cross-shard plan sharing: every area's LocationService, one-area
+// fleets included, plans through one fleet-wide SharedPlanTable
+// (cellular/service.h), a bounded CLOCK table of
+// SharedPlanTable::kPlansPerArea entries per (fleet area, in-grid
+// location area). Identically distributed areas produce identical plan
+// signatures (the signature hashes planning inputs, not the area index),
+// so the first area to plan a signature publishes the strategy and its
+// EP, and every later lookup — from any area, on any shard — copies it
+// instead of re-running the Fig. 1 DP. The same object carries the
+// last-seen digest memo, so a (reported cell, steps) profile is evolved
+// once per fleet.
 #pragma once
 
 #include <atomic>
@@ -80,8 +82,6 @@ struct FleetConfig {
   std::size_t queue_capacity = 1024;
   /// Root of every area substream (areas derive mix_seed(seed, area)).
   std::uint64_t seed = 1;
-  /// Capacity of the fleet-wide signature -> plan table.
-  std::size_t shared_table_capacity = 4096;
   /// Optional: registers the confcall_fleet_* family (per-shard labelled
   /// series plus fleet-wide aggregates). Must outlive the fleet.
   support::MetricRegistry* registry = nullptr;
@@ -176,12 +176,9 @@ class ServiceFleet {
   };
   [[nodiscard]] const FleetStats& stats() const noexcept { return stats_; }
 
-  /// The plan table and last-seen digest memo every area shares, or
-  /// nullptr in a one-area fleet: there is nobody to share with, so its
-  /// service keeps a private memo like a standalone LocationService
-  /// instead of a table that would only hold plans its cache evicted.
-  [[nodiscard]] const SharedPlanTable* shared_table() const noexcept {
-    return shared_table_.get();
+  /// The plan table and last-seen digest memo every area shares.
+  [[nodiscard]] const SharedPlanTable& shared_table() const noexcept {
+    return shared_table_;
   }
 
   /// Checkpointing: one master section guarding the fleet shape plus one
@@ -256,7 +253,7 @@ class ServiceFleet {
   std::vector<CellId> initial_cells_;
   FleetConfig config_;
 
-  std::unique_ptr<SharedPlanTable> shared_table_;
+  SharedPlanTable shared_table_;
   std::vector<std::unique_ptr<AreaState>> areas_state_;
   support::ThreadPool pool_;
   support::ShardCoreMap core_map_;
@@ -268,10 +265,10 @@ class ServiceFleet {
   support::Counter shared_hits_metric_;
   support::Counter shared_misses_metric_;
   support::Gauge shared_entries_metric_;
-  support::Counter shared_rejected_metric_;
+  support::Counter shared_evictions_metric_;
   std::uint64_t exported_shared_hits_ = 0;
   std::uint64_t exported_shared_misses_ = 0;
-  std::uint64_t exported_shared_rejected_ = 0;
+  std::uint64_t exported_shared_evictions_ = 0;
 
   FleetStats stats_;
   std::atomic<std::size_t> areas_restored_{0};

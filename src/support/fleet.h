@@ -3,20 +3,22 @@
 //
 // Three pieces, each independently testable:
 //
-//   * SignatureTable<V> — a process-wide content-signature -> value table
-//     with insert-once semantics behind a sharded mutex. The serving use
-//     is signature -> planned strategy and its expected paging
-//     (cellular::SharedPlan): identically-distributed location
+//   * SignatureTable<V> — a shared content-signature -> value table
+//     with a fixed capacity and CLOCK eviction behind a sharded mutex.
+//     The serving use is signature -> planned strategy and its expected
+//     paging (cellular::SharedPlan): identically-distributed location
 //     areas sign identically (LocationService::plan_signature hashes the
-//     planning INPUTS, never the area index), so whichever shard plans a
-//     signature first publishes the strategy and every other shard's
-//     first miss becomes a copy instead of a Fig. 1 DP run. Lookups copy
-//     the value out under the shard lock — no reference ever escapes, so
-//     readers can't dangle and TSan sees plain lock-protected accesses.
-//     Insert-once keeps the table deterministic under racing inserts:
-//     two shards planning the same signature computed the same strategy
-//     from the same inputs (the planner is deterministic), so whichever
-//     insert lands first, the table holds the value both computed.
+//     planning INPUTS, never the area index), so whichever area plans a
+//     signature first publishes the strategy and every later lookup, from
+//     any area on any shard, copies it instead of running a Fig. 1 DP.
+//     Lookups copy the value out under the shard lock — no reference ever
+//     escapes, so readers can't dangle and TSan sees plain lock-protected
+//     accesses. Insert-once keeps the table deterministic under racing
+//     inserts: two shards planning the same signature computed the same
+//     strategy from the same inputs (the planner is deterministic), so
+//     whichever insert lands first, the table holds the value both
+//     computed. Which entries stay resident, and so whether a lookup
+//     hits, depends on the interleaving; what a hit returns never does.
 //   * ShardQueueSet — N cache-line-aligned bounded task queues with
 //     FIFO local pop and steal-from-the-back when a victim's backlog
 //     exceeds a configurable limit. This is the NOVA core-map/steal-limit
@@ -29,15 +31,13 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #if defined(__linux__)
@@ -46,59 +46,83 @@
 
 namespace confcall::support {
 
-/// Process-wide signature -> value table, read-mostly, sharded-mutex
+/// Bounded signature -> value table, read-mostly, sharded-mutex
 /// guarded. See the header comment for the serving contract. V must be
-/// copyable; lookups copy the value out so no caller ever holds a
-/// reference into the table.
+/// default-constructible and copy-assignable; lookups copy the value out
+/// so no caller ever holds a reference into the table.
 template <typename V>
 class SignatureTable {
  public:
-  /// `capacity` bounds the total entry count across all lock shards
-  /// (0 = unbounded). A full table rejects new inserts — callers keep
-  /// their locally planned value, they just stop publishing — so a
-  /// pathological workload with unbounded distinct signatures degrades
-  /// to per-shard planning instead of unbounded memory growth.
-  explicit SignatureTable(std::size_t capacity = 4096)
-      : capacity_(capacity) {}
+  /// Holds at most capacity() entries: `capacity` rounded up to whole
+  /// slot arrays, one per lock shard (at least one slot each). Each
+  /// shard's slots are fixed at construction, so the bound is exact
+  /// however inserts race.
+  explicit SignatureTable(std::size_t capacity)
+      : slots_per_shard_(std::max<std::size_t>(
+            1, (capacity + kNumShards - 1) / kNumShards)) {
+    for (Shard& shard : shards_) {
+      shard.slots.resize(slots_per_shard_);
+      shard.index.reserve(slots_per_shard_);
+    }
+  }
 
   SignatureTable(const SignatureTable&) = delete;
   SignatureTable& operator=(const SignatureTable&) = delete;
 
-  /// A copy of the value for `signature`, or std::nullopt when absent
-  /// (V need not be default-constructible). Counts a hit or a miss
-  /// either way.
-  [[nodiscard]] std::optional<V> lookup(std::uint64_t signature) const {
-    const Shard& shard = shards_[shard_of(signature)];
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return slots_per_shard_ * kNumShards;
+  }
+
+  /// Copy-assigns the value for `signature` into `out` and marks the
+  /// entry referenced; returns false (leaving `out` untouched) when
+  /// absent. Counts a hit or a miss either way.
+  bool lookup(std::uint64_t signature, V& out) {
+    Shard& shard = shards_[shard_of(signature)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(signature);
-    if (it == shard.entries.end()) {
+    const auto it = shard.index.find(signature);
+    if (it == shard.index.end()) {
       ++shard.misses;
-      return std::nullopt;
+      return false;
     }
     ++shard.hits;
-    return it->second;
+    Slot& slot = shard.slots[it->second];
+    slot.referenced = true;
+    out = slot.value;
+    return true;
   }
 
   /// Publishes `value` under `signature` unless the signature is already
-  /// present (first writer wins — see the determinism note above) or the
-  /// table is at capacity. Returns true when the insert landed.
+  /// resident (first writer wins — see the determinism note above). A
+  /// full lock shard evicts by CLOCK: its hand clears reference bits
+  /// until it reaches an entry nobody looked up since the last sweep.
+  /// Returns true when the insert landed.
   bool insert(std::uint64_t signature, const V& value) {
     Shard& shard = shards_[shard_of(signature)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.entries.find(signature) != shard.entries.end()) return false;
-    if (capacity_ != 0 && size_.load(std::memory_order_relaxed) >= capacity_) {
-      ++shard.rejected;
-      return false;
+    if (shard.index.contains(signature)) return false;
+    std::size_t victim = shard.index.size();
+    if (victim == slots_per_shard_) {
+      while (shard.slots[shard.hand].referenced) {
+        shard.slots[shard.hand].referenced = false;
+        shard.hand = (shard.hand + 1) % slots_per_shard_;
+      }
+      victim = shard.hand;
+      shard.hand = (shard.hand + 1) % slots_per_shard_;
+      shard.index.erase(shard.slots[victim].signature);
+      ++shard.evictions;
     }
-    shard.entries.emplace(signature, value);
-    size_.fetch_add(1, std::memory_order_relaxed);
+    Slot& slot = shard.slots[victim];
+    slot.signature = signature;
+    slot.referenced = false;
+    slot.value = value;
+    shard.index.emplace(signature, victim);
     return true;
   }
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t rejected = 0;  ///< inserts refused at capacity
+    std::uint64_t evictions = 0;
     std::size_t entries = 0;
   };
 
@@ -110,14 +134,10 @@ class SignatureTable {
       std::lock_guard<std::mutex> lock(shard.mutex);
       total.hits += shard.hits;
       total.misses += shard.misses;
-      total.rejected += shard.rejected;
-      total.entries += shard.entries.size();
+      total.evictions += shard.evictions;
+      total.entries += shard.index.size();
     }
     return total;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    return size_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -129,16 +149,23 @@ class SignatureTable {
     return static_cast<std::size_t>(signature) & (kNumShards - 1);
   }
 
-  struct alignas(64) Shard {
-    mutable std::mutex mutex;
-    std::map<std::uint64_t, V> entries;
-    mutable std::uint64_t hits = 0;
-    mutable std::uint64_t misses = 0;
-    std::uint64_t rejected = 0;
+  struct Slot {
+    std::uint64_t signature = 0;
+    bool referenced = false;
+    V value{};
   };
 
-  const std::size_t capacity_;
-  std::atomic<std::size_t> size_{0};
+  struct alignas(64) Shard {
+    mutable std::mutex mutex;
+    std::vector<Slot> slots;
+    std::unordered_map<std::uint64_t, std::size_t> index;  ///< -> slot
+    std::size_t hand = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+  };
+
+  const std::size_t slots_per_shard_;
   Shard shards_[kNumShards];
 };
 

@@ -1,6 +1,6 @@
 // ServiceFleet (cellular/service_fleet.h) and the fleet substrate
 // (support/fleet.h): routing determinism across shard counts, the
-// NOVA-style steal-limit discipline, the process-wide signature table,
+// NOVA-style steal-limit discipline, the bounded CLOCK signature table,
 // and fleet-wide checkpointing. Every TEST name starts with "Fleet" so
 // the sanitizer CI rows can select the concurrency storm with
 // --gtest_filter=Fleet*.
@@ -35,29 +35,63 @@ namespace {
 // ---- support::SignatureTable ------------------------------------------
 
 TEST(FleetSignatureTable, InsertOnceFirstWriterWins) {
-  support::SignatureTable<int> table;
+  support::SignatureTable<int> table(/*capacity=*/16);
   EXPECT_TRUE(table.insert(7, 1));
   EXPECT_FALSE(table.insert(7, 2));  // already present: not replaced
-  const std::optional<int> value = table.lookup(7);
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, 1);
-  EXPECT_FALSE(table.lookup(8).has_value());
+  int value = 0;
+  ASSERT_TRUE(table.lookup(7, value));
+  EXPECT_EQ(value, 1);
+  EXPECT_FALSE(table.lookup(8, value));
+  EXPECT_EQ(value, 1);  // a miss leaves the caller's storage untouched
   const auto stats = table.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
-TEST(FleetSignatureTable, CapacityBoundsInserts) {
-  support::SignatureTable<int> table(/*capacity=*/2);
-  EXPECT_TRUE(table.insert(1, 10));
-  EXPECT_TRUE(table.insert(2, 20));
-  EXPECT_FALSE(table.insert(3, 30));  // at capacity: rejected, not evicted
-  EXPECT_EQ(table.stats().rejected, 1u);
-  EXPECT_EQ(table.size(), 2u);
-  ASSERT_TRUE(table.lookup(1).has_value());
-  ASSERT_TRUE(table.lookup(2).has_value());
-  EXPECT_FALSE(table.lookup(3).has_value());
+TEST(FleetSignatureTable, ClockEvictsAnEntryNotHitSinceTheLastSweep) {
+  // Capacity 32 over 16 lock shards: two slots each. Signatures 0, 16
+  // and 32 share lock shard 0, so the third insert must evict.
+  support::SignatureTable<int> table(/*capacity=*/32);
+  EXPECT_EQ(table.capacity(), 32u);
+  ASSERT_TRUE(table.insert(0, 10));
+  ASSERT_TRUE(table.insert(16, 20));
+  int value = 0;
+  ASSERT_TRUE(table.lookup(0, value));  // referenced since the last sweep
+  ASSERT_TRUE(table.insert(32, 30));
+  EXPECT_TRUE(table.lookup(0, value));
+  EXPECT_EQ(value, 10);
+  EXPECT_FALSE(table.lookup(16, value));  // the unreferenced one went
+  EXPECT_TRUE(table.lookup(32, value));
+  EXPECT_EQ(value, 30);
+  const auto stats = table.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 2u);
+}
+
+TEST(FleetSignatureTable, InsertStormNeverExceedsCapacity) {
+  // 8 threads insert distinct signatures into every lock shard at once.
+  // Each shard owns a fixed slot array, so no interleaving of inserts on
+  // different shards can push the table past its capacity.
+  support::SignatureTable<int> table(/*capacity=*/64);
+  constexpr std::uint64_t kThreads = 8;
+  constexpr std::uint64_t kInserts = 500;
+  std::atomic<bool> overshoot{false};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kInserts; ++i) {
+        (void)table.insert(t * kInserts + i, static_cast<int>(i));
+        if (table.stats().entries > table.capacity()) overshoot = true;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_FALSE(overshoot.load());
+  const auto stats = table.stats();
+  EXPECT_EQ(stats.entries, table.capacity());
+  EXPECT_EQ(stats.evictions, kThreads * kInserts - table.capacity());
 }
 
 // ---- support::ShardQueueSet -------------------------------------------
@@ -359,7 +393,7 @@ TEST(Fleet, SharedPlanTableAnswersAcrossAreas) {
   batch[1].area = 1;
   batch[1].users = {1, 2, 3};
   (void)fleet.locate_many(batch);
-  const auto stats = fleet.shared_table()->plans.stats();
+  const auto stats = fleet.shared_table().plans.stats();
   EXPECT_GE(stats.hits, 1u);
   EXPECT_GE(stats.entries, 1u);
 }
@@ -489,17 +523,53 @@ TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
   };
   ServiceFleet wide = make(8);
   ServiceFleet narrow = make(1);
-  ASSERT_EQ(wide.shared_table()->digests.filled(), 0u);
+  ASSERT_EQ(wide.shared_table().digests->filled(), 0u);
   const auto wide_outcomes = drive(wide, 8);
   const auto narrow_outcomes = drive(narrow, 8);
   EXPECT_TRUE(same_outcomes(wide_outcomes, narrow_outcomes));
   EXPECT_EQ(save_bytes(wide), save_bytes(narrow));
-  const SharedPlanTable& wide_table = *wide.shared_table();
-  const SharedPlanTable& narrow_table = *narrow.shared_table();
-  EXPECT_GT(wide_table.digests.filled(), 0u);
-  EXPECT_EQ(wide_table.digests.filled(), narrow_table.digests.filled());
-  EXPECT_EQ(wide_table.plans.size(), narrow_table.plans.size());
+  const SharedPlanTable& wide_table = wide.shared_table();
+  const SharedPlanTable& narrow_table = narrow.shared_table();
+  EXPECT_GT(wide_table.digests->filled(), 0u);
+  EXPECT_EQ(wide_table.digests->filled(), narrow_table.digests->filled());
+  EXPECT_EQ(wide_table.plans.stats().entries,
+            narrow_table.plans.stats().entries);
   EXPECT_GT(narrow_table.plans.stats().hits, 0u);
+}
+
+TEST(Fleet, PlanTableEvictionStormMatchesOneShard) {
+  // The eviction TSan row: 8 lanes over 16 areas with a steal limit of
+  // zero under kLastSeen, in a world of ONE location area, so the fleet
+  // table holds 32 x 16 plans and the churning last-seen signatures
+  // overflow it. Lanes race to look up, insert and evict in the same
+  // lock shards, and which plans stay resident differs from the 1-shard
+  // run. Outcomes and checkpoint bytes must not.
+  const FleetWorld world;
+  const LocationAreas one_area = LocationAreas::tiles(world.grid, 12, 12);
+  LocationService::Config last_seen = FleetWorld::service_config();
+  last_seen.profile_kind = ProfileKind::kLastSeen;
+  const auto make = [&](std::size_t shards) {
+    FleetConfig config;
+    config.num_shards = shards;
+    config.num_areas = 16;
+    config.steal_limit = 0;
+    config.seed = 7;
+    return ServiceFleet(world.grid, one_area, world.mobility, last_seen,
+                        world.initial_cells, config);
+  };
+  ServiceFleet wide = make(8);
+  ServiceFleet narrow = make(1);
+  constexpr std::size_t kBatches = 24;
+  const auto wide_outcomes = drive(wide, kBatches);
+  const auto narrow_outcomes = drive(narrow, kBatches);
+  EXPECT_TRUE(same_outcomes(wide_outcomes, narrow_outcomes));
+  EXPECT_EQ(save_bytes(wide), save_bytes(narrow));
+  for (const ServiceFleet* fleet : {&wide, &narrow}) {
+    const auto stats = fleet->shared_table().plans.stats();
+    EXPECT_EQ(fleet->shared_table().plans.capacity(), 32u * 16u);
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_LE(stats.entries, fleet->shared_table().plans.capacity());
+  }
 }
 
 TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {

@@ -1,4 +1,4 @@
-// Tests for the per-area plan cache (cellular/service.h) and the batched
+// Tests for the plan cache (cellular/service.h) and the batched
 // parallel simulator (cellular/simulator.h, run_simulation_batch).
 //
 // The cache's contract is transparency: because the key is a content
@@ -192,7 +192,8 @@ TEST(PlanCache, LastSeenDigestMemoHoldsEachKeysRowDigest) {
   LocationService::Config config;
   config.profile_kind = ProfileKind::kLastSeen;
   config.last_seen_horizon = 6;
-  SharedPlanTable shared(grid, areas, mobility, config.last_seen_horizon);
+  SharedPlanTable shared(grid, areas, mobility, config.profile_kind,
+                         config.last_seen_horizon, /*capacity=*/64);
   config.shared_plan_table = &shared;
   LocationService service(grid, areas, mobility, config, {0, 5, 10, 15});
 
@@ -205,10 +206,10 @@ TEST(PlanCache, LastSeenDigestMemoHoldsEachKeysRowDigest) {
     for (std::size_t tick = 0; tick < t; ++tick) service.tick();
     (void)service.locate(users, cells, rng);
   }
-  EXPECT_EQ(shared.digests.filled(), 4u * 7u);
+  EXPECT_EQ(shared.digests->filled(), 4u * 7u);
   for (CellId cell = 0; cell < grid.num_cells(); ++cell) {
     for (std::size_t steps = 0; steps <= config.last_seen_horizon; ++steps) {
-      const std::uint64_t stored = shared.digests.find(cell, steps);
+      const std::uint64_t stored = shared.digests->find(cell, steps);
       if (stored == 0) continue;
       EXPECT_EQ(stored, profile_digest(last_seen_profile(
                             mobility, cell, steps,
@@ -216,9 +217,9 @@ TEST(PlanCache, LastSeenDigestMemoHoldsEachKeysRowDigest) {
           << "cell " << cell << " steps " << steps;
     }
   }
-  EXPECT_THROW((void)shared.digests.find(0, config.last_seen_horizon + 1),
+  EXPECT_THROW((void)shared.digests->find(0, config.last_seen_horizon + 1),
                std::invalid_argument);
-  EXPECT_THROW((void)shared.digests.find(16, 0), std::invalid_argument);
+  EXPECT_THROW((void)shared.digests->find(16, 0), std::invalid_argument);
 }
 
 TEST(PlanCache, SharedTableFromAnotherWorldIsRejected) {
@@ -231,20 +232,23 @@ TEST(PlanCache, SharedTableFromAnotherWorldIsRejected) {
   const std::vector<CellId> cells = {0, 5, 10};
 
   LocationService::Config config;
-  SharedPlanTable matching(grid, areas, mobility, config.last_seen_horizon);
+  const ProfileKind kind = config.profile_kind;  // kLastSeen
+  const std::size_t horizon = config.last_seen_horizon;
+  SharedPlanTable matching(grid, areas, mobility, kind, horizon, 64);
   config.shared_plan_table = &matching;
   EXPECT_NO_THROW(LocationService(grid, areas, mobility, config, cells));
 
-  SharedPlanTable wrong_grid(other_grid, areas, other_mobility,
-                             config.last_seen_horizon);
-  SharedPlanTable wrong_areas(grid, other_areas, mobility,
-                              config.last_seen_horizon);
-  SharedPlanTable wrong_mobility(grid, areas, other_mobility,
-                                 config.last_seen_horizon);
-  SharedPlanTable wrong_horizon(grid, areas, mobility,
-                                config.last_seen_horizon + 1);
-  for (SharedPlanTable* table :
-       {&wrong_grid, &wrong_areas, &wrong_mobility, &wrong_horizon}) {
+  SharedPlanTable wrong_grid(other_grid, areas, other_mobility, kind,
+                             horizon, 64);
+  SharedPlanTable wrong_areas(grid, other_areas, mobility, kind, horizon, 64);
+  SharedPlanTable wrong_mobility(grid, areas, other_mobility, kind, horizon,
+                                 64);
+  SharedPlanTable wrong_horizon(grid, areas, mobility, kind, horizon + 1, 64);
+  // No digest memo: a kLastSeen service would have nothing to sign from.
+  SharedPlanTable no_memo(grid, areas, mobility, ProfileKind::kStationary,
+                          horizon, 64);
+  for (SharedPlanTable* table : {&wrong_grid, &wrong_areas, &wrong_mobility,
+                                 &wrong_horizon, &no_memo}) {
     config.shared_plan_table = table;
     EXPECT_THROW(LocationService(grid, areas, mobility, config, cells),
                  std::invalid_argument);

@@ -54,12 +54,13 @@
 //
 // Crash safety (DESIGN.md §13): --state-out F checkpoints the learned
 // serving state — one section per area (location database, visit
-// statistics, plan cache, ground-truth cells) plus the SLO actuator
-// positions — through support/state_io's atomic versioned+checksummed
-// writer, every --checkpoint-every-ms on the clock's period grid plus
-// once at shutdown. --state-in F restores a checkpoint at startup; a
-// valid one skips warmup entirely (warm restart: the DB, cache and
-// controller resume at their converged operating point), while a
+// statistics, ground-truth cells) plus the SLO actuator positions —
+// through support/state_io's atomic versioned+checksummed writer, every
+// --checkpoint-every-ms on the clock's period grid plus once at
+// shutdown. --state-in F restores a checkpoint at startup; a valid one
+// skips warmup entirely (warm restart: the DB and controller resume at
+// their converged operating point; the plan table refills from its
+// first lookups), while a
 // missing, torn, corrupt, version-skewed or differently shaped file is
 // REJECTED into a counted cold start
 // (confcall_state_restore_total{result=...}) — never a crash. The
@@ -289,7 +290,7 @@ constexpr const char* kUsage =
     "Serving runs a ServiceFleet: one shard and one area by default.\n"
     "--shards N (or 'auto' = hardware threads) runs N per-core lanes\n"
     "with work stealing over --fleet-areas independent serving areas\n"
-    "(default 1, or 4 per shard with --shards) and a process-wide shared\n"
+    "(default 1, or 4 per shard with --shards) and one bounded shared\n"
     "plan table. POST /locate takes an \"area\" member; metrics carry a\n"
     "shard label; checkpoints restore all-or-nothing across every area\n"
     "before /readyz goes 200 (its body reports areas_ready/areas_total).\n"
@@ -697,6 +698,10 @@ int main(int argc, char** argv) {
            << (entries != nullptr
                    ? static_cast<std::uint64_t>(entries->gauge_value)
                    : 0)
+           << ", \"evictions\": "
+           << counter("confcall_fleet_shared_plan_evictions_total", "")
+           // Fixed at construction, so readable without the sim_mutex.
+           << ", \"capacity\": " << fleet.shared_table().plans.capacity()
            << "}, \"per_shard\": [";
       for (std::size_t s = 0; s < num_shards; ++s) {
         const std::string shard = std::to_string(s);
