@@ -23,15 +23,12 @@
 // (a 1-core container cannot exhibit parallel speedup, and pretending
 // otherwise would just train people to ignore a red bench).
 //
-// Flags (shared bench set): --smoke, --threads N (0 = hardware),
-// --out FILE (default BENCH_E13.json).
+// Flags (shared bench set, bench/harness.h): --smoke, --threads N
+// (0 = hardware), --out FILE (default BENCH_E13.json).
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cellular/simulator.h"
@@ -39,18 +36,14 @@
 #include "core/greedy.h"
 #include "prob/distribution.h"
 #include "prob/rng.h"
-#include "support/cli.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
+
+#include "harness.h"
 
 namespace {
 
 using namespace confcall;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 double percentile(std::vector<double> sorted_ascending, double p) {
   if (sorted_ascending.empty()) return 0.0;
@@ -136,39 +129,27 @@ struct McResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::BenchFlags flags;
-  try {
-    flags = support::parse_bench_flags(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_e13_throughput: " << error.what() << "\n";
-    return 2;
-  }
-  const bool smoke = flags.smoke;
-  const std::size_t hw = support::resolve_threads(0);
-  const std::size_t wide = flags.threads != 0 ? flags.threads : 8;
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_E13.json" : flags.out;
-  std::cout << "E13: parallel execution engine throughput"
-            << (smoke ? " (smoke)" : "") << " — hardware threads: " << hw
-            << ", wide pool: " << wide << "\n";
-
-  bool determinism_ok = true;
+  bench::Harness bench("E13", "parallel execution engine throughput", argc,
+                       argv);
+  const bool smoke = bench.smoke();
+  const std::size_t hw = bench.hardware_concurrency();
+  const std::size_t wide = bench.threads() != 0 ? bench.threads() : 8;
+  std::cout << "hardware threads: " << hw << ", wide pool: " << wide << "\n";
 
   // ---- 1. Plan cache: same workload, cache on vs off.
   cellular::SimConfig cached_config = steady_config(smoke);
   cached_config.enable_plan_cache = true;
-  auto start = Clock::now();
+  auto start = bench::Clock::now();
   const cellular::SimReport cached = run_simulation(cached_config);
-  const double sim_cached_sec = seconds_since(start);
+  const double sim_cached_sec = bench::seconds_since(start);
 
   cellular::SimConfig uncached_config = steady_config(smoke);
   uncached_config.enable_plan_cache = false;
-  start = Clock::now();
+  start = bench::Clock::now();
   const cellular::SimReport uncached = run_simulation(uncached_config);
-  const double sim_uncached_sec = seconds_since(start);
+  const double sim_uncached_sec = bench::seconds_since(start);
 
   const bool cache_transparent = reports_identical(cached, uncached);
-  determinism_ok &= cache_transparent;
   const double hit_rate = cached.plan_cache_hit_rate();
   const double cache_speedup =
       sim_cached_sec > 0.0 ? sim_uncached_sec / sim_cached_sec : 0.0;
@@ -198,7 +179,7 @@ int main(int argc, char** argv) {
     const std::size_t n = smoke ? 2000 : 20000;
     std::vector<double> latencies_us;
     latencies_us.reserve(n);
-    const auto loop_start = Clock::now();
+    const auto loop_start = bench::Clock::now();
     for (std::size_t t = 0; t < n; ++t) {
       cellular::UserId users[3];
       cellular::CellId truth[3];
@@ -208,11 +189,11 @@ int main(int argc, char** argv) {
             i * 32 + rng.next_below(32));
         truth[i] = cells[users[i]];
       }
-      const auto call_start = Clock::now();
+      const auto call_start = bench::Clock::now();
       (void)service.locate(users, truth, rng);
-      latencies_us.push_back(seconds_since(call_start) * 1e6);
+      latencies_us.push_back(bench::seconds_since(call_start) * 1e6);
     }
-    *total_sec = seconds_since(loop_start);
+    *total_sec = bench::seconds_since(loop_start);
     *calls = n;
     std::sort(latencies_us.begin(), latencies_us.end());
     return latencies_us;
@@ -247,11 +228,11 @@ int main(int argc, char** argv) {
     result.bit_identical = true;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, wide}) {
       const support::ThreadPool pool(threads);
-      const auto mc_start = Clock::now();
+      const auto mc_start = bench::Clock::now();
       const core::MonteCarloEstimate estimate =
           core::monte_carlo_paging_parallel(instance, strategy, trials, 99,
                                             pool);
-      const double elapsed = seconds_since(mc_start);
+      const double elapsed = bench::seconds_since(mc_start);
       if (threads == 1) result.t1_sec = elapsed;
       if (threads == wide) result.tn_sec = elapsed;
       if (first) {
@@ -268,7 +249,6 @@ int main(int argc, char** argv) {
     return result;
   };
   const McResult mc = mc_sweep();
-  determinism_ok &= mc.bit_identical;
 
   // ---- 4. Batched simulation replications: speedup and invariance.
   const auto batch_sweep = [&]() {
@@ -279,10 +259,10 @@ int main(int argc, char** argv) {
     cellular::SimBatchReport reference;
     bool first = true;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, wide}) {
-      const auto batch_start = Clock::now();
+      const auto batch_start = bench::Clock::now();
       cellular::SimBatchReport batch =
           cellular::run_simulation_batch(base, reps, threads);
-      const double elapsed = seconds_since(batch_start);
+      const double elapsed = bench::seconds_since(batch_start);
       if (threads == 1) result.t1_sec = elapsed;
       if (threads == wide) result.tn_sec = elapsed;
       if (first) {
@@ -302,7 +282,6 @@ int main(int argc, char** argv) {
     return result;
   };
   const McResult batch = batch_sweep();
-  determinism_ok &= batch.bit_identical;
 
   // ---- Report.
   support::TextTable table({"metric", "value"});
@@ -336,7 +315,6 @@ int main(int argc, char** argv) {
 
   // ---- Gates. Determinism and the hit-rate floor are unconditional;
   // the speedup floor scales with the cores this machine actually has.
-  const bool hit_rate_ok = hit_rate >= 0.90;
   double speedup_floor = 0.0;
   if (hw >= 8) {
     speedup_floor = 3.0;
@@ -345,63 +323,40 @@ int main(int argc, char** argv) {
   } else if (hw >= 2) {
     speedup_floor = 1.3;
   }
-  const bool speedup_ok =
-      speedup_floor == 0.0 ||
-      std::max(mc.speedup, batch.speedup) >= speedup_floor;
   if (speedup_floor == 0.0) {
     std::cout << "\n(single hardware thread: parallel speedup unmeasurable "
                  "here, gate skipped — determinism still enforced)\n";
   }
-
-  const bool ok = determinism_ok && hit_rate_ok && speedup_ok;
-  std::cout << "\ninvariants (cache transparency, thread invariance, "
-            << "hit rate >= 90%"
-            << (speedup_floor > 0.0
-                    ? ", speedup >= " +
-                          support::TextTable::fmt(speedup_floor, 1) + "x"
-                    : "")
-            << "): " << (ok ? "PASS" : "FAIL (BUG)") << "\n";
+  bench.gate("cache_transparent", cache_transparent);
+  bench.gate("monte_carlo_thread_invariant", mc.bit_identical);
+  bench.gate("sim_batch_thread_invariant", batch.bit_identical);
+  bench.gate("hit_rate_floor", hit_rate >= 0.90);
+  bench.gate("speedup_floor",
+             speedup_floor == 0.0 ||
+                 std::max(mc.speedup, batch.speedup) >= speedup_floor);
 
   // ---- Machine-readable trajectory record.
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"experiment\": \"E13\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_threads\": " << hw << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
-       << "  \"parallel_gate_armed\": "
-       << (speedup_floor > 0.0 ? "true" : "false") << ",\n"
-       << "  \"wide_pool_threads\": " << wide << ",\n"
-       << "  \"plan_cache\": {\n"
-       << "    \"hit_rate\": " << hit_rate << ",\n"
-       << "    \"sim_wall_speedup\": " << cache_speedup << ",\n"
-       << "    \"transparent\": " << (cache_transparent ? "true" : "false")
-       << "\n  },\n"
-       << "  \"locate\": {\n"
-       << "    \"locates_per_sec\": " << locates_per_sec << ",\n"
-       << "    \"plan_p50_us_cold\": " << percentile(lat_uncached, 0.50)
-       << ",\n"
-       << "    \"plan_p99_us_cold\": " << percentile(lat_uncached, 0.99)
-       << ",\n"
-       << "    \"locate_p50_us_cached\": " << percentile(lat_cached, 0.50)
-       << ",\n"
-       << "    \"locate_p99_us_cached\": " << percentile(lat_cached, 0.99)
-       << "\n  },\n"
-       << "  \"monte_carlo\": {\n"
-       << "    \"t1_sec\": " << mc.t1_sec << ",\n"
-       << "    \"twide_sec\": " << mc.tn_sec << ",\n"
-       << "    \"speedup\": " << mc.speedup << ",\n"
-       << "    \"bit_identical\": " << (mc.bit_identical ? "true" : "false")
-       << "\n  },\n"
-       << "  \"sim_batch\": {\n"
-       << "    \"t1_sec\": " << batch.t1_sec << ",\n"
-       << "    \"twide_sec\": " << batch.tn_sec << ",\n"
-       << "    \"speedup\": " << batch.speedup << ",\n"
-       << "    \"bit_identical\": "
-       << (batch.bit_identical ? "true" : "false") << "\n  },\n"
-       << "  \"pass\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  return ok ? 0 : 1;
+  bench::Json& record = bench.record;
+  record["hardware_threads"] = hw;
+  record["parallel_gate_armed"] = speedup_floor > 0.0;
+  record["wide_pool_threads"] = wide;
+  bench::Json& plan_cache = record["plan_cache"];
+  plan_cache["hit_rate"] = hit_rate;
+  plan_cache["sim_wall_speedup"] = cache_speedup;
+  plan_cache["transparent"] = cache_transparent;
+  bench::Json& locate = record["locate"];
+  locate["locates_per_sec"] = locates_per_sec;
+  locate["plan_p50_us_cold"] = percentile(lat_uncached, 0.50);
+  locate["plan_p99_us_cold"] = percentile(lat_uncached, 0.99);
+  locate["locate_p50_us_cached"] = percentile(lat_cached, 0.50);
+  locate["locate_p99_us_cached"] = percentile(lat_cached, 0.99);
+  for (const auto& [key, sweep] : {std::pair{"monte_carlo", &mc},
+                                   std::pair{"sim_batch", &batch}}) {
+    bench::Json& side = record[key];
+    side["t1_sec"] = sweep->t1_sec;
+    side["twide_sec"] = sweep->tn_sec;
+    side["speedup"] = sweep->speedup;
+    side["bit_identical"] = sweep->bit_identical;
+  }
+  return bench.finish();
 }

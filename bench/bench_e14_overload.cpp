@@ -18,20 +18,19 @@
 //   * deadline — no admitted call ever used more rounds than its
 //     propagated deadline afforded.
 //
-// Flags (shared bench set): --smoke, --threads N (0 = hardware),
-// --out FILE (default BENCH_E14.json).
+// Flags (shared bench set, bench/harness.h): --smoke, --threads N
+// (0 = hardware), --out FILE (default BENCH_E14.json).
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "cellular/simulator.h"
 #include "cellular/workload.h"
-#include "support/cli.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
+
+#include "harness.h"
 
 namespace {
 
@@ -93,26 +92,16 @@ cellular::SimConfig grid_cell_config(bool smoke, double burst_multiplier,
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::BenchFlags flags;
-  try {
-    flags = support::parse_bench_flags(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_e14_overload: " << error.what() << "\n";
-    return 2;
-  }
-  const bool smoke = flags.smoke;
-  const std::size_t threads = flags.threads;
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_E14.json" : flags.out;
+  bench::Harness bench("E14", "overload protection under burst x outage chaos",
+                       argc, argv);
+  const bool smoke = bench.smoke();
+  const std::size_t threads = bench.threads();
   const std::size_t replications = smoke ? 4 : 8;
-  std::cout << "E14: overload protection under burst x outage chaos"
-            << (smoke ? " (smoke)" : "") << "\n";
 
   const std::vector<double> burst_multipliers = {1.0, 10.0};
   const std::vector<double> outage_rates = {0.0, 0.05};
 
   std::vector<CellResult> cells;
-  bool all_ok = true;
   for (const double burst : burst_multipliers) {
     for (const double outage : outage_rates) {
       const cellular::SimConfig config =
@@ -173,7 +162,6 @@ int main(int argc, char** argv) {
       cell.deterministic = overload_identical(agg, repeat.aggregate) &&
                            overload_identical(agg, narrow.aggregate) &&
                            overload_identical(agg, pair.aggregate);
-      all_ok &= cell.conservation_ok && cell.deadline_ok && cell.deterministic;
       cells.push_back(cell);
     }
   }
@@ -200,50 +188,37 @@ int main(int argc, char** argv) {
              : "NO"});
   }
   std::cout << "\n" << table;
-  std::cout << "\ninvariants (conservation exact, no deadline overrun, "
-               "seed+thread determinism): "
-            << (all_ok ? "PASS" : "FAIL (BUG)") << "\n";
 
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"experiment\": \"E14\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_concurrency\": " << support::resolve_threads(0)
-       << ",\n"
-       << "  \"replications\": " << replications << ",\n"
-       << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& cell = cells[i];
-    json << "    {\n"
-         << "      \"burst_multiplier\": " << cell.burst_multiplier << ",\n"
-         << "      \"outage_rate\": " << cell.outage_rate << ",\n"
-         << "      \"calls_arrived\": " << cell.arrived << ",\n"
-         << "      \"calls_completed\": " << cell.completed << ",\n"
-         << "      \"calls_abandoned\": " << cell.abandoned << ",\n"
-         << "      \"calls_shed\": " << cell.shed << ",\n"
-         << "      \"shed_rate\": " << cell.shed_rate << ",\n"
-         << "      \"degraded_admits\": " << cell.degraded_admits << ",\n"
-         << "      \"deadline_limited\": " << cell.deadline_limited << ",\n"
-         << "      \"latency_p50_ms\": " << cell.p50_ms << ",\n"
-         << "      \"latency_p99_ms\": " << cell.p99_ms << ",\n"
-         << "      \"breaker_trips\": " << cell.breaker_trips << ",\n"
-         << "      \"breaker_skips\": " << cell.breaker_skips << ",\n"
-         << "      \"planner_failovers\": " << cell.failovers << ",\n"
-         << "      \"health_transitions\": " << cell.health_transitions
-         << ",\n"
-         << "      \"bursts_entered\": " << cell.bursts << ",\n"
-         << "      \"conservation_ok\": "
-         << (cell.conservation_ok ? "true" : "false") << ",\n"
-         << "      \"deadline_ok\": " << (cell.deadline_ok ? "true" : "false")
-         << ",\n"
-         << "      \"deterministic\": "
-         << (cell.deterministic ? "true" : "false") << "\n"
-         << "    }" << (i + 1 < cells.size() ? "," : "") << "\n";
+  bench::Json& record = bench.record;
+  record["replications"] = replications;
+  bool conservation_ok = true, deadline_ok = true, deterministic = true;
+  for (const CellResult& cell : cells) {
+    conservation_ok = conservation_ok && cell.conservation_ok;
+    deadline_ok = deadline_ok && cell.deadline_ok;
+    deterministic = deterministic && cell.deterministic;
+    bench::Json& json = record["cells"].append();
+    json["burst_multiplier"] = cell.burst_multiplier;
+    json["outage_rate"] = cell.outage_rate;
+    json["calls_arrived"] = cell.arrived;
+    json["calls_completed"] = cell.completed;
+    json["calls_abandoned"] = cell.abandoned;
+    json["calls_shed"] = cell.shed;
+    json["shed_rate"] = cell.shed_rate;
+    json["degraded_admits"] = cell.degraded_admits;
+    json["deadline_limited"] = cell.deadline_limited;
+    json["latency_p50_ms"] = cell.p50_ms;
+    json["latency_p99_ms"] = cell.p99_ms;
+    json["breaker_trips"] = cell.breaker_trips;
+    json["breaker_skips"] = cell.breaker_skips;
+    json["planner_failovers"] = cell.failovers;
+    json["health_transitions"] = cell.health_transitions;
+    json["bursts_entered"] = cell.bursts;
+    json["conservation_ok"] = cell.conservation_ok;
+    json["deadline_ok"] = cell.deadline_ok;
+    json["deterministic"] = cell.deterministic;
   }
-  json << "  ],\n"
-       << "  \"pass\": " << (all_ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  return all_ok ? 0 : 1;
+  bench.gate("conservation_exact", conservation_ok);
+  bench.gate("no_deadline_overrun", deadline_ok);
+  bench.gate("seed_and_thread_determinism", deterministic);
+  return bench.finish();
 }

@@ -24,12 +24,9 @@
 //     merges in replication order, so this is exact, not approximate).
 //     This gate is unconditional, like E13/E14's determinism gates.
 //
-// Flags (shared bench set): --smoke, --threads N (0 = hardware),
-// --out FILE (default BENCH_E15.json).
-#include <algorithm>
-#include <chrono>
+// Flags (shared bench set, bench/harness.h): --smoke, --threads N
+// (0 = hardware), --out FILE (default BENCH_E15.json).
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -37,20 +34,15 @@
 #include "cellular/simulator.h"
 #include "cellular/workload.h"
 #include "prob/rng.h"
-#include "support/cli.h"
 #include "support/metrics.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
+
+#include "harness.h"
 
 namespace {
 
 using namespace confcall;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Which observability hooks a timing side binds.
 enum class Side { kOff, kMetrics, kMetricsAndTrace };
@@ -88,7 +80,7 @@ double run_side(Side side, bool smoke, std::size_t* calls_out) {
   cellular::LocationService service(grid, areas, mobility, config, cells);
 
   const std::size_t n = smoke ? 2000 : 20000;
-  const auto loop_start = Clock::now();
+  const auto loop_start = bench::Clock::now();
   for (std::size_t t = 0; t < n; ++t) {
     cellular::UserId users[3];
     cellular::CellId truth[3];
@@ -99,7 +91,7 @@ double run_side(Side side, bool smoke, std::size_t* calls_out) {
     }
     (void)service.locate(users, truth, rng);
   }
-  const double elapsed = seconds_since(loop_start);
+  const double elapsed = bench::seconds_since(loop_start);
   *calls_out = n;
   return elapsed > 0.0 ? static_cast<double>(n) / elapsed : 0.0;
 }
@@ -120,37 +112,21 @@ cellular::SimConfig metrics_batch_config(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::BenchFlags flags;
-  try {
-    flags = support::parse_bench_flags(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_e15_observability: " << error.what() << "\n";
-    return 2;
-  }
-  const bool smoke = flags.smoke;
-  const std::size_t hw = support::resolve_threads(0);
-  const std::size_t wide = flags.threads != 0 ? flags.threads : 8;
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_E15.json" : flags.out;
-  std::cout << "E15: observability layer overhead and determinism"
-            << (smoke ? " (smoke)" : "") << " — hardware threads: " << hw
-            << "\n";
+  bench::Harness bench("E15", "observability layer overhead and determinism",
+                       argc, argv);
+  const bool smoke = bench.smoke();
+  const std::size_t hw = bench.hardware_concurrency();
+  const std::size_t wide = bench.threads() != 0 ? bench.threads() : 8;
+  std::cout << "hardware threads: " << hw << "\n";
 
-  // ---- 1. Overhead: interleaved best-of-N per side. Taking the best
-  // (not the mean) of interleaved passes is the standard defence against
-  // one-sided interference on shared machines: any external slowdown
-  // inflates SOME passes of EVERY side, and the best pass of each side
-  // approaches that side's true cost.
-  const int passes = 3;
+  // ---- 1. Overhead: interleaved best-of-3 per side.
   std::size_t calls = 0;
-  double best_off = 0.0, best_metrics = 0.0, best_traced = 0.0;
-  for (int pass = 0; pass < passes; ++pass) {
-    best_off = std::max(best_off, run_side(Side::kOff, smoke, &calls));
-    best_metrics =
-        std::max(best_metrics, run_side(Side::kMetrics, smoke, &calls));
-    best_traced = std::max(
-        best_traced, run_side(Side::kMetricsAndTrace, smoke, &calls));
-  }
+  const std::vector<double> best = bench::best_of_interleaved(
+      3, {[&] { return run_side(Side::kOff, smoke, &calls); },
+          [&] { return run_side(Side::kMetrics, smoke, &calls); },
+          [&] { return run_side(Side::kMetricsAndTrace, smoke, &calls); }});
+  const double best_off = best[0], best_metrics = best[1];
+  const double best_traced = best[2];
   const double metrics_ratio =
       best_off > 0.0 ? best_metrics / best_off : 0.0;
   const double traced_ratio =
@@ -164,7 +140,6 @@ int main(int argc, char** argv) {
       best_off > 0.0 && best_metrics > 0.0
           ? 1e6 * (1.0 / best_metrics - 1.0 / best_off)
           : 1e9;
-  const bool overhead_ok = metrics_overhead_us_per_call <= 0.25;
 
   // ---- 2. Snapshot-merge determinism across thread counts.
   const cellular::SimConfig base = metrics_batch_config(smoke);
@@ -173,10 +148,10 @@ int main(int argc, char** argv) {
   std::string reference_json;
   double t1_sec = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, wide}) {
-    const auto batch_start = Clock::now();
+    const auto batch_start = bench::Clock::now();
     const cellular::SimBatchReport batch =
         cellular::run_simulation_batch(base, reps, threads);
-    if (threads == 1) t1_sec = seconds_since(batch_start);
+    if (threads == 1) t1_sec = bench::seconds_since(batch_start);
     const std::string json = support::to_json(batch.aggregate.metrics);
     if (reference_json.empty()) {
       reference_json = json;
@@ -206,36 +181,23 @@ int main(int argc, char** argv) {
                  snapshots_identical ? "yes" : "NO"});
   std::cout << "\n" << table;
 
-  const bool ok = overhead_ok && snapshots_identical;
-  std::cout << "\ninvariants (metrics cost <= 250 ns/call over "
-            << "metrics-off, merged snapshots bit-identical at 1/2/"
-            << wide << " threads): " << (ok ? "PASS" : "FAIL (BUG)")
-            << "\n";
+  bench.gate("metrics_overhead_at_most_250ns",
+             metrics_overhead_us_per_call <= 0.25, bench::Gate::kQuietHost);
+  bench.gate("snapshots_bit_identical", snapshots_identical);
 
   // ---- Machine-readable trajectory record.
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"experiment\": \"E15\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_threads\": " << hw << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
-       << "  \"locate_calls_per_side\": " << calls << ",\n"
-       << "  \"overhead\": {\n"
-       << "    \"locates_per_sec_off\": " << best_off << ",\n"
-       << "    \"locates_per_sec_metrics\": " << best_metrics << ",\n"
-       << "    \"locates_per_sec_traced\": " << best_traced << ",\n"
-       << "    \"metrics_throughput_ratio\": " << metrics_ratio << ",\n"
-       << "    \"traced_throughput_ratio\": " << traced_ratio << ",\n"
-       << "    \"metrics_overhead_us_per_call\": "
-       << metrics_overhead_us_per_call << "\n"
-       << "  },\n"
-       << "  \"determinism\": {\n"
-       << "    \"batch_t1_sec\": " << t1_sec << ",\n"
-       << "    \"snapshots_bit_identical\": "
-       << (snapshots_identical ? "true" : "false") << "\n  },\n"
-       << "  \"pass\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  return ok ? 0 : 1;
+  bench::Json& record = bench.record;
+  record["hardware_threads"] = hw;
+  record["locate_calls_per_side"] = calls;
+  bench::Json& overhead = record["overhead"];
+  overhead["locates_per_sec_off"] = best_off;
+  overhead["locates_per_sec_metrics"] = best_metrics;
+  overhead["locates_per_sec_traced"] = best_traced;
+  overhead["metrics_throughput_ratio"] = metrics_ratio;
+  overhead["traced_throughput_ratio"] = traced_ratio;
+  overhead["metrics_overhead_us_per_call"] = metrics_overhead_us_per_call;
+  bench::Json& determinism = record["determinism"];
+  determinism["batch_t1_sec"] = t1_sec;
+  determinism["snapshots_bit_identical"] = snapshots_identical;
+  return bench.finish();
 }

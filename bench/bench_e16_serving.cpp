@@ -29,13 +29,11 @@
 //     admitted outcome per call, and the round-trips share the scrape
 //     latency gate above.
 //
-// Flags (shared bench set): --smoke, --threads N (unused, accepted for
-// uniformity), --out FILE (default BENCH_E16.json).
+// Flags (shared bench set, bench/harness.h): --smoke, --threads N
+// (unused, accepted for uniformity), --out FILE (default BENCH_E16.json).
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <string>
@@ -46,22 +44,17 @@
 #include "cellular/service.h"
 #include "cellular/topology.h"
 #include "prob/rng.h"
-#include "support/cli.h"
 #include "support/http.h"
 #include "support/json.h"
 #include "support/metrics.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
+
+#include "harness.h"
 
 namespace {
 
 using namespace confcall;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 constexpr std::size_t kSampleEvery = 64;  // the serving daemon's default
 
@@ -120,9 +113,9 @@ double run_side(bool traced, bool smoke, std::size_t* calls_out) {
   Harness harness(registry, traced ? &tracer : nullptr);
 
   const std::size_t n = smoke ? 2000 : 20000;
-  const auto loop_start = Clock::now();
+  const auto loop_start = bench::Clock::now();
   for (std::size_t t = 0; t < n; ++t) harness.locate_once();
-  const double elapsed = seconds_since(loop_start);
+  const double elapsed = bench::seconds_since(loop_start);
   *calls_out = n;
   return elapsed > 0.0 ? static_cast<double>(n) / elapsed : 0.0;
 }
@@ -130,29 +123,16 @@ double run_side(bool traced, bool smoke, std::size_t* calls_out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::BenchFlags flags;
-  try {
-    flags = support::parse_bench_flags(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_e16_serving: " << error.what() << "\n";
-    return 2;
-  }
-  const bool smoke = flags.smoke;
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_E16.json" : flags.out;
-  std::cout << "E16: serving surface — sampled tracing and live scrape"
-            << (smoke ? " (smoke)" : "") << "\n";
+  bench::Harness bench(
+      "E16", "serving surface — sampled tracing and live scrape", argc, argv);
+  const bool smoke = bench.smoke();
 
-  // ---- 1. Sampled-tracing overhead: interleaved best-of-N per side
-  // (same defence against one-sided interference as E15).
-  const int passes = 3;
+  // ---- 1. Sampled-tracing overhead: interleaved best-of-3 per side.
   std::size_t calls = 0;
-  double best_untraced = 0.0, best_sampled = 0.0;
-  for (int pass = 0; pass < passes; ++pass) {
-    best_untraced =
-        std::max(best_untraced, run_side(false, smoke, &calls));
-    best_sampled = std::max(best_sampled, run_side(true, smoke, &calls));
-  }
+  const std::vector<double> best = bench::best_of_interleaved(
+      3, {[&] { return run_side(false, smoke, &calls); },
+          [&] { return run_side(true, smoke, &calls); }});
+  const double best_untraced = best[0], best_sampled = best[1];
   const double sampled_ratio =
       best_untraced > 0.0 ? best_sampled / best_untraced : 0.0;
   // Absolute per-call cost, not a ratio — same rationale as E15's
@@ -162,7 +142,6 @@ int main(int argc, char** argv) {
       best_untraced > 0.0 && best_sampled > 0.0
           ? 1e6 * (1.0 / best_sampled - 1.0 / best_untraced)
           : 1e9;
-  const bool overhead_ok = sampling_overhead_us_per_call <= 0.10;
 
   // ---- 2. Scrape fidelity: populate a registry, then compare the HTTP
   // scrape against the in-process render with no concurrent writers.
@@ -253,11 +232,11 @@ int main(int argc, char** argv) {
     std::vector<double> latencies_ms;
     latencies_ms.reserve(scrapes);
     for (std::size_t i = 0; i < scrapes; ++i) {
-      const auto start = Clock::now();
+      const auto start = bench::Clock::now();
       const support::HttpClientResponse response =
           support::http_get("127.0.0.1", server.port(), "/metrics");
       if (response.status == 200) {
-        latencies_ms.push_back(seconds_since(start) * 1000.0);
+        latencies_ms.push_back(bench::seconds_since(start) * 1000.0);
       }
     }
     // Batched POST /locate: call k of a batch pages users
@@ -278,10 +257,10 @@ int main(int argc, char** argv) {
       std::vector<double> post_ms;
       post_ms.reserve(posts_per_size);
       for (std::size_t i = 0; i < posts_per_size; ++i) {
-        const auto start = Clock::now();
+        const auto start = bench::Clock::now();
         const support::HttpClientResponse response = support::http_request(
             "127.0.0.1", server.port(), "POST", "/locate", body);
-        const double elapsed_ms = seconds_since(start) * 1000.0;
+        const double elapsed_ms = bench::seconds_since(start) * 1000.0;
         bool round_trip_ok = response.status == 200;
         if (round_trip_ok) {
           try {
@@ -320,7 +299,6 @@ int main(int argc, char** argv) {
       p99_ms = latencies_ms[(latencies_ms.size() * 99) / 100];
     }
   }
-  const bool latency_ok = p99_ms > 0.0 && p99_ms <= 250.0;
 
   // ---- Report.
   support::TextTable table({"metric", "value"});
@@ -349,46 +327,30 @@ int main(int argc, char** argv) {
   table.add_row({"batch POST round-trips ok", batch_ok ? "yes" : "NO"});
   std::cout << "\n" << table;
 
-  const bool ok =
-      overhead_ok && scrape_identical && latency_ok && batch_ok;
-  std::cout << "\ninvariants (sampling costs <= 100 ns/call over "
-            << "untraced, scrape byte-identical to the in-process "
-            << "snapshot, scrape + batch POST p99 <= 250 ms under load, "
-            << "batch POST 1/8/64 all admitted): "
-            << (ok ? "PASS" : "FAIL (BUG)") << "\n";
+  bench.gate("sampling_overhead_at_most_100ns",
+             sampling_overhead_us_per_call <= 0.10, bench::Gate::kQuietHost);
+  bench.gate("scrape_byte_identical", scrape_identical);
+  bench.gate("p99_at_most_250ms_under_load", p99_ms > 0.0 && p99_ms <= 250.0);
+  bench.gate("batch_post_round_trips", batch_ok);
 
   // ---- Machine-readable trajectory record.
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"experiment\": \"E16\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_concurrency\": " << support::resolve_threads(0)
-       << ",\n"
-       << "  \"locate_calls_per_side\": " << calls << ",\n"
-       << "  \"sample_every\": " << kSampleEvery << ",\n"
-       << "  \"overhead\": {\n"
-       << "    \"locates_per_sec_untraced\": " << best_untraced << ",\n"
-       << "    \"locates_per_sec_sampled\": " << best_sampled << ",\n"
-       << "    \"sampled_throughput_ratio\": " << sampled_ratio << ",\n"
-       << "    \"sampling_overhead_us_per_call\": "
-       << sampling_overhead_us_per_call << "\n"
-       << "  },\n"
-       << "  \"scrape\": {\n"
-       << "    \"byte_identical\": "
-       << (scrape_identical ? "true" : "false") << ",\n"
-       << "    \"p50_ms\": " << p50_ms << ",\n"
-       << "    \"p99_ms\": " << p99_ms << "\n"
-       << "  },\n"
-       << "  \"locate_batch\": {\n"
-       << "    \"round_trips_ok\": " << (batch_ok ? "true" : "false")
-       << ",\n"
-       << "    \"p99_ms_batch1\": " << batch_p99_ms[0] << ",\n"
-       << "    \"p99_ms_batch8\": " << batch_p99_ms[1] << ",\n"
-       << "    \"p99_ms_batch64\": " << batch_p99_ms[2] << "\n"
-       << "  },\n"
-       << "  \"pass\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  return ok ? 0 : 1;
+  bench::Json& record = bench.record;
+  record["locate_calls_per_side"] = calls;
+  record["sample_every"] = kSampleEvery;
+  bench::Json& overhead = record["overhead"];
+  overhead["locates_per_sec_untraced"] = best_untraced;
+  overhead["locates_per_sec_sampled"] = best_sampled;
+  overhead["sampled_throughput_ratio"] = sampled_ratio;
+  overhead["sampling_overhead_us_per_call"] = sampling_overhead_us_per_call;
+  bench::Json& scrape = record["scrape"];
+  scrape["byte_identical"] = scrape_identical;
+  scrape["p50_ms"] = p50_ms;
+  scrape["p99_ms"] = p99_ms;
+  bench::Json& locate_batch = record["locate_batch"];
+  locate_batch["round_trips_ok"] = batch_ok;
+  for (std::size_t s = 0; s < 3; ++s) {
+    locate_batch["p99_ms_batch" + std::to_string(kBatchSizes[s])] =
+        batch_p99_ms[s];
+  }
+  return bench.finish();
 }

@@ -37,20 +37,19 @@
 //   * determinism  — bit-identical overload + SLO counters on a repeat
 //                  run and across batch thread counts 1 / 2 / 8.
 //
-// Flags (shared bench set): --smoke, --threads N (0 = hardware),
-// --out FILE (default BENCH_E17.json).
+// Flags (shared bench set, bench/harness.h): --smoke, --threads N
+// (0 = hardware), --out FILE (default BENCH_E17.json).
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "cellular/simulator.h"
 #include "cellular/workload.h"
-#include "support/cli.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
+
+#include "harness.h"
 
 namespace {
 
@@ -181,46 +180,15 @@ ArmResult run_arm(const cellular::SimConfig& config, bool controller,
   return arm;
 }
 
-void emit_arm_json(std::ostream& json, const ArmResult& arm,
-                   const char* indent) {
-  json << indent << "\"calls_arrived\": " << arm.arrived << ",\n"
-       << indent << "\"calls_completed\": " << arm.completed << ",\n"
-       << indent << "\"calls_abandoned\": " << arm.abandoned << ",\n"
-       << indent << "\"calls_shed\": " << arm.shed << ",\n"
-       << indent << "\"shed_rate\": " << arm.shed_rate << ",\n"
-       << indent << "\"degraded_admits\": " << arm.degraded_admits << ",\n"
-       << indent << "\"latency_p50_ms\": " << arm.p50_ms << ",\n"
-       << indent << "\"latency_p99_ms\": " << arm.p99_ms << ",\n"
-       << indent << "\"slo_control_steps\": " << arm.slo_steps << ",\n"
-       << indent << "\"slo_breaches\": " << arm.slo_breaches << ",\n"
-       << indent << "\"slo_pre_breach_signals\": " << arm.slo_pre_breach
-       << ",\n"
-       << indent << "\"within_slo\": " << (arm.within_slo ? "true" : "false")
-       << ",\n"
-       << indent << "\"conservation_ok\": "
-       << (arm.conservation_ok ? "true" : "false") << ",\n"
-       << indent << "\"deterministic\": "
-       << (arm.deterministic ? "true" : "false") << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::BenchFlags flags;
-  try {
-    flags = support::parse_bench_flags(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_e17_slo: " << error.what() << "\n";
-    return 2;
-  }
-  const bool smoke = flags.smoke;
-  const std::size_t threads = flags.threads;
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_E17.json" : flags.out;
+  bench::Harness bench("E17", "closed-loop SLO control across a burst sweep",
+                       argc, argv);
+  const bool smoke = bench.smoke();
+  const std::size_t threads = bench.threads();
   const std::size_t replications = smoke ? 4 : 8;
-  std::cout << "E17: closed-loop SLO control across a burst sweep"
-            << (smoke ? " (smoke)" : "") << ", target p99 " << kSloTargetMs
-            << " ms\n";
+  std::cout << "target p99 " << kSloTargetMs << " ms\n";
 
   const std::vector<double> burst_multipliers = {1.0, 2.0, 4.0, 10.0};
 
@@ -242,7 +210,6 @@ int main(int argc, char** argv) {
     baseline_breaches |= !cell.baseline.within_slo;
     cells.push_back(cell);
   }
-  const bool all_ok = invariants_ok && controller_holds && baseline_breaches;
 
   support::TextTable table({"burst", "arm", "arrived", "shed%", "degr%",
                             "p50 ms", "p99 ms", "slo", "breaches", "ok"});
@@ -266,43 +233,37 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "\n" << table;
-  std::cout << "\ncontroller holds p99 <= " << kSloTargetMs
-            << " ms at every burst level: "
-            << (controller_holds ? "PASS" : "FAIL") << "\n"
-            << "static baseline breaches at >= 1 level: "
-            << (baseline_breaches ? "PASS" : "FAIL") << "\n"
-            << "invariants (conservation exact, seed+thread determinism): "
-            << (invariants_ok ? "PASS" : "FAIL (BUG)") << "\n";
 
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"experiment\": \"E17\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_concurrency\": " << support::resolve_threads(0)
-       << ",\n"
-       << "  \"replications\": " << replications << ",\n"
-       << "  \"slo_target_p99_ms\": " << kSloTargetMs << ",\n"
-       << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& cell = cells[i];
-    json << "    {\n"
-         << "      \"burst_multiplier\": " << cell.burst_multiplier << ",\n"
-         << "      \"baseline\": {\n";
-    emit_arm_json(json, cell.baseline, "        ");
-    json << "      },\n"
-         << "      \"slo\": {\n";
-    emit_arm_json(json, cell.slo, "        ");
-    json << "      }\n"
-         << "    }" << (i + 1 < cells.size() ? "," : "") << "\n";
+  bench.gate("controller_holds_slo_at_every_level", controller_holds);
+  bench.gate("static_baseline_breaches", baseline_breaches);
+  bench.gate("conservation_and_determinism", invariants_ok);
+
+  bench::Json& record = bench.record;
+  record["replications"] = replications;
+  record["slo_target_p99_ms"] = kSloTargetMs;
+  for (const CellResult& cell : cells) {
+    bench::Json& json = record["cells"].append();
+    json["burst_multiplier"] = cell.burst_multiplier;
+    for (const auto& [key, arm] : {std::pair{"baseline", &cell.baseline},
+                                   std::pair{"slo", &cell.slo}}) {
+      bench::Json& side = json[key];
+      side["calls_arrived"] = arm->arrived;
+      side["calls_completed"] = arm->completed;
+      side["calls_abandoned"] = arm->abandoned;
+      side["calls_shed"] = arm->shed;
+      side["shed_rate"] = arm->shed_rate;
+      side["degraded_admits"] = arm->degraded_admits;
+      side["latency_p50_ms"] = arm->p50_ms;
+      side["latency_p99_ms"] = arm->p99_ms;
+      side["slo_control_steps"] = arm->slo_steps;
+      side["slo_breaches"] = arm->slo_breaches;
+      side["slo_pre_breach_signals"] = arm->slo_pre_breach;
+      side["within_slo"] = arm->within_slo;
+      side["conservation_ok"] = arm->conservation_ok;
+      side["deterministic"] = arm->deterministic;
+    }
   }
-  json << "  ],\n"
-       << "  \"controller_holds\": "
-       << (controller_holds ? "true" : "false") << ",\n"
-       << "  \"baseline_breaches\": "
-       << (baseline_breaches ? "true" : "false") << ",\n"
-       << "  \"pass\": " << (all_ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  return all_ok ? 0 : 1;
+  record["controller_holds"] = controller_holds;
+  record["baseline_breaches"] = baseline_breaches;
+  return bench.finish();
 }

@@ -27,13 +27,11 @@
 //     (whose per-call site now routes through locate_many) must
 //     produce bit-identical aggregate SimReports at pool sizes 1/2/8.
 //
-// Flags (shared bench set): --smoke, --threads N (unused, accepted for
-// uniformity), --out FILE (default BENCH_E18.json).
+// Flags (shared bench set, bench/harness.h): --smoke, --threads N
+// (unused, accepted for uniformity), --out FILE (default BENCH_E18.json).
 #include <array>
 #include <bit>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -46,18 +44,14 @@
 #include "core/instance.h"
 #include "prob/distribution.h"
 #include "prob/rng.h"
-#include "support/cli.h"
 #include "support/metrics.h"
 #include "support/table.h"
+
+#include "harness.h"
 
 namespace {
 
 using namespace confcall;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// The baseline the ratio gate divides by: single-core locates/sec
 /// measured by E13 when the scalar evaluator path shipped.
@@ -252,7 +246,7 @@ double run_batched(std::size_t n_calls, std::size_t batch) {
     requests[b] = {fixtures[b].users, fixtures[b].truth, {}};
   }
   std::size_t done = 0;
-  const auto start = Clock::now();
+  const auto start = bench::Clock::now();
   while (done < n_calls) {
     for (std::size_t b = 0; b < batch; ++b) {
       for (std::size_t i = 0; i < 3; ++i) {
@@ -264,7 +258,7 @@ double run_batched(std::size_t n_calls, std::size_t batch) {
     (void)harness.service.locate_many(requests, harness.rng);
     done += batch;
   }
-  const double elapsed = seconds_since(start);
+  const double elapsed = bench::seconds_since(start);
   return elapsed > 0.0 ? static_cast<double>(done) / elapsed : 0.0;
 }
 
@@ -273,7 +267,7 @@ double run_single(std::size_t n_calls) {
   support::MetricRegistry registry;
   Harness harness(registry, /*plan_cache=*/true);
   CallFixture fixture;
-  const auto start = Clock::now();
+  const auto start = bench::Clock::now();
   for (std::size_t t = 0; t < n_calls; ++t) {
     for (std::size_t i = 0; i < 3; ++i) {
       fixture.users[i] = static_cast<cellular::UserId>(
@@ -282,7 +276,7 @@ double run_single(std::size_t n_calls) {
     }
     (void)harness.service.locate(fixture.users, fixture.truth, harness.rng);
   }
-  const double elapsed = seconds_since(start);
+  const double elapsed = bench::seconds_since(start);
   return elapsed > 0.0 ? static_cast<double>(n_calls) / elapsed : 0.0;
 }
 
@@ -335,20 +329,9 @@ bool check_thread_invariance(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::BenchFlags flags;
-  try {
-    flags = support::parse_bench_flags(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_e18_batch: " << error.what() << "\n";
-    return 2;
-  }
-  const bool smoke = flags.smoke;
-  const std::size_t hw = support::resolve_threads(0);
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_E18.json" : flags.out;
-  std::cout << "E18: batched locate hot path"
-            << (smoke ? " (smoke)" : "") << " — hardware threads: " << hw
-            << "\n";
+  bench::Harness bench("E18", "batched locate hot path", argc, argv);
+  const bool smoke = bench.smoke();
+  std::cout << "hardware threads: " << bench.hardware_concurrency() << "\n";
 
   // ---- 1. Evaluator bit-identity (always gated).
   std::size_t evaluator_cases = 0;
@@ -363,19 +346,17 @@ int main(int argc, char** argv) {
       check_batch_transparency(false, transparency_calls, 8);
 
   // ---- 3. Throughput: single-call loop vs batched loops, best-of-3
-  // interleaved passes per shape (same noise defence as E15/E16).
+  // interleaved passes per shape.
   const std::size_t n = smoke ? 20000 : 200000;
-  double best_single = 0.0;
-  double best_batch[3] = {0.0, 0.0, 0.0};  // batch 1 / 8 / 64
   constexpr std::size_t kBatchSizes[3] = {1, 8, 64};
-  for (int pass = 0; pass < 3; ++pass) {
-    best_single = std::max(best_single, run_single(n));
-    for (std::size_t s = 0; s < 3; ++s) {
-      best_batch[s] = std::max(best_batch[s], run_batched(n, kBatchSizes[s]));
-    }
-  }
+  const std::vector<double> best = bench::best_of_interleaved(
+      3, {[&] { return run_single(n); },
+          [&] { return run_batched(n, kBatchSizes[0]); },
+          [&] { return run_batched(n, kBatchSizes[1]); },
+          [&] { return run_batched(n, kBatchSizes[2]); }});
+  const double best_single = best[0];
+  const double* best_batch = best.data() + 1;  // batch 1 / 8 / 64
   const double ratio = best_batch[1] / kBaselineLocatesPerSec;
-  const bool throughput_ok = ratio >= 2.0;
 
   // ---- 4. Thread invariance of the batched simulation path.
   const bool threads_invariant = check_thread_invariance(smoke);
@@ -402,41 +383,27 @@ int main(int argc, char** argv) {
                  threads_invariant ? "yes" : "NO"});
   std::cout << "\n" << table;
 
-  const bool ok = evaluator_identical && transparent_cached &&
-                  transparent_uncached && throughput_ok && threads_invariant;
-  std::cout << "\ninvariants (SoA evaluator bit-identical to scalar, "
-            << "locate_many transparent, batch8 >= 2x the 484k baseline, "
-            << "sim thread-invariant): " << (ok ? "PASS" : "FAIL (BUG)")
-            << "\n";
+  bench.gate("evaluator_bit_identical", evaluator_identical);
+  bench.gate("batch_transparent_cached", transparent_cached);
+  bench.gate("batch_transparent_uncached", transparent_uncached);
+  bench.gate("batch8_at_least_2x_baseline", ratio >= 2.0);
+  bench.gate("sim_thread_invariant", threads_invariant);
 
   // ---- Machine-readable trajectory record.
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"experiment\": \"E18\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
-       << "  \"baseline_locates_per_sec\": " << kBaselineLocatesPerSec
-       << ",\n"
-       << "  \"equivalence\": {\n"
-       << "    \"evaluator_cases\": " << evaluator_cases << ",\n"
-       << "    \"evaluator_bit_identical\": "
-       << (evaluator_identical ? "true" : "false") << ",\n"
-       << "    \"batch_transparent_cached\": "
-       << (transparent_cached ? "true" : "false") << ",\n"
-       << "    \"batch_transparent_uncached\": "
-       << (transparent_uncached ? "true" : "false") << ",\n"
-       << "    \"sim_thread_invariant_1_2_8\": "
-       << (threads_invariant ? "true" : "false") << "\n  },\n"
-       << "  \"throughput\": {\n"
-       << "    \"locates_per_sec_single\": " << best_single << ",\n"
-       << "    \"locates_per_sec_batch1\": " << best_batch[0] << ",\n"
-       << "    \"locates_per_sec_batch8\": " << best_batch[1] << ",\n"
-       << "    \"locates_per_sec_batch64\": " << best_batch[2] << "\n"
-       << "  },\n"
-       << "  \"batch_locates_per_sec_ratio\": " << ratio << ",\n"
-       << "  \"pass\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  return ok ? 0 : 1;
+  bench::Json& record = bench.record;
+  record["baseline_locates_per_sec"] = kBaselineLocatesPerSec;
+  bench::Json& equivalence = record["equivalence"];
+  equivalence["evaluator_cases"] = evaluator_cases;
+  equivalence["evaluator_bit_identical"] = evaluator_identical;
+  equivalence["batch_transparent_cached"] = transparent_cached;
+  equivalence["batch_transparent_uncached"] = transparent_uncached;
+  equivalence["sim_thread_invariant_1_2_8"] = threads_invariant;
+  bench::Json& throughput = record["throughput"];
+  throughput["locates_per_sec_single"] = best_single;
+  for (std::size_t s = 0; s < 3; ++s) {
+    throughput["locates_per_sec_batch" + std::to_string(kBatchSizes[s])] =
+        best_batch[s];
+  }
+  record["batch_locates_per_sec_ratio"] = ratio;
+  return bench.finish();
 }

@@ -28,8 +28,8 @@
 //     rejected as typed cold starts — never a crash, never a silent
 //     acceptance.
 //
-// Flags (shared bench set): --smoke, --threads N (unused, accepted for
-// uniformity), --out FILE (default BENCH_E19.json).
+// Flags (shared bench set, bench/harness.h): --smoke, --threads N
+// (unused, accepted for uniformity), --out FILE (default BENCH_E19.json).
 #include <unistd.h>
 
 #include <algorithm>
@@ -46,7 +46,6 @@
 #include "cellular/service.h"
 #include "cellular/topology.h"
 #include "prob/rng.h"
-#include "support/cli.h"
 #include "support/metrics.h"
 #include "support/overload.h"
 #include "support/slo_controller.h"
@@ -54,14 +53,11 @@
 #include "support/table.h"
 #include "support/thread_pool.h"
 
+#include "harness.h"
+
 namespace {
 
 using namespace confcall;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 // ---- 1. Warm vs cold SLO recovery (plant model, ManualClock). ---------
 
@@ -190,8 +186,8 @@ double run_locate_loop(std::size_t n_calls, const std::string& checkpoint_path,
   std::size_t done = 0;
   std::size_t checkpoints = 0;
   std::size_t bytes = 0;
-  const auto start = Clock::now();
-  const auto period = std::chrono::duration_cast<Clock::duration>(
+  const auto start = bench::Clock::now();
+  const auto period = std::chrono::duration_cast<bench::Clock::duration>(
       std::chrono::duration<double, std::milli>(std::max(period_ms, 1.0)));
   auto next_checkpoint = start + period;  // daemon grid: one period in
   std::size_t batches = 0;
@@ -208,8 +204,8 @@ double run_locate_loop(std::size_t n_calls, const std::string& checkpoint_path,
     // Poll the grid every 16 batches: a clock read per batch is loop
     // overhead the daemon (which checkpoints per serve step) never pays.
     if (checkpoint_path.empty() || (++batches & 15) != 0) continue;
-    if (Clock::now() >= next_checkpoint) {
-      while (Clock::now() >= next_checkpoint) next_checkpoint += period;
+    if (bench::Clock::now() >= next_checkpoint) {
+      while (bench::Clock::now() >= next_checkpoint) next_checkpoint += period;
       support::StateBundle bundle;
       bundle.add(cellular::LocationService::kStateSection,
                  cellular::LocationService::kStateVersion,
@@ -218,7 +214,7 @@ double run_locate_loop(std::size_t n_calls, const std::string& checkpoint_path,
       ++checkpoints;
     }
   }
-  const double elapsed = seconds_since(start);
+  const double elapsed = bench::seconds_since(start);
   if (checkpoints_out != nullptr) *checkpoints_out = checkpoints;
   if (bytes_out != nullptr) *bytes_out = bytes;
   return static_cast<double>(done) / elapsed;
@@ -336,20 +332,12 @@ std::size_t corruption_sweep(const std::string& path, const std::string& whole,
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::BenchFlags flags;
-  try {
-    flags = support::parse_bench_flags(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_e19_state: " << error.what() << "\n";
-    return 2;
-  }
-  const bool smoke = flags.smoke;
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_E19.json" : flags.out;
+  bench::Harness bench(
+      "E19", "crash-safe serving — durable checkpoints, warm restart", argc,
+      argv);
+  const bool smoke = bench.smoke();
   const std::string scratch =
       "bench_e19_scratch_" + std::to_string(::getpid());
-  std::cout << "E19: crash-safe serving — durable checkpoints, warm restart"
-            << (smoke ? " (smoke)" : "") << "\n";
 
   // ---- 1. Warm vs cold recovery (always gated).
   Stand cold(kColdRefillPerSec);
@@ -362,32 +350,28 @@ int main(int argc, char** argv) {
       converged_checkpoint, support::SloController::kStateVersion);
   const std::size_t warm_periods =
       restored ? warm.periods_to_slo(64) : std::size_t{65};
-  const bool recovery_ok =
-      restored && warm_periods <= 2 && cold_periods > warm_periods;
 
   // ---- 2. Checkpoint overhead on the E18 batched locate loop
-  // (best-of-3 interleaved passes, same noise defence as E18). The run
-  // must span several 100 ms checkpoint windows, or one checkpoint's
-  // fixed cost dominates a run shorter than its amortization period.
+  // (best-of-3 interleaved passes). The run must span several 100 ms
+  // checkpoint windows, or one checkpoint's fixed cost dominates a run
+  // shorter than its amortization period.
   const std::size_t n = smoke ? 300000 : 600000;
-  double best_plain = 0.0;
-  double best_checkpointed = 0.0;
   std::size_t checkpoints_written = 0;
   std::size_t checkpoint_bytes = 0;
-  for (int pass = 0; pass < 3; ++pass) {
-    best_plain = std::max(best_plain,
-                          run_locate_loop(n, "", 0.0, nullptr, nullptr));
-    std::size_t written = 0;
-    std::size_t bytes = 0;
-    best_checkpointed = std::max(
-        best_checkpointed,
-        run_locate_loop(n, scratch + ".ckpt.bin", 100.0, &written, &bytes));
-    checkpoints_written = std::max(checkpoints_written, written);
-    if (bytes != 0) checkpoint_bytes = bytes;
-  }
+  const std::vector<double> best = bench::best_of_interleaved(
+      3, {[&] { return run_locate_loop(n, "", 0.0, nullptr, nullptr); },
+          [&] {
+            std::size_t written = 0;
+            std::size_t bytes = 0;
+            const double rate = run_locate_loop(n, scratch + ".ckpt.bin",
+                                                100.0, &written, &bytes);
+            checkpoints_written = std::max(checkpoints_written, written);
+            if (bytes != 0) checkpoint_bytes = bytes;
+            return rate;
+          }});
   (void)std::remove((scratch + ".ckpt.bin").c_str());
+  const double best_plain = best[0], best_checkpointed = best[1];
   const double ratio = best_checkpointed / best_plain;
-  const bool overhead_ok = ratio >= 0.95 && checkpoints_written >= 1;
 
   // ---- 3. Byte-identity across ThreadPool sizes 1/2/8.
   std::string reference_file;
@@ -398,8 +382,6 @@ int main(int argc, char** argv) {
   std::size_t corrupt_total = 0;
   const std::size_t corrupt_rejected = corruption_sweep(
       scratch + ".sweep.bin", reference_file, smoke, &corrupt_total);
-  const bool corruption_ok =
-      corrupt_total > 0 && corrupt_rejected == corrupt_total;
 
   // ---- Report.
   support::TextTable table({"metric", "value"});
@@ -423,38 +405,29 @@ int main(int argc, char** argv) {
                      support::TextTable::fmt(corrupt_total)});
   std::cout << "\n" << table;
 
-  const bool ok =
-      recovery_ok && overhead_ok && threads_identical && corruption_ok;
-  std::cout << "\ninvariants (warm restart <= 2 periods and faster than "
-            << "cold, checkpointing keeps >= 95% throughput, checkpoints "
-            << "byte-identical across thread counts, all damage rejected): "
-            << (ok ? "PASS" : "FAIL (BUG)") << "\n";
+  bench.gate("warm_restart_within_2_periods_and_faster_than_cold",
+             restored && warm_periods <= 2 && cold_periods > warm_periods);
+  bench.gate("overhead_ok", ratio >= 0.95 && checkpoints_written >= 1,
+             bench::Gate::kQuietHost);
+  bench.gate("byte_identical_across_threads", threads_identical);
+  bench.gate("all_damage_rejected",
+             corrupt_total > 0 && corrupt_rejected == corrupt_total);
 
   // ---- Machine-readable trajectory record.
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"experiment\": \"E19\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"recovery\": {\n"
-       << "    \"cold_recovery_periods\": " << cold_periods << ",\n"
-       << "    \"warm_recovery_periods\": " << warm_periods << ",\n"
-       << "    \"restore_applied\": " << (restored ? "true" : "false")
-       << "\n  },\n"
-       << "  \"checkpointing\": {\n"
-       << "    \"locates_per_sec_plain\": " << best_plain << ",\n"
-       << "    \"locates_per_sec_checkpointed\": " << best_checkpointed
-       << ",\n"
-       << "    \"checkpoints_written\": " << checkpoints_written << ",\n"
-       << "    \"checkpoint_bytes\": " << checkpoint_bytes << "\n  },\n"
-       << "  \"checkpoint_throughput_ratio\": " << ratio << ",\n"
-       << "  \"warm_recovery_periods\": " << warm_periods << ",\n"
-       << "  \"byte_identical_across_threads\": "
-       << (threads_identical ? "true" : "false") << ",\n"
-       << "  \"corrupt_files_rejected\": " << corrupt_rejected << ",\n"
-       << "  \"corrupt_files_total\": " << corrupt_total << ",\n"
-       << "  \"pass\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  return ok ? 0 : 1;
+  bench::Json& record = bench.record;
+  bench::Json& recovery = record["recovery"];
+  recovery["cold_recovery_periods"] = cold_periods;
+  recovery["warm_recovery_periods"] = warm_periods;
+  recovery["restore_applied"] = restored;
+  bench::Json& checkpointing = record["checkpointing"];
+  checkpointing["locates_per_sec_plain"] = best_plain;
+  checkpointing["locates_per_sec_checkpointed"] = best_checkpointed;
+  checkpointing["checkpoints_written"] = checkpoints_written;
+  checkpointing["checkpoint_bytes"] = checkpoint_bytes;
+  record["checkpoint_throughput_ratio"] = ratio;
+  record["warm_recovery_periods"] = warm_periods;
+  record["byte_identical_across_threads"] = threads_identical;
+  record["corrupt_files_rejected"] = corrupt_rejected;
+  record["corrupt_files_total"] = corrupt_total;
+  return bench.finish();
 }

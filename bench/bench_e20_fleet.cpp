@@ -12,7 +12,8 @@
 //     request stream is served at shards 1/2/4/8 over a fixed 8-area
 //     fleet; the JSON records locates/sec per shard count and the
 //     max-over-1 scaling ratio. The >= 1M locates/sec aggregate gate
-//     self-arms on hardware with >= 8 cores (hardware_concurrency) —
+//     self-arms on hardware with >= 8 hardware threads (the harness's
+//     hardware_concurrency, also recorded as hardware_cores) —
 //     on smaller machines the numbers are recorded, not gated, because
 //     lanes beyond the core count only add scheduling overhead.
 //   * Per-shard latency is observable: the per-shard
@@ -29,40 +30,35 @@
 //     fleet's one plan table must answer at least one area's
 //     plan from another area's publish.
 //
-// Flags (shared bench set): --smoke, --threads N (unused, accepted for
-// uniformity), --out FILE (default BENCH_E20.json).
+// Flags (shared bench set, bench/harness.h): --smoke, --threads N
+// (unused, accepted for uniformity), --out FILE (default BENCH_E20.json).
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cellular/service.h"
 #include "cellular/service_fleet.h"
 #include "cellular/topology.h"
 #include "prob/rng.h"
-#include "support/cli.h"
 #include "support/metrics.h"
 #include "support/state_io.h"
 #include "support/table.h"
 
+#include "harness.h"
+
 namespace {
 
 using namespace confcall;
-using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kNumAreas = 8;  // fixed: only the lane count varies
 constexpr std::size_t kNumUsers = 96;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// The world every fleet in this bench serves: one topology, one
 /// mobility law, one initial-cell draw — so runs differ only in the
@@ -134,14 +130,14 @@ double run_throughput(const World& world, std::size_t num_shards,
   constexpr std::size_t kBatch = 64;
   support::MetricRegistry registry;
   cellular::ServiceFleet fleet = world.make_fleet(num_shards, &registry);
-  const auto start = Clock::now();
+  const auto start = bench::Clock::now();
   std::size_t done = 0;
   while (done < stream.size()) {
     const std::size_t take = std::min(kBatch, stream.size() - done);
     (void)fleet.locate_many(stream.subspan(done, take));
     done += take;
   }
-  const double elapsed = seconds_since(start);
+  const double elapsed = bench::seconds_since(start);
   if (p99_out != nullptr) {
     p99_out->assign(num_shards, 0.0);
     for (const support::MetricSnapshot& metric :
@@ -213,49 +209,44 @@ void deterministic_drive(const World& world, std::size_t num_shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::BenchFlags flags;
-  try {
-    flags = support::parse_bench_flags(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_e20_fleet: " << error.what() << "\n";
-    return 2;
-  }
-  const bool smoke = flags.smoke;
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_E20.json" : flags.out;
+  bench::Harness bench(
+      "E20", "fleet serving — sharded areas, core-aware placement", argc,
+      argv);
+  const bool smoke = bench.smoke();
   const std::string scratch =
       "bench_e20_scratch_" + std::to_string(::getpid()) + ".bin";
-  std::cout << "E20: fleet serving — sharded areas, core-aware placement"
-            << (smoke ? " (smoke)" : "") << "\n";
 
   const World world;
-  const unsigned cores = std::thread::hardware_concurrency();
+  const std::size_t cores = bench.hardware_concurrency();
 
-  // ---- 1/2. Throughput scaling + per-shard p99 (best-of-3 passes).
+  // ---- 1/2. Throughput scaling + per-shard p99 (best-of-3 interleaved
+  // passes; the widest side keeps the p99s and hits of its best pass).
   const std::size_t n_calls = smoke ? 20000 : 200000;
   const std::vector<cellular::ServiceFleet::Request> stream =
       make_stream(n_calls);
   const std::vector<std::size_t> shard_counts{1, 2, 4, 8};
-  std::vector<double> locates_per_sec(shard_counts.size(), 0.0);
   std::vector<double> widest_p99;
   std::uint64_t shared_hits = 0;
-  for (int pass = 0; pass < 3; ++pass) {
-    for (std::size_t i = 0; i < shard_counts.size(); ++i) {
-      const bool widest = i + 1 == shard_counts.size();
+  double widest_best = 0.0;
+  std::vector<std::function<double()>> sides;
+  for (const std::size_t shards : shard_counts) {
+    sides.push_back([&, shards] {
+      const bool widest = shards == shard_counts.back();
       std::vector<double> p99;
       std::uint64_t hits = 0;
       const double rate =
-          run_throughput(world, shard_counts[i], stream,
-                         widest ? &p99 : nullptr, widest ? &hits : nullptr);
-      if (rate > locates_per_sec[i]) {
-        locates_per_sec[i] = rate;
-        if (widest) {
-          widest_p99 = p99;
-          shared_hits = hits;
-        }
+          run_throughput(world, shards, stream, widest ? &p99 : nullptr,
+                         widest ? &hits : nullptr);
+      if (widest && rate > widest_best) {
+        widest_best = rate;
+        widest_p99 = p99;
+        shared_hits = hits;
       }
-    }
+      return rate;
+    });
   }
+  const std::vector<double> locates_per_sec =
+      bench::best_of_interleaved(3, sides);
   const double aggregate_best =
       *std::max_element(locates_per_sec.begin(), locates_per_sec.end());
   const double scaling =
@@ -288,9 +279,6 @@ int main(int argc, char** argv) {
   }
   identical = identical && !reference_bytes.empty();
 
-  // ---- 4. Cross-shard plan sharing.
-  const bool sharing_ok = shared_hits >= 1;
-
   // ---- Report.
   support::TextTable table({"metric", "value"});
   for (std::size_t i = 0; i < shard_counts.size(); ++i) {
@@ -314,39 +302,24 @@ int main(int argc, char** argv) {
       {"shared-plan hits", support::TextTable::fmt(shared_hits)});
   std::cout << "\n" << table;
 
-  const bool ok = throughput_ok && p99_ok && identical && sharing_ok;
-  std::cout << "\ninvariants (aggregate throughput gate where armed, "
-            << "per-shard p99 observable, bit-identical results and "
-            << "checkpoints across shard counts, cross-shard plan "
-            << "sharing): " << (ok ? "PASS" : "FAIL (BUG)") << "\n";
+  bench.gate("aggregate_throughput_where_armed", throughput_ok);
+  bench.gate("per_shard_p99_observable", p99_ok);
+  bench.gate("determinism_identical", identical);
+  bench.gate("cross_shard_plan_sharing", shared_hits >= 1);
 
   // ---- Machine-readable record.
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"experiment\": \"E20\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_cores\": " << cores << ",\n"
-       << "  \"throughput\": {\n";
+  bench::Json& record = bench.record;
+  record["hardware_cores"] = cores;
+  bench::Json& throughput = record["throughput"];
   for (std::size_t i = 0; i < shard_counts.size(); ++i) {
-    json << "    \"locates_per_sec_shards_" << shard_counts[i]
-         << "\": " << locates_per_sec[i]
-         << (i + 1 < shard_counts.size() ? ",\n" : "\n");
+    throughput["locates_per_sec_shards_" + std::to_string(shard_counts[i])] =
+        locates_per_sec[i];
   }
-  json << "  },\n"
-       << "  \"aggregate_locates_per_sec\": " << aggregate_best << ",\n"
-       << "  \"scaling_8_over_1\": " << scaling << ",\n"
-       << "  \"throughput_gate_armed\": "
-       << (throughput_gated ? "true" : "false") << ",\n"
-       << "  \"per_shard_task_p99_ns\": [";
-  for (std::size_t s = 0; s < widest_p99.size(); ++s) {
-    json << (s == 0 ? "" : ", ") << widest_p99[s];
-  }
-  json << "],\n"
-       << "  \"determinism_identical\": " << (identical ? 1 : 0) << ",\n"
-       << "  \"shared_plan_hits\": " << shared_hits << ",\n"
-       << "  \"pass\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  return ok ? 0 : 1;
+  record["aggregate_locates_per_sec"] = aggregate_best;
+  record["scaling_8_over_1"] = scaling;
+  record["throughput_gate_armed"] = throughput_gated;
+  record["per_shard_task_p99_ns"] = widest_p99;
+  record["determinism_identical"] = identical ? 1 : 0;
+  record["shared_plan_hits"] = shared_hits;
+  return bench.finish();
 }

@@ -34,12 +34,10 @@
 //     contract). The default scrape size and series cardinality are
 //     recorded so growth shows up in review.
 //
-// Flags (shared bench set): --smoke, --threads N (unused, accepted for
-// uniformity), --out FILE (default BENCH_E21.json).
+// Flags (shared bench set, bench/harness.h): --smoke, --threads N
+// (unused, accepted for uniformity), --out FILE (default BENCH_E21.json).
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <span>
@@ -50,17 +48,17 @@
 #include "cellular/service_fleet.h"
 #include "cellular/topology.h"
 #include "prob/rng.h"
-#include "support/cli.h"
 #include "support/metrics.h"
 #include "support/overload.h"
 #include "support/slo_controller.h"
 #include "support/table.h"
 #include "support/trace.h"
 
+#include "harness.h"
+
 namespace {
 
 using namespace confcall;
-using WallClock = std::chrono::steady_clock;
 
 constexpr std::size_t kNumAreas = 8;
 constexpr std::size_t kNumUsers = 96;
@@ -77,10 +75,6 @@ constexpr double kSloTargetMs = 2.0;
 constexpr std::size_t kCycleSteps = 100;
 constexpr std::size_t kQuietSteps = 70;
 constexpr std::size_t kWarmupSteps = 400;
-
-double wall_seconds_since(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
-}
 
 /// The world every fleet serves (the E20 fixture): one topology, one
 /// mobility law, one initial-cell draw, stationary profiles so every
@@ -326,7 +320,7 @@ double run_aggregation_throughput(
     slo = std::make_unique<support::SloController>(
         options, registry, admission, clock, kRoundNs);
   }
-  const auto start = WallClock::now();
+  const auto start = bench::Clock::now();
   std::size_t done = 0;
   while (done < stream.size()) {
     const std::size_t take = std::min(kBatch, stream.size() - done);
@@ -335,25 +329,16 @@ double run_aggregation_throughput(
     clock.advance(kStepNs);
     if (slo) (void)slo->maybe_step();
   }
-  return static_cast<double>(done) / wall_seconds_since(start);
+  return static_cast<double>(done) / bench::seconds_since(start);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::BenchFlags flags;
-  try {
-    flags = support::parse_bench_flags(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_e21_fleet_slo: " << error.what() << "\n";
-    return 2;
-  }
-  const bool smoke = flags.smoke;
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_E21.json" : flags.out;
-  std::cout << "E21: fleet-wide SLO sensing over the label algebra"
-            << (smoke ? " (smoke)" : "") << ", target p99 " << kSloTargetMs
-            << " ms\n";
+  bench::Harness bench("E21", "fleet-wide SLO sensing over the label algebra",
+                       argc, argv);
+  const bool smoke = bench.smoke();
+  std::cout << "target p99 " << kSloTargetMs << " ms\n";
 
   const World world;
   const std::size_t measured_steps = smoke ? 600 : 2000;
@@ -411,19 +396,16 @@ int main(int argc, char** argv) {
   // the controller's per-period snapshot + delta + sum_by.
   const std::vector<cellular::ServiceFleet::Request> throughput_stream =
       make_stream(smoke ? 20000 : 100000);
-  double plain_rate = 0.0;
-  double sensed_rate = 0.0;
-  for (int pass = 0; pass < 5; ++pass) {
-    plain_rate = std::max(
-        plain_rate, run_aggregation_throughput(world, throughput_stream,
-                                               false));
-    sensed_rate = std::max(
-        sensed_rate, run_aggregation_throughput(world, throughput_stream,
-                                                true));
-  }
+  const std::vector<double> best = bench::best_of_interleaved(
+      5, {[&] {
+            return run_aggregation_throughput(world, throughput_stream, false);
+          },
+          [&] {
+            return run_aggregation_throughput(world, throughput_stream, true);
+          }});
+  const double plain_rate = best[0], sensed_rate = best[1];
   const double aggregation_ratio =
       plain_rate > 0.0 ? sensed_rate / plain_rate : 0.0;
-  const bool aggregation_ok = aggregation_ratio >= 0.95;
 
   // ---- 4. Exposition: the opt-in render carries the exemplar suffix,
   // the default render must not (the E16 byte-identity contract), and
@@ -469,71 +451,44 @@ int main(int argc, char** argv) {
                          : "-"});
     }
   }
-  std::cout << "\n" << table;
-  std::cout << "\ncontrolled p99 <= static p99 at every burst level: "
-            << (controller_not_worse ? "PASS" : "FAIL") << "\n"
-            << "bit-identical digests + control trajectory @1/2/8 shards: "
-            << (determinism_identical ? "PASS" : "FAIL (BUG)") << "\n"
-            << "label-aggregation throughput ratio "
-            << support::TextTable::fmt(aggregation_ratio, 3)
-            << " (>= 0.95): " << (aggregation_ok ? "PASS" : "FAIL") << "\n"
-            << "exemplar captured + opt-in exposition gated: "
-            << (exemplar_captured && exposition_ok ? "PASS" : "FAIL")
-            << "\n"
-            << "conservation (offered = admitted + shed, every arm): "
-            << (conservation_ok ? "PASS" : "FAIL (BUG)") << "\n";
+  std::cout << "\n" << table << "\nlabel-aggregation throughput ratio "
+            << support::TextTable::fmt(aggregation_ratio, 3) << "\n";
 
-  const bool ok = controller_not_worse && determinism_identical &&
-                  aggregation_ok && exemplar_captured && exposition_ok &&
-                  conservation_ok;
+  bench.gate("controller_not_worse", controller_not_worse);
+  bench.gate("determinism_identical", determinism_identical);
+  bench.gate("aggregation_ratio_at_least_0_95", aggregation_ratio >= 0.95,
+             bench::Gate::kQuietHost);
+  bench.gate("exemplar_captured", exemplar_captured);
+  bench.gate("exposition_gated", exposition_ok);
+  bench.gate("conservation_ok", conservation_ok);
 
   // ---- Machine-readable record.
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"experiment\": \"E21\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"slo_target_p99_ms\": " << kSloTargetMs << ",\n"
-       << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const auto emit_arm = [&json](const ArmResult& arm,
-                                  const char* indent) {
-      json << indent << "\"offered\": " << arm.offered << ",\n"
-           << indent << "\"admitted\": " << arm.admitted << ",\n"
-           << indent << "\"shed\": " << arm.shed << ",\n"
-           << indent << "\"degraded\": " << arm.degraded << ",\n"
-           << indent << "\"window_calls\": " << arm.window_calls << ",\n"
-           << indent << "\"p99_ms\": " << arm.p99_ms << ",\n"
-           << indent << "\"slo_control_steps\": " << arm.slo_steps << ",\n"
-           << indent << "\"slo_breaches\": " << arm.slo_breaches << "\n";
-    };
-    json << "    {\n"
-         << "      \"burst_multiplier\": " << cell.burst << ",\n"
-         << "      \"baseline\": {\n";
-    emit_arm(cell.baseline, "        ");
-    json << "      },\n"
-         << "      \"controlled\": {\n";
-    emit_arm(cell.controlled, "        ");
-    json << "      }\n"
-         << "    }" << (i + 1 < cells.size() ? "," : "") << "\n";
+  bench::Json& record = bench.record;
+  record["slo_target_p99_ms"] = kSloTargetMs;
+  for (const Cell& cell : cells) {
+    bench::Json& json = record["cells"].append();
+    json["burst_multiplier"] = cell.burst;
+    for (const auto& [key, arm] : {std::pair{"baseline", &cell.baseline},
+                                   std::pair{"controlled", &cell.controlled}}) {
+      bench::Json& side = json[key];
+      side["offered"] = arm->offered;
+      side["admitted"] = arm->admitted;
+      side["shed"] = arm->shed;
+      side["degraded"] = arm->degraded;
+      side["window_calls"] = arm->window_calls;
+      side["p99_ms"] = arm->p99_ms;
+      side["slo_control_steps"] = arm->slo_steps;
+      side["slo_breaches"] = arm->slo_breaches;
+    }
   }
-  json << "  ],\n"
-       << "  \"controller_not_worse\": "
-       << (controller_not_worse ? "true" : "false") << ",\n"
-       << "  \"determinism_identical\": " << (determinism_identical ? 1 : 0)
-       << ",\n"
-       << "  \"aggregation_throughput_ratio\": " << aggregation_ratio
-       << ",\n"
-       << "  \"plain_locates_per_sec\": " << plain_rate << ",\n"
-       << "  \"sensed_locates_per_sec\": " << sensed_rate << ",\n"
-       << "  \"exemplar_captured\": " << (exemplar_captured ? 1 : 0)
-       << ",\n"
-       << "  \"exposition_gated\": " << (exposition_ok ? 1 : 0) << ",\n"
-       << "  \"scrape_bytes\": " << scrape_bytes << ",\n"
-       << "  \"series_count\": " << series_count << ",\n"
-       << "  \"pass\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  return ok ? 0 : 1;
+  record["controller_not_worse"] = controller_not_worse;
+  record["determinism_identical"] = determinism_identical ? 1 : 0;
+  record["aggregation_throughput_ratio"] = aggregation_ratio;
+  record["plain_locates_per_sec"] = plain_rate;
+  record["sensed_locates_per_sec"] = sensed_rate;
+  record["exemplar_captured"] = exemplar_captured ? 1 : 0;
+  record["exposition_gated"] = exposition_ok ? 1 : 0;
+  record["scrape_bytes"] = scrape_bytes;
+  record["series_count"] = series_count;
+  return bench.finish();
 }

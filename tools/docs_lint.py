@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Docs lint: dead links, phantom bench targets, phantom metrics,
-endpoint-table drift.
+endpoint-table drift, CI bench-table drift.
 
-Four checks, all offline (CI must not depend on the network):
+Five checks, all offline (CI must not depend on the network):
 
 1. Dead intra-repo links. Scans the repo's top-level markdown plus
    docs/*.md for inline links [text](target) and checks every relative
@@ -23,6 +23,13 @@ Four checks, all offline (CI must not depend on the network):
    Endpoints table, and every `METHOD /path` row in that table must be
    registered by one of those files — the endpoint catalogue may
    neither lag the server nor promise routes that 404.
+5. CI bench-table drift, both directions. Every row of
+   bench/ci_benches.txt (the JSON benches CI smoke-runs and compares)
+   must name a target declared in bench/CMakeLists.txt, and that
+   bench's EXPERIMENTS.md section must name its BENCH_EXX.json and each
+   of its strict paths; every BENCH_EXX.json EXPERIMENTS.md mentions
+   must have a row — a documented bench record CI never checks is a
+   silent gap.
 
 Exit code 1 lists every violation as file:line.
 
@@ -170,6 +177,56 @@ def lint_endpoints(root):
     return errors
 
 
+CI_TABLE = os.path.join("bench", "ci_benches.txt")
+TABLE_TARGET_RE = re.compile(r"^bench_(e\d{2})_[a-z0-9_]+$")
+BENCH_JSON_RE = re.compile(r"\bBENCH_E\d{2}\.json\b")
+# An EXPERIMENTS.md section: "### E13 ..." up to the next heading.
+SECTION_RE = re.compile(r"^### (E\d{2})\b(.*?)(?=^#|\Z)", re.M | re.S)
+
+
+def lint_ci_table(root):
+    """Check 5: bench/ci_benches.txt, bench/CMakeLists.txt and
+    EXPERIMENTS.md must agree."""
+    table_path = os.path.join(root, CI_TABLE)
+    doc_path = os.path.join(root, "EXPERIMENTS.md")
+    if not (os.path.exists(table_path) and os.path.exists(doc_path)):
+        return []
+    with open(doc_path, encoding="utf-8") as handle:
+        doc = handle.read()
+    sections = dict(SECTION_RE.findall(doc))
+    declared = cmake_bench_targets(root)
+    errors = []
+    rows = set()
+    with open(table_path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            where = "%s:%d" % (CI_TABLE, lineno)
+            match = TABLE_TARGET_RE.match(fields[0])
+            if len(fields) != 3 or not match:
+                errors.append("%s: expected 'bench_eNN_name threshold "
+                              "strict-paths'" % where)
+                continue
+            if fields[0] not in declared:
+                errors.append("%s: bench target '%s' is not declared in "
+                              "bench/CMakeLists.txt" % (where, fields[0]))
+            experiment = match.group(1).upper()
+            json_name = "BENCH_%s.json" % experiment
+            rows.add(json_name)
+            strict = [] if fields[2] == "-" else fields[2].split(",")
+            for name in [json_name] + strict:
+                if name not in sections.get(experiment, ""):
+                    errors.append("%s: EXPERIMENTS.md's %s section does not "
+                                  "name '%s'" % (where, experiment, name))
+    for lineno, line in enumerate(doc.splitlines(), 1):
+        for json_name in BENCH_JSON_RE.findall(line):
+            if json_name not in rows:
+                errors.append("EXPERIMENTS.md:%d: %s has no row in %s" %
+                              (lineno, json_name, CI_TABLE))
+    return errors
+
+
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else
                            os.path.join(os.path.dirname(__file__), os.pardir))
@@ -185,6 +242,7 @@ def main():
     errors.extend(lint_bench_targets(root))
     errors.extend(lint_metric_catalogue(root))
     errors.extend(lint_endpoints(root))
+    errors.extend(lint_ci_table(root))
     for error in errors:
         print(error)
     print("docs_lint: %d file(s), %d violation(s)" % (len(files), len(errors)))
