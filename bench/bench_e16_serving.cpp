@@ -19,15 +19,16 @@
 //     in-process with no concurrent writers. The scrape is the same
 //     snapshot, not a parallel bookkeeping path.
 //   * Scrape latency under load: p99 of ~200 GET /metrics round-trips
-//     while a background thread hammers locate() into the same registry.
+//     against a cellular::ServingNode (confcall_serve's node) over the
+//     same world while a background thread steps it as fast as it can.
 //     Gate is deliberately loose (<= 250 ms) — it catches lock-ordering
 //     accidents that would make scrapes block behind the hot path, not
 //     container jitter.
 //   * Batched POST /locate: arrays of 1/8/64 calls round-trip through
-//     the locate_api wire format and LocationService::locate_many on
-//     the same loaded server. Every response must be a 200 with one
-//     admitted outcome per call, and the round-trips share the scrape
-//     latency gate above.
+//     the daemon's own handler (the locate_api wire format, admission
+//     and ServiceFleet::locate_many) on the same loaded node. Every
+//     response must be a 200 with one admitted outcome per call, and
+//     the round-trips share the scrape latency gate above.
 //
 // Flags (shared bench set, bench/harness.h): --smoke, --threads N
 // (unused, accepted for uniformity), --out FILE (default BENCH_E16.json).
@@ -35,13 +36,13 @@
 #include <atomic>
 #include <cstdint>
 #include <iostream>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cellular/locate_api.h"
 #include "cellular/service.h"
+#include "cellular/serving_node.h"
+#include "cellular/simulator.h"
 #include "cellular/topology.h"
 #include "prob/rng.h"
 #include "support/http.h"
@@ -70,18 +71,9 @@ struct Harness {
   cellular::LocationService service;
 
   Harness(support::MetricRegistry& registry, support::Tracer* tracer)
-      : cells(make_cells(rng, grid)),
+      : cells(cellular::scatter_users(grid, 96, rng)),
         service(grid, areas, mobility, make_config(registry, tracer),
                 cells) {}
-
-  static std::vector<cellular::CellId> make_cells(
-      prob::Rng& rng, const cellular::GridTopology& grid) {
-    std::vector<cellular::CellId> cells(96);
-    for (auto& cell : cells) {
-      cell = static_cast<cellular::CellId>(rng.next_below(grid.num_cells()));
-    }
-    return cells;
-  }
 
   static cellular::LocationService::Config make_config(
       support::MetricRegistry& registry, support::Tracer* tracer) {
@@ -165,67 +157,39 @@ int main(int argc, char** argv) {
   }
 
   // ---- 3. Scrape + batched-locate latency under load: a writer thread
-  // hammers locate() into the registry while we time GET /metrics
-  // round-trips AND batched POST /locate round-trips (arrays of 1/8/64
-  // calls through cellular/locate_api + locate_many — the HTTP face of
-  // the batch API). Both share the same p99 <= 250 ms gate.
+  // steps a serving node while we time GET /metrics round-trips AND
+  // batched POST /locate round-trips (arrays of 1/8/64 calls through
+  // the daemon's handler). Both share the same p99 <= 250 ms gate.
   double p50_ms = 0.0, p99_ms = 0.0;
   constexpr std::size_t kBatchSizes[] = {1, 8, 64};
   bool batch_ok = true;
   double batch_p99_ms[3] = {0.0, 0.0, 0.0};
   {
-    support::MetricRegistry registry;
-    support::SamplingTracer tracer(kSampleEvery, 4096);
-    Harness harness(registry, &tracer);
-    // The service and its rng are shared between the writer thread and
-    // the POST handler — same serialization as the serving daemon.
-    std::mutex sim_mutex;
-    support::HttpServer server;
-    support::install_observability_routes(server, &registry, &tracer);
-    server.handle("POST", "/locate", [&](const support::HttpRequest&
-                                             request) {
-      support::HttpResponse response;
-      response.content_type = "application/json";
-      cellular::LocateApiRequest api;
-      try {
-        api = cellular::parse_locate_body(request.body,
-                                          harness.cells.size());
-      } catch (const std::exception& error) {
-        response.status = 400;
-        response.body = "{\"error\": \"" +
-                        support::json_escape(error.what()) + "\"}\n";
-        return response;
-      }
-      std::lock_guard<std::mutex> lock(sim_mutex);
-      std::vector<std::vector<cellular::CellId>> truths(api.calls.size());
-      std::vector<cellular::LocationService::LocateRequest> requests;
-      requests.reserve(api.calls.size());
-      for (std::size_t i = 0; i < api.calls.size(); ++i) {
-        const std::vector<cellular::UserId>& users = api.calls[i].users;
-        truths[i].reserve(users.size());
-        for (const cellular::UserId user : users) {
-          truths[i].push_back(harness.cells[user]);
-        }
-        requests.push_back({users, truths[i], {}});
-      }
-      const std::vector<cellular::LocationService::LocateOutcome> outcomes =
-          harness.service.locate_many(requests, harness.rng);
-      std::string body = "[";
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (i > 0) body += ", ";
-        cellular::append_outcome_json(body, true, requests[i].users.size(),
-                                      &outcomes[i]);
-      }
-      body += "]\n";
-      response.body = std::move(body);
-      return response;
-    });
-    server.start();
+    // The E15 world as a SimConfig.
+    cellular::SimConfig world;
+    world.grid_rows = 12;
+    world.grid_cols = 12;
+    world.la_tile_rows = 3;
+    world.la_tile_cols = 3;
+    world.stay_probability = 0.9;
+    world.num_users = 96;
+    world.call_rate = 1.0;  // every writer step serves one call
+    world.group_min = 3;
+    world.group_max = 3;
+    world.profile_kind = cellular::ProfileKind::kStationary;
+    world.seed = 1313;  // d = 3 paging rounds is the default
+    cellular::ServingNode node(
+        world, {.trace_every = kSampleEvery, .trace_capacity = 4096},
+        support::SteadyClockSource::shared());
+    node.start();
+    (void)node.restore_or_warm_up();
     std::atomic<bool> stop{false};
     std::thread writer([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lock(sim_mutex);
-        harness.locate_once();
+        node.step();
+        // std::mutex is not fair: without a yield the writer re-takes
+        // the node's sim mutex before a woken POST handler runs.
+        std::this_thread::yield();
       }
     });
     const std::size_t scrapes = smoke ? 50 : 200;
@@ -234,7 +198,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < scrapes; ++i) {
       const auto start = bench::Clock::now();
       const support::HttpClientResponse response =
-          support::http_get("127.0.0.1", server.port(), "/metrics");
+          support::http_get("127.0.0.1", node.port(), "/metrics");
       if (response.status == 200) {
         latencies_ms.push_back(bench::seconds_since(start) * 1000.0);
       }
@@ -259,7 +223,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < posts_per_size; ++i) {
         const auto start = bench::Clock::now();
         const support::HttpClientResponse response = support::http_request(
-            "127.0.0.1", server.port(), "POST", "/locate", body);
+            "127.0.0.1", node.port(), "POST", "/locate", body);
         const double elapsed_ms = bench::seconds_since(start) * 1000.0;
         bool round_trip_ok = response.status == 200;
         if (round_trip_ok) {
@@ -292,7 +256,7 @@ int main(int argc, char** argv) {
     }
     stop.store(true);
     writer.join();
-    server.stop();
+    node.drain();
     std::sort(latencies_ms.begin(), latencies_ms.end());
     if (!latencies_ms.empty()) {
       p50_ms = latencies_ms[latencies_ms.size() / 2];

@@ -46,6 +46,7 @@
 
 #include "cellular/service.h"
 #include "cellular/service_fleet.h"
+#include "cellular/simulator.h"
 #include "cellular/topology.h"
 #include "prob/rng.h"
 #include "support/metrics.h"
@@ -84,15 +85,10 @@ struct World {
                               cellular::Neighborhood::kVonNeumann};
   cellular::LocationAreas areas = cellular::LocationAreas::tiles(grid, 3, 3);
   cellular::MarkovMobility mobility{grid, 0.9};
-  std::vector<cellular::CellId> initial_cells;
-
-  World() {
+  std::vector<cellular::CellId> initial_cells = [this] {
     prob::Rng rng(1313);
-    initial_cells.resize(kNumUsers);
-    for (auto& cell : initial_cells) {
-      cell = static_cast<cellular::CellId>(rng.next_below(grid.num_cells()));
-    }
-  }
+    return cellular::scatter_users(grid, kNumUsers, rng);
+  }();
 
   static cellular::LocationService::Config service_config() {
     cellular::LocationService::Config config;
@@ -188,35 +184,30 @@ ArmResult run_arm(const World& world, std::size_t num_shards,
   std::optional<support::SamplingTracer> tracer;
   if (tracer_every > 0) tracer.emplace(tracer_every, 256, clock);
 
-  support::AdmissionOptions admission_options;
-  admission_options.bucket_capacity = 48.0;
-  admission_options.refill_per_sec = 80.0;  // 0.8 tokens per 10 ms step
-  support::AdmissionController admission(admission_options, clock);
-  admission.bind_metrics(registry);
-
+  cellular::OverloadConfig overload;
+  overload.enabled = true;
+  overload.admission.bucket_capacity = 48.0;
+  overload.admission.refill_per_sec = 80.0;  // 0.8 tokens per 10 ms step
+  overload.round_duration_ns = kRoundNs;
+  overload.step_duration_ns = kStepNs;
+  overload.slo.enabled = controller;
+  overload.slo.target_p99_ns = static_cast<std::uint64_t>(kSloTargetMs * 1e6);
+  overload.slo.control_period_ns = kControlPeriodNs;
+  // Quiet-phase traffic is ~0.7 calls per period; without this floor the
+  // anti-windup hold would blind the controller between bursts.
+  overload.slo.min_interval_calls = 2;
+  // Actuator ceiling below the quiet-hour token demand (~21/s at 3
+  // tokens per call) plus slack: AIMD converges to the ceiling while
+  // under SLO instead of refilling back into the healthy band.
+  overload.slo.max_refill_per_sec = 24.0;
+  // The fleet registers its rounds series before the SLO controller
+  // takes its baseline snapshot.
   cellular::LocationService::Config service_cfg = World::service_config();
   service_cfg.tracer = tracer ? &*tracer : nullptr;
   cellular::ServiceFleet fleet =
       world.make_fleet(num_shards, &registry, std::move(service_cfg));
-
-  std::unique_ptr<support::SloController> slo;
-  if (controller) {
-    support::SloOptions options;
-    options.enabled = true;
-    options.target_p99_ns =
-        static_cast<std::uint64_t>(kSloTargetMs * 1e6);
-    options.control_period_ns = kControlPeriodNs;
-    // Quiet-phase traffic is ~0.7 calls per period; without this floor
-    // the anti-windup hold would blind the controller between bursts.
-    options.min_interval_calls = 2;
-    // Actuator ceiling below the quiet-hour token demand (~21/s at 3
-    // tokens per call) plus slack: AIMD converges to the ceiling while
-    // under SLO instead of refilling back into the healthy band.
-    options.max_refill_per_sec = 24.0;
-    slo = std::make_unique<support::SloController>(
-        options, registry, admission, clock, kRoundNs);
-    slo->bind_metrics(registry);
-  }
+  cellular::OverloadStack stack(overload, clock, &registry);
+  support::SloController* slo = stack.slo();
 
   const std::size_t total_steps = kWarmupSteps + measured_steps;
   std::size_t max_calls = 0;
@@ -241,16 +232,12 @@ ArmResult run_arm(const World& world, std::size_t num_shards,
       cellular::ServiceFleet::Request request = stream[next_call++];
       ++arm.offered;
       const support::AdmissionController::Decision decision =
-          admission.admit(static_cast<double>(request.users.size()));
+          stack.admit(request.users.size(), request.context);
       if (decision == support::AdmissionController::Decision::kShed) {
         ++arm.shed;
         continue;
       }
-      if (decision ==
-          support::AdmissionController::Decision::kAdmitDegraded) {
-        request.context.plan_cheap = true;
-        ++arm.degraded;
-      }
+      if (request.context.plan_cheap) ++arm.degraded;
       ++arm.admitted;
       batch.push_back(std::move(request));
     }
@@ -280,7 +267,7 @@ ArmResult run_arm(const World& world, std::size_t num_shards,
     arm.final_degrade = slo->degrade_threshold();
   }
   arm.conservation_ok = arm.offered == arm.admitted + arm.shed &&
-                        admission.shed() == arm.shed;
+                        stack.admission()->shed() == arm.shed;
   const std::optional<support::MetricSnapshot> lifetime_rounds =
       registry.snapshot().sum_by("confcall_locate_rounds");
   if (lifetime_rounds) {

@@ -92,4 +92,13 @@ std::vector<CellId> MarkovMobility::generate_trace(CellId start,
   return trace;
 }
 
+std::vector<CellId> scatter_users(const GridTopology& grid, std::size_t count,
+                                  prob::Rng& rng) {
+  std::vector<CellId> cells(count);
+  for (CellId& cell : cells) {
+    cell = static_cast<CellId>(rng.next_below(grid.num_cells()));
+  }
+  return cells;
+}
+
 }  // namespace confcall::cellular

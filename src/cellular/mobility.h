@@ -54,4 +54,12 @@ class MarkovMobility {
   double stay_;
 };
 
+/// `count` users placed uniformly at random on `grid`, one
+/// rng.next_below draw per user in order: the starting cells every
+/// simulated world (simulator, serving node, fleet benches) scatters
+/// its users over.
+[[nodiscard]] std::vector<CellId> scatter_users(const GridTopology& grid,
+                                                std::size_t count,
+                                                prob::Rng& rng);
+
 }  // namespace confcall::cellular

@@ -35,6 +35,62 @@ void OverloadConfig::validate() const {
   if (slo.enabled) slo.validate();
 }
 
+OverloadStack::OverloadStack(const OverloadConfig& config,
+                             const support::ClockSource& clock,
+                             support::MetricRegistry* registry)
+    : config_(config), clock_(&clock) {
+  config_.validate();
+  if (!config_.enabled) return;
+  if (config_.resilient_planner) {
+    std::vector<std::unique_ptr<core::Planner>> chain;
+    chain.push_back(std::make_unique<core::TypedExactPlanner>(
+        core::Objective::all_of(), config_.planner_node_limit));
+    chain.push_back(std::make_unique<core::GreedyPlanner>());
+    chain.push_back(std::make_unique<core::BlanketPlanner>());
+    resilient_ = std::make_unique<core::ResilientPlanner>(
+        std::move(chain), core::ResilientPlanner::Budget{0.0}, clock,
+        config_.breaker, registry);
+  }
+  admission_ =
+      std::make_unique<support::AdmissionController>(config_.admission, clock);
+  if (registry != nullptr) admission_->bind_metrics(*registry);
+  if (!config_.slo.enabled) return;
+  if (registry == nullptr) {
+    throw std::invalid_argument(
+        "OverloadStack: SLO control needs a metric registry");
+  }
+  slo_ = std::make_unique<support::SloController>(
+      config_.slo, *registry, *admission_, clock, config_.round_duration_ns);
+  if (resilient_) {
+    for (std::size_t i = 0; i + 1 < resilient_->num_tiers(); ++i) {
+      slo_->add_breaker(&resilient_->mutable_breaker(i));
+    }
+  }
+  slo_->bind_metrics(*registry);
+}
+
+void OverloadStack::configure(LocationService::Config& service) const {
+  if (!admission_) return;
+  if (resilient_) service.planner = resilient_.get();
+  service.clock = clock_;
+  service.round_duration_ns = config_.round_duration_ns;
+}
+
+support::AdmissionController::Decision OverloadStack::admit(
+    std::size_t participants, LocationService::LocateContext& context) {
+  using Decision = support::AdmissionController::Decision;
+  if (!admission_) return Decision::kAdmit;
+  const Decision decision =
+      admission_->admit(static_cast<double>(participants));
+  if (decision == Decision::kShed) return decision;
+  if (decision == Decision::kAdmitDegraded) context.plan_cheap = true;
+  if (config_.call_deadline_ns != 0) {
+    context.deadline = support::Deadline::after(config_.call_deadline_ns,
+                                                *clock_);
+  }
+  return decision;
+}
+
 void SimConfig::validate() const {
   if (grid_rows == 0 || grid_cols == 0) {
     throw std::invalid_argument("SimConfig: grid must be at least 1x1");
@@ -164,12 +220,7 @@ SimReport run_simulation(const SimConfig& config) {
   prob::Rng rng(config.seed);
 
   // Scatter users uniformly; the service registers everyone on attach.
-  std::vector<CellId> user_cells;
-  user_cells.reserve(config.num_users);
-  for (std::size_t u = 0; u < config.num_users; ++u) {
-    user_cells.push_back(
-        static_cast<CellId>(rng.next_below(grid.num_cells())));
-  }
+  std::vector<CellId> user_cells = scatter_users(grid, config.num_users, rng);
 
   // The virtual clock: everything time-driven (token refill, deadlines,
   // breaker cooldowns) reads it, so the run is deterministic regardless
@@ -177,48 +228,16 @@ SimReport run_simulation(const SimConfig& config) {
   support::ManualClock clock;
   const OverloadConfig& overload = config.overload;
   // The per-run registry (collect_metrics, or the SLO controller's
-  // sensor). Declared before the planner and service so the handles
-  // they hold never outlive it.
-  const bool slo_enabled = overload.enabled && overload.slo.enabled;
+  // sensor). Declared before the stack and service so the handles they
+  // hold never outlive it.
   std::unique_ptr<support::MetricRegistry> registry;
-  if (config.collect_metrics || slo_enabled) {
+  if (config.collect_metrics || (overload.enabled && overload.slo.enabled)) {
     registry = std::make_unique<support::MetricRegistry>();
   }
-  std::unique_ptr<core::ResilientPlanner> resilient;
-  std::optional<support::AdmissionController> admission;
   LocationService::Config service_cfg = config.service_config();
   if (registry) service_cfg.metrics = ServiceMetrics::create(*registry);
-  if (overload.enabled) {
-    if (overload.resilient_planner) {
-      std::vector<std::unique_ptr<core::Planner>> chain;
-      chain.push_back(std::make_unique<core::TypedExactPlanner>(
-          core::Objective::all_of(), overload.planner_node_limit));
-      chain.push_back(std::make_unique<core::GreedyPlanner>());
-      chain.push_back(std::make_unique<core::BlanketPlanner>());
-      resilient = std::make_unique<core::ResilientPlanner>(
-          std::move(chain), core::ResilientPlanner::Budget{0.0}, clock,
-          overload.breaker, registry.get());
-      service_cfg.planner = resilient.get();
-    }
-    service_cfg.clock = &clock;
-    service_cfg.round_duration_ns = overload.round_duration_ns;
-    admission.emplace(overload.admission, clock);
-    if (registry) admission->bind_metrics(*registry);
-  }
-  // The feedback controller closes the loop AFTER every sensor series
-  // is registered, so its baseline snapshot already covers them.
-  std::unique_ptr<support::SloController> slo;
-  if (slo_enabled) {
-    slo = std::make_unique<support::SloController>(
-        overload.slo, *registry, *admission, clock,
-        overload.round_duration_ns);
-    if (resilient) {
-      for (std::size_t i = 0; i + 1 < resilient->num_tiers(); ++i) {
-        slo->add_breaker(&resilient->mutable_breaker(i));
-      }
-    }
-    slo->bind_metrics(*registry);
-  }
+  OverloadStack stack(overload, clock, registry.get());
+  stack.configure(service_cfg);
 
   LocationService service(grid, areas, mobility, service_cfg, user_cells);
   // The fault stream is separate from the simulation stream, so a plan
@@ -254,7 +273,7 @@ SimReport run_simulation(const SimConfig& config) {
     service.tick();
     // Control steps land on the virtual clock's period grid, so the
     // loop is as deterministic as the rest of the run.
-    if (slo) slo->maybe_step();
+    if (stack.slo()) stack.slo()->maybe_step();
   };
 
   // One traffic step: draw an arrival, run it through admission and the
@@ -269,22 +288,12 @@ SimReport run_simulation(const SimConfig& config) {
     if (record) ++report.calls_arrived;
 
     LocationService::LocateContext context;
-    if (admission) {
-      const support::AdmissionController::Decision decision = admission->admit(
-          static_cast<double>(event.participants.size()));
-      if (decision == support::AdmissionController::Decision::kShed) {
-        if (record) ++report.calls_shed;
-        return;
-      }
-      if (decision == support::AdmissionController::Decision::kAdmitDegraded) {
-        context.plan_cheap = true;
-        if (record) ++report.calls_degraded_admit;
-      }
-      if (overload.call_deadline_ns != 0) {
-        context.deadline =
-            support::Deadline::after(overload.call_deadline_ns, clock);
-      }
+    if (stack.admit(event.participants.size(), context) ==
+        support::AdmissionController::Decision::kShed) {
+      if (record) ++report.calls_shed;
+      return;
     }
+    if (record && context.plan_cheap) ++report.calls_degraded_admit;
 
     std::vector<CellId> true_cells;
     true_cells.reserve(event.participants.size());
@@ -332,7 +341,7 @@ SimReport run_simulation(const SimConfig& config) {
     place_call(/*record=*/true);
   }
   report.steps = config.warmup_steps + config.steps;
-  if (resilient) {
+  if (const core::ResilientPlanner* resilient = stack.resilient()) {
     report.breaker_trips =
         static_cast<std::size_t>(resilient->breaker_trips());
     report.breaker_skips =
@@ -340,11 +349,11 @@ SimReport run_simulation(const SimConfig& config) {
     report.planner_failovers = static_cast<std::size_t>(
         resilient->failovers());
   }
-  if (admission) {
+  if (const support::AdmissionController* admission = stack.admission()) {
     report.health_transitions =
         static_cast<std::size_t>(admission->health_transitions());
   }
-  if (slo) {
+  if (const support::SloController* slo = stack.slo()) {
     report.slo_control_steps =
         static_cast<std::size_t>(slo->control_steps());
     report.slo_breaches = static_cast<std::size_t>(slo->breaches());

@@ -11,11 +11,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cellular/events.h"
 #include "cellular/faults.h"
 #include "cellular/service.h"
+#include "core/resilient_planner.h"
 #include "prob/stats.h"
 #include "support/metrics.h"
 #include "support/overload.h"
@@ -60,6 +62,53 @@ struct OverloadConfig {
 
   /// Throws std::invalid_argument with a specific message per rejection.
   void validate() const;
+};
+
+/// The overload-protection stack an OverloadConfig describes, built once
+/// for every caller (run_simulation, ServingNode, the soak harness, E21):
+/// with `enabled`, an AdmissionController and — with resilient_planner —
+/// the breaker-guarded chain (typed-exact capped at planner_node_limit ->
+/// greedy -> blanket); with slo.enabled as well, an SloController over
+/// the admission throttle with every non-final tier breaker attached.
+/// Disabled, it holds nothing and admits every call.
+class OverloadStack {
+ public:
+  /// `clock` and `registry` (when given) must outlive the stack. With a
+  /// registry, the chain and the admission controller export their
+  /// metric families and the SLO controller senses and mirrors into it;
+  /// slo.enabled needs one. Build the stack after the series the SLO
+  /// sensor reads are registered, so its baseline snapshot covers them.
+  /// Throws std::invalid_argument on an invalid config.
+  OverloadStack(const OverloadConfig& config, const support::ClockSource& clock,
+                support::MetricRegistry* registry);
+
+  /// Points a service config at the chain (when built) and, when
+  /// admission is on, at the clock and round duration that call
+  /// deadlines are read against.
+  void configure(LocationService::Config& service) const;
+
+  /// Decides one arriving call of `participants` callees (one token per
+  /// callee). A degraded admit plans cheap, and an admitted call carries
+  /// the configured call deadline. Without admission control: kAdmit.
+  support::AdmissionController::Decision admit(
+      std::size_t participants, LocationService::LocateContext& context);
+
+  [[nodiscard]] core::ResilientPlanner* resilient() const noexcept {
+    return resilient_.get();
+  }
+  [[nodiscard]] support::AdmissionController* admission() const noexcept {
+    return admission_.get();
+  }
+  [[nodiscard]] support::SloController* slo() const noexcept {
+    return slo_.get();
+  }
+
+ private:
+  OverloadConfig config_;
+  const support::ClockSource* clock_;
+  std::unique_ptr<core::ResilientPlanner> resilient_;
+  std::unique_ptr<support::AdmissionController> admission_;
+  std::unique_ptr<support::SloController> slo_;
 };
 
 /// Simulation parameters. Defaults give a moderate system that runs in

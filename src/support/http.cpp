@@ -215,6 +215,38 @@ bool read_request(int fd, const HttpServerOptions& options,
   }
 }
 
+// Lingering close after a rejected request. The peer may still be
+// sending (a slow-loris drip, a header flood, a pipelined request), and
+// closing a socket with unread input makes the kernel answer with an RST
+// instead of a FIN, which can discard the error response before the
+// client reads it. So: half-close (the response ends with a FIN), then
+// drain the peer's input until it closes too, or for at most kLingerNs /
+// kLingerBytes, whichever comes first.
+constexpr std::uint64_t kLingerNs = 100'000'000;  // 100 ms
+constexpr std::size_t kLingerBytes = 1 << 18;     // 256 KiB
+
+void linger_close(int fd) {
+  (void)::shutdown(fd, SHUT_WR);
+  const Deadline deadline =
+      Deadline::after(kLingerNs, SteadyClockSource::shared());
+  char sink[4096];
+  std::size_t drained = 0;
+  while (drained < kLingerBytes) {
+    const std::uint64_t remaining =
+        deadline.remaining_ns(SteadyClockSource::shared());
+    if (remaining == 0) break;
+    arm_recv_timeout(fd, remaining);
+    const ssize_t n = ::recv(fd, sink, sizeof(sink), 0);
+    if (n > 0) {
+      drained += static_cast<std::size_t>(n);
+    } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK &&
+                          errno != EINTR)) {
+      break;  // the peer closed (or reset): nothing left to protect
+    }
+  }
+  ::close(fd);
+}
+
 }  // namespace
 
 std::string HttpRequest::header(const std::string& name) const {
@@ -407,7 +439,7 @@ void HttpServer::serve_connection(int fd) {
   if (!read_request(fd, options_, &request, &error)) {
     count_rejection(error.status);
     if (!send_response(fd, error)) send_failed_metric_.inc();
-    ::close(fd);
+    linger_close(fd);
     return;
   }
   HttpResponse response;

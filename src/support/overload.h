@@ -25,6 +25,7 @@
 // locked and safe to share across threads.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -52,7 +53,9 @@ class SteadyClockSource final : public ClockSource {
 
 /// A hand-advanced clock for tests and the discrete-time simulator
 /// (where one paging round or simulation step costs a fixed number of
-/// virtual nanoseconds). Never goes backwards: advance() only.
+/// virtual nanoseconds). Never goes backwards: advance() only. One
+/// thread may advance it while others read it (a test driving a serving
+/// node whose HTTP workers admit calls against the same clock).
 class ManualClock final : public ClockSource {
  public:
   explicit ManualClock(std::uint64_t start_ns = 0) noexcept
@@ -61,7 +64,7 @@ class ManualClock final : public ClockSource {
   void advance(std::uint64_t delta_ns) noexcept { now_ns_ += delta_ns; }
 
  private:
-  std::uint64_t now_ns_;
+  std::atomic<std::uint64_t> now_ns_;
 };
 
 /// An absolute expiry on a ClockSource's timeline. Value type: propagate

@@ -29,8 +29,8 @@
 #include "cellular/faults.h"
 #include "cellular/mobility.h"
 #include "cellular/service.h"
+#include "cellular/simulator.h"
 #include "cellular/topology.h"
-#include "core/planner.h"
 #include "core/resilient_planner.h"
 #include "prob/rng.h"
 #include "support/metrics.h"
@@ -87,60 +87,44 @@ SoakCounters run_soak(std::uint64_t seed, std::size_t events, bool check,
   prob::Rng rng(seed);
 
   constexpr std::size_t kUsers = 48;
-  std::vector<CellId> cells;
-  cells.reserve(kUsers);
-  for (std::size_t u = 0; u < kUsers; ++u) {
-    cells.push_back(static_cast<CellId>(rng.next_below(grid.num_cells())));
-  }
+  std::vector<CellId> cells = scatter_users(grid, kUsers, rng);
 
   support::ManualClock clock;
 
-  support::CircuitBreakerOptions breaker_options;
-  breaker_options.window = 8;
-  breaker_options.min_samples = 4;
-  breaker_options.failure_threshold = 0.5;
-  breaker_options.cooldown_ns = 5 * kStepNs;
+  OverloadConfig overload;
+  overload.enabled = true;
+  overload.admission.bucket_capacity = 48.0;
+  overload.admission.refill_per_sec = 80.0;
+  overload.call_deadline_ns = kDeadlineNs;
+  overload.round_duration_ns = kRoundNs;
+  overload.step_duration_ns = kStepNs;
+  overload.resilient_planner = true;
+  overload.planner_node_limit = 50'000;
+  overload.breaker.window = 8;
+  overload.breaker.min_samples = 4;
+  overload.breaker.failure_threshold = 0.5;
+  overload.breaker.cooldown_ns = 5 * kStepNs;
+  overload.slo.enabled = with_slo;
+  overload.slo.target_p99_ns = 5 * kRoundNs;
+  overload.slo.control_period_ns = 50 * kStepNs;  // 500 ms virtual
+  const support::AdmissionOptions& admission_options = overload.admission;
+  const support::SloOptions& slo_options = overload.slo;
 
-  std::vector<std::unique_ptr<core::Planner>> chain;
-  chain.push_back(std::make_unique<core::TypedExactPlanner>(
-      core::Objective::all_of(), /*node_limit=*/50'000));
-  chain.push_back(std::make_unique<core::GreedyPlanner>());
-  chain.push_back(std::make_unique<core::BlanketPlanner>());
+  // The registry only exists for the closed loop: the SLO sensor reads
+  // the service's rounds series, so they register before the stack.
   support::MetricRegistry registry;
-  core::ResilientPlanner planner(std::move(chain),
-                                 core::ResilientPlanner::Budget{0.0},
-                                 clock, breaker_options,
-                                 with_slo ? &registry : nullptr);
-
-  support::AdmissionOptions admission_options;
-  admission_options.bucket_capacity = 48.0;
-  admission_options.refill_per_sec = 80.0;
-  support::AdmissionController admission(admission_options, clock);
-
   LocationService::Config config;
   config.max_paging_rounds = 3;
   config.retry.max_retries = 4;
   config.retry.backoff_base = 1;
   config.retry.backoff_cap = 8;
-  config.planner = &planner;
-  config.clock = &clock;
-  config.round_duration_ns = kRoundNs;
   if (with_slo) config.metrics = ServiceMetrics::create(registry);
+  OverloadStack stack(overload, clock, with_slo ? &registry : nullptr);
+  stack.configure(config);
   LocationService service(grid, areas, mobility, config, cells);
-
-  support::SloOptions slo_options;
-  slo_options.target_p99_ns = 5 * kRoundNs;
-  slo_options.control_period_ns = 50 * kStepNs;  // 500 ms virtual
-  std::unique_ptr<support::SloController> slo;
-  if (with_slo) {
-    admission.bind_metrics(registry);
-    slo = std::make_unique<support::SloController>(
-        slo_options, registry, admission, clock, kRoundNs);
-    for (std::size_t i = 0; i + 1 < planner.num_tiers(); ++i) {
-      slo->add_breaker(&planner.mutable_breaker(i));
-    }
-    slo->bind_metrics(registry);
-  }
+  const core::ResilientPlanner& planner = *stack.resilient();
+  support::AdmissionController& admission = *stack.admission();
+  support::SloController* slo = stack.slo();
 
   FaultConfig fault_config;
   fault_config.cell_outage_rate = 0.02;
@@ -183,16 +167,12 @@ SoakCounters run_soak(std::uint64_t seed, std::size_t events, bool check,
     const CallEvent call = generator.maybe_call(rng);
     if (!call.participants.empty()) {
       ++counters.arrived;
-      const auto decision =
-          admission.admit(static_cast<double>(call.participants.size()));
+      LocationService::LocateContext context;
+      const auto decision = stack.admit(call.participants.size(), context);
       if (decision == support::AdmissionController::Decision::kShed) {
         ++counters.shed;
       } else {
-        LocationService::LocateContext context;
-        context.plan_cheap =
-            decision == support::AdmissionController::Decision::kAdmitDegraded;
         if (context.plan_cheap) ++counters.degraded_admits;
-        context.deadline = support::Deadline::after(kDeadlineNs, clock);
         const std::size_t round_cap = kDeadlineNs / kRoundNs;
 
         std::vector<CellId> truth;

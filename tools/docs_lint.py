@@ -19,7 +19,8 @@ Five checks, all offline (CI must not depend on the network):
    direction: every emitted metric must be catalogued.)
 4. Endpoint-table drift, both directions. Every route registered with
    server.handle("METHOD", "/path") in src/support/http.cpp or
-   tools/confcall_serve.cpp must have a row in docs/OBSERVABILITY.md's
+   src/cellular/serving_node.cpp (the daemon's routes; its member is
+   server_) must have a row in docs/OBSERVABILITY.md's
    Endpoints table, and every `METHOD /path` row in that table must be
    registered by one of those files — the endpoint catalogue may
    neither lag the server nor promise routes that 404.
@@ -130,11 +131,11 @@ def lint_metric_catalogue(root):
 
 # A registered route: method + literal path in one handle() call.
 ROUTE_HANDLE_RE = re.compile(
-    r'server\.handle\("(GET|POST)",\s*"(/[A-Za-z0-9_]+)"')
+    r'server_?\.handle\("(GET|POST)",\s*"(/[A-Za-z0-9_]+)"')
 # A documented route: a backticked `METHOD /path` inside a table row.
 DOC_ROUTE_RE = re.compile(r"`(GET|POST) (/[A-Za-z0-9_]+)`")
 ROUTE_SOURCES = (os.path.join("src", "support", "http.cpp"),
-                 os.path.join("tools", "confcall_serve.cpp"))
+                 os.path.join("src", "cellular", "serving_node.cpp"))
 
 
 def lint_endpoints(root):
