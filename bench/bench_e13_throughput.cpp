@@ -39,6 +39,7 @@
 #include "support/table.h"
 #include "support/thread_pool.h"
 
+#include "fixture.h"
 #include "harness.h"
 
 namespace {
@@ -50,61 +51,6 @@ double percentile(std::vector<double> sorted_ascending, double p) {
   const auto rank = static_cast<std::size_t>(
       p * static_cast<double>(sorted_ascending.size() - 1));
   return sorted_ascending[rank];
-}
-
-bool stats_identical(const prob::RunningStats& a,
-                     const prob::RunningStats& b) {
-  return a.count() == b.count() && a.mean() == b.mean() &&
-         a.variance() == b.variance() && a.min() == b.min() &&
-         a.max() == b.max();
-}
-
-/// Bitwise equality of everything a SimReport carries except the plan
-/// cache counters themselves (those legitimately differ cache-on vs off).
-bool reports_identical(const cellular::SimReport& a,
-                       const cellular::SimReport& b) {
-  return a.steps == b.steps && a.calls_served == b.calls_served &&
-         a.reports_sent == b.reports_sent &&
-         a.cells_paged_total == b.cells_paged_total &&
-         a.fallback_pages == b.fallback_pages &&
-         a.missed_detections == b.missed_detections &&
-         a.reports_lost == b.reports_lost &&
-         a.outage_pages == b.outage_pages &&
-         a.dropped_rounds == b.dropped_rounds &&
-         a.retries_total == b.retries_total &&
-         a.backoff_rounds == b.backoff_rounds &&
-         a.calls_degraded == b.calls_degraded &&
-         a.calls_abandoned == b.calls_abandoned &&
-         a.forced_registrations == b.forced_registrations &&
-         a.budget_exhaustions == b.budget_exhaustions &&
-         stats_identical(a.pages_per_call, b.pages_per_call) &&
-         stats_identical(a.rounds_per_call, b.rounds_per_call);
-}
-
-/// Steady-profile workload: stationary profiles never change, users never
-/// move after attach, so every area's planning inputs repeat call after
-/// call — the regime the plan cache is built for.
-cellular::SimConfig steady_config(bool smoke) {
-  cellular::SimConfig config;
-  config.grid_rows = 12;
-  config.grid_cols = 12;
-  config.la_tile_rows = 3;
-  config.la_tile_cols = 3;
-  config.num_users = 96;
-  // Lazy (not frozen: the chain must be ergodic) mobility; the stationary
-  // profile is constant regardless, which is what keeps signatures stable.
-  config.stay_probability = 0.9;
-  config.call_rate = 0.9;
-  config.group_min = 2;
-  config.group_max = 4;
-  config.max_paging_rounds = 3;
-  config.profile_kind = cellular::ProfileKind::kStationary;
-  // Long enough that the one-time cold misses (one per area x group-size
-  // signature) amortize below the 10% floor even in the smoke run.
-  config.steps = smoke ? 1500 : 6000;
-  config.warmup_steps = 50;
-  config.seed = 13;
-  return config;
 }
 
 cellular::SimConfig batch_config(bool smoke) {
@@ -137,19 +83,21 @@ int main(int argc, char** argv) {
   std::cout << "hardware threads: " << hw << ", wide pool: " << wide << "\n";
 
   // ---- 1. Plan cache: same workload, cache on vs off.
-  cellular::SimConfig cached_config = steady_config(smoke);
-  cached_config.enable_plan_cache = true;
+  // Long enough that the one-time cold misses (one per area x
+  // group-size signature) amortize below the 10% floor even in smoke.
+  cellular::SimConfig config = bench::steady_sim_config();
+  config.steps = smoke ? 1500 : 6000;
+  config.warmup_steps = 50;
   auto start = bench::Clock::now();
-  const cellular::SimReport cached = run_simulation(cached_config);
+  const cellular::SimReport cached = run_simulation(config);
   const double sim_cached_sec = bench::seconds_since(start);
 
-  cellular::SimConfig uncached_config = steady_config(smoke);
-  uncached_config.enable_plan_cache = false;
+  config.enable_plan_cache = false;
   start = bench::Clock::now();
-  const cellular::SimReport uncached = run_simulation(uncached_config);
+  const cellular::SimReport uncached = run_simulation(config);
   const double sim_uncached_sec = bench::seconds_since(start);
 
-  const bool cache_transparent = reports_identical(cached, uncached);
+  const bool cache_transparent = bench::same_report(cached, uncached);
   const double hit_rate = cached.plan_cache_hit_rate();
   const double cache_speedup =
       sim_cached_sec > 0.0 ? sim_uncached_sec / sim_cached_sec : 0.0;
@@ -161,21 +109,10 @@ int main(int argc, char** argv) {
   // latency); the cached side shows the amortized hot path.
   const auto locate_latencies = [&](bool enable_cache, double* total_sec,
                                     std::size_t* calls) {
-    const cellular::GridTopology grid(12, 12, true,
-                                      cellular::Neighborhood::kVonNeumann);
-    const cellular::LocationAreas areas =
-        cellular::LocationAreas::tiles(grid, 3, 3);
-    const cellular::MarkovMobility mobility(grid, 0.9);
-    cellular::LocationService::Config config;
-    config.profile_kind = cellular::ProfileKind::kStationary;
-    config.max_paging_rounds = 3;
+    bench::World world;
+    cellular::LocationService::Config config = bench::World::service_config();
     config.enable_plan_cache = enable_cache;
-    prob::Rng rng(1313);
-    std::vector<cellular::CellId> cells(96);
-    for (auto& cell : cells) {
-      cell = static_cast<cellular::CellId>(rng.next_below(grid.num_cells()));
-    }
-    cellular::LocationService service(grid, areas, mobility, config, cells);
+    cellular::LocationService service = world.make_service(config);
     const std::size_t n = smoke ? 2000 : 20000;
     std::vector<double> latencies_us;
     latencies_us.reserve(n);
@@ -183,14 +120,9 @@ int main(int argc, char** argv) {
     for (std::size_t t = 0; t < n; ++t) {
       cellular::UserId users[3];
       cellular::CellId truth[3];
-      for (std::size_t i = 0; i < 3; ++i) {
-        // Distinct users: offset draws within disjoint thirds.
-        users[i] = static_cast<cellular::UserId>(
-            i * 32 + rng.next_below(32));
-        truth[i] = cells[users[i]];
-      }
+      world.draw_call(world.rng, users, truth);
       const auto call_start = bench::Clock::now();
-      (void)service.locate(users, truth, rng);
+      (void)service.locate(users, truth, world.rng);
       latencies_us.push_back(bench::seconds_since(call_start) * 1e6);
     }
     *total_sec = bench::seconds_since(loop_start);
@@ -270,7 +202,7 @@ int main(int argc, char** argv) {
         first = false;
       } else {
         result.bit_identical &=
-            reports_identical(batch.aggregate, reference.aggregate) &&
+            bench::same_report(batch.aggregate, reference.aggregate) &&
             batch.aggregate.plan_cache_hits ==
                 reference.aggregate.plan_cache_hits &&
             batch.aggregate.plan_cache_misses ==

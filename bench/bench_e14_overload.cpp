@@ -11,8 +11,8 @@
 // shed rate, degraded-admit rate and breaker telemetry per cell.
 //
 // Three invariants gate the exit code on every grid cell:
-//   * determinism — the pinned seed reproduces bit-identical overload
-//     counters across repeat runs AND across batch thread counts;
+//   * determinism — the pinned seed reproduces identical SimReports
+//     across repeat runs AND across batch thread counts;
 //   * conservation — every arrival is exactly one of completed /
 //     abandoned / shed;
 //   * deadline — no admitted call ever used more rounds than its
@@ -30,6 +30,7 @@
 #include "cellular/workload.h"
 #include "support/table.h"
 
+#include "fixture.h"
 #include "harness.h"
 
 namespace {
@@ -57,26 +58,6 @@ struct CellResult {
   bool deadline_ok = false;
   bool deterministic = false;
 };
-
-/// The overload fingerprint of a batch: everything the determinism gate
-/// compares across repeat runs and thread counts.
-bool overload_identical(const cellular::SimReport& a,
-                        const cellular::SimReport& b) {
-  return a.calls_arrived == b.calls_arrived &&
-         a.calls_served == b.calls_served &&
-         a.calls_completed == b.calls_completed &&
-         a.calls_shed == b.calls_shed &&
-         a.calls_degraded_admit == b.calls_degraded_admit &&
-         a.calls_deadline_limited == b.calls_deadline_limited &&
-         a.calls_abandoned == b.calls_abandoned &&
-         a.breaker_trips == b.breaker_trips &&
-         a.breaker_skips == b.breaker_skips &&
-         a.planner_failovers == b.planner_failovers &&
-         a.health_transitions == b.health_transitions &&
-         a.bursts_entered == b.bursts_entered &&
-         a.cells_paged_total == b.cells_paged_total &&
-         a.rounds_histogram == b.rounds_histogram;
-}
 
 cellular::SimConfig grid_cell_config(bool smoke, double burst_multiplier,
                                      double outage_rate) {
@@ -159,9 +140,9 @@ int main(int argc, char** argv) {
           cell.deadline_ok &= run.rounds_histogram[r] == 0;
         }
       }
-      cell.deterministic = overload_identical(agg, repeat.aggregate) &&
-                           overload_identical(agg, narrow.aggregate) &&
-                           overload_identical(agg, pair.aggregate);
+      cell.deterministic = bench::same_report(agg, repeat.aggregate) &&
+                           bench::same_report(agg, narrow.aggregate) &&
+                           bench::same_report(agg, pair.aggregate);
       cells.push_back(cell);
     }
   }

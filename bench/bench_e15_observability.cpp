@@ -6,7 +6,7 @@
 // measures and gates both claims, and emits BENCH_E15.json so the
 // overhead trajectory is recorded run over run:
 //
-//   * locate() throughput on the E13 steady-profile workload, three
+//   * locate() throughput on the bench/fixture.h workload, three
 //     ways: uninstrumented, with every ServiceMetrics handle bound to a
 //     live registry, and with metrics + a span Tracer attached. The
 //     sides are interleaved (round-robin, best-of-N per side) so a
@@ -33,11 +33,11 @@
 
 #include "cellular/simulator.h"
 #include "cellular/workload.h"
-#include "prob/rng.h"
 #include "support/metrics.h"
 #include "support/table.h"
 #include "support/trace.h"
 
+#include "fixture.h"
 #include "harness.h"
 
 namespace {
@@ -47,49 +47,31 @@ using namespace confcall;
 /// Which observability hooks a timing side binds.
 enum class Side { kOff, kMetrics, kMetricsAndTrace };
 
-/// One timed pass of the E13 steady-profile locate workload with the
+/// One timed pass of the bench/fixture.h locate workload with the
 /// given instrumentation bound. Returns locates per second. Every side
 /// runs the identical call sequence (same seed, same users), so the only
 /// difference is the instrumentation itself.
 double run_side(Side side, bool smoke, std::size_t* calls_out) {
-  const cellular::GridTopology grid(12, 12, true,
-                                    cellular::Neighborhood::kVonNeumann);
-  const cellular::LocationAreas areas =
-      cellular::LocationAreas::tiles(grid, 3, 3);
-  const cellular::MarkovMobility mobility(grid, 0.9);
-
   support::MetricRegistry registry;
   support::Tracer tracer(/*capacity=*/4096);
 
-  cellular::LocationService::Config config;
-  config.profile_kind = cellular::ProfileKind::kStationary;
-  config.max_paging_rounds = 3;
-  config.enable_plan_cache = true;
+  bench::World world;
+  cellular::LocationService::Config config = bench::World::service_config();
   if (side != Side::kOff) {
     config.metrics = cellular::ServiceMetrics::create(registry);
   }
   if (side == Side::kMetricsAndTrace) {
     config.tracer = &tracer;
   }
-
-  prob::Rng rng(1313);
-  std::vector<cellular::CellId> cells(96);
-  for (auto& cell : cells) {
-    cell = static_cast<cellular::CellId>(rng.next_below(grid.num_cells()));
-  }
-  cellular::LocationService service(grid, areas, mobility, config, cells);
+  cellular::LocationService service = world.make_service(config);
 
   const std::size_t n = smoke ? 2000 : 20000;
   const auto loop_start = bench::Clock::now();
   for (std::size_t t = 0; t < n; ++t) {
     cellular::UserId users[3];
     cellular::CellId truth[3];
-    for (std::size_t i = 0; i < 3; ++i) {
-      users[i] =
-          static_cast<cellular::UserId>(i * 32 + rng.next_below(32));
-      truth[i] = cells[users[i]];
-    }
-    (void)service.locate(users, truth, rng);
+    world.draw_call(world.rng, users, truth);
+    (void)service.locate(users, truth, world.rng);
   }
   const double elapsed = bench::seconds_since(loop_start);
   *calls_out = n;

@@ -5,7 +5,7 @@
 // acceptable if serving stays fast and the scrape tells the truth. This
 // harness measures and gates three claims, and emits BENCH_E16.json:
 //
-//   * Sampled-tracing overhead: locate() throughput on the E15 workload
+//   * Sampled-tracing overhead: locate() throughput on the fixture.h workload
 //     with metrics bound, untraced vs traced through a SamplingTracer at
 //     1 in 64 (the serving daemon's default). Sides are interleaved,
 //     best-of-N each, like E15. Gate: sampling costs <= 100 ns/call
@@ -40,17 +40,14 @@
 #include <thread>
 #include <vector>
 
-#include "cellular/service.h"
 #include "cellular/serving_node.h"
-#include "cellular/simulator.h"
-#include "cellular/topology.h"
-#include "prob/rng.h"
 #include "support/http.h"
 #include "support/json.h"
 #include "support/metrics.h"
 #include "support/table.h"
 #include "support/trace.h"
 
+#include "fixture.h"
 #include "harness.h"
 
 namespace {
@@ -59,28 +56,18 @@ using namespace confcall;
 
 constexpr std::size_t kSampleEvery = 64;  // the serving daemon's default
 
-/// A ready-to-locate service over the E15 grid with metrics bound and an
-/// optional tracer attached, plus the state the locate loop needs.
-struct Harness {
-  cellular::GridTopology grid{12, 12, true,
-                              cellular::Neighborhood::kVonNeumann};
-  cellular::LocationAreas areas = cellular::LocationAreas::tiles(grid, 3, 3);
-  cellular::MarkovMobility mobility{grid, 0.9};
-  prob::Rng rng{1313};
-  std::vector<cellular::CellId> cells;
+/// A ready-to-locate service over the bench/fixture.h world with
+/// metrics bound and an optional tracer attached.
+struct Locator {
+  bench::World world;
   cellular::LocationService service;
 
-  Harness(support::MetricRegistry& registry, support::Tracer* tracer)
-      : cells(cellular::scatter_users(grid, 96, rng)),
-        service(grid, areas, mobility, make_config(registry, tracer),
-                cells) {}
+  Locator(support::MetricRegistry& registry, support::Tracer* tracer)
+      : service(world.make_service(make_config(registry, tracer))) {}
 
   static cellular::LocationService::Config make_config(
       support::MetricRegistry& registry, support::Tracer* tracer) {
-    cellular::LocationService::Config config;
-    config.profile_kind = cellular::ProfileKind::kStationary;
-    config.max_paging_rounds = 3;
-    config.enable_plan_cache = true;
+    cellular::LocationService::Config config = bench::World::service_config();
     config.metrics = cellular::ServiceMetrics::create(registry);
     config.tracer = tracer;
     return config;
@@ -89,11 +76,8 @@ struct Harness {
   void locate_once() {
     cellular::UserId users[3];
     cellular::CellId truth[3];
-    for (std::size_t i = 0; i < 3; ++i) {
-      users[i] = static_cast<cellular::UserId>(i * 32 + rng.next_below(32));
-      truth[i] = cells[users[i]];
-    }
-    (void)service.locate(users, truth, rng);
+    world.draw_call(world.rng, users, truth);
+    (void)service.locate(users, truth, world.rng);
   }
 };
 
@@ -102,11 +86,11 @@ struct Harness {
 double run_side(bool traced, bool smoke, std::size_t* calls_out) {
   support::MetricRegistry registry;
   support::SamplingTracer tracer(kSampleEvery, /*capacity=*/4096);
-  Harness harness(registry, traced ? &tracer : nullptr);
+  Locator locator(registry, traced ? &tracer : nullptr);
 
   const std::size_t n = smoke ? 2000 : 20000;
   const auto loop_start = bench::Clock::now();
-  for (std::size_t t = 0; t < n; ++t) harness.locate_once();
+  for (std::size_t t = 0; t < n; ++t) locator.locate_once();
   const double elapsed = bench::seconds_since(loop_start);
   *calls_out = n;
   return elapsed > 0.0 ? static_cast<double>(n) / elapsed : 0.0;
@@ -141,9 +125,9 @@ int main(int argc, char** argv) {
   {
     support::MetricRegistry registry;
     support::SamplingTracer tracer(kSampleEvery, 4096);
-    Harness harness(registry, &tracer);
+    Locator locator(registry, &tracer);
     for (std::size_t t = 0; t < (smoke ? 500 : 5000); ++t) {
-      harness.locate_once();
+      locator.locate_once();
     }
     support::HttpServer server;  // ephemeral port, defaults
     support::install_observability_routes(server, &registry, &tracer);
@@ -165,19 +149,12 @@ int main(int argc, char** argv) {
   bool batch_ok = true;
   double batch_p99_ms[3] = {0.0, 0.0, 0.0};
   {
-    // The E15 world as a SimConfig.
-    cellular::SimConfig world;
-    world.grid_rows = 12;
-    world.grid_cols = 12;
-    world.la_tile_rows = 3;
-    world.la_tile_cols = 3;
-    world.stay_probability = 0.9;
-    world.num_users = 96;
-    world.call_rate = 1.0;  // every writer step serves one call
+    // The fixture's world as a SimConfig, one 3-callee call per step.
+    cellular::SimConfig world = bench::steady_sim_config();
+    world.call_rate = 1.0;
     world.group_min = 3;
     world.group_max = 3;
-    world.profile_kind = cellular::ProfileKind::kStationary;
-    world.seed = 1313;  // d = 3 paging rounds is the default
+    world.seed = 1313;
     cellular::ServingNode node(
         world, {.trace_every = kSampleEvery, .trace_capacity = 4096},
         support::SteadyClockSource::shared());

@@ -34,8 +34,9 @@
 //   * SLO        — controller-arm admitted p99 <= target at EVERY burst
 //                  level, and the static arm breaches at >= 1 level;
 //   * conservation — arrived == completed + abandoned + shed, per arm;
-//   * determinism  — bit-identical overload + SLO counters on a repeat
-//                  run and across batch thread counts 1 / 2 / 8.
+//   * determinism  — identical SimReports (overload and SLO counters
+//                  included) on a repeat run and across batch thread
+//                  counts 1 / 2 / 8.
 //
 // Flags (shared bench set, bench/harness.h): --smoke, --threads N
 // (0 = hardware), --out FILE (default BENCH_E17.json).
@@ -49,6 +50,7 @@
 #include "cellular/workload.h"
 #include "support/table.h"
 
+#include "fixture.h"
 #include "harness.h"
 
 namespace {
@@ -80,24 +82,6 @@ struct CellResult {
   ArmResult baseline;
   ArmResult slo;
 };
-
-/// The fingerprint the determinism gate compares across repeat runs and
-/// thread counts: E14's overload counters plus the controller's own
-/// telemetry, so a thread-dependent control trajectory cannot hide.
-bool overload_identical(const cellular::SimReport& a,
-                        const cellular::SimReport& b) {
-  return a.calls_arrived == b.calls_arrived &&
-         a.calls_served == b.calls_served &&
-         a.calls_completed == b.calls_completed &&
-         a.calls_shed == b.calls_shed &&
-         a.calls_degraded_admit == b.calls_degraded_admit &&
-         a.calls_abandoned == b.calls_abandoned &&
-         a.cells_paged_total == b.cells_paged_total &&
-         a.slo_control_steps == b.slo_control_steps &&
-         a.slo_breaches == b.slo_breaches &&
-         a.slo_pre_breach_signals == b.slo_pre_breach_signals &&
-         a.rounds_histogram == b.rounds_histogram;
-}
 
 cellular::SimConfig arm_config(bool smoke, double burst_multiplier,
                                bool controller) {
@@ -173,10 +157,10 @@ ArmResult run_arm(const cellular::SimConfig& config, bool controller,
       agg.calls_arrived ==
           agg.calls_completed + agg.calls_abandoned + agg.calls_shed &&
       agg.calls_served == agg.calls_completed + agg.calls_abandoned;
-  arm.deterministic = overload_identical(agg, repeat.aggregate) &&
-                      overload_identical(agg, narrow.aggregate) &&
-                      overload_identical(agg, pair.aggregate) &&
-                      overload_identical(agg, wide.aggregate);
+  arm.deterministic = bench::same_report(agg, repeat.aggregate) &&
+                      bench::same_report(agg, narrow.aggregate) &&
+                      bench::same_report(agg, pair.aggregate) &&
+                      bench::same_report(agg, wide.aggregate);
   return arm;
 }
 

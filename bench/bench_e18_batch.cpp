@@ -36,9 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "cellular/service.h"
-#include "cellular/simulator.h"
-#include "cellular/topology.h"
 #include "core/evaluator.h"
 #include "core/greedy.h"
 #include "core/instance.h"
@@ -47,6 +44,7 @@
 #include "support/metrics.h"
 #include "support/table.h"
 
+#include "fixture.h"
 #include "harness.h"
 
 namespace {
@@ -123,74 +121,15 @@ bool check_evaluator_bit_identity(std::size_t* cases_out) {
   return identical;
 }
 
-// ---- 2/3. Locate harness on the E13 workload shape. -------------------
+// ---- 2/3. Locates on the bench/fixture.h world. ----------------------
 
-struct Harness {
-  cellular::GridTopology grid{12, 12, true,
-                              cellular::Neighborhood::kVonNeumann};
-  cellular::LocationAreas areas = cellular::LocationAreas::tiles(grid, 3, 3);
-  cellular::MarkovMobility mobility{grid, 0.9};
-  prob::Rng rng{1313};
-  std::vector<cellular::CellId> cells;
-  cellular::LocationService service;
-
-  Harness(support::MetricRegistry& registry, bool plan_cache)
-      : cells(make_cells(rng, grid)),
-        service(grid, areas, mobility, make_config(registry, plan_cache),
-                cells) {}
-
-  static std::vector<cellular::CellId> make_cells(
-      prob::Rng& rng, const cellular::GridTopology& grid) {
-    std::vector<cellular::CellId> cells(96);
-    for (auto& cell : cells) {
-      cell = static_cast<cellular::CellId>(rng.next_below(grid.num_cells()));
-    }
-    return cells;
-  }
-
-  static cellular::LocationService::Config make_config(
-      support::MetricRegistry& registry, bool plan_cache) {
-    cellular::LocationService::Config config;
-    config.profile_kind = cellular::ProfileKind::kStationary;
-    config.max_paging_rounds = 3;
-    config.enable_plan_cache = plan_cache;
-    config.metrics = cellular::ServiceMetrics::create(registry);
-    return config;
-  }
-};
-
-/// A pre-generated 3-user call (stable storage for LocateRequest spans).
-struct CallFixture {
-  std::array<cellular::UserId, 3> users;
-  std::array<cellular::CellId, 3> truth;
-};
-
-std::vector<CallFixture> make_calls(const Harness& harness, std::size_t n,
-                                    std::uint64_t seed) {
-  prob::Rng rng(seed);
-  std::vector<CallFixture> calls(n);
-  for (CallFixture& call : calls) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      call.users[i] =
-          static_cast<cellular::UserId>(i * 32 + rng.next_below(32));
-      call.truth[i] = harness.cells[call.users[i]];
-    }
-  }
-  return calls;
-}
-
-bool outcomes_identical(const cellular::LocationService::LocateOutcome& a,
-                        const cellular::LocationService::LocateOutcome& b) {
-  return a.cells_paged == b.cells_paged && a.rounds_used == b.rounds_used &&
-         a.fallback_pages == b.fallback_pages &&
-         a.missed_detections == b.missed_detections &&
-         a.outage_pages == b.outage_pages &&
-         a.dropped_rounds == b.dropped_rounds && a.retries == b.retries &&
-         a.backoff_rounds == b.backoff_rounds &&
-         a.forced_registrations == b.forced_registrations &&
-         a.budget_exhausted == b.budget_exhausted &&
-         a.degraded == b.degraded && a.abandoned == b.abandoned &&
-         a.deadline_limited == b.deadline_limited;
+cellular::LocationService make_service(const bench::World& world,
+                                       support::MetricRegistry& registry,
+                                       bool plan_cache) {
+  cellular::LocationService::Config config = bench::World::service_config();
+  config.enable_plan_cache = plan_cache;
+  config.metrics = cellular::ServiceMetrics::create(registry);
+  return world.make_service(config);
 }
 
 /// Same request stream through N single locate() calls on one service
@@ -199,63 +138,51 @@ bool outcomes_identical(const cellular::LocationService::LocateOutcome& a,
 bool check_batch_transparency(bool plan_cache, std::size_t n_calls,
                               std::size_t batch) {
   support::MetricRegistry registry_single, registry_batched;
-  Harness single(registry_single, plan_cache);
-  Harness batched(registry_batched, plan_cache);
-  const std::vector<CallFixture> calls = make_calls(single, n_calls, 77);
+  bench::World single_world, batched_world;
+  cellular::LocationService single =
+      make_service(single_world, registry_single, plan_cache);
+  cellular::LocationService batched =
+      make_service(batched_world, registry_batched, plan_cache);
+  bench::CallBatch calls(n_calls);
+  prob::Rng call_rng(77);
+  calls.draw(single_world, call_rng);
 
   std::vector<cellular::LocationService::LocateOutcome> single_outcomes;
   single_outcomes.reserve(n_calls);
-  for (const CallFixture& call : calls) {
+  for (std::size_t i = 0; i < n_calls; ++i) {
     single_outcomes.push_back(
-        single.service.locate(call.users, call.truth, single.rng));
+        single.locate(calls.users[i], calls.truth[i], single_world.rng));
   }
 
   std::vector<cellular::LocationService::LocateOutcome> batched_outcomes;
   batched_outcomes.reserve(n_calls);
-  std::vector<cellular::LocationService::LocateRequest> requests;
+  const std::span<const cellular::LocationService::LocateRequest> requests =
+      calls.requests;
   for (std::size_t begin = 0; begin < n_calls; begin += batch) {
-    const std::size_t end = std::min(begin + batch, n_calls);
-    requests.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      requests.push_back({calls[i].users, calls[i].truth, {}});
-    }
     const std::vector<cellular::LocationService::LocateOutcome> chunk =
-        batched.service.locate_many(requests, batched.rng);
+        batched.locate_many(
+            requests.subspan(begin, std::min(batch, n_calls - begin)),
+            batched_world.rng);
     batched_outcomes.insert(batched_outcomes.end(), chunk.begin(),
                             chunk.end());
   }
-
-  if (single_outcomes.size() != batched_outcomes.size()) return false;
-  for (std::size_t i = 0; i < single_outcomes.size(); ++i) {
-    if (!outcomes_identical(single_outcomes[i], batched_outcomes[i])) {
-      return false;
-    }
-  }
-  return true;
+  return single_outcomes == batched_outcomes;
 }
 
 /// Locates/sec through locate_many at a fixed batch size. The request
-/// stream is regenerated per batch from the harness rng (same per-call
-/// work as E13's single-call loop: two rng draws + fixture writes).
+/// stream is redrawn per batch from the world rng (same per-call work
+/// as E13's single-call loop: three rng draws + call writes).
 double run_batched(std::size_t n_calls, std::size_t batch) {
   support::MetricRegistry registry;
-  Harness harness(registry, /*plan_cache=*/true);
-  std::vector<CallFixture> fixtures(batch);
-  std::vector<cellular::LocationService::LocateRequest> requests(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    requests[b] = {fixtures[b].users, fixtures[b].truth, {}};
-  }
+  bench::World world;
+  cellular::LocationService service =
+      make_service(world, registry, /*plan_cache=*/true);
+  bench::CallBatch calls(batch);
   std::size_t done = 0;
   const auto start = bench::Clock::now();
   while (done < n_calls) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t i = 0; i < 3; ++i) {
-        fixtures[b].users[i] = static_cast<cellular::UserId>(
-            i * 32 + harness.rng.next_below(32));
-        fixtures[b].truth[i] = harness.cells[fixtures[b].users[i]];
-      }
-    }
-    (void)harness.service.locate_many(requests, harness.rng);
+    calls.draw(world, world.rng);
+    (void)service.locate_many(calls.requests, world.rng);
     done += batch;
   }
   const double elapsed = bench::seconds_since(start);
@@ -265,16 +192,15 @@ double run_batched(std::size_t n_calls, std::size_t batch) {
 /// Single-call reference loop (the E13 shape).
 double run_single(std::size_t n_calls) {
   support::MetricRegistry registry;
-  Harness harness(registry, /*plan_cache=*/true);
-  CallFixture fixture;
+  bench::World world;
+  cellular::LocationService service =
+      make_service(world, registry, /*plan_cache=*/true);
+  cellular::UserId users[3];
+  cellular::CellId truth[3];
   const auto start = bench::Clock::now();
   for (std::size_t t = 0; t < n_calls; ++t) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      fixture.users[i] = static_cast<cellular::UserId>(
-          i * 32 + harness.rng.next_below(32));
-      fixture.truth[i] = harness.cells[fixture.users[i]];
-    }
-    (void)harness.service.locate(fixture.users, fixture.truth, harness.rng);
+    world.draw_call(world.rng, users, truth);
+    (void)service.locate(users, truth, world.rng);
   }
   const double elapsed = bench::seconds_since(start);
   return elapsed > 0.0 ? static_cast<double>(n_calls) / elapsed : 0.0;
@@ -282,39 +208,10 @@ double run_single(std::size_t n_calls) {
 
 // ---- 4. Thread invariance of the batched simulation path. -------------
 
-bool sim_reports_identical(const cellular::SimReport& a,
-                           const cellular::SimReport& b) {
-  return a.steps == b.steps && a.calls_arrived == b.calls_arrived &&
-         a.calls_served == b.calls_served &&
-         a.calls_completed == b.calls_completed &&
-         a.calls_shed == b.calls_shed &&
-         a.reports_sent == b.reports_sent &&
-         a.cells_paged_total == b.cells_paged_total &&
-         a.fallback_pages == b.fallback_pages &&
-         a.retries_total == b.retries_total &&
-         a.calls_degraded == b.calls_degraded &&
-         a.calls_abandoned == b.calls_abandoned &&
-         a.forced_registrations == b.forced_registrations &&
-         bits_equal(a.pages_per_call.mean(), b.pages_per_call.mean()) &&
-         bits_equal(a.rounds_per_call.mean(), b.rounds_per_call.mean());
-}
-
 bool check_thread_invariance(bool smoke) {
-  cellular::SimConfig config;
-  config.grid_rows = 12;
-  config.grid_cols = 12;
-  config.la_tile_rows = 3;
-  config.la_tile_cols = 3;
-  config.num_users = 96;
-  config.stay_probability = 0.9;
-  config.call_rate = 0.9;
-  config.group_min = 2;
-  config.group_max = 4;
-  config.max_paging_rounds = 3;
-  config.profile_kind = cellular::ProfileKind::kStationary;
+  cellular::SimConfig config = bench::steady_sim_config();
   config.steps = smoke ? 300 : 1200;
   config.warmup_steps = 50;
-  config.seed = 13;
   const std::size_t replications = smoke ? 3 : 6;
   const cellular::SimBatchReport at1 =
       cellular::run_simulation_batch(config, replications, 1);
@@ -322,8 +219,8 @@ bool check_thread_invariance(bool smoke) {
       cellular::run_simulation_batch(config, replications, 2);
   const cellular::SimBatchReport at8 =
       cellular::run_simulation_batch(config, replications, 8);
-  return sim_reports_identical(at1.aggregate, at2.aggregate) &&
-         sim_reports_identical(at1.aggregate, at8.aggregate);
+  return bench::same_report(at1.aggregate, at2.aggregate) &&
+         bench::same_report(at1.aggregate, at8.aggregate);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 //     to reach the knee; a warm start restores the converged actuators
 //     from a checkpoint and must re-attain the SLO within <= 2 control
 //     periods (the ISSUE gate), strictly faster than cold.
-//   * Checkpointing is cheap: the E18 batched locate loop with a
+//   * Checkpointing is cheap: E18's batched locate loop with a
 //     checkpoint written on a 100 ms wall-clock grid (the daemon's
 //     --checkpoint-every-ms model) must keep >= 95% of the
 //     checkpoint-free throughput (checkpoint_throughput_ratio).
@@ -33,7 +33,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -43,8 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "cellular/service.h"
-#include "cellular/topology.h"
 #include "prob/rng.h"
 #include "support/metrics.h"
 #include "support/overload.h"
@@ -53,6 +50,7 @@
 #include "support/table.h"
 #include "support/thread_pool.h"
 
+#include "fixture.h"
 #include "harness.h"
 
 namespace {
@@ -127,45 +125,15 @@ struct Stand {
   support::SloController slo;
 };
 
-// ---- 2/3. Checkpoint overhead + byte-identity on the E18 harness. -----
+// ---- 2/3. Checkpoint overhead + byte-identity on the fixture world. ---
 
-struct Harness {
-  cellular::GridTopology grid{12, 12, true,
-                              cellular::Neighborhood::kVonNeumann};
-  cellular::LocationAreas areas = cellular::LocationAreas::tiles(grid, 3, 3);
-  cellular::MarkovMobility mobility{grid, 0.9};
-  prob::Rng rng{1313};
-  std::vector<cellular::CellId> cells;
-  cellular::LocationService service;
-
-  explicit Harness(support::MetricRegistry& registry)
-      : cells(make_cells(rng, grid)),
-        service(grid, areas, mobility, make_config(registry), cells) {}
-
-  static std::vector<cellular::CellId> make_cells(
-      prob::Rng& rng, const cellular::GridTopology& grid) {
-    std::vector<cellular::CellId> cells(96);
-    for (auto& cell : cells) {
-      cell = static_cast<cellular::CellId>(rng.next_below(grid.num_cells()));
-    }
-    return cells;
-  }
-
-  static cellular::LocationService::Config make_config(
-      support::MetricRegistry& registry) {
-    cellular::LocationService::Config config;
-    config.profile_kind = cellular::ProfileKind::kStationary;
-    config.max_paging_rounds = 3;
-    config.enable_plan_cache = true;
-    config.metrics = cellular::ServiceMetrics::create(registry);
-    return config;
-  }
-};
-
-struct CallFixture {
-  std::array<cellular::UserId, 3> users;
-  std::array<cellular::CellId, 3> truth;
-};
+/// The E18 service: the bench/fixture.h world with metrics bound.
+cellular::LocationService make_service(const bench::World& world,
+                                       support::MetricRegistry& registry) {
+  cellular::LocationService::Config config = bench::World::service_config();
+  config.metrics = cellular::ServiceMetrics::create(registry);
+  return world.make_service(config);
+}
 
 /// Locates/sec through locate_many at batch size 8 (the E18 throughput
 /// shape). When `checkpoint_path` is non-empty, a full service
@@ -177,12 +145,9 @@ double run_locate_loop(std::size_t n_calls, const std::string& checkpoint_path,
                        std::size_t* bytes_out) {
   constexpr std::size_t kBatch = 8;
   support::MetricRegistry registry;
-  Harness harness(registry);
-  std::vector<CallFixture> fixtures(kBatch);
-  std::vector<cellular::LocationService::LocateRequest> requests(kBatch);
-  for (std::size_t b = 0; b < kBatch; ++b) {
-    requests[b] = {fixtures[b].users, fixtures[b].truth, {}};
-  }
+  bench::World world;
+  cellular::LocationService service = make_service(world, registry);
+  bench::CallBatch calls(kBatch);
   std::size_t done = 0;
   std::size_t checkpoints = 0;
   std::size_t bytes = 0;
@@ -192,14 +157,8 @@ double run_locate_loop(std::size_t n_calls, const std::string& checkpoint_path,
   auto next_checkpoint = start + period;  // daemon grid: one period in
   std::size_t batches = 0;
   while (done < n_calls) {
-    for (std::size_t b = 0; b < kBatch; ++b) {
-      for (std::size_t i = 0; i < 3; ++i) {
-        fixtures[b].users[i] = static_cast<cellular::UserId>(
-            i * 32 + harness.rng.next_below(32));
-        fixtures[b].truth[i] = harness.cells[fixtures[b].users[i]];
-      }
-    }
-    (void)harness.service.locate_many(requests, harness.rng);
+    calls.draw(world, world.rng);
+    (void)service.locate_many(calls.requests, world.rng);
     done += kBatch;
     // Poll the grid every 16 batches: a clock read per batch is loop
     // overhead the daemon (which checkpoints per serve step) never pays.
@@ -209,7 +168,7 @@ double run_locate_loop(std::size_t n_calls, const std::string& checkpoint_path,
       support::StateBundle bundle;
       bundle.add(cellular::LocationService::kStateSection,
                  cellular::LocationService::kStateVersion,
-                 harness.service.save_state());
+                 service.save_state());
       bytes = support::save_state_file(checkpoint_path, bundle);
       ++checkpoints;
     }
@@ -220,25 +179,17 @@ double run_locate_loop(std::size_t n_calls, const std::string& checkpoint_path,
   return static_cast<double>(done) / elapsed;
 }
 
-/// Drives a fresh harness through a fixed deterministic request stream
+/// Drives a fresh service through a fixed deterministic request stream
 /// so its post-drive state is reproducible run over run.
-void deterministic_drive(Harness& harness, std::size_t n_calls) {
+void deterministic_drive(bench::World& world,
+                         cellular::LocationService& service,
+                         std::size_t n_calls) {
   constexpr std::size_t kBatch = 8;
-  prob::Rng fixture_rng(4242);
-  std::vector<CallFixture> fixtures(kBatch);
-  std::vector<cellular::LocationService::LocateRequest> requests(kBatch);
-  for (std::size_t b = 0; b < kBatch; ++b) {
-    requests[b] = {fixtures[b].users, fixtures[b].truth, {}};
-  }
+  prob::Rng call_rng(4242);
+  bench::CallBatch calls(kBatch);
   for (std::size_t done = 0; done < n_calls; done += kBatch) {
-    for (std::size_t b = 0; b < kBatch; ++b) {
-      for (std::size_t i = 0; i < 3; ++i) {
-        fixtures[b].users[i] = static_cast<cellular::UserId>(
-            i * 32 + fixture_rng.next_below(32));
-        fixtures[b].truth[i] = harness.cells[fixtures[b].users[i]];
-      }
-    }
-    (void)harness.service.locate_many(requests, harness.rng);
+    calls.draw(world, call_rng);
+    (void)service.locate_many(calls.requests, world.rng);
   }
 }
 
@@ -254,8 +205,9 @@ bool check_thread_byte_identity(std::size_t drive_calls,
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     support::MetricRegistry registry;
-    Harness harness(registry);
-    deterministic_drive(harness, drive_calls);
+    bench::World world;
+    cellular::LocationService service = make_service(world, registry);
+    deterministic_drive(world, service, drive_calls);
     std::vector<std::string> blobs(threads);
     std::mutex sim_mutex;
     support::ThreadPool pool(threads);
@@ -264,7 +216,7 @@ bool check_thread_byte_identity(std::size_t drive_calls,
       support::StateBundle bundle;
       bundle.add(cellular::LocationService::kStateSection,
                  cellular::LocationService::kStateVersion,
-                 harness.service.save_state());
+                 service.save_state());
       const std::string path =
           path_prefix + "." + std::to_string(threads) + "." +
           std::to_string(task) + ".bin";

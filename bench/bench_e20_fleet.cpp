@@ -43,88 +43,22 @@
 #include <string>
 #include <vector>
 
-#include "cellular/service.h"
-#include "cellular/service_fleet.h"
-#include "cellular/topology.h"
-#include "prob/rng.h"
 #include "support/metrics.h"
 #include "support/state_io.h"
 #include "support/table.h"
 
+#include "fixture.h"
 #include "harness.h"
 
 namespace {
 
 using namespace confcall;
 
-constexpr std::size_t kNumAreas = 8;  // fixed: only the lane count varies
-constexpr std::size_t kNumUsers = 96;
-
-/// The world every fleet in this bench serves: one topology, one
-/// mobility law, one initial-cell draw — so runs differ only in the
-/// shard count under test.
-struct World {
-  cellular::GridTopology grid{12, 12, true,
-                              cellular::Neighborhood::kVonNeumann};
-  cellular::LocationAreas areas = cellular::LocationAreas::tiles(grid, 3, 3);
-  cellular::MarkovMobility mobility{grid, 0.9};
-  std::vector<cellular::CellId> initial_cells;
-
-  World() {
-    prob::Rng rng(1313);
-    initial_cells.resize(kNumUsers);
-    for (auto& cell : initial_cells) {
-      cell = static_cast<cellular::CellId>(rng.next_below(grid.num_cells()));
-    }
-  }
-
-  static cellular::LocationService::Config service_config() {
-    cellular::LocationService::Config config;
-    // Stationary profiles: every area's planning inputs are identical,
-    // which is exactly the workload the fleet's plan table exists for
-    // (one Fig. 1 plan per resident signature per FLEET).
-    config.profile_kind = cellular::ProfileKind::kStationary;
-    config.max_paging_rounds = 3;
-    config.enable_plan_cache = true;
-    return config;
-  }
-
-  [[nodiscard]] cellular::ServiceFleet make_fleet(
-      std::size_t num_shards, support::MetricRegistry* registry) const {
-    cellular::FleetConfig config;
-    config.num_shards = num_shards;
-    config.num_areas = kNumAreas;
-    config.seed = 1313;
-    config.registry = registry;
-    config.pin_threads = false;  // shared CI runners: placement off
-    return cellular::ServiceFleet(grid, areas, mobility, service_config(),
-                                  initial_cells, config);
-  }
-};
-
-/// The fixed request stream: `n` three-user calls round-robined over
-/// the areas, participants drawn from a dedicated fixture rng. The
-/// stream is a pure function of `n` — every shard count serves the
-/// exact same calls in the exact same order.
-std::vector<cellular::ServiceFleet::Request> make_stream(std::size_t n) {
-  prob::Rng fixture_rng(4242);
-  std::vector<cellular::ServiceFleet::Request> stream(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    stream[i].area = i % kNumAreas;
-    stream[i].users.reserve(3);
-    for (std::size_t k = 0; k < 3; ++k) {
-      stream[i].users.push_back(static_cast<cellular::UserId>(
-          k * 32 + fixture_rng.next_below(32)));
-    }
-  }
-  return stream;
-}
-
 /// Locates/sec serving `stream` in dispatches of `batch` through a
 /// fresh fleet at `num_shards`. `p99_out`, when given, receives each
 /// shard's task-latency p99 (ns) from the per-shard histograms, and
 /// `hits_out` the shared-table hit count.
-double run_throughput(const World& world, std::size_t num_shards,
+double run_throughput(const bench::World& world, std::size_t num_shards,
                       std::span<const cellular::ServiceFleet::Request> stream,
                       std::vector<double>* p99_out, std::uint64_t* hits_out) {
   constexpr std::size_t kBatch = 64;
@@ -157,36 +91,16 @@ double run_throughput(const World& world, std::size_t num_shards,
   return static_cast<double>(done) / elapsed;
 }
 
-/// FNV-1a over every outcome field the endpoint reports: two runs with
-/// equal digests served every call identically.
-std::uint64_t outcome_digest(
-    const std::vector<cellular::LocationService::LocateOutcome>& outcomes) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ULL;
-  };
-  for (const auto& outcome : outcomes) {
-    mix(outcome.cells_paged);
-    mix(outcome.rounds_used);
-    mix(outcome.retries);
-    mix(outcome.abandoned ? 1 : 0);
-    mix(outcome.degraded ? 1 : 0);
-    mix(outcome.deadline_limited ? 1 : 0);
-  }
-  return hash;
-}
-
 /// Drives a fresh fleet through the identical mixed workload (steps
 /// interleaved with locate batches) and returns the outcome digest plus
 /// the checkpoint file bytes.
-void deterministic_drive(const World& world, std::size_t num_shards,
+void deterministic_drive(const bench::World& world, std::size_t num_shards,
                          std::size_t n_batches, const std::string& path,
                          std::uint64_t* digest_out, std::string* bytes_out) {
   constexpr std::size_t kBatch = 32;
   cellular::ServiceFleet fleet = world.make_fleet(num_shards, nullptr);
   const std::vector<cellular::ServiceFleet::Request> stream =
-      make_stream(n_batches * kBatch);
+      bench::fleet_stream(n_batches * kBatch);
   std::uint64_t digest = 0;
   for (std::size_t b = 0; b < n_batches; ++b) {
     fleet.step_all();
@@ -194,7 +108,7 @@ void deterministic_drive(const World& world, std::size_t num_shards,
         fleet.locate_many(
             std::span<const cellular::ServiceFleet::Request>(stream).subspan(
                 b * kBatch, kBatch));
-    digest ^= outcome_digest(outcomes) + b;  // order-sensitive fold
+    digest ^= bench::outcome_digest(outcomes) + b;  // order-sensitive fold
   }
   support::StateBundle bundle;
   fleet.add_state_sections(bundle);
@@ -216,14 +130,14 @@ int main(int argc, char** argv) {
   const std::string scratch =
       "bench_e20_scratch_" + std::to_string(::getpid()) + ".bin";
 
-  const World world;
+  const bench::World world;
   const std::size_t cores = bench.hardware_concurrency();
 
   // ---- 1/2. Throughput scaling + per-shard p99 (best-of-3 interleaved
   // passes; the widest side keeps the p99s and hits of its best pass).
   const std::size_t n_calls = smoke ? 20000 : 200000;
   const std::vector<cellular::ServiceFleet::Request> stream =
-      make_stream(n_calls);
+      bench::fleet_stream(n_calls);
   const std::vector<std::size_t> shard_counts{1, 2, 4, 8};
   std::vector<double> widest_p99;
   std::uint64_t shared_hits = 0;

@@ -44,26 +44,20 @@
 #include <string>
 #include <vector>
 
-#include "cellular/service.h"
-#include "cellular/service_fleet.h"
 #include "cellular/simulator.h"
-#include "cellular/topology.h"
-#include "prob/rng.h"
 #include "support/metrics.h"
 #include "support/overload.h"
 #include "support/slo_controller.h"
 #include "support/table.h"
 #include "support/trace.h"
 
+#include "fixture.h"
 #include "harness.h"
 
 namespace {
 
 using namespace confcall;
 
-constexpr std::size_t kNumAreas = 8;
-constexpr std::size_t kNumUsers = 96;
-constexpr std::size_t kUsersPerCall = 3;
 constexpr std::uint64_t kRoundNs = 1'000'000;       // 1 ms rounds
 constexpr std::uint64_t kStepNs = 10'000'000;       // 10 ms steps
 constexpr std::uint64_t kControlPeriodNs = 100'000'000;  // 100 ms
@@ -77,81 +71,11 @@ constexpr std::size_t kCycleSteps = 100;
 constexpr std::size_t kQuietSteps = 70;
 constexpr std::size_t kWarmupSteps = 400;
 
-/// The world every fleet serves (the E20 fixture): one topology, one
-/// mobility law, one initial-cell draw, stationary profiles so every
-/// area plans the same Fig. 1 strategy.
-struct World {
-  cellular::GridTopology grid{12, 12, true,
-                              cellular::Neighborhood::kVonNeumann};
-  cellular::LocationAreas areas = cellular::LocationAreas::tiles(grid, 3, 3);
-  cellular::MarkovMobility mobility{grid, 0.9};
-  std::vector<cellular::CellId> initial_cells = [this] {
-    prob::Rng rng(1313);
-    return cellular::scatter_users(grid, kNumUsers, rng);
-  }();
-
-  static cellular::LocationService::Config service_config() {
-    cellular::LocationService::Config config;
-    config.profile_kind = cellular::ProfileKind::kStationary;
-    config.max_paging_rounds = 3;
-    config.enable_plan_cache = true;
-    return config;
-  }
-
-  [[nodiscard]] cellular::ServiceFleet make_fleet(
-      std::size_t num_shards, support::MetricRegistry* registry,
-      cellular::LocationService::Config config) const {
-    cellular::FleetConfig fleet_config;
-    fleet_config.num_shards = num_shards;
-    fleet_config.num_areas = kNumAreas;
-    fleet_config.seed = 1313;
-    fleet_config.registry = registry;
-    fleet_config.pin_threads = false;  // shared CI runners
-    return cellular::ServiceFleet(grid, areas, mobility, std::move(config),
-                                  initial_cells, fleet_config);
-  }
-};
-
-/// The fixed call stream: `n` three-user calls round-robined over the
-/// areas, a pure function of `n` — every arm and every shard count
-/// consumes the exact same calls in the exact same order.
-std::vector<cellular::ServiceFleet::Request> make_stream(std::size_t n) {
-  prob::Rng fixture_rng(4242);
-  std::vector<cellular::ServiceFleet::Request> stream(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    stream[i].area = i % kNumAreas;
-    stream[i].users.reserve(kUsersPerCall);
-    for (std::size_t k = 0; k < kUsersPerCall; ++k) {
-      stream[i].users.push_back(static_cast<cellular::UserId>(
-          k * 32 + fixture_rng.next_below(32)));
-    }
-  }
-  return stream;
-}
-
 /// Calls offered at virtual step `t` of the quiet/burst cycle.
 std::size_t calls_at_step(std::size_t t, std::size_t burst_multiplier) {
   const std::size_t phase = t % kCycleSteps;
   if (phase < kQuietSteps) return phase % 10 == 0 ? 1 : 0;
   return burst_multiplier;
-}
-
-std::uint64_t outcome_digest(
-    const std::vector<cellular::LocationService::LocateOutcome>& outcomes) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ULL;
-  };
-  for (const auto& outcome : outcomes) {
-    mix(outcome.cells_paged);
-    mix(outcome.rounds_used);
-    mix(outcome.retries);
-    mix(outcome.abandoned ? 1 : 0);
-    mix(outcome.degraded ? 1 : 0);
-    mix(outcome.deadline_limited ? 1 : 0);
-  }
-  return hash;
 }
 
 struct ArmResult {
@@ -176,7 +100,7 @@ struct ArmResult {
 /// on a hand-advanced clock. `controller` attaches the SloController
 /// sensing the label-summed rounds family; `tracer_every > 0` attaches
 /// a SamplingTracer so the rounds histogram collects exemplars.
-ArmResult run_arm(const World& world, std::size_t num_shards,
+ArmResult run_arm(const bench::World& world, std::size_t num_shards,
                   std::size_t burst_multiplier, bool controller,
                   std::size_t measured_steps, std::size_t tracer_every) {
   support::ManualClock clock(1);
@@ -202,7 +126,8 @@ ArmResult run_arm(const World& world, std::size_t num_shards,
   overload.slo.max_refill_per_sec = 24.0;
   // The fleet registers its rounds series before the SLO controller
   // takes its baseline snapshot.
-  cellular::LocationService::Config service_cfg = World::service_config();
+  cellular::LocationService::Config service_cfg =
+      bench::World::service_config();
   service_cfg.tracer = tracer ? &*tracer : nullptr;
   cellular::ServiceFleet fleet =
       world.make_fleet(num_shards, &registry, std::move(service_cfg));
@@ -215,7 +140,7 @@ ArmResult run_arm(const World& world, std::size_t num_shards,
     max_calls += calls_at_step(t, burst_multiplier);
   }
   const std::vector<cellular::ServiceFleet::Request> stream =
-      make_stream(max_calls);
+      bench::fleet_stream(max_calls);
 
   ArmResult arm;
   arm.controller = controller;
@@ -244,7 +169,7 @@ ArmResult run_arm(const World& world, std::size_t num_shards,
     if (!batch.empty()) {
       const std::vector<cellular::LocationService::LocateOutcome> outcomes =
           fleet.locate_many(batch);
-      arm.digest ^= outcome_digest(outcomes) + t;  // order-sensitive fold
+      arm.digest ^= bench::outcome_digest(outcomes) + t;  // ordered fold
     }
     if (slo) (void)slo->maybe_step();
   }
@@ -288,7 +213,7 @@ ArmResult run_arm(const World& world, std::size_t num_shards,
 /// The SLO target sits far above any observable p99 so the actuators
 /// never move: both arms serve the identical call sequence.
 double run_aggregation_throughput(
-    const World& world,
+    const bench::World& world,
     std::span<const cellular::ServiceFleet::Request> stream, bool sense) {
   constexpr std::size_t kBatch = 64;
   constexpr std::uint64_t kProductionPeriodNs = 1'000'000'000;  // 1 s
@@ -296,8 +221,7 @@ double run_aggregation_throughput(
   support::MetricRegistry registry;
   support::AdmissionOptions admission_options;
   support::AdmissionController admission(admission_options, clock);
-  cellular::ServiceFleet fleet =
-      world.make_fleet(2, &registry, World::service_config());
+  cellular::ServiceFleet fleet = world.make_fleet(2, &registry);
   std::unique_ptr<support::SloController> slo;
   if (sense) {
     support::SloOptions options;
@@ -327,7 +251,7 @@ int main(int argc, char** argv) {
   const bool smoke = bench.smoke();
   std::cout << "target p99 " << kSloTargetMs << " ms\n";
 
-  const World world;
+  const bench::World world;
   const std::size_t measured_steps = smoke ? 600 : 2000;
 
   // ---- 1. Burst sweep at 2 shards: controlled p99 <= static p99 at
@@ -382,7 +306,7 @@ int main(int argc, char** argv) {
   // ---- 3. Sensing overhead: best-of-5 throughput with and without
   // the controller's per-period snapshot + delta + sum_by.
   const std::vector<cellular::ServiceFleet::Request> throughput_stream =
-      make_stream(smoke ? 20000 : 100000);
+      bench::fleet_stream(smoke ? 20000 : 100000);
   const std::vector<double> best = bench::best_of_interleaved(
       5, {[&] {
             return run_aggregation_throughput(world, throughput_stream, false);
@@ -404,10 +328,10 @@ int main(int argc, char** argv) {
     support::ManualClock clock(1);
     support::MetricRegistry registry;
     support::SamplingTracer tracer(1, 64, clock);  // sample every root
-    cellular::LocationService::Config cfg = World::service_config();
+    cellular::LocationService::Config cfg = bench::World::service_config();
     cfg.tracer = &tracer;
     cellular::ServiceFleet fleet = world.make_fleet(2, &registry, cfg);
-    (void)fleet.locate_many(make_stream(64));
+    (void)fleet.locate_many(bench::fleet_stream(64));
     const support::RegistrySnapshot snapshot = registry.snapshot();
     const std::string plain = support::to_prometheus(snapshot);
     support::PrometheusOptions with_exemplars;

@@ -318,6 +318,8 @@ class LocationService {
     /// delay budget was reduced below the configured d, or recovery was
     /// cut off so the admitted call never overruns its deadline.
     bool deadline_limited = false;
+
+    bool operator==(const LocateOutcome&) const = default;
   };
 
   /// Per-call overload context threaded into locate() by the admission

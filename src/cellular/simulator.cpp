@@ -302,8 +302,9 @@ SimReport run_simulation(const SimConfig& config) {
     }
     // Served through the batch API (a batch of one arrival per step):
     // locate_many is outcome-identical to locate() by contract, so the
-    // report is unchanged while every simulated call exercises the same
-    // entry point the batched HTTP path uses.
+    // report is unchanged while every simulated call exercises the batch
+    // entry point. The daemon does not: its POST /locate goes through
+    // ServiceFleet::locate_many, which calls locate() once per request.
     const LocationService::LocateRequest request{event.participants,
                                                  true_cells, context};
     const LocationService::LocateOutcome outcome =

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/json.h"
+
 namespace confcall::support {
 namespace {
 
@@ -97,29 +99,6 @@ std::string json_number(double v) {
   std::ostringstream os;
   os << std::setprecision(17) << v;
   return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream os;
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c));
-          out += os.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string prom_number(double v) {

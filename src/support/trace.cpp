@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/json.h"
+
 namespace confcall::support {
 namespace {
 
@@ -15,19 +17,6 @@ thread_local std::vector<std::uint64_t> t_span_stack;
 // instead of consulting the sampler — the root's verdict covers the
 // whole tree, so sampling can never tear a trace apart.
 thread_local std::size_t t_suppressed_depth = 0;
-
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += *s;
-    }
-  }
-  return out;
-}
 
 // Nanoseconds as a microsecond count with a fixed three-digit fraction
 // ("1234.567"): trace_event ts/dur are conventionally microseconds, and

@@ -189,21 +189,6 @@ std::vector<LocationService::LocateOutcome> drive(ServiceFleet& fleet,
   return all;
 }
 
-bool same_outcomes(const std::vector<LocationService::LocateOutcome>& a,
-                   const std::vector<LocationService::LocateOutcome>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].cells_paged != b[i].cells_paged ||
-        a[i].rounds_used != b[i].rounds_used ||
-        a[i].retries != b[i].retries || a[i].abandoned != b[i].abandoned ||
-        a[i].degraded != b[i].degraded ||
-        a[i].deadline_limited != b[i].deadline_limited) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string save_bytes(const ServiceFleet& fleet) {
   support::StateBundle bundle;
   fleet.add_state_sections(bundle);
@@ -223,7 +208,7 @@ TEST(Fleet, ResultsIdenticalAcrossShardCounts) {
     for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
       ServiceFleet fleet = world.make_fleet(shards, 6, 2, faults);
       const auto outcomes = drive(fleet, 6);
-      EXPECT_TRUE(same_outcomes(reference_outcomes, outcomes))
+      EXPECT_TRUE(reference_outcomes == outcomes)
           << "outcomes diverged at " << shards << " shards";
       EXPECT_EQ(save_bytes(fleet), reference_state)
           << "state diverged at " << shards << " shards";
@@ -365,7 +350,7 @@ TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
       reference_outcomes = outcomes;
       reference_state = save_bytes(fleet);
     } else {
-      EXPECT_TRUE(same_outcomes(reference_outcomes, outcomes))
+      EXPECT_TRUE(reference_outcomes == outcomes)
           << "outcomes diverged at " << shards << " shards";
       EXPECT_EQ(save_bytes(fleet), reference_state)
           << "state diverged at " << shards << " shards";
@@ -409,7 +394,7 @@ TEST(Fleet, SaveRestoreRoundTrip) {
   ASSERT_TRUE(restored.restore_state_sections(bundle));
   EXPECT_EQ(save_bytes(restored), save_bytes(original));
   // And the restored fleet serves the exact future the original would.
-  EXPECT_TRUE(same_outcomes(drive(original, 2), drive(restored, 2)));
+  EXPECT_TRUE(drive(original, 2) == drive(restored, 2));
 }
 
 TEST(Fleet, RestoreIntoDifferentShardCount) {
@@ -422,7 +407,7 @@ TEST(Fleet, RestoreIntoDifferentShardCount) {
   original.add_state_sections(bundle);
   ServiceFleet wide = world.make_fleet(8);
   ASSERT_TRUE(wide.restore_state_sections(bundle));
-  EXPECT_TRUE(same_outcomes(drive(original, 2), drive(wide, 2)));
+  EXPECT_TRUE(drive(original, 2) == drive(wide, 2));
 }
 
 TEST(Fleet, RestoreIsAllOrNothing) {
@@ -497,7 +482,7 @@ TEST(Fleet, ConcurrentLocateStormIsRaceFreeAndDeterministic) {
                                          /*steal_limit=*/0);
   const auto wide_outcomes = drive(wide, 8);
   const auto narrow_outcomes = drive(narrow, 8);
-  EXPECT_TRUE(same_outcomes(wide_outcomes, narrow_outcomes));
+  EXPECT_TRUE(wide_outcomes == narrow_outcomes);
   EXPECT_EQ(save_bytes(wide), save_bytes(narrow));
   EXPECT_GT(wide.stats().tasks, 0u);
 }
@@ -526,7 +511,7 @@ TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
   ASSERT_EQ(wide.shared_table().digests->filled(), 0u);
   const auto wide_outcomes = drive(wide, 8);
   const auto narrow_outcomes = drive(narrow, 8);
-  EXPECT_TRUE(same_outcomes(wide_outcomes, narrow_outcomes));
+  EXPECT_TRUE(wide_outcomes == narrow_outcomes);
   EXPECT_EQ(save_bytes(wide), save_bytes(narrow));
   const SharedPlanTable& wide_table = wide.shared_table();
   const SharedPlanTable& narrow_table = narrow.shared_table();
@@ -562,7 +547,7 @@ TEST(Fleet, PlanTableEvictionStormMatchesOneShard) {
   constexpr std::size_t kBatches = 24;
   const auto wide_outcomes = drive(wide, kBatches);
   const auto narrow_outcomes = drive(narrow, kBatches);
-  EXPECT_TRUE(same_outcomes(wide_outcomes, narrow_outcomes));
+  EXPECT_TRUE(wide_outcomes == narrow_outcomes);
   EXPECT_EQ(save_bytes(wide), save_bytes(narrow));
   for (const ServiceFleet* fleet : {&wide, &narrow}) {
     const auto stats = fleet->shared_table().plans.stats();
@@ -595,7 +580,7 @@ TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {
                                          /*steal_limit=*/0);
   const auto wide_outcomes = drive(wide, 8);
   const auto narrow_outcomes = drive(narrow, 8);
-  EXPECT_TRUE(same_outcomes(wide_outcomes, narrow_outcomes));
+  EXPECT_TRUE(wide_outcomes == narrow_outcomes);
   EXPECT_GT(tracer.roots_seen(), 0u);
   EXPECT_GT(tracer.roots_sampled(), 0u);
   EXPECT_LE(tracer.roots_sampled(), tracer.roots_seen());

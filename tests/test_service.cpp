@@ -564,20 +564,6 @@ TEST_F(ServiceTest, PlannerOverrideRejectedUnderAdaptive) {
 
 // ---- locate_many batch transparency ---------------------------------
 
-bool outcomes_equal(const LocationService::LocateOutcome& a,
-                    const LocationService::LocateOutcome& b) {
-  return a.cells_paged == b.cells_paged && a.rounds_used == b.rounds_used &&
-         a.fallback_pages == b.fallback_pages &&
-         a.missed_detections == b.missed_detections &&
-         a.outage_pages == b.outage_pages &&
-         a.dropped_rounds == b.dropped_rounds && a.retries == b.retries &&
-         a.backoff_rounds == b.backoff_rounds &&
-         a.forced_registrations == b.forced_registrations &&
-         a.budget_exhausted == b.budget_exhausted &&
-         a.degraded == b.degraded && a.abandoned == b.abandoned &&
-         a.deadline_limited == b.deadline_limited;
-}
-
 class LocateManyTest : public ServiceTest,
                        public ::testing::WithParamInterface<bool> {};
 
@@ -618,7 +604,7 @@ TEST_P(LocateManyTest, MatchesSingleLocatesWithSameSeeds) {
 
   ASSERT_EQ(batched_outcomes.size(), single_outcomes.size());
   for (std::size_t i = 0; i < single_outcomes.size(); ++i) {
-    EXPECT_TRUE(outcomes_equal(single_outcomes[i], batched_outcomes[i]))
+    EXPECT_TRUE(single_outcomes[i] == batched_outcomes[i])
         << "call " << i;
   }
   // The rng streams stayed in lockstep too.

@@ -2,7 +2,7 @@
 // a ManualClock, parent linkage through the thread_local stack, ring
 // eviction, null-tracer no-ops, the deterministic 1-in-N SamplingTracer
 // (whole-tree suppression, wraparound, thread-pool integrity), and the
-// JSON / trace_event dumps.
+// JSON / trace_event dumps (parseable for any span name).
 #include "support/trace.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/json.h"
 #include "support/thread_pool.h"
 
 namespace confcall::support {
@@ -303,6 +304,23 @@ TEST(Tracer, TraceEventJsonDump) {
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ns\""), std::string::npos);
   EXPECT_EQ(to_trace_event_json({}),
             "{\"traceEvents\": [], \"displayTimeUnit\": \"ns\"}\n");
+}
+
+TEST(Tracer, ControlCharactersInNamesStayParseableJson) {
+  ManualClock clock(100);
+  Tracer tracer(4, clock);
+  {
+    const Span span(&tracer, "a\tb\r\x01");
+    clock.advance(7);
+  }
+  const std::vector<SpanRecord> spans = tracer.snapshot();
+  const JsonValue plain = JsonValue::parse(to_json(spans));
+  ASSERT_EQ(plain.as_array().size(), 1u);
+  EXPECT_EQ(plain.as_array()[0].find("name")->as_string(), "a\tb\r\x01");
+  const JsonValue events = JsonValue::parse(to_trace_event_json(spans));
+  const JsonValue::Array& list = events.find("traceEvents")->as_array();
+  ASSERT_EQ(list.size(), 1u);
+  EXPECT_EQ(list[0].find("name")->as_string(), "a\tb\r\x01");
 }
 
 }  // namespace

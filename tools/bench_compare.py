@@ -22,7 +22,8 @@ can run this as a warn-only step by default. --strict-paths upgrades just
 the regressions whose path contains one of the given substrings to fatal
 (exit 1) while everything else stays warn-only — for gating a few
 load-bearing metrics (e.g. metrics_throughput_ratio) without making every
-noisy timing a build breaker.
+noisy timing a build breaker. A baseline leaf that --strict-paths matches
+but the current record lacks (renamed or dropped) is fatal too.
 """
 
 import argparse
@@ -137,13 +138,20 @@ def main():
     if missing:
         print(f"metrics dropped since baseline: {', '.join(missing[:8])}"
               + (" ..." if len(missing) > 8 else ""))
+    dropped = [path for path in missing
+               if any(token in path for token in strict_paths)]
+    if dropped:
+        print(f"::error::{len(dropped)} gated metric(s) missing from "
+              f"{args.current} (--strict-paths {args.strict_paths}):")
+        for path in dropped:
+            print(f"  DROPPED     {path}")
     if fatal:
         print(f"::error::{len(fatal)} gated metric(s) regressed "
               f"(--strict-paths {args.strict_paths}):")
         for entry in fatal:
             print(f"  FATAL       {entry}")
 
-    return 1 if (fatal or (args.strict and regressions)) else 0
+    return 1 if (fatal or dropped or (args.strict and regressions)) else 0
 
 
 if __name__ == "__main__":
