@@ -1,12 +1,12 @@
 // Experiment E20 — fleet serving: multi-area sharding with core-aware
 // placement and cross-shard plan sharing.
 //
-// PR9 added cellular::ServiceFleet (DESIGN.md §14): N serving areas on
-// M per-core shard lanes, a bounded queue per shard with back-stealing
-// past a limit, and one bounded signature -> strategy table so
-// identically-distributed areas plan once per fleet. This harness
-// gates the claims that make sharding worth having, and emits
-// BENCH_E20.json:
+// PR9 added cellular::ServiceFleet (DESIGN.md §14): N serving areas run
+// as one pool task per touched area on an M-thread pool (M shards, each
+// a metrics label and a pinning core), and one bounded signature ->
+// strategy table so identically-distributed areas plan once per fleet.
+// This harness gates the claims that make sharding worth having, and
+// emits BENCH_E20.json:
 //
 //   * Aggregate throughput scales with the shard count. The same fixed
 //     request stream is served at shards 1/2/4/8 over a fixed 8-area

@@ -1,7 +1,6 @@
 #include "cellular/service_fleet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -24,16 +23,23 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// Pins a pool helper to `core` the first time it serves the fleet (a
-/// lane or a step task) and never again: helpers persist, so
-/// steady-state dispatches and steps make no affinity call. Each fleet
-/// owns its pool, so a helper only ever serves one fleet and one memo
-/// per thread is enough.
-void pin_helper_once(unsigned core) {
+/// Pins a pool helper to core `shard` % cores the first time it runs an
+/// area-task (a locate group or a step) and never again: helpers
+/// persist, so steady-state dispatches and steps make no affinity call.
+/// Each fleet owns its pool, so a helper only ever serves one fleet and
+/// one memo per thread is enough.
+void pin_helper_once(std::size_t shard) {
   thread_local bool pinned = false;
   if (pinned) return;
   pinned = true;
-  (void)support::pin_current_thread_to_core(core);
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  (void)support::pin_current_thread_to_core(
+      static_cast<unsigned>(shard % cores));
+}
+
+FleetConfig validated(FleetConfig config) {
+  config.validate();
+  return config;
 }
 
 }  // namespace
@@ -44,9 +50,6 @@ void FleetConfig::validate() const {
   }
   if (num_areas == 0) {
     throw std::invalid_argument("FleetConfig: num_areas must be >= 1");
-  }
-  if (queue_capacity == 0) {
-    throw std::invalid_argument("FleetConfig: queue_capacity must be >= 1");
   }
   faults.validate();
 }
@@ -61,14 +64,12 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
       mobility_(&mobility),
       base_config_(std::move(base_config)),
       initial_cells_(std::move(initial_cells)),
-      config_(std::move(config)),
+      config_(validated(std::move(config))),
       shared_table_(grid, areas, mobility, base_config_.profile_kind,
                     base_config_.last_seen_horizon,
                     SharedPlanTable::kPlansPerArea * config_.num_areas *
                         areas.num_areas()),
-      pool_(config_.num_shards),
-      core_map_(support::ShardCoreMap::round_robin(config_.num_shards)) {
-  config_.validate();
+      pool_(config_.num_shards) {
   base_config_.shared_plan_table = &shared_table_;
   if (config_.registry != nullptr) {
     support::MetricRegistry& registry = *config_.registry;
@@ -78,13 +79,9 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
       shard_metrics_[s].tasks =
           registry.counter("confcall_fleet_tasks_total",
                            "Area-tasks executed, by owning shard", labels);
-      shard_metrics_[s].steals = registry.counter(
-          "confcall_fleet_steals_total",
-          "Area-tasks stolen from this shard's queue by idle shards",
-          labels);
       shard_metrics_[s].queue_depth = registry.gauge(
           "confcall_fleet_queue_depth",
-          "Deepest backlog of this shard's queue during the last dispatch",
+          "Area-tasks of the last dispatch owned by this shard",
           labels);
       shard_metrics_[s].task_ns = registry.histogram(
           "confcall_fleet_task_ns",
@@ -96,10 +93,6 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
                          "Locate requests routed through the fleet");
     dispatches_metric_ = registry.counter(
         "confcall_fleet_dispatches_total", "locate_many fleet dispatches");
-    overflow_metric_ = registry.counter(
-        "confcall_fleet_queue_overflow_total",
-        "Area-tasks routed through the overflow lane (queue full; work "
-        "is rerouted, never dropped)");
     shared_hits_metric_ = registry.counter(
         "confcall_fleet_shared_plan_hits_total",
         "Planned searches answered by the fleet-wide plan table");
@@ -153,15 +146,16 @@ std::unique_ptr<ServiceFleet::AreaState> ServiceFleet::build_area(
   return state;
 }
 
-void ServiceFleet::run_area_task(
+void ServiceFleet::run_task(
     std::size_t area, std::span<const Request> requests,
-    std::span<const std::size_t> indices,
     std::span<LocationService::LocateOutcome> outcomes) {
+  const bool instrumented = !shard_metrics_.empty();
+  const std::uint64_t start_ns = instrumented ? now_ns() : 0;
   AreaState& state = *areas_state_[area];
   const std::uint64_t locate_seed =
       prob::mix_seed(area_seed(area), kLocateStream);
   std::vector<CellId> true_cells;
-  for (const std::size_t idx : indices) {
+  for (const std::size_t idx : area_groups_[area]) {
     const Request& request = requests[idx];
     true_cells.clear();
     true_cells.reserve(request.users.size());
@@ -173,73 +167,11 @@ void ServiceFleet::run_area_task(
     outcomes[idx] = state.service->locate(request.users, true_cells, call_rng,
                                           request.context);
   }
-}
-
-void ServiceFleet::run_task(
-    std::size_t area, std::size_t owner, std::span<const Request> requests,
-    std::span<LocationService::LocateOutcome> outcomes) {
-  const bool instrumented = !shard_metrics_.empty();
-  const std::uint64_t start_ns = instrumented ? now_ns() : 0;
-  run_area_task(area, requests, area_groups_[area], outcomes);
   if (instrumented) {
-    shard_metrics_[owner].tasks.inc();
-    shard_metrics_[owner].task_ns.observe(
-        static_cast<double>(now_ns() - start_ns));
+    ShardMetrics& shard = shard_metrics_[shard_of(area)];
+    shard.tasks.inc();
+    shard.task_ns.observe(static_cast<double>(now_ns() - start_ns));
   }
-}
-
-void ServiceFleet::run_lanes(
-    std::span<const Request> requests,
-    std::span<LocationService::LocateOutcome> outcomes) {
-  // Route area-tasks to their shards. The queue set is rebuilt per
-  // dispatch (a handful of deques) so high-water marks describe THIS
-  // dispatch; overflow routes through a shared lane any worker drains.
-  support::ShardQueueSet queues(config_.num_shards, config_.queue_capacity,
-                                config_.steal_limit);
-  std::vector<std::size_t> overflow;
-  for (const std::size_t area : active_areas_) {
-    if (!queues.push(shard_of(area), area)) overflow.push_back(area);
-  }
-  for (std::size_t s = 0; s < shard_metrics_.size(); ++s) {
-    shard_metrics_[s].queue_depth.set(
-        static_cast<double>(queues.high_water(s)));
-  }
-
-  std::atomic<std::size_t> overflow_next{0};
-  std::atomic<std::uint64_t> steals{0};
-  const bool instrumented = !shard_metrics_.empty();
-  const std::thread::id caller = std::this_thread::get_id();
-  pool_.parallel_for(config_.num_shards, [&](std::size_t worker) {
-    // The caller runs one lane inline; pinning it would confine the
-    // daemon's loop and HTTP workers to one core for good.
-    if (config_.pin_threads && std::this_thread::get_id() != caller) {
-      pin_helper_once(core_map_.core_of_shard[worker]);
-    }
-    for (;;) {
-      std::size_t area;
-      std::size_t owner;
-      if (const auto local = queues.pop_local(worker)) {
-        area = *local;
-        owner = worker;
-      } else if (const std::size_t slot =
-                     overflow_next.fetch_add(1, std::memory_order_relaxed);
-                 slot < overflow.size()) {
-        area = overflow[slot];
-        owner = shard_of(area);
-      } else if (const auto stolen = queues.steal(worker)) {
-        area = stolen->task;
-        owner = stolen->victim;
-        steals.fetch_add(1, std::memory_order_relaxed);
-        if (instrumented) shard_metrics_[stolen->victim].steals.inc();
-      } else {
-        break;
-      }
-      run_task(area, owner, requests, outcomes);
-    }
-  });
-  stats_.steals += steals.load();
-  stats_.overflows += overflow.size();
-  overflow_metric_.inc(overflow.size());
 }
 
 std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
@@ -270,19 +202,26 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
   }
   std::sort(active_areas_.begin(), active_areas_.end());
 
-  // One area-task needs no lanes: run it on the caller. Nothing is
-  // queued, no helper wakes, and the owner's queue reads as the one-deep
-  // backlog the lane path would have recorded. Areas are the unit of
-  // state, so which thread runs a task never changes its outcome.
-  if (active_areas_.size() == 1) {
-    const std::size_t area = active_areas_.front();
-    for (std::size_t s = 0; s < shard_metrics_.size(); ++s) {
-      shard_metrics_[s].queue_depth.set(s == shard_of(area) ? 1.0 : 0.0);
+  // queue_depth{shard}: the area-tasks of this dispatch each shard owns.
+  if (!shard_metrics_.empty()) {
+    std::vector<std::size_t> owned(config_.num_shards, 0);
+    for (const std::size_t area : active_areas_) ++owned[shard_of(area)];
+    for (std::size_t s = 0; s < owned.size(); ++s) {
+      shard_metrics_[s].queue_depth.set(static_cast<double>(owned[s]));
     }
-    run_task(area, shard_of(area), requests, outcomes);
-  } else {
-    run_lanes(requests, outcomes);
   }
+
+  // One pool task per touched area, the way step_all runs every area.
+  // Areas are the unit of state, so which thread runs a task never
+  // changes its outcome.
+  const std::thread::id caller = std::this_thread::get_id();
+  pool_.parallel_for(active_areas_.size(), [&](std::size_t task) {
+    const std::size_t area = active_areas_[task];
+    if (config_.pin_threads && std::this_thread::get_id() != caller) {
+      pin_helper_once(shard_of(area));
+    }
+    run_task(area, requests, outcomes);
+  });
 
   stats_.dispatches += 1;
   stats_.requests += requests.size();
@@ -299,7 +238,7 @@ void ServiceFleet::step_all() {
   const std::thread::id caller = std::this_thread::get_id();
   pool_.parallel_for(config_.num_areas, [&](std::size_t area) {
     if (config_.pin_threads && std::this_thread::get_id() != caller) {
-      pin_helper_once(core_map_.core_of_shard[shard_of(area)]);
+      pin_helper_once(shard_of(area));
     }
     AreaState& state = *areas_state_[area];
     prob::Rng step_rng = prob::Rng::substream(

@@ -5,30 +5,27 @@
 // stack drove exactly one LocationService. A ServiceFleet owns a set of
 // independent serving AREAS — each one a full location-management domain:
 // its own LocationService over the shared topology, its own ground-truth
-// user cells, its own deterministic randomness — and executes them on N
-// SHARDS, per-core executor lanes with cache-line-aligned queues. (A
-// fleet "area" is a whole serving domain, one level above the in-grid
-// location areas a single LocationService already plans per.)
+// user cells, its own deterministic randomness — and executes them on a
+// pool of N threads, one per SHARD. (A fleet "area" is a whole serving
+// domain, one level above the in-grid location areas a single
+// LocationService already plans per.)
 //
 // Determinism contract (the PR 2 substream idiom, one level up): the
 // unit of sequential state is the AREA, not the shard. Every request
 // names its area; a dispatch groups the batch by area preserving
 // within-area order, and each area-group runs as ONE task against
 // area-local state, drawing randomness from per-(area, call-index)
-// substreams — never from a shared stream, never per thread. Work
-// stealing moves whole area-tasks between shards, so WHICH lane executes
-// an area never changes WHAT the area computes: outcomes, learned state
-// and checkpoint bytes are bit-identical at every shard count (the E20
-// gate at shard counts 1/2/8).
+// substreams — never from a shared stream, never per thread. Any pool
+// thread may run any area-task, so WHICH thread executes an area never
+// changes WHAT the area computes: outcomes, learned state and checkpoint
+// bytes are bit-identical at every shard count (the E20 gate at shard
+// counts 1/2/8).
 //
-// Routing and placement: area -> shard is the static map area %
-// num_shards; shard -> core is round-robin (support::ShardCoreMap), with
-// optional best-effort thread pinning. Each shard drains its own bounded
-// FIFO queue; when a queue's backlog exceeds FleetConfig::steal_limit,
-// idle shards steal from its BACK (support::ShardQueueSet — the NOVA
-// core-map/steal-limit idiom, DESIGN.md §14). A dispatch that overflows
-// a queue routes the excess through a shared overflow lane and counts
-// it; work is never dropped.
+// Scheduling (DESIGN.md §14): locate_many and step_all are each one
+// parallel_for over area-tasks — the areas a batch touches, or every
+// area. Area -> shard is the static map area % num_shards; the shard
+// names the metrics series a task is charged to and, with pin_threads,
+// the core (shard % cores) a pool helper is pinned to on its first task.
 //
 // Cross-shard plan sharing: every area's LocationService, one-area
 // fleets included, plans through one fleet-wide SharedPlanTable
@@ -66,30 +63,26 @@
 
 namespace confcall::cellular {
 
-/// Fleet shape and scheduling knobs.
+/// Fleet shape and placement.
 struct FleetConfig {
-  /// Executor lanes. Each shard gets its own queue, metrics label and
-  /// (round-robin) core; areas map to shards statically. 0 is invalid —
-  /// resolve "auto" to hardware_concurrency before constructing.
+  /// Pool threads, the caller included. Each shard gets its own metrics
+  /// label and (round-robin) core; areas map to shards statically. 0 is
+  /// invalid — resolve "auto" to hardware_concurrency before
+  /// constructing.
   std::size_t num_shards = 1;
   /// Independent serving domains. Fixed per deployment and independent
   /// of num_shards — the shard count scales execution, never semantics.
   std::size_t num_areas = 8;
-  /// Queue depth a shard must EXCEED before idle shards steal from it.
-  std::size_t steal_limit = 2;
-  /// Per-shard queue capacity; a dispatch overflowing it routes the
-  /// excess through the shared overflow lane (counted, never dropped).
-  std::size_t queue_capacity = 1024;
   /// Root of every area substream (areas derive mix_seed(seed, area)).
   std::uint64_t seed = 1;
   /// Optional: registers the confcall_fleet_* family (per-shard labelled
   /// series plus fleet-wide aggregates). Must outlive the fleet.
   support::MetricRegistry* registry = nullptr;
-  /// Best-effort pinning of each pool helper, once, to the mapped core
-  /// of the first lane (or stepped area's shard) it serves (Linux-only;
+  /// Best-effort pinning of each pool helper, once, to core
+  /// shard_of(area) % cores of the first area-task it runs (Linux-only;
   /// purely a locality hint, results never depend on it). The thread
-  /// calling locate_many is never pinned: it runs one lane inline and
-  /// keeps its own affinity.
+  /// calling locate_many or step_all is never pinned: it runs tasks
+  /// inline and keeps its own affinity.
   bool pin_threads = false;
   /// Fault injection. When any class is enabled, every area owns a
   /// FaultPlan over this config seeded mix_seed(faults.seed, area) (the
@@ -102,7 +95,7 @@ struct FleetConfig {
   void validate() const;
 };
 
-/// N location-management domains executed on M sharded lanes. The
+/// N location-management domains executed on an M-thread pool. The
 /// topology objects must outlive the fleet. Not itself thread-safe:
 /// one dispatcher at a time calls locate_many / step_all / save /
 /// restore (the daemon's sim_mutex discipline); parallelism happens
@@ -130,10 +123,9 @@ class ServiceFleet {
   };
 
   /// Serves a batch: groups by area (preserving within-area order),
-  /// routes area-tasks to shards, executes with work stealing, and
-  /// gathers outcomes back into request order — outcomes[i] answers
-  /// requests[i]. A batch touching one area runs its one task on the
-  /// calling thread (no queue, no lane wake-up), with the same metrics.
+  /// runs one pool task per touched area, and gathers outcomes back into
+  /// request order — outcomes[i] answers requests[i]. k touched areas
+  /// wake at most k - 1 helpers; one area runs on the calling thread.
   /// Bit-identical results at every shard count. Throws
   /// std::invalid_argument on an out-of-range area or user id.
   std::vector<LocationService::LocateOutcome> locate_many(
@@ -165,14 +157,11 @@ class ServiceFleet {
     return areas_state_[area]->user_cells[user];
   }
 
-  /// Scheduling counters since construction (aggregated over dispatches;
-  /// steal/overflow counts are timing-dependent, results are not).
+  /// Scheduling counters since construction (aggregated over dispatches).
   struct FleetStats {
     std::uint64_t dispatches = 0;
     std::uint64_t requests = 0;
     std::uint64_t tasks = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t overflows = 0;
   };
   [[nodiscard]] const FleetStats& stats() const noexcept { return stats_; }
 
@@ -226,24 +215,15 @@ class ServiceFleet {
   /// registry.
   struct ShardMetrics {
     support::Counter tasks;
-    support::Counter steals;  ///< tasks stolen FROM this shard's queue
     support::Gauge queue_depth;
     support::Histogram task_ns;
   };
 
   [[nodiscard]] std::unique_ptr<AreaState> build_area(std::size_t area) const;
   [[nodiscard]] std::uint64_t area_seed(std::size_t area) const noexcept;
-  void run_area_task(std::size_t area, std::span<const Request> requests,
-                     std::span<const std::size_t> indices,
-                     std::span<LocationService::LocateOutcome> outcomes);
-  /// run_area_task plus the per-task metrics, charged to shard `owner`.
-  void run_task(std::size_t area, std::size_t owner,
-                std::span<const Request> requests,
+  /// Serves area's request group and charges the task to shard_of(area).
+  void run_task(std::size_t area, std::span<const Request> requests,
                 std::span<LocationService::LocateOutcome> outcomes);
-  /// Runs the active areas on the pool's lanes with work stealing and
-  /// counts the dispatch's steals and overflows.
-  void run_lanes(std::span<const Request> requests,
-                 std::span<LocationService::LocateOutcome> outcomes);
   void export_shared_table_metrics();
 
   const GridTopology* grid_;
@@ -256,12 +236,10 @@ class ServiceFleet {
   SharedPlanTable shared_table_;
   std::vector<std::unique_ptr<AreaState>> areas_state_;
   support::ThreadPool pool_;
-  support::ShardCoreMap core_map_;
 
   std::vector<ShardMetrics> shard_metrics_;
   support::Counter requests_metric_;
   support::Counter dispatches_metric_;
-  support::Counter overflow_metric_;
   support::Counter shared_hits_metric_;
   support::Counter shared_misses_metric_;
   support::Gauge shared_entries_metric_;

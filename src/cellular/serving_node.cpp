@@ -305,7 +305,6 @@ support::HttpResponse ServingNode::fleetz() const {
        << support::readiness_name(phase) << "\"";
   field("dispatches", "confcall_fleet_dispatches_total");
   field("requests", "confcall_fleet_requests_total");
-  field("queue_overflows", "confcall_fleet_queue_overflow_total");
   body << ", \"shared_plan\": {";
   field("hits", "confcall_fleet_shared_plan_hits_total", {}, "");
   field("misses", "confcall_fleet_shared_plan_misses_total");
@@ -319,7 +318,6 @@ support::HttpResponse ServingNode::fleetz() const {
     body << (s > 0 ? ", " : "") << "{\"shard\": " << s;
     field("queue_depth", "confcall_fleet_queue_depth", shard);
     field("tasks", "confcall_fleet_tasks_total", shard);
-    field("steals", "confcall_fleet_steals_total", shard);
     field("task_p99_ns", "confcall_fleet_task_ns", shard);
     field("locate_calls", "confcall_locate_calls_total", shard);
     field("plan_cache_hits", "confcall_locate_plan_cache_hits_total", shard);

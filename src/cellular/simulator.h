@@ -169,7 +169,8 @@ struct SimConfig {
   /// Admission control, deadlines and breaker-guarded planning. Disabled
   /// = no admission layer at all, byte-identical to older builds.
   OverloadConfig overload;
-  /// Per-area strategy reuse while planning inputs are unchanged (see
+  /// Plan through the bounded plan table, reusing a strategy while its
+  /// planning inputs are unchanged (see
   /// LocationService::Config::enable_plan_cache). Results are identical
   /// either way; only planning cost differs.
   bool enable_plan_cache = true;

@@ -1,7 +1,7 @@
 // Fleet substrate: the process-wide primitives under multi-shard serving
 // (cellular/service_fleet.h builds the domain layer on top).
 //
-// Three pieces, each independently testable:
+// Two pieces, each independently testable:
 //
 //   * SignatureTable<V> — a shared content-signature -> value table
 //     with a fixed capacity and CLOCK eviction behind a sharded mutex.
@@ -19,24 +19,15 @@
 //     whichever insert lands first, the table holds the value both
 //     computed. Which entries stay resident, and so whether a lookup
 //     hits, depends on the interleaving; what a hit returns never does.
-//   * ShardQueueSet — N cache-line-aligned bounded task queues with
-//     FIFO local pop and steal-from-the-back when a victim's backlog
-//     exceeds a configurable limit. This is the NOVA core-map/steal-limit
-//     idiom (see DESIGN.md §14): owners drain their own queue in order;
-//     a thief only intrudes on a queue that is measurably behind, and
-//     takes from the back — the work its owner would reach last.
-//   * ShardCoreMap / pin_current_thread_to_core — round-robin shard ->
-//     core placement. Pinning is Linux-only and best-effort: placement
-//     is a performance hint, never a correctness requirement.
+//   * pin_current_thread_to_core — best-effort CPU pinning. Pinning is
+//     Linux-only: placement is a performance hint, never a correctness
+//     requirement.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -167,111 +158,6 @@ class SignatureTable {
 
   const std::size_t slots_per_shard_;
   Shard shards_[kNumShards];
-};
-
-/// N bounded FIFO task queues, one per shard, each on its own cache
-/// line. Tasks are opaque std::size_t ids. Owners pop from the front;
-/// thieves take from the BACK of a victim queue, and only when the
-/// victim's depth exceeds the steal limit — a shard that is keeping up
-/// is never raided (the NOVA stealing-limit discipline).
-class ShardQueueSet {
- public:
-  /// `capacity` bounds each queue's depth (push returns false on a full
-  /// queue; the caller overflow-routes). `steal_limit` is the depth a
-  /// queue must EXCEED before steal() may take from it.
-  ShardQueueSet(std::size_t num_shards, std::size_t capacity,
-                std::size_t steal_limit)
-      : shards_(num_shards), capacity_(capacity), steal_limit_(steal_limit) {}
-
-  [[nodiscard]] std::size_t num_shards() const noexcept {
-    return shards_.size();
-  }
-  [[nodiscard]] std::size_t steal_limit() const noexcept {
-    return steal_limit_;
-  }
-
-  /// Enqueues `task` on `shard`'s queue; false when the queue is full.
-  bool push(std::size_t shard, std::size_t task) {
-    Shard& s = shards_[shard];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.queue.size() >= capacity_) return false;
-    s.queue.push_back(task);
-    if (s.queue.size() > s.high_water) s.high_water = s.queue.size();
-    return true;
-  }
-
-  /// FIFO pop of `shard`'s own queue.
-  [[nodiscard]] std::optional<std::size_t> pop_local(std::size_t shard) {
-    Shard& s = shards_[shard];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.queue.empty()) return std::nullopt;
-    const std::size_t task = s.queue.front();
-    s.queue.pop_front();
-    return task;
-  }
-
-  struct Steal {
-    std::size_t task;
-    std::size_t victim;  ///< shard the task was taken from
-  };
-
-  /// Scans the other shards from `thief + 1` round-robin and takes one
-  /// task from the BACK of the first queue whose depth exceeds the steal
-  /// limit. std::nullopt when nobody is far enough behind.
-  [[nodiscard]] std::optional<Steal> steal(std::size_t thief) {
-    const std::size_t n = shards_.size();
-    for (std::size_t hop = 1; hop < n; ++hop) {
-      const std::size_t victim = (thief + hop) % n;
-      Shard& s = shards_[victim];
-      std::lock_guard<std::mutex> lock(s.mutex);
-      if (s.queue.size() <= steal_limit_) continue;
-      const std::size_t task = s.queue.back();
-      s.queue.pop_back();
-      return Steal{task, victim};
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] std::size_t depth(std::size_t shard) const {
-    const Shard& s = shards_[shard];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.queue.size();
-  }
-
-  /// Deepest this shard's queue has ever been (dispatch-time backlog —
-  /// what the confcall_fleet_queue_depth gauge exports).
-  [[nodiscard]] std::size_t high_water(std::size_t shard) const {
-    const Shard& s = shards_[shard];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.high_water;
-  }
-
- private:
-  struct alignas(64) Shard {
-    mutable std::mutex mutex;
-    std::deque<std::size_t> queue;
-    std::size_t high_water = 0;
-  };
-
-  std::vector<Shard> shards_;
-  const std::size_t capacity_;
-  const std::size_t steal_limit_;
-};
-
-/// Round-robin shard -> core placement over the machine's hardware
-/// threads: shard s runs best on core s % num_cores. Purely advisory.
-struct ShardCoreMap {
-  std::vector<unsigned> core_of_shard;
-
-  [[nodiscard]] static ShardCoreMap round_robin(std::size_t num_shards) {
-    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    ShardCoreMap map;
-    map.core_of_shard.reserve(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      map.core_of_shard.push_back(static_cast<unsigned>(s) % cores);
-    }
-    return map;
-  }
 };
 
 /// Best-effort CPU pinning of the calling thread (Linux sched_setaffinity;

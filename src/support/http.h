@@ -1,10 +1,11 @@
 // Minimal dependency-free HTTP/1.1 server for the observability scrape
 // endpoints — deliberately a scrape server, not a web framework.
 //
-// The serving daemon (tools/confcall_serve) needs four read-mostly
-// routes (/metrics, /vars, /healthz, /traces) that a Prometheus scraper
-// or a curl can hit while the locate loop runs. That workload shapes the
-// design:
+// The serving daemon (tools/confcall_serve) serves the five read-mostly
+// routes install_observability_routes installs (/metrics, /vars,
+// /healthz, /readyz, /traces) plus the two cellular::ServingNode adds
+// (/fleetz and POST /locate), which a Prometheus scraper or a curl can
+// hit while the locate loop runs. That workload shapes the design:
 //
 //   * POSIX sockets only, loopback by default. No TLS, no keep-alive,
 //     no chunked encoding: one request per connection, `Connection:

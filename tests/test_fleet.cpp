@@ -1,7 +1,7 @@
 // ServiceFleet (cellular/service_fleet.h) and the fleet substrate
-// (support/fleet.h): routing determinism across shard counts, the
-// NOVA-style steal-limit discipline, the bounded CLOCK signature table,
-// and fleet-wide checkpointing. Every TEST name starts with "Fleet" so
+// (support/fleet.h): routing determinism across shard counts, per-shard
+// task accounting, the bounded CLOCK signature table, and fleet-wide
+// checkpointing. Every TEST name starts with "Fleet" so
 // the sanitizer CI rows can select the concurrency storm with
 // --gtest_filter=Fleet*.
 #include "cellular/service_fleet.h"
@@ -94,40 +94,6 @@ TEST(FleetSignatureTable, InsertStormNeverExceedsCapacity) {
   EXPECT_EQ(stats.evictions, kThreads * kInserts - table.capacity());
 }
 
-// ---- support::ShardQueueSet -------------------------------------------
-
-TEST(FleetQueues, StealRequiresDepthBeyondTheLimit) {
-  support::ShardQueueSet queues(/*num_shards=*/2, /*capacity=*/8,
-                                /*steal_limit=*/2);
-  ASSERT_TRUE(queues.push(0, 100));
-  ASSERT_TRUE(queues.push(0, 101));
-  // Depth == steal_limit: the owner is keeping up, nobody may raid it.
-  EXPECT_FALSE(queues.steal(1).has_value());
-  ASSERT_TRUE(queues.push(0, 102));
-  // Depth == steal_limit + 1: the thief takes the BACK task — the one
-  // the owner would reach last.
-  const std::optional<support::ShardQueueSet::Steal> steal = queues.steal(1);
-  ASSERT_TRUE(steal.has_value());
-  EXPECT_EQ(steal->task, 102u);
-  EXPECT_EQ(steal->victim, 0u);
-  EXPECT_EQ(queues.depth(0), 2u);
-  // And the owner still drains front-first.
-  EXPECT_EQ(queues.pop_local(0), std::optional<std::size_t>{100});
-  EXPECT_EQ(queues.pop_local(0), std::optional<std::size_t>{101});
-  EXPECT_FALSE(queues.pop_local(0).has_value());
-}
-
-TEST(FleetQueues, PushBoundedByCapacityAndHighWaterTracked) {
-  support::ShardQueueSet queues(/*num_shards=*/1, /*capacity=*/2,
-                                /*steal_limit=*/0);
-  EXPECT_TRUE(queues.push(0, 1));
-  EXPECT_TRUE(queues.push(0, 2));
-  EXPECT_FALSE(queues.push(0, 3));  // full: caller overflow-routes
-  EXPECT_EQ(queues.high_water(0), 2u);
-  (void)queues.pop_local(0);
-  EXPECT_EQ(queues.high_water(0), 2u);  // high-water survives drains
-}
-
 // ---- ServiceFleet -----------------------------------------------------
 
 struct FleetWorld {
@@ -154,12 +120,10 @@ struct FleetWorld {
 
   [[nodiscard]] ServiceFleet make_fleet(std::size_t num_shards,
                                         std::size_t num_areas = 6,
-                                        std::size_t steal_limit = 2,
                                         FaultConfig faults = {}) const {
     FleetConfig config;
     config.num_shards = num_shards;
     config.num_areas = num_areas;
-    config.steal_limit = steal_limit;
     config.seed = 7;
     config.faults = faults;
     return ServiceFleet(grid, areas, mobility, service_config(),
@@ -202,11 +166,11 @@ TEST(Fleet, ResultsIdenticalAcrossShardCounts) {
   const FleetWorld world;
   const FaultConfig faulted = degraded_urban_scenario().config.faults;
   for (const FaultConfig& faults : {FaultConfig{}, faulted}) {
-    ServiceFleet reference = world.make_fleet(1, 6, 2, faults);
+    ServiceFleet reference = world.make_fleet(1, 6, faults);
     const auto reference_outcomes = drive(reference, 6);
     const std::string reference_state = save_bytes(reference);
     for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
-      ServiceFleet fleet = world.make_fleet(shards, 6, 2, faults);
+      ServiceFleet fleet = world.make_fleet(shards, 6, faults);
       const auto outcomes = drive(fleet, 6);
       EXPECT_TRUE(reference_outcomes == outcomes)
           << "outcomes diverged at " << shards << " shards";
@@ -225,7 +189,7 @@ TEST(Fleet, ResultsIdenticalAcrossShardCounts) {
 
 TEST(Fleet, DispatchNeverRepinsTheCallingThread) {
   // pin_threads places the pool's helper threads, never the caller: it
-  // runs one lane inline, and pinning it would confine the
+  // runs area-tasks inline, and pinning it would confine the
   // daemon's loop and HTTP workers to one core for good.
   cpu_set_t before;
   CPU_ZERO(&before);
@@ -277,8 +241,9 @@ class RecordingPlanner final : public core::Planner {
 
 TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
   // A 1-request batch is one area-task. At every shard count it runs on
-  // the calling thread, is charged to its owning shard like a lane task,
-  // steals nothing, and leaves the owner's queue depth at 1.
+  // the calling thread, is charged to its owning shard, and leaves the
+  // owner's queue depth at 1. A wider batch sets each shard's depth to
+  // the area-tasks it owns.
   const FleetWorld world;
   constexpr std::size_t kAreas = 6;
   constexpr std::size_t kDispatches = 60;
@@ -300,14 +265,11 @@ TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
     const support::Counter dispatches =
         registry.counter("confcall_fleet_dispatches_total", "");
     std::vector<support::Counter> tasks;
-    std::vector<support::Counter> steals;
     std::vector<support::Gauge> depth;
     for (std::size_t s = 0; s < shards; ++s) {
       const support::MetricLabels labels{{"shard", std::to_string(s)}};
       tasks.push_back(registry.counter("confcall_fleet_tasks_total", "",
                                        labels));
-      steals.push_back(registry.counter("confcall_fleet_steals_total", "",
-                                        labels));
       depth.push_back(registry.gauge("confcall_fleet_queue_depth", "",
                                      labels));
     }
@@ -336,10 +298,6 @@ TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
             << "shard " << s << " at " << shards << " shards";
       }
     }
-    for (std::size_t s = 0; s < shards; ++s) {
-      EXPECT_EQ(steals[s].value(), 0u) << "shard " << s;
-    }
-    EXPECT_EQ(fleet.stats().steals, 0u);
     EXPECT_EQ(fleet.stats().tasks, kDispatches);
     EXPECT_EQ(planner.threads(),
               std::set<std::thread::id>{std::this_thread::get_id()})
@@ -356,6 +314,49 @@ TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
           << "state diverged at " << shards << " shards";
     }
   }
+
+  // 8 touched areas over 3 shards: shard s owns areas s, s + 3, s + 6,
+  // so the depths read 3/3/2 and each task is charged to its owner. A
+  // later 2-area batch on shard 0 alone resets the depths to 2/0/0.
+  support::MetricRegistry registry;
+  FleetConfig config;
+  config.num_shards = 3;
+  config.num_areas = 8;
+  config.seed = 7;
+  config.registry = &registry;
+  ServiceFleet fleet(world.grid, world.areas, world.mobility,
+                     FleetWorld::service_config(), world.initial_cells,
+                     config);
+  const auto dispatch = [&fleet](std::initializer_list<std::size_t> areas) {
+    std::vector<ServiceFleet::Request> batch;
+    for (const std::size_t area : areas) {
+      for (UserId user = 0; user < 2; ++user) {
+        batch.push_back({.area = area, .users = {user, user + 16}});
+      }
+    }
+    (void)fleet.locate_many(batch);
+  };
+  const auto expect_shards = [&registry](
+                                 std::initializer_list<double> depths,
+                                 std::initializer_list<std::uint64_t> tasks) {
+    for (std::size_t s = 0; s < 3; ++s) {
+      const support::MetricLabels labels{{"shard", std::to_string(s)}};
+      EXPECT_EQ(registry.gauge("confcall_fleet_queue_depth", "", labels)
+                    .value(),
+                depths.begin()[s])
+          << "shard " << s;
+      EXPECT_EQ(registry.counter("confcall_fleet_tasks_total", "", labels)
+                    .value(),
+                tasks.begin()[s])
+          << "shard " << s;
+    }
+  };
+  dispatch({0, 1, 2, 3, 4, 5, 6, 7});
+  expect_shards({3.0, 3.0, 2.0}, {3, 3, 2});
+  dispatch({3, 6});
+  expect_shards({2.0, 0.0, 0.0}, {5, 3, 2});
+  EXPECT_EQ(fleet.stats().tasks, 10u);
+  EXPECT_EQ(fleet.stats().dispatches, 2u);
 }
 
 TEST(Fleet, RoutingMapIsAreaModuloShards) {
@@ -459,6 +460,12 @@ TEST(Fleet, RejectsInvalidConfigAndRequests) {
                             FleetWorld::service_config(),
                             world.initial_cells, zero_shards),
                std::invalid_argument);
+  FleetConfig zero_areas;
+  zero_areas.num_areas = 0;
+  EXPECT_THROW(ServiceFleet(world.grid, world.areas, world.mobility,
+                            FleetWorld::service_config(),
+                            world.initial_cells, zero_areas),
+               std::invalid_argument);
 
   ServiceFleet fleet = world.make_fleet(2, /*num_areas=*/4);
   std::vector<ServiceFleet::Request> bad_area(1);
@@ -471,15 +478,13 @@ TEST(Fleet, RejectsInvalidConfigAndRequests) {
 }
 
 TEST(Fleet, ConcurrentLocateStormIsRaceFreeAndDeterministic) {
-  // The TSan row: 8 lanes over 16 areas, a steal limit of zero (every
-  // queue raidable) and repeated wide dispatches — maximal concurrent
-  // traffic through the queues, the shared signature table and the
-  // per-area services. Results must still match the 1-shard run.
+  // The TSan row: 8 pool threads over 16 areas and repeated wide
+  // dispatches — maximal concurrent traffic through the pool, the shared
+  // signature table and the per-area services. Results must still match
+  // the 1-shard run.
   const FleetWorld world;
-  ServiceFleet wide = world.make_fleet(8, /*num_areas=*/16,
-                                       /*steal_limit=*/0);
-  ServiceFleet narrow = world.make_fleet(1, /*num_areas=*/16,
-                                         /*steal_limit=*/0);
+  ServiceFleet wide = world.make_fleet(8, /*num_areas=*/16);
+  ServiceFleet narrow = world.make_fleet(1, /*num_areas=*/16);
   const auto wide_outcomes = drive(wide, 8);
   const auto narrow_outcomes = drive(narrow, 8);
   EXPECT_TRUE(wide_outcomes == narrow_outcomes);
@@ -490,10 +495,10 @@ TEST(Fleet, ConcurrentLocateStormIsRaceFreeAndDeterministic) {
 TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
   // The digest-memo TSan row: under kLastSeen every area signs its
   // callees from ONE fleet-wide last-seen digest array and publishes to
-  // ONE shared plan table. 8 lanes over 16 areas with a steal limit of
-  // zero start cold, so lanes race to fill the same digest slots and
-  // table entries. Outcomes, checkpoint bytes and the set of filled keys
-  // must match the 1-shard run.
+  // ONE shared plan table. 8 pool threads over 16 areas start cold, so
+  // threads race to fill the same digest slots and table entries.
+  // Outcomes, checkpoint bytes and the set of filled keys must match the
+  // 1-shard run.
   const FleetWorld world;
   LocationService::Config last_seen = FleetWorld::service_config();
   last_seen.profile_kind = ProfileKind::kLastSeen;
@@ -501,7 +506,6 @@ TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
     FleetConfig config;
     config.num_shards = shards;
     config.num_areas = 16;
-    config.steal_limit = 0;
     config.seed = 7;
     return ServiceFleet(world.grid, world.areas, world.mobility, last_seen,
                         world.initial_cells, config);
@@ -523,12 +527,12 @@ TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
 }
 
 TEST(Fleet, PlanTableEvictionStormMatchesOneShard) {
-  // The eviction TSan row: 8 lanes over 16 areas with a steal limit of
-  // zero under kLastSeen, in a world of ONE location area, so the fleet
-  // table holds 32 x 16 plans and the churning last-seen signatures
-  // overflow it. Lanes race to look up, insert and evict in the same
-  // lock shards, and which plans stay resident differs from the 1-shard
-  // run. Outcomes and checkpoint bytes must not.
+  // The eviction TSan row: 8 pool threads over 16 areas under kLastSeen,
+  // in a world of ONE location area, so the fleet table holds 32 x 16
+  // plans and the churning last-seen signatures overflow it. Threads
+  // race to look up, insert and evict in the same lock shards, and which
+  // plans stay resident differs from the 1-shard run. Outcomes and
+  // checkpoint bytes must not.
   const FleetWorld world;
   const LocationAreas one_area = LocationAreas::tiles(world.grid, 12, 12);
   LocationService::Config last_seen = FleetWorld::service_config();
@@ -537,7 +541,6 @@ TEST(Fleet, PlanTableEvictionStormMatchesOneShard) {
     FleetConfig config;
     config.num_shards = shards;
     config.num_areas = 16;
-    config.steal_limit = 0;
     config.seed = 7;
     return ServiceFleet(world.grid, one_area, world.mobility, last_seen,
                         world.initial_cells, config);
@@ -558,8 +561,8 @@ TEST(Fleet, PlanTableEvictionStormMatchesOneShard) {
 }
 
 TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {
-  // The tracing TSan row: ONE SamplingTracer shared by every lane while
-  // 8 shards storm 16 areas with a steal limit of zero — the sampling
+  // The tracing TSan row: ONE SamplingTracer shared by every thread while
+  // 8 shards storm 16 areas — the sampling
   // counter, the span ring and histogram exemplar annotation all take
   // maximal concurrent traffic. Paging outcomes must still match the
   // untraced 1-shard run (tracing observes, never steers).
@@ -571,13 +574,11 @@ TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {
   FleetConfig config;
   config.num_shards = 8;
   config.num_areas = 16;
-  config.steal_limit = 0;
   config.seed = 7;
   config.registry = &registry;
   ServiceFleet wide(world.grid, world.areas, world.mobility, traced,
                     world.initial_cells, config);
-  ServiceFleet narrow = world.make_fleet(1, /*num_areas=*/16,
-                                         /*steal_limit=*/0);
+  ServiceFleet narrow = world.make_fleet(1, /*num_areas=*/16);
   const auto wide_outcomes = drive(wide, 8);
   const auto narrow_outcomes = drive(narrow, 8);
   EXPECT_TRUE(wide_outcomes == narrow_outcomes);
@@ -585,7 +586,7 @@ TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {
   EXPECT_GT(tracer.roots_sampled(), 0u);
   EXPECT_LE(tracer.roots_sampled(), tracer.roots_seen());
 
-  // Sampled lanes annotated the per-shard rounds family: the label-
+  // Sampled tasks annotated the per-shard rounds family: the label-
   // summed view carries at least one live exemplar.
   const std::optional<support::MetricSnapshot> rounds =
       registry.snapshot().sum_by("confcall_locate_rounds");
@@ -599,9 +600,9 @@ TEST(Fleet, TracedConcurrentStormSamplesAndAnnotatesRaceFree) {
 
 TEST(Fleet, SharedResilientPlannerAcrossLanesIsRaceFree) {
   // The daemon's wiring: ONE ResilientPlanner chain (exact -> greedy ->
-  // blanket) serves every lane, so its breakers and tier counters take
-  // concurrent traffic from 8 shards over 16 areas with a steal limit of
-  // zero. Every planner run must be counted by exactly one tier.
+  // blanket) serves every pool thread, so its breakers and tier counters
+  // take concurrent traffic from 8 shards over 16 areas. Every planner
+  // run must be counted by exactly one tier.
   const FleetWorld world;
   const std::unique_ptr<core::ResilientPlanner> planner =
       core::ResilientPlanner::standard();
@@ -610,7 +611,6 @@ TEST(Fleet, SharedResilientPlannerAcrossLanesIsRaceFree) {
   FleetConfig config;
   config.num_shards = 8;
   config.num_areas = 16;
-  config.steal_limit = 0;
   config.seed = 7;
   ServiceFleet fleet(world.grid, world.areas, world.mobility, service_config,
                      world.initial_cells, config);

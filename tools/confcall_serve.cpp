@@ -17,17 +17,18 @@
 //
 // There is one serving path. A single service is a one-area, one-shard
 // fleet: without --shards the daemon runs exactly that. --shards N|auto
-// runs N per-core lanes over --fleet-areas independent serving areas
+// runs a pool of N threads over --fleet-areas independent serving areas
 // (default 4 per shard), each a full location-management domain over
 // the scenario's topology. Requests route by area (loop arrivals rotate
-// areas round-robin), shards steal work when a lane backs up, and every
+// areas round-robin), each touched area runs as one pool task, and every
 // area's planner shares one process-wide signature -> strategy table
 // and one resilient-planner chain. Locate metrics carry a `shard` label
 // (confcall_locate_*{shard=...}, confcall_fleet_*).
 //
 // Tracing is always on at a deterministic 1-in-N sample (--trace-every,
 // default 64; 0 disables) through support::SamplingTracer, so /traces
-// stays populated at well under the 5% overhead budget (bench_e16).
+// stays populated within the per-call overhead budget bench_e16 gates
+// (<= 100 ns per call).
 //
 // Shutdown is graceful: SIGINT/SIGTERM stop the locate loop, drain the
 // HTTP server (accepted connections are still answered), dump a final
@@ -259,8 +260,8 @@ constexpr const char* kUsage =
     "--max-restarts (default 5, refilled after a 10 s healthy run).\n"
     "\n"
     "Serving runs a ServiceFleet: one shard and one area by default.\n"
-    "--shards N (or 'auto' = hardware threads) runs N per-core lanes\n"
-    "with work stealing over --fleet-areas independent serving areas\n"
+    "--shards N (or 'auto' = hardware threads) runs N pool threads,\n"
+    "one task per touched area, over --fleet-areas independent areas\n"
     "(default 1, or 4 per shard with --shards) and one bounded shared\n"
     "plan table. POST /locate takes an \"area\" member; metrics carry a\n"
     "shard label; checkpoints restore all-or-nothing across every area\n"
@@ -414,14 +415,11 @@ int main(int argc, char** argv) {
         throw std::runtime_error("cannot write snapshot file: " + error);
       }
     }
-    const cellular::ServiceFleet::FleetStats& fleet_stats =
-        node.fleet().stats();
     std::cout << "confcall_serve: stopped after " << steps_run
               << " steps, served " << node.server().requests_served()
               << " http requests (" << node.server().connections_shed()
-              << " shed), fleet ran " << fleet_stats.tasks
-              << " area-tasks (" << fleet_stats.steals << " stolen, "
-              << fleet_stats.overflows << " overflowed)";
+              << " shed), fleet ran " << node.fleet().stats().tasks
+              << " area-tasks";
     if (!options.state_out.empty()) {
       std::cout << ", wrote " << node.checkpoints_written() << " checkpoints";
     }
