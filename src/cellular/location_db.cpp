@@ -20,34 +20,6 @@ LocationDatabase::LocationDatabase(std::size_t num_users,
   }
 }
 
-bool LocationDatabase::observe_move(UserId user, CellId new_cell,
-                                    ReportPolicy policy) {
-  switch (policy) {
-    case ReportPolicy::kNever:
-      return false;
-    case ReportPolicy::kOnAreaCrossing: {
-      const std::size_t new_area = areas_->area_of(new_cell);
-      if (new_area == reported_area_.at(user)) return false;
-      record_report(user, new_cell);
-      return true;
-    }
-    case ReportPolicy::kOnCellCrossing: {
-      if (new_cell == reported_cell_.at(user)) return false;
-      record_report(user, new_cell);
-      return true;
-    }
-    case ReportPolicy::kEveryTSteps:
-    case ReportPolicy::kDistanceThreshold:
-      // Timer and distance policies carry parameters and need topology;
-      // LocationService::observe_move implements them on top of
-      // record_report.
-      throw std::invalid_argument(
-          "LocationDatabase: timer/distance policies are handled by "
-          "LocationService");
-  }
-  throw std::logic_error("LocationDatabase: unknown policy");
-}
-
 void LocationDatabase::tick() {
   for (auto& steps : steps_since_report_) ++steps;
 }

@@ -3,9 +3,10 @@
 // GSM MAP / IS-41 (paper Section 1.1): every cell broadcasts its location
 // area id; a device reports when it crosses into a new LA, and the network
 // persists the most recently reported LA per device. This module models
-// that database plus the two extreme policies the paper uses to frame the
-// reporting/paging tradeoff — never report (maximal paging) and report
-// every cell crossing (maximal reporting, zero search).
+// that database and names the reporting policies, among them the two
+// extremes the paper uses to frame the reporting/paging tradeoff — never
+// report (maximal paging) and report every cell crossing (maximal
+// reporting, zero search). LocationService::observe_move applies them.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +39,10 @@ class LocationDatabase {
   LocationDatabase(std::size_t num_users, const LocationAreas& areas,
                    const std::vector<CellId>& initial_cells);
 
-  /// Called by the simulator after a device moves; returns true when the
-  /// policy triggers a report (which the caller accounts as uplink cost).
-  bool observe_move(UserId user, CellId new_cell, ReportPolicy policy);
+  /// Devices on record (fixed at construction).
+  [[nodiscard]] std::size_t num_users() const noexcept {
+    return reported_cell_.size();
+  }
 
   /// Most recently reported location area.
   [[nodiscard]] std::size_t reported_area(UserId user) const {

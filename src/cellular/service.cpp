@@ -127,8 +127,9 @@ LocationService::LocationService(const GridTopology& grid,
       db_(checked_initial_cells(grid, initial_cells).size(), areas,
           checked_initial_cells(grid, initial_cells)) {
   config_.validate();
-  visit_counts_.assign(initial_cells.size(),
-                       std::vector<double>(grid_->num_cells(), 0.0));
+  if (config_.profile_kind == ProfileKind::kEmpirical) {
+    visit_counts_.assign(num_users() * grid_->num_cells(), 0.0);
+  }
   if (config_.profile_kind == ProfileKind::kStationary) {
     stationary_ = mobility_->stationary_distribution();
     // The stationary profile is user-independent, so its per-area
@@ -175,7 +176,9 @@ bool LocationService::observe_move(UserId user, CellId new_cell) {
   if (user >= num_users() || new_cell >= grid_->num_cells()) {
     throw std::invalid_argument("observe_move: out of range");
   }
-  visit_counts_[user][new_cell] += 1.0;
+  if (!visit_counts_.empty()) {
+    visit_counts_[user * grid_->num_cells() + new_cell] += 1.0;
+  }
   bool wants_report = false;
   switch (config_.report_policy) {
     case ReportPolicy::kNever:
@@ -215,9 +218,15 @@ prob::ProbabilityVector LocationService::profile_for(
     UserId user, std::size_t area) const {
   const auto& cells = areas_->cells_in(area);
   switch (config_.profile_kind) {
-    case ProfileKind::kEmpirical:
-      return profile_from_counts(visit_counts_.at(user), cells,
-                                 config_.laplace_alpha);
+    case ProfileKind::kEmpirical: {
+      if (user >= num_users()) {
+        throw std::out_of_range("profile_for: unknown user");
+      }
+      const std::size_t stride = grid_->num_cells();
+      return profile_from_counts(
+          std::span<const double>(visit_counts_).subspan(user * stride, stride),
+          cells, config_.laplace_alpha);
+    }
     case ProfileKind::kStationary:
       return stationary_area_.at(area);
     case ProfileKind::kLastSeen:
@@ -747,11 +756,9 @@ std::string LocationService::save_state() const {
     writer.put_u64(db_.steps_since_report(user));
   }
 
-  // Visit statistics — the learned empirical distribution the paper's
-  // planner quality rides on.
-  for (const std::vector<double>& row : visit_counts_) {
-    for (const double count : row) writer.put_f64(count);
-  }
+  // Visit counts — the learned empirical distribution — exist only under
+  // kEmpirical; the shape guard's profile kind says whether they follow.
+  for (const double count : visit_counts_) writer.put_f64(count);
   return std::move(writer).take();
 }
 
@@ -779,24 +786,19 @@ bool LocationService::restore_state(std::string_view payload,
     // Parse everything into temporaries and validate before committing:
     // a payload rejected halfway must not leave the service half-warm.
     const std::size_t users = num_users();
-    const std::size_t cells = grid_->num_cells();
     std::vector<std::pair<CellId, std::size_t>> records;
     records.reserve(users);
     for (std::size_t user = 0; user < users; ++user) {
       const CellId cell = reader.get_u32();
-      if (cell >= cells) return false;
+      if (cell >= grid_->num_cells()) return false;
       const std::uint64_t steps = reader.get_u64();
       records.emplace_back(cell, static_cast<std::size_t>(steps));
     }
 
-    std::vector<std::vector<double>> visits(users);
-    for (std::size_t user = 0; user < users; ++user) {
-      visits[user].reserve(cells);
-      for (std::size_t cell = 0; cell < cells; ++cell) {
-        const double count = reader.get_f64();
-        if (!std::isfinite(count) || count < 0.0) return false;
-        visits[user].push_back(count);
-      }
+    std::vector<double> visits(visit_counts_.size());
+    for (double& count : visits) {
+      count = reader.get_f64();
+      if (!std::isfinite(count) || count < 0.0) return false;
     }
 
     if (!reader.at_end()) return false;

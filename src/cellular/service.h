@@ -5,7 +5,8 @@
 // management service [2,20]. Its goal is to track the locations of devices
 // that are needed in order to establish calls." This class is that
 // component: it ingests device movement events (applying the configured
-// reporting policy and maintaining visit statistics), and serves locate()
+// reporting policy, and keeping visit statistics under the empirical
+// profile, the one estimator that reads them), and serves locate()
 // requests by planning and executing a paging search per location area —
 // the GSM blanket, the paper's Fig. 1 planner, or the Section 5 adaptive
 // variant — including the imperfect-detection recovery path.
@@ -268,7 +269,7 @@ class LocationService {
   void attach_faults(FaultPlan* faults);
 
   [[nodiscard]] std::size_t num_users() const noexcept {
-    return visit_counts_.size();
+    return db_.num_users();
   }
 
   /// Ingests one movement event; returns true when the reporting policy
@@ -410,10 +411,13 @@ class LocationService {
   static constexpr const char* kStateSection = "location_service";
   /// Version 2 dropped the plan-cache entries version 1 carried: which
   /// plans a shared evicting table holds depends on lane interleaving.
-  static constexpr std::uint32_t kStateVersion = 2;
+  /// Version 3 carries visit counts only under ProfileKind::kEmpirical;
+  /// version 2 carried them for every profile kind.
+  static constexpr std::uint32_t kStateVersion = 3;
 
   /// Serializes the service's learned state — the location database
-  /// records and per-user visit statistics — prefixed with a shape guard
+  /// records and, under ProfileKind::kEmpirical, the per-user visit
+  /// counts — prefixed with a shape guard
   /// (user/cell/area counts and the policy knobs the bytes depend on).
   /// Pure function of the logical state: identical state yields
   /// identical bytes regardless of thread count. Plans are not state: a
@@ -425,7 +429,7 @@ class LocationService {
   /// All-or-nothing: the payload is fully parsed and validated (shape
   /// guard, cell ranges, counts) before any field is touched, so a
   /// rejected payload leaves the service in its cold-start state.
-  /// Returns false on any mismatch (a version-1 payload included) or
+  /// Returns false on any mismatch (an older version included) or
   /// malformed payload; NEVER throws on bad input.
   [[nodiscard]] bool restore_state(std::string_view payload,
                                    std::uint32_t version);
@@ -485,7 +489,11 @@ class LocationService {
   LocationDatabase db_;
   FaultPlan* faults_ = nullptr;
   std::size_t reports_lost_ = 0;
-  std::vector<std::vector<double>> visit_counts_;  // per user, per cell
+  /// Visit counts, users x cells row-major. Allocated only under
+  /// ProfileKind::kEmpirical, the one profile kind that reads them;
+  /// empty otherwise, so observe_move, save_state and restore_state
+  /// touch them under that kind alone.
+  std::vector<double> visit_counts_;
   std::vector<double> stationary_;  // cached when profile kind needs it
   /// Stationary profile restricted to each area, computed once at
   /// construction under ProfileKind::kStationary: the row is identical

@@ -1,5 +1,5 @@
-// Tests for the location database and reporting policies, plus the call
-// generator.
+// Tests for the location database and the reporting policies
+// LocationService applies to it, plus the call generator.
 #include "cellular/location_db.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "cellular/events.h"
+#include "cellular/service.h"
 
 namespace confcall::cellular {
 namespace {
@@ -17,14 +18,26 @@ class LocationDbTest : public ::testing::Test {
   LocationDbTest()
       : grid_(4, 4),
         areas_(LocationAreas::tiles(grid_, 2, 2)),
+        mobility_(grid_, 0.5),
         db_(2, areas_, {grid_.cell_at(0, 0), grid_.cell_at(3, 3)}) {}
+
+  /// The reporting policies are applied by LocationService::observe_move;
+  /// this builds one over the same two registrations as db_.
+  LocationService service_with(ReportPolicy policy) const {
+    LocationService::Config config;
+    config.report_policy = policy;
+    return LocationService(grid_, areas_, mobility_, config,
+                           {grid_.cell_at(0, 0), grid_.cell_at(3, 3)});
+  }
 
   GridTopology grid_;
   LocationAreas areas_;
+  MarkovMobility mobility_;
   LocationDatabase db_;
 };
 
 TEST_F(LocationDbTest, InitialRegistration) {
+  EXPECT_EQ(db_.num_users(), 2u);
   EXPECT_EQ(db_.reported_cell(0), grid_.cell_at(0, 0));
   EXPECT_EQ(db_.reported_area(0), areas_.area_of(grid_.cell_at(0, 0)));
   EXPECT_EQ(db_.steps_since_report(0), 0u);
@@ -35,28 +48,27 @@ TEST_F(LocationDbTest, ConstructorValidates) {
 }
 
 TEST_F(LocationDbTest, NeverPolicyStaysSilent) {
-  EXPECT_FALSE(db_.observe_move(0, grid_.cell_at(3, 3),
-                                ReportPolicy::kNever));
+  LocationService service = service_with(ReportPolicy::kNever);
+  EXPECT_FALSE(service.observe_move(0, grid_.cell_at(3, 3)));
   // The database record is untouched.
-  EXPECT_EQ(db_.reported_cell(0), grid_.cell_at(0, 0));
+  EXPECT_EQ(service.database().reported_cell(0), grid_.cell_at(0, 0));
 }
 
 TEST_F(LocationDbTest, AreaCrossingReportsOnlyOnCrossing) {
+  LocationService service = service_with(ReportPolicy::kOnAreaCrossing);
   // (0,0) -> (0,1): same 2x2 area, no report.
-  EXPECT_FALSE(db_.observe_move(0, grid_.cell_at(0, 1),
-                                ReportPolicy::kOnAreaCrossing));
+  EXPECT_FALSE(service.observe_move(0, grid_.cell_at(0, 1)));
   // (0,1) -> (0,2): crosses into the next tile.
-  EXPECT_TRUE(db_.observe_move(0, grid_.cell_at(0, 2),
-                               ReportPolicy::kOnAreaCrossing));
-  EXPECT_EQ(db_.reported_area(0), areas_.area_of(grid_.cell_at(0, 2)));
-  EXPECT_EQ(db_.reported_cell(0), grid_.cell_at(0, 2));
+  EXPECT_TRUE(service.observe_move(0, grid_.cell_at(0, 2)));
+  EXPECT_EQ(service.database().reported_area(0),
+            areas_.area_of(grid_.cell_at(0, 2)));
+  EXPECT_EQ(service.database().reported_cell(0), grid_.cell_at(0, 2));
 }
 
 TEST_F(LocationDbTest, CellCrossingReportsEveryChange) {
-  EXPECT_TRUE(db_.observe_move(0, grid_.cell_at(0, 1),
-                               ReportPolicy::kOnCellCrossing));
-  EXPECT_FALSE(db_.observe_move(0, grid_.cell_at(0, 1),
-                                ReportPolicy::kOnCellCrossing));
+  LocationService service = service_with(ReportPolicy::kOnCellCrossing);
+  EXPECT_TRUE(service.observe_move(0, grid_.cell_at(0, 1)));
+  EXPECT_FALSE(service.observe_move(0, grid_.cell_at(0, 1)));
 }
 
 TEST_F(LocationDbTest, TickAndReportResetClock) {

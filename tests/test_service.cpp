@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "cellular/profile.h"
 #include "core/resilient_planner.h"
+#include "support/state_io.h"
 
 namespace confcall::cellular {
 namespace {
@@ -144,14 +146,6 @@ TEST_F(ServiceTest, ExtendedPolicyParametersValidated) {
   config = {};
   config.distance_threshold = 0;
   EXPECT_THROW(make_service(config), std::invalid_argument);
-}
-
-TEST_F(ServiceTest, DatabaseRejectsExtendedPoliciesDirectly) {
-  LocationDatabase db(1, areas_, {0});
-  EXPECT_THROW(db.observe_move(0, 1, ReportPolicy::kEveryTSteps),
-               std::invalid_argument);
-  EXPECT_THROW(db.observe_move(0, 1, ReportPolicy::kDistanceThreshold),
-               std::invalid_argument);
 }
 
 TEST_F(ServiceTest, ImperfectDetectionReportsMisses) {
@@ -699,8 +693,8 @@ TEST_F(ServiceTest, RestoreRejectsShapeAndContentMismatches) {
   warm_up(warm, rng, cells, mobility_);
   const std::string payload = warm.save_state();
 
-  // Version skew, both ways: version 1 carried plan-cache entries this
-  // build no longer reads.
+  // Version skew, both ways: version 2 carried visit counts for every
+  // profile kind, where this build writes them under kEmpirical only.
   LocationService fresh = make_service(config);
   EXPECT_FALSE(
       fresh.restore_state(payload, LocationService::kStateVersion + 1));
@@ -747,6 +741,75 @@ TEST_F(ServiceTest, RestoreRejectsShapeAndContentMismatches) {
   // The pristine payload still restores after all those rejections.
   EXPECT_TRUE(
       fresh.restore_state(payload, LocationService::kStateVersion));
+}
+
+TEST_F(ServiceTest, EmpiricalCountsRoundTripExactly) {
+  LocationService::Config config;
+  config.profile_kind = ProfileKind::kEmpirical;
+  LocationService warm = make_service(config);
+  prob::Rng rng(23);
+  std::vector<CellId> cells = {0, 7, 20, 35};
+  warm_up(warm, rng, cells, mobility_);
+  const std::string payload = warm.save_state();
+  // Shape guard, one record per user, then every user's full-grid row.
+  EXPECT_EQ(payload.size(), 35 + 12 * 4 + 8 * 4 * grid_.num_cells());
+
+  LocationService fresh = make_service(config);
+  ASSERT_TRUE(fresh.restore_state(payload, LocationService::kStateVersion));
+  EXPECT_EQ(fresh.save_state(), payload);
+  for (UserId u = 0; u < 4; ++u) {
+    for (std::size_t area = 0; area < areas_.num_areas(); ++area) {
+      EXPECT_EQ(fresh.profile_for(u, area), warm.profile_for(u, area))
+          << "user " << u << " area " << area;
+    }
+  }
+}
+
+TEST_F(ServiceTest, CountlessKindsCarryOnlyRecords) {
+  for (const ProfileKind kind :
+       {ProfileKind::kLastSeen, ProfileKind::kStationary}) {
+    LocationService::Config config;
+    config.profile_kind = kind;
+    LocationService warm = make_service(config);
+    prob::Rng rng(29);
+    std::vector<CellId> cells = {0, 7, 20, 35};
+    warm_up(warm, rng, cells, mobility_);
+    const std::string payload = warm.save_state();
+    // Shape guard (3 x u64, 3 x u8, u64) and a (u32 cell, u64 steps)
+    // record per user: no visit counts.
+    EXPECT_EQ(payload.size(), 35u + 12u * warm.num_users())
+        << static_cast<int>(kind);
+    LocationService fresh = make_service(config);
+    EXPECT_TRUE(fresh.restore_state(payload, LocationService::kStateVersion));
+    EXPECT_EQ(fresh.save_state(), payload);
+  }
+}
+
+TEST_F(ServiceTest, RestoreRejectsBadEmpiricalCounts) {
+  LocationService::Config config;
+  config.profile_kind = ProfileKind::kEmpirical;
+  LocationService warm = make_service(config);
+  prob::Rng rng(31);
+  std::vector<CellId> cells = {0, 7, 20, 35};
+  warm_up(warm, rng, cells, mobility_);
+  const std::string payload = warm.save_state();
+  // The last count of the last user's row, after the shape guard and
+  // the database records.
+  const std::size_t last_count = payload.size() - 8;
+  ASSERT_GE(last_count, 35u + 12u * 4u);
+
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    support::StateWriter writer;
+    writer.put_f64(bad);
+    std::string bent = payload;
+    bent.replace(last_count, 8, std::move(writer).take());
+    LocationService fresh = make_service(config);
+    EXPECT_FALSE(fresh.restore_state(bent, LocationService::kStateVersion))
+        << bad;
+    // Rejected whole: the fresh service is still cold.
+    EXPECT_EQ(fresh.save_state(), make_service(config).save_state());
+  }
 }
 
 }  // namespace
