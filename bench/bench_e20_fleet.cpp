@@ -54,13 +54,21 @@ namespace {
 
 using namespace confcall;
 
+/// The shared plan table after a run: its hits and its footprint.
+struct PlanTableRecord {
+  std::uint64_t hits = 0;
+  std::size_t capacity = 0;
+  std::size_t bytes = 0;  ///< the row slab, capacity x row width
+};
+
 /// Locates/sec serving `stream` in dispatches of `batch` through a
 /// fresh fleet at `num_shards`. `p99_out`, when given, receives each
 /// shard's task-latency p99 (ns) from the per-shard histograms, and
-/// `hits_out` the shared-table hit count.
+/// `table_out` the shared table's hits and footprint.
 double run_throughput(const bench::World& world, std::size_t num_shards,
                       std::span<const cellular::ServiceFleet::Request> stream,
-                      std::vector<double>* p99_out, std::uint64_t* hits_out) {
+                      std::vector<double>* p99_out,
+                      PlanTableRecord* table_out) {
   constexpr std::size_t kBatch = 64;
   support::MetricRegistry registry;
   cellular::ServiceFleet fleet = world.make_fleet(num_shards, &registry);
@@ -87,7 +95,12 @@ double run_throughput(const bench::World& world, std::size_t num_shards,
       }
     }
   }
-  if (hits_out != nullptr) *hits_out = fleet.shared_table().plans.stats().hits;
+  if (table_out != nullptr) {
+    const support::SignatureTable& plans = fleet.shared_table().plans;
+    *table_out = {.hits = plans.stats().hits,
+                  .capacity = plans.capacity(),
+                  .bytes = plans.slab_bytes()};
+  }
   return static_cast<double>(done) / elapsed;
 }
 
@@ -140,21 +153,21 @@ int main(int argc, char** argv) {
       bench::fleet_stream(n_calls);
   const std::vector<std::size_t> shard_counts{1, 2, 4, 8};
   std::vector<double> widest_p99;
-  std::uint64_t shared_hits = 0;
+  PlanTableRecord plan_table;
   double widest_best = 0.0;
   std::vector<std::function<double()>> sides;
   for (const std::size_t shards : shard_counts) {
     sides.push_back([&, shards] {
       const bool widest = shards == shard_counts.back();
       std::vector<double> p99;
-      std::uint64_t hits = 0;
+      PlanTableRecord table;
       const double rate =
           run_throughput(world, shards, stream, widest ? &p99 : nullptr,
-                         widest ? &hits : nullptr);
+                         widest ? &table : nullptr);
       if (widest && rate > widest_best) {
         widest_best = rate;
         widest_p99 = p99;
-        shared_hits = hits;
+        plan_table = table;
       }
       return rate;
     });
@@ -213,13 +226,16 @@ int main(int argc, char** argv) {
   table.add_row({"outcomes+checkpoints identical @1/2/8 shards",
                  identical ? "yes" : "NO"});
   table.add_row(
-      {"shared-plan hits", support::TextTable::fmt(shared_hits)});
+      {"shared-plan hits", support::TextTable::fmt(plan_table.hits)});
+  table.add_row({"plan table rows / slab bytes",
+                 std::to_string(plan_table.capacity) + " / " +
+                     std::to_string(plan_table.bytes)});
   std::cout << "\n" << table;
 
   bench.gate("aggregate_throughput_where_armed", throughput_ok);
   bench.gate("per_shard_p99_observable", p99_ok);
   bench.gate("determinism_identical", identical);
-  bench.gate("cross_shard_plan_sharing", shared_hits >= 1);
+  bench.gate("cross_shard_plan_sharing", plan_table.hits >= 1);
 
   // ---- Machine-readable record.
   bench::Json& record = bench.record;
@@ -234,6 +250,10 @@ int main(int argc, char** argv) {
   record["throughput_gate_armed"] = throughput_gated;
   record["per_shard_task_p99_ns"] = widest_p99;
   record["determinism_identical"] = identical ? 1 : 0;
-  record["shared_plan_hits"] = shared_hits;
+  record["shared_plan_hits"] = plan_table.hits;
+  // The table's footprint: bench_compare.py reads *_bytes as
+  // lower-is-better, so a growth warns run over run.
+  record["plan_table_capacity"] = plan_table.capacity;
+  record["plan_table_bytes"] = plan_table.bytes;
   return bench.finish();
 }

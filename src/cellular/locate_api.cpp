@@ -21,8 +21,18 @@ LocateCallSpec parse_call_object(const support::JsonValue& value,
     reject("each call must be a JSON object");
   }
   LocateCallSpec spec;
+  bool seen_area = false;
+  bool seen_users = false;
+  // The JSON object keeps every member in order, a repeated key included:
+  // taking the last "area" or concatenating two "users" lists would route
+  // the call, or page a callee twice, behind the client's back.
+  const auto once = [](bool& seen, const std::string& key) {
+    if (seen) reject("repeated call member '" + key + "'");
+    seen = true;
+  };
   for (const auto& [key, member] : value.as_object()) {
     if (key == "area") {
+      once(seen_area, key);
       if (!member.is_number()) {
         reject("\"area\" must be a number");
       }
@@ -38,6 +48,7 @@ LocateCallSpec parse_call_object(const support::JsonValue& value,
       reject("unknown call member '" + key +
              "' (only \"users\" and \"area\" are known)");
     }
+    once(seen_users, key);
     if (!member.is_array()) {
       reject("\"users\" must be an array of user ids");
     }

@@ -22,8 +22,9 @@
 //                         admission pass, answered as a JSON array.
 //
 // Anything else — malformed JSON, wrong value types, out-of-range or
-// duplicate user ids, unknown members — throws std::invalid_argument
-// with a message fit for the endpoint's 400 response body.
+// duplicate user ids, unknown or repeated members — throws
+// std::invalid_argument with a message fit for the endpoint's 400
+// response body.
 //
 // Response rendering (append_outcome_json) emits the field set the
 // endpoint has always produced, one object per call:

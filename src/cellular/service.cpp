@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "cellular/profile.h"
@@ -73,7 +74,69 @@ std::vector<CellId> checked_initial_cells(const GridTopology& grid,
   return cells;
 }
 
+std::size_t largest_area(const LocationAreas& areas) {
+  std::size_t largest = 0;
+  for (std::size_t area = 0; area < areas.num_areas(); ++area) {
+    largest = std::max(largest, areas.cells_in(area).size());
+  }
+  return largest;
+}
+
 }  // namespace
+
+void PlanRow::pack(const core::Strategy& strategy, double expected_paging) {
+  if (strategy.num_rounds() > 255 ||
+      stride_for(strategy.num_cells()) > bytes_.size()) {
+    throw std::invalid_argument(
+        "PlanRow: a plan needs at most 255 rounds and a cell per row byte");
+  }
+  set_expected_paging(expected_paging);
+  bytes_[8] = static_cast<std::byte>(strategy.num_rounds());
+  for (std::size_t r = 0; r < strategy.num_rounds(); ++r) {
+    for (const core::CellId cell : strategy.group(r)) {
+      bytes_[kHeaderBytes + cell] = static_cast<std::byte>(r);
+    }
+  }
+  std::fill(bytes_.begin() + static_cast<std::ptrdiff_t>(
+                                 stride_for(strategy.num_cells())),
+            bytes_.end(), std::byte{0});
+}
+
+void PlanRow::pack_blanket() {
+  set_expected_paging(-1.0);
+  bytes_[8] = std::byte{1};
+  std::fill(bytes_.begin() + kHeaderBytes, bytes_.end(), std::byte{0});
+}
+
+double PlanRow::expected_paging() const noexcept {
+  double ep = 0.0;
+  std::memcpy(&ep, bytes_.data(), sizeof ep);
+  return ep;
+}
+
+void PlanRow::set_expected_paging(double expected_paging) noexcept {
+  std::memcpy(bytes_.data(), &expected_paging, sizeof expected_paging);
+}
+
+core::Strategy PlanRow::to_strategy(std::size_t num_cells) const {
+  std::vector<std::vector<core::CellId>> groups(num_rounds());
+  for (std::size_t cell = 0; cell < num_cells; ++cell) {
+    groups[round_of(cell)].push_back(static_cast<core::CellId>(cell));
+  }
+  return core::Strategy::from_groups(std::move(groups), num_cells);
+}
+
+SharedPlanTable::SharedPlanTable(const GridTopology& grid,
+                                 const LocationAreas& areas,
+                                 const MarkovMobility& mobility,
+                                 ProfileKind profile_kind,
+                                 std::size_t last_seen_horizon,
+                                 std::size_t capacity)
+    : plans(capacity, PlanRow::stride_for(largest_area(areas))) {
+  if (profile_kind == ProfileKind::kLastSeen) {
+    digests.emplace(grid, areas, mobility, last_seen_horizon);
+  }
+}
 
 void RetryPolicy::validate() const {
   if (backoff_base != 0 && backoff_base > backoff_cap) {
@@ -86,6 +149,11 @@ void LocationService::Config::validate() const {
   if (max_paging_rounds == 0) {
     throw std::invalid_argument(
         "LocationService: max_paging_rounds must be >= 1");
+  }
+  if (max_paging_rounds > 255) {
+    throw std::invalid_argument(
+        "LocationService: max_paging_rounds must be <= 255 (a plan row "
+        "stores each cell's round in one byte)");
   }
   if (timer_period == 0) {
     throw std::invalid_argument("LocationService: timer_period must be >= 1");
@@ -142,11 +210,13 @@ LocationService::LocationService(const GridTopology& grid,
     }
   }
   const bool last_seen = config_.profile_kind == ProfileKind::kLastSeen;
+  const std::size_t stride = PlanRow::stride_for(largest_area(areas));
   table_ = config_.shared_plan_table;
   if (table_ != nullptr &&
-      (table_->digests ? !table_->digests->built_for(
-                             grid, areas, mobility, config_.last_seen_horizon)
-                       : last_seen)) {
+      ((table_->digests ? !table_->digests->built_for(
+                              grid, areas, mobility, config_.last_seen_horizon)
+                        : last_seen) ||
+       table_->plans.row_bytes() < stride)) {
     throw std::invalid_argument(
         "LocationService: shared_plan_table was built for another grid, "
         "area layout, mobility model, last_seen_horizon or profile kind");
@@ -160,6 +230,8 @@ LocationService::LocationService(const GridTopology& grid,
         SharedPlanTable::kPlansPerArea * areas.num_areas());
     table_ = own_table_.get();
   }
+  scratch_.planned =
+      PlanRow(table_ != nullptr ? table_->plans.row_bytes() : stride);
 }
 
 void LocationService::attach_faults(FaultPlan* faults) {
@@ -341,18 +413,18 @@ core::Instance instance_from_row_ptrs(
 
 }  // namespace
 
-const core::Strategy* LocationService::plan_area_strategy(
-    std::span<const UserId> group_users, std::size_t area,
-    std::size_t num_cells, std::size_t d, bool plan_cheap,
-    double* ep_out) const {
-  SharedPlan& planned = scratch_.planned;
+const PlanRow& LocationService::plan_area(std::span<const UserId> group_users,
+                                         std::size_t area,
+                                         std::size_t num_cells, std::size_t d,
+                                         bool plan_cheap,
+                                         double* ep_out) const {
+  PlanRow& planned = scratch_.planned;
   if (config_.paging_policy == PagingPolicy::kBlanketArea || plan_cheap) {
     // Degraded health plans with the cheap tier directly: a blanket area
     // page costs zero planning work and one round, which is exactly what
     // an overloaded control plane can still afford.
-    planned.strategy = std::make_shared<const core::Strategy>(
-        core::Strategy::blanket(num_cells));
-    return planned.strategy.get();
+    planned.pack_blanket();
+    return planned;
   }
   // Rows are staged at most once per call, and only when something reads
   // them: signing a new key, a planner run, or an EP the publisher left
@@ -364,45 +436,45 @@ const core::Strategy* LocationService::plan_area_strategy(
   };
   const auto plan = [&] {
     const core::Instance planned_instance = instance();
-    planned.strategy = std::make_shared<const core::Strategy>(
+    const core::Strategy strategy =
         config_.planner != nullptr
             ? config_.planner->plan(planned_instance, d)
-            : core::plan_greedy(planned_instance, d).strategy);
-    planned.expected_paging =
-        ep_out != nullptr
-            ? core::expected_paging(planned_instance, *planned.strategy)
-            : -1.0;
+            : core::plan_greedy(planned_instance, d).strategy;
+    planned.pack(strategy,
+                 ep_out != nullptr
+                     ? core::expected_paging(planned_instance, strategy)
+                     : -1.0);
   };
 
   if (table_ == nullptr) {
     plan();
   } else {
     // One path: sign, look up, or plan and publish. Another area (on any
-    // shard) may have published these exact inputs; its plan carries its
+    // shard) may have published these exact inputs; its row carries its
     // EP, so a hit on known keys builds no rows.
     const std::uint64_t signature =
         plan_signature(group_users, num_cells, area, d);
-    if (table_->plans.lookup(signature, planned)) {
+    if (table_->plans.lookup(signature, planned.bytes())) {
       ++plan_cache_stats_.hits;
       config_.metrics.cache_hits.inc();
       // Published without an EP: compute it for this call only.
-      if (ep_out != nullptr && planned.expected_paging < 0.0) {
-        planned.expected_paging =
-            core::expected_paging(instance(), *planned.strategy);
+      if (ep_out != nullptr && planned.expected_paging() < 0.0) {
+        planned.set_expected_paging(core::expected_paging(
+            instance(), planned.to_strategy(num_cells)));
       }
     } else {
       plan();
-      (void)table_->plans.insert(signature, planned);
+      (void)table_->plans.insert(signature, planned.bytes());
       ++plan_cache_stats_.misses;
       config_.metrics.cache_misses.inc();
     }
   }
-  if (ep_out != nullptr) *ep_out = planned.expected_paging;
-  return planned.strategy.get();
+  if (ep_out != nullptr) *ep_out = planned.expected_paging();
+  return planned;
 }
 
-LocationService::AreaOutcome LocationService::execute_area_strategy(
-    const core::Strategy& strategy, std::span<const UserId> users,
+LocationService::AreaOutcome LocationService::execute_area_plan(
+    const PlanRow& plan, std::size_t num_cells, std::span<const UserId> users,
     std::span<const CellId> true_cells,
     const std::vector<std::size_t>& local_of, std::vector<bool>& found,
     LocateOutcome& outcome, prob::Rng& rng) {
@@ -414,9 +486,16 @@ LocationService::AreaOutcome LocationService::execute_area_strategy(
     return count;
   };
 
+  const std::size_t rounds = plan.num_rounds();
+  auto& round_pages = scratch_.round_pages;
+  round_pages.assign(rounds, 0);
+  for (std::size_t cell = 0; cell < num_cells; ++cell) {
+    ++round_pages[plan.round_of(cell)];
+  }
+
   AreaOutcome area;
-  for (std::size_t r = 0; r < strategy.num_rounds(); ++r) {
-    area.pages += strategy.group(r).size();
+  for (std::size_t r = 0; r < rounds; ++r) {
+    area.pages += round_pages[r];
     area.rounds = r + 1;
     if (faults_ != nullptr && faults_->drop_round()) {
       // Channel overload: the round's pages are spent, nobody hears them.
@@ -424,10 +503,7 @@ LocationService::AreaOutcome LocationService::execute_area_strategy(
     } else {
       for (std::size_t i = 0; i < users.size(); ++i) {
         if (found[i] || local_of[i] == kUnknownLocal) continue;
-        if (strategy.round_of(static_cast<core::CellId>(local_of[i])) !=
-            r) {
-          continue;
-        }
+        if (plan.round_of(local_of[i]) != r) continue;
         if (faults_ != nullptr && faults_->cell_out(true_cells[i])) {
           // The device's base station is dark: the page is spent but can
           // never be answered. No detection draw happens.
@@ -446,7 +522,7 @@ LocationService::AreaOutcome LocationService::execute_area_strategy(
       everyone_found &= found[i];
     }
     if (everyone_found) {
-      area.ran_all_rounds = r + 1 == strategy.num_rounds();
+      area.ran_all_rounds = r + 1 == rounds;
       return area;
     }
   }
@@ -657,17 +733,17 @@ LocationService::LocateOutcome LocationService::locate(
       found.assign(group.size(), true);
     } else {
       double ep = -1.0;
-      const core::Strategy* strategy = [&] {
+      const PlanRow& plan = [&]() -> const PlanRow& {
         const support::Span plan_span(config_.tracer, "plan");
-        return plan_area_strategy(
-            group_users, area, cells.size(), d, context.plan_cheap,
-            config_.metrics.ep_predicted.bound() ? &ep : nullptr);
+        return plan_area(group_users, area, cells.size(), d,
+                         context.plan_cheap,
+                         config_.metrics.ep_predicted.bound() ? &ep : nullptr);
       }();
       if (ep >= 0.0) config_.metrics.ep_predicted.observe(ep);
       const support::Span page_span(config_.tracer, "page_rounds");
-      area_outcome = execute_area_strategy(*strategy, group_users,
-                                           group_cells, local_of, found,
-                                           outcome, rng);
+      area_outcome = execute_area_plan(plan, cells.size(), group_users,
+                                       group_cells, local_of, found, outcome,
+                                       rng);
     }
     outcome.cells_paged += area_outcome.pages;
     outcome.rounds_used =

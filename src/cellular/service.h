@@ -29,6 +29,7 @@
 // would hear the page responses.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -135,42 +136,83 @@ struct ServiceMetrics {
       support::MetricRegistry& registry, const support::MetricLabels& labels = {});
 };
 
-/// A plan published to a SharedPlanTable: the strategy and its Lemma 2.1
-/// expected paging (-1 when the publisher had no EP histogram attached;
-/// a reader that needs it computes it for that call only). The strategy
-/// is immutable once planned, so a copy shares it: a table hit costs a
-/// reference-count increment, not a strategy copy, and an eviction
-/// cannot pull it from under a reader still paging by it.
-struct SharedPlan {
-  std::shared_ptr<const core::Strategy> strategy;
-  double expected_paging = -1.0;
+/// One Fig. 1 plan for one location area, packed the way a
+/// SharedPlanTable row stores it. Fixed width, byte-addressed:
+///
+///   bytes [0, 8)  the Lemma 2.1 expected paging, an f64 (-1 when the
+///                 publisher had no EP histogram attached; a reader that
+///                 needs it rebuilds the strategy and computes it for
+///                 that call only),
+///   byte 8        the round count d, a u8 (Config::validate caps d at
+///                 255),
+///   byte 9 + j    the round of the area's local cell j, for j < c.
+///
+/// The width is stride_for(the largest location area's cell count);
+/// bytes past an area's c cells are zero, so a row is a pure function of
+/// its plan. A row is all a search pages by — the round of each callee's
+/// cell and the pages each round spends — so a table hit is one copy of
+/// this many bytes.
+class PlanRow {
+ public:
+  static constexpr std::size_t kHeaderBytes = 9;
+
+  /// Row width for location areas of at most `max_cells` cells.
+  [[nodiscard]] static constexpr std::size_t stride_for(
+      std::size_t max_cells) noexcept {
+    return kHeaderBytes + max_cells;
+  }
+
+  /// A zeroed row of `stride` bytes (>= kHeaderBytes).
+  explicit PlanRow(std::size_t stride = kHeaderBytes) : bytes_(stride) {}
+
+  /// Packs `strategy` and its EP. Throws std::invalid_argument when the
+  /// strategy has more than 255 rounds or more cells than the row holds.
+  void pack(const core::Strategy& strategy, double expected_paging);
+  /// The blanket page: one round, every cell in it.
+  void pack_blanket();
+
+  [[nodiscard]] double expected_paging() const noexcept;
+  void set_expected_paging(double expected_paging) noexcept;
+  [[nodiscard]] std::size_t num_rounds() const noexcept {
+    return std::to_integer<std::size_t>(bytes_[8]);
+  }
+  /// The round (0-based) that pages local cell `cell`.
+  [[nodiscard]] std::size_t round_of(std::size_t cell) const noexcept {
+    return std::to_integer<std::size_t>(bytes_[kHeaderBytes + cell]);
+  }
+  /// Rebuilds the strategy over the first `num_cells` cells: the same
+  /// round of every cell, each round's cells in ascending order.
+  [[nodiscard]] core::Strategy to_strategy(std::size_t num_cells) const;
+
+  /// The raw row, for table lookups and inserts.
+  [[nodiscard]] std::span<std::byte> bytes() noexcept { return bytes_; }
+
+ private:
+  std::vector<std::byte> bytes_;
 };
 
 /// The plan table every planned search goes through: a bounded
-/// signature -> plan table (support::SignatureTable, CLOCK eviction), so
-/// identical planning inputs plan once per table, and the last-seen
-/// digest memo, so each (reported cell, steps) profile is evolved once
-/// per table instead of once per call. ServiceFleet wires every area to
-/// one; a service given none builds a private one. The topology objects
-/// must outlive it; a service over a different grid, area layout,
-/// mobility model or horizon refuses to attach it.
+/// signature -> PlanRow table (support::SignatureTable: one slab,
+/// set-associative CLOCK eviction), so identical planning inputs plan
+/// once per table, and the last-seen digest memo, so each (reported
+/// cell, steps) profile is evolved once per table instead of once per
+/// call. ServiceFleet wires every area to one; a service given none
+/// builds a private one. The topology objects must outlive it; a service
+/// over a different grid, area layout, mobility model or horizon refuses
+/// to attach it.
 struct SharedPlanTable {
-  /// Table entries per (serving area, in-grid location area) — the
-  /// sizing rule both the fleet and a private table apply.
-  static constexpr std::size_t kPlansPerArea = 32;
+  /// Table rows per (serving area, in-grid location area) — the sizing
+  /// rule both the fleet and a private table apply.
+  static constexpr std::size_t kPlansPerArea = 128;
 
-  /// Holds up to `capacity` plans. The digest memo is built only under
+  /// Holds up to `capacity` plans, each a PlanRow as wide as the largest
+  /// of `areas`. The digest memo is built only under
   /// ProfileKind::kLastSeen, the one profile kind that signs from it.
   SharedPlanTable(const GridTopology& grid, const LocationAreas& areas,
                   const MarkovMobility& mobility, ProfileKind profile_kind,
-                  std::size_t last_seen_horizon, std::size_t capacity)
-      : plans(capacity) {
-    if (profile_kind == ProfileKind::kLastSeen) {
-      digests.emplace(grid, areas, mobility, last_seen_horizon);
-    }
-  }
+                  std::size_t last_seen_horizon, std::size_t capacity);
 
-  support::SignatureTable<SharedPlan> plans;
+  support::SignatureTable plans;
   std::optional<LastSeenDigests> digests;
 };
 
@@ -185,7 +227,9 @@ class LocationService {
     std::size_t distance_threshold = 2;
     PagingPolicy paging_policy = PagingPolicy::kGreedy;
     ProfileKind profile_kind = ProfileKind::kLastSeen;
-    std::size_t max_paging_rounds = 3;   ///< the delay constraint d
+    /// The delay constraint d, in [1, 255]: a plan row stores each
+    /// cell's round in one byte.
+    std::size_t max_paging_rounds = 3;
     double laplace_alpha = 1.0;          ///< empirical-profile smoothing
     std::size_t last_seen_horizon = 100;  ///< cap on prediction steps
     /// Section 5 imperfect detection: P[a paged device answers].
@@ -235,15 +279,15 @@ class LocationService {
     /// outlive the service). Without one, a service with the plan cache
     /// on builds a private table of kPlansPerArea entries per location
     /// area. Every planned search signs its inputs, looks the signature
-    /// up in the table and, on a miss, plans and publishes the strategy
-    /// with its EP — identically distributed areas then plan once per
-    /// table (see cellular/service_fleet.h). Results are unchanged with
-    /// or without the table: a hit returns exactly the strategy the
+    /// up in the table and, on a miss, plans and publishes the plan's
+    /// PlanRow with its EP — identically distributed areas then plan once
+    /// per table (see cellular/service_fleet.h). Results are unchanged
+    /// with or without the table: a hit returns exactly the plan the
     /// deterministic planner would produce for the same signed inputs.
     /// The constructor throws std::invalid_argument when the table was
     /// built for a different grid, area layout, mobility model or
-    /// last_seen_horizon, or lacks the digest memo a kLastSeen service
-    /// signs from.
+    /// last_seen_horizon, lacks the digest memo a kLastSeen service signs
+    /// from, or has rows narrower than this service's largest area.
     SharedPlanTable* shared_plan_table = nullptr;
 
     /// Consolidated validation with one specific message per rejection.
@@ -443,27 +487,27 @@ class LocationService {
     bool ran_all_rounds = false;
   };
   static constexpr std::size_t kUnknownLocal = static_cast<std::size_t>(-1);
-  AreaOutcome execute_area_strategy(const core::Strategy& strategy,
-                                    std::span<const UserId> users,
-                                    std::span<const CellId> true_cells,
-                                    const std::vector<std::size_t>& local_of,
-                                    std::vector<bool>& found,
-                                    LocateOutcome& outcome, prob::Rng& rng);
+  /// Pages one area of `num_cells` cells round by round by `plan` until
+  /// every callee in `users` answers or the plan runs out of rounds.
+  AreaOutcome execute_area_plan(const PlanRow& plan, std::size_t num_cells,
+                                std::span<const UserId> users,
+                                std::span<const CellId> true_cells,
+                                const std::vector<std::size_t>& local_of,
+                                std::vector<bool>& found,
+                                LocateOutcome& outcome, prob::Rng& rng);
   /// `ep_out`, when non-null, receives the Lemma 2.1 expected paging of
-  /// the returned strategy (or stays untouched on the blanket/cheap path,
+  /// the returned plan (or stays untouched on the blanket/cheap path,
   /// which never builds an instance). The value is published with the
-  /// strategy, so attaching the EP histogram does not re-run the
-  /// evaluator on table hits. Profile rows are built only for a new
-  /// last-seen key, a planner run or an EP the publisher left out; a
-  /// table hit on known keys signs from digests alone.
-  /// Returns a pointer (never null) to the strategy scratch_.planned
-  /// holds; it is valid until the next plan_area_strategy call on this
-  /// service.
-  const core::Strategy* plan_area_strategy(std::span<const UserId> group_users,
-                                           std::size_t area,
-                                           std::size_t num_cells,
-                                           std::size_t d, bool plan_cheap,
-                                           double* ep_out = nullptr) const;
+  /// plan, so attaching the EP histogram does not re-run the evaluator on
+  /// table hits. Profile rows are built only for a new last-seen key, a
+  /// planner run or an EP the publisher left out; a table hit on known
+  /// keys signs from digests alone.
+  /// Returns scratch_.planned, valid until the next plan_area call on
+  /// this service.
+  const PlanRow& plan_area(std::span<const UserId> group_users,
+                           std::size_t area, std::size_t num_cells,
+                           std::size_t d, bool plan_cheap,
+                           double* ep_out = nullptr) const;
   /// Stages one profile-row pointer per callee in scratch_.row_ptrs
   /// (rows may alias, e.g. the shared per-area stationary profile).
   void stage_rows(std::span<const UserId> group_users, std::size_t area) const;
@@ -523,11 +567,17 @@ class LocationService {
     std::vector<prob::ProbabilityVector> rows;
     std::vector<const prob::ProbabilityVector*> row_ptrs;
     std::vector<std::uint64_t> digests;
-    /// The plan this call pages by. A table hit is copy-assigned here,
-    /// which allocates nothing.
-    SharedPlan planned;
+    /// The plan this call pages by, as wide as the table's rows. A table
+    /// hit is copied here, which allocates nothing.
+    PlanRow planned;
+    /// Pages each round of `planned` spends.
+    std::vector<std::size_t> round_pages;
   };
   mutable LocateScratch scratch_;
+
+  /// Reaches execute_area_plan and page_answered from the plan-row tests
+  /// (tests/test_plan_cache.cpp).
+  friend struct LocationServiceTestPeer;
 };
 
 }  // namespace confcall::cellular

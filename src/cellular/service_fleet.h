@@ -29,13 +29,14 @@
 //
 // Cross-shard plan sharing: every area's LocationService, one-area
 // fleets included, plans through one fleet-wide SharedPlanTable
-// (cellular/service.h), a bounded CLOCK table of
-// SharedPlanTable::kPlansPerArea entries per (fleet area, in-grid
-// location area). Identically distributed areas produce identical plan
-// signatures (the signature hashes planning inputs, not the area index),
-// so the first area to plan a signature publishes the strategy and its
-// EP, and every later lookup — from any area, on any shard — copies it
-// instead of re-running the Fig. 1 DP. The same object carries the
+// (cellular/service.h), a bounded table of
+// SharedPlanTable::kPlansPerArea packed plan rows per (fleet area,
+// in-grid location area), evicting by CLOCK inside 8-way sets.
+// Identically distributed areas produce identical plan signatures (the
+// signature hashes planning inputs, not the area index), so the first
+// area to plan a signature publishes the plan row with its EP, and
+// every later lookup — from any area, on any shard — copies it instead
+// of re-running the Fig. 1 DP. The same object carries the
 // last-seen digest memo, so a (reported cell, steps) profile is evolved
 // once per fleet.
 #pragma once

@@ -357,32 +357,40 @@ support::HttpResponse ServingNode::locate(const support::HttpRequest& http) {
 
   std::lock_guard<std::mutex> lock(sim_mutex_);
   // One admission pass over the whole batch, then a single fleet
-  // dispatch over the admitted calls.
-  std::vector<ServiceFleet::Request> requests(api.calls.size());
-  std::vector<bool> admitted(api.calls.size());
+  // dispatch over the admitted calls. Each admitted call moves into
+  // `dispatch` once; the reply needs only every call's verdict and size.
+  struct Verdict {
+    bool admitted = false;
+    std::size_t participants = 0;
+  };
+  std::vector<Verdict> verdicts;
+  verdicts.reserve(api.calls.size());
   std::vector<ServiceFleet::Request> dispatch;
   dispatch.reserve(api.calls.size());
-  for (std::size_t i = 0; i < api.calls.size(); ++i) {
-    requests[i].area = api.calls[i].area;
-    requests[i].users = api.calls[i].users.empty()
-                            ? forced_calls_.maybe_call(rng_).participants
-                            : std::move(api.calls[i].users);
-    admitted[i] = admit(requests[i].users.size(), requests[i].context);
-    if (admitted[i]) dispatch.push_back(requests[i]);
+  for (LocateCallSpec& call : api.calls) {
+    ServiceFleet::Request request;
+    request.area = call.area;
+    request.users = call.users.empty()
+                        ? forced_calls_.maybe_call(rng_).participants
+                        : std::move(call.users);
+    const bool admitted = admit(request.users.size(), request.context);
+    verdicts.push_back({admitted, request.users.size()});
+    if (admitted) dispatch.push_back(std::move(request));
   }
   const std::vector<LocationService::LocateOutcome> outcomes =
       fleet_.locate_many(dispatch);
 
   std::string body = api.batch ? "[" : "";
   std::size_t next_outcome = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
     if (i > 0) body += ", ";
-    append_outcome_json(body, admitted[i], requests[i].users.size(),
-                        admitted[i] ? &outcomes[next_outcome++] : nullptr);
+    append_outcome_json(body, verdicts[i].admitted, verdicts[i].participants,
+                        verdicts[i].admitted ? &outcomes[next_outcome++]
+                                             : nullptr);
   }
   body += api.batch ? "]\n" : "\n";
   // The single-call contract (empty body or one object): 503 on shed.
-  return {.status = api.batch || admitted.front() ? 200 : 503,
+  return {.status = api.batch || verdicts.front().admitted ? 200 : 503,
           .content_type = "application/json",
           .body = std::move(body)};
 }

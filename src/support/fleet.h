@@ -3,32 +3,36 @@
 //
 // Two pieces, each independently testable:
 //
-//   * SignatureTable<V> — a shared content-signature -> value table
-//     with a fixed capacity and CLOCK eviction behind a sharded mutex.
-//     The serving use is signature -> planned strategy and its expected
-//     paging (cellular::SharedPlan): identically-distributed location
+//   * SignatureTable — a shared content-signature -> fixed-width byte-row
+//     table with a fixed capacity. Every row lives in one slab allocated
+//     at construction, so no insert allocates. A signature maps to one
+//     kWays-row set: a lookup scans at most kWays signatures, and an
+//     insert into a full set evicts by CLOCK inside that set. Sets are
+//     guarded by 16 striped mutexes. The serving use is signature ->
+//     packed plan (cellular::PlanRow): identically-distributed location
 //     areas sign identically (LocationService::plan_signature hashes the
 //     planning INPUTS, never the area index), so whichever area plans a
-//     signature first publishes the strategy and every later lookup, from
-//     any area on any shard, copies it instead of running a Fig. 1 DP.
-//     Lookups copy the value out under the shard lock — no reference ever
-//     escapes, so readers can't dangle and TSan sees plain lock-protected
-//     accesses. Insert-once keeps the table deterministic under racing
-//     inserts: two shards planning the same signature computed the same
-//     strategy from the same inputs (the planner is deterministic), so
-//     whichever insert lands first, the table holds the value both
-//     computed. Which entries stay resident, and so whether a lookup
-//     hits, depends on the interleaving; what a hit returns never does.
+//     signature first publishes the row and every later lookup, from any
+//     area on any shard, copies it instead of running a Fig. 1 DP.
+//     Lookups copy the row out under the stripe lock — no reference ever
+//     escapes, so readers can't dangle or see a torn row, and TSan sees
+//     plain lock-protected accesses. Insert-once keeps the table
+//     deterministic under racing inserts: two shards planning the same
+//     signature computed the same plan from the same inputs (the planner
+//     is deterministic), so whichever insert lands first, the table holds
+//     the row both computed. Which rows stay resident, and so whether a
+//     lookup hits, depends on the interleaving; what a hit returns never
+//     does.
 //   * pin_current_thread_to_core — best-effort CPU pinning. Pinning is
 //     Linux-only: placement is a performance hint, never a correctness
 //     requirement.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #if defined(__linux__)
@@ -37,78 +41,45 @@
 
 namespace confcall::support {
 
-/// Bounded signature -> value table, read-mostly, sharded-mutex
-/// guarded. See the header comment for the serving contract. V must be
-/// default-constructible and copy-assignable; lookups copy the value out
-/// so no caller ever holds a reference into the table.
-template <typename V>
+/// Bounded signature -> byte-row table, read-mostly, striped-mutex
+/// guarded. See the header comment for the serving contract. Rows are
+/// copied in and out, so no caller ever holds a reference into the slab.
 class SignatureTable {
  public:
-  /// Holds at most capacity() entries: `capacity` rounded up to whole
-  /// slot arrays, one per lock shard (at least one slot each). Each
-  /// shard's slots are fixed at construction, so the bound is exact
-  /// however inserts race.
-  explicit SignatureTable(std::size_t capacity)
-      : slots_per_shard_(std::max<std::size_t>(
-            1, (capacity + kNumShards - 1) / kNumShards)) {
-    for (Shard& shard : shards_) {
-      shard.slots.resize(slots_per_shard_);
-      shard.index.reserve(slots_per_shard_);
-    }
-  }
+  /// Rows per set: the most signatures one lookup scans.
+  static constexpr std::size_t kWays = 8;
+
+  /// Holds at most capacity() rows of `row_bytes` bytes: `capacity`
+  /// rounded up to whole sets (at least one). The slab is allocated here
+  /// and each set's ways are fixed, so the bound is exact however inserts
+  /// race. Throws std::invalid_argument when `row_bytes` is 0.
+  SignatureTable(std::size_t capacity, std::size_t row_bytes);
 
   SignatureTable(const SignatureTable&) = delete;
   SignatureTable& operator=(const SignatureTable&) = delete;
 
   [[nodiscard]] std::size_t capacity() const noexcept {
-    return slots_per_shard_ * kNumShards;
+    return sets_.size() * kWays;
+  }
+  [[nodiscard]] std::size_t row_bytes() const noexcept { return row_bytes_; }
+  /// The slab's size: capacity() x row_bytes().
+  [[nodiscard]] std::size_t slab_bytes() const noexcept {
+    return capacity() * row_bytes_;
   }
 
-  /// Copy-assigns the value for `signature` into `out` and marks the
-  /// entry referenced; returns false (leaving `out` untouched) when
-  /// absent. Counts a hit or a miss either way.
-  bool lookup(std::uint64_t signature, V& out) {
-    Shard& shard = shards_[shard_of(signature)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(signature);
-    if (it == shard.index.end()) {
-      ++shard.misses;
-      return false;
-    }
-    ++shard.hits;
-    Slot& slot = shard.slots[it->second];
-    slot.referenced = true;
-    out = slot.value;
-    return true;
-  }
+  /// Copies the row for `signature` into `out` and marks it referenced;
+  /// returns false (leaving `out` untouched) when absent. Counts a hit or
+  /// a miss either way. Throws std::invalid_argument unless `out` is
+  /// row_bytes() long.
+  bool lookup(std::uint64_t signature, std::span<std::byte> out);
 
-  /// Publishes `value` under `signature` unless the signature is already
+  /// Publishes `row` under `signature` unless the signature is already
   /// resident (first writer wins — see the determinism note above). A
-  /// full lock shard evicts by CLOCK: its hand clears reference bits
-  /// until it reaches an entry nobody looked up since the last sweep.
-  /// Returns true when the insert landed.
-  bool insert(std::uint64_t signature, const V& value) {
-    Shard& shard = shards_[shard_of(signature)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.index.contains(signature)) return false;
-    std::size_t victim = shard.index.size();
-    if (victim == slots_per_shard_) {
-      while (shard.slots[shard.hand].referenced) {
-        shard.slots[shard.hand].referenced = false;
-        shard.hand = (shard.hand + 1) % slots_per_shard_;
-      }
-      victim = shard.hand;
-      shard.hand = (shard.hand + 1) % slots_per_shard_;
-      shard.index.erase(shard.slots[victim].signature);
-      ++shard.evictions;
-    }
-    Slot& slot = shard.slots[victim];
-    slot.signature = signature;
-    slot.referenced = false;
-    slot.value = value;
-    shard.index.emplace(signature, victim);
-    return true;
-  }
+  /// full set evicts by CLOCK: its hand clears reference bits until it
+  /// reaches a way nobody looked up since the last sweep. Returns true
+  /// when the insert landed. Throws std::invalid_argument unless `row` is
+  /// row_bytes() long.
+  bool insert(std::uint64_t signature, std::span<const std::byte> row);
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -117,47 +88,47 @@ class SignatureTable {
     std::size_t entries = 0;
   };
 
-  /// One consistent-enough cut of the counters (each lock shard is read
-  /// under its own mutex; cross-shard skew is bounded by in-flight ops).
-  [[nodiscard]] Stats stats() const {
-    Stats total;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      total.hits += shard.hits;
-      total.misses += shard.misses;
-      total.evictions += shard.evictions;
-      total.entries += shard.index.size();
-    }
-    return total;
-  }
+  /// One consistent-enough cut of the counters (each stripe is read
+  /// under its own mutex; cross-stripe skew is bounded by in-flight ops).
+  [[nodiscard]] Stats stats() const;
 
  private:
-  static constexpr std::size_t kNumShards = 16;
+  static constexpr std::size_t kNumStripes = 16;
 
-  static std::size_t shard_of(std::uint64_t signature) noexcept {
-    // The signature is already well-mixed (splitmix64 finalizer); the
-    // low bits pick the lock shard.
-    return static_cast<std::size_t>(signature) & (kNumShards - 1);
-  }
+  static_assert(kWays <= 8, "Set keeps one reference bit per way in a byte");
 
-  struct Slot {
-    std::uint64_t signature = 0;
-    bool referenced = false;
-    V value{};
+  struct Set {
+    std::uint64_t signatures[kWays] = {};
+    std::uint8_t size = 0;        ///< ways [0, size) hold rows
+    std::uint8_t referenced = 0;  ///< bit w: way w looked up since swept
+    std::uint8_t hand = 0;        ///< CLOCK hand, once the set is full
   };
 
-  struct alignas(64) Shard {
+  struct alignas(64) Stripe {
     mutable std::mutex mutex;
-    std::vector<Slot> slots;
-    std::unordered_map<std::uint64_t, std::size_t> index;  ///< -> slot
-    std::size_t hand = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
+    std::size_t entries = 0;
   };
 
-  const std::size_t slots_per_shard_;
-  Shard shards_[kNumShards];
+  std::size_t set_of(std::uint64_t signature) const noexcept {
+    // The signature is already well-mixed (splitmix64 finalizer).
+    return static_cast<std::size_t>(signature % sets_.size());
+  }
+  Stripe& stripe_of(std::size_t set) noexcept {
+    return stripes_[set % kNumStripes];
+  }
+  std::byte* row(std::size_t set, std::size_t way) noexcept {
+    return slab_.get() + (set * kWays + way) * row_bytes_;
+  }
+
+  const std::size_t row_bytes_;
+  /// Set s and its kWays rows of the slab (ways in order, row_bytes_
+  /// each) are guarded by stripe_of(s)'s mutex.
+  std::vector<Set> sets_;
+  std::unique_ptr<std::byte[]> slab_;
+  Stripe stripes_[kNumStripes];
 };
 
 /// Best-effort CPU pinning of the calling thread (Linux sched_setaffinity;

@@ -10,10 +10,12 @@
 #include <sched.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,15 +36,31 @@ namespace {
 
 // ---- support::SignatureTable ------------------------------------------
 
+/// A `bytes`-long row whose every byte derives from `signature` and
+/// `salt`, so a reader can tell whose row it holds and whether it is
+/// whole.
+std::vector<std::byte> row_of(std::uint64_t signature, std::size_t bytes,
+                              std::uint64_t salt = 0) {
+  std::vector<std::byte> row(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    const std::uint64_t mixed = (signature + salt) * 0x9E3779B97F4A7C15ULL +
+                                i * 0xBF58476D1CE4E5B9ULL;
+    row[i] = static_cast<std::byte>(mixed >> 56);
+  }
+  return row;
+}
+
 TEST(FleetSignatureTable, InsertOnceFirstWriterWins) {
-  support::SignatureTable<int> table(/*capacity=*/16);
-  EXPECT_TRUE(table.insert(7, 1));
-  EXPECT_FALSE(table.insert(7, 2));  // already present: not replaced
-  int value = 0;
-  ASSERT_TRUE(table.lookup(7, value));
-  EXPECT_EQ(value, 1);
-  EXPECT_FALSE(table.lookup(8, value));
-  EXPECT_EQ(value, 1);  // a miss leaves the caller's storage untouched
+  support::SignatureTable table(/*capacity=*/16, /*row_bytes=*/5);
+  EXPECT_EQ(table.capacity(), 16u);
+  EXPECT_EQ(table.slab_bytes(), 16u * 5u);
+  EXPECT_TRUE(table.insert(7, row_of(7, 5, 1)));
+  EXPECT_FALSE(table.insert(7, row_of(7, 5, 2)));  // present: not replaced
+  std::vector<std::byte> out(5);
+  ASSERT_TRUE(table.lookup(7, out));
+  EXPECT_EQ(out, row_of(7, 5, 1));
+  EXPECT_FALSE(table.lookup(8, out));
+  EXPECT_EQ(out, row_of(7, 5, 1));  // a miss leaves the caller's row be
   const auto stats = table.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -50,31 +68,53 @@ TEST(FleetSignatureTable, InsertOnceFirstWriterWins) {
   EXPECT_EQ(stats.evictions, 0u);
 }
 
+TEST(FleetSignatureTable, RejectsRowsOfTheWrongWidth) {
+  EXPECT_THROW(support::SignatureTable(8, 0), std::invalid_argument);
+  support::SignatureTable table(/*capacity=*/8, /*row_bytes=*/4);
+  std::vector<std::byte> short_row(3);
+  EXPECT_THROW((void)table.insert(1, short_row), std::invalid_argument);
+  EXPECT_THROW((void)table.lookup(1, short_row), std::invalid_argument);
+}
+
 TEST(FleetSignatureTable, ClockEvictsAnEntryNotHitSinceTheLastSweep) {
-  // Capacity 32 over 16 lock shards: two slots each. Signatures 0, 16
-  // and 32 share lock shard 0, so the third insert must evict.
-  support::SignatureTable<int> table(/*capacity=*/32);
-  EXPECT_EQ(table.capacity(), 32u);
-  ASSERT_TRUE(table.insert(0, 10));
-  ASSERT_TRUE(table.insert(16, 20));
-  int value = 0;
-  ASSERT_TRUE(table.lookup(0, value));  // referenced since the last sweep
-  ASSERT_TRUE(table.insert(32, 30));
-  EXPECT_TRUE(table.lookup(0, value));
-  EXPECT_EQ(value, 10);
-  EXPECT_FALSE(table.lookup(16, value));  // the unreferenced one went
-  EXPECT_TRUE(table.lookup(32, value));
-  EXPECT_EQ(value, 30);
+  // Capacity 16 is two 8-way sets; a signature picks set signature % 2,
+  // so the even signatures 0, 2, ..., 14 fill set 0 and 16 must evict
+  // from it while set 1 stays empty.
+  constexpr std::size_t kRow = 3;
+  support::SignatureTable table(/*capacity=*/16, kRow);
+  ASSERT_EQ(table.capacity(), 2 * support::SignatureTable::kWays);
+  for (std::uint64_t sig = 0; sig < 16; sig += 2) {
+    ASSERT_TRUE(table.insert(sig, row_of(sig, kRow)));
+  }
+  std::vector<std::byte> out(kRow);
+  // Referenced since the last sweep: ways 0 and 1 (signatures 0 and 2).
+  ASSERT_TRUE(table.lookup(0, out));
+  ASSERT_TRUE(table.lookup(2, out));
+  ASSERT_TRUE(table.insert(16, row_of(16, kRow)));
+  EXPECT_TRUE(table.lookup(0, out));
+  EXPECT_TRUE(table.lookup(2, out));
+  EXPECT_FALSE(table.lookup(4, out));  // the first unreferenced way went
+  EXPECT_TRUE(table.lookup(16, out));
+  EXPECT_EQ(out, row_of(16, kRow));
+  // The hand rests past the victim, on way 3 (signature 6), which was
+  // never looked up: the next insert takes it although ways 0-2 were.
+  ASSERT_TRUE(table.insert(18, row_of(18, kRow)));
+  EXPECT_FALSE(table.lookup(6, out));
+  EXPECT_TRUE(table.lookup(8, out));
   const auto stats = table.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.entries, 8u);
+  // The other set never filled, so nothing in it was evicted.
+  ASSERT_TRUE(table.insert(1, row_of(1, kRow)));
+  EXPECT_EQ(table.stats().evictions, 2u);
+  EXPECT_EQ(table.stats().entries, 9u);
 }
 
 TEST(FleetSignatureTable, InsertStormNeverExceedsCapacity) {
-  // 8 threads insert distinct signatures into every lock shard at once.
-  // Each shard owns a fixed slot array, so no interleaving of inserts on
-  // different shards can push the table past its capacity.
-  support::SignatureTable<int> table(/*capacity=*/64);
+  // 8 threads insert distinct signatures into every set at once. Each
+  // set owns a fixed run of ways in the slab, so no interleaving of
+  // inserts can push the table past its capacity.
+  support::SignatureTable table(/*capacity=*/64, /*row_bytes=*/8);
   constexpr std::uint64_t kThreads = 8;
   constexpr std::uint64_t kInserts = 500;
   std::atomic<bool> overshoot{false};
@@ -82,7 +122,8 @@ TEST(FleetSignatureTable, InsertStormNeverExceedsCapacity) {
   for (std::uint64_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (std::uint64_t i = 0; i < kInserts; ++i) {
-        (void)table.insert(t * kInserts + i, static_cast<int>(i));
+        const std::uint64_t sig = t * kInserts + i;
+        (void)table.insert(sig, row_of(sig, table.row_bytes()));
         if (table.stats().entries > table.capacity()) overshoot = true;
       }
     });
@@ -92,6 +133,43 @@ TEST(FleetSignatureTable, InsertStormNeverExceedsCapacity) {
   const auto stats = table.stats();
   EXPECT_EQ(stats.entries, table.capacity());
   EXPECT_EQ(stats.evictions, kThreads * kInserts - table.capacity());
+}
+
+TEST(FleetSignatureTable, ReadersNeverSeeATornRow) {
+  // Writers publish rows whose every byte derives from the signature
+  // while readers look the same signatures up; a small table keeps every
+  // set evicting, so rows are overwritten under the readers all along.
+  // Every hit must hold exactly its own signature's row.
+  constexpr std::size_t kRow = 41;
+  constexpr std::uint64_t kSignatures = 512;
+  support::SignatureTable table(/*capacity=*/64, kRow);
+  for (std::uint64_t sig = 0; sig < 64; ++sig) {
+    (void)table.insert(sig, row_of(sig, kRow));
+  }
+  std::atomic<bool> torn{false};
+  std::atomic<std::uint64_t> hits{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {  // writers
+      for (std::uint64_t i = 0; i < 2000; ++i) {
+        const std::uint64_t sig = (i * 7 + t * 131) % kSignatures;
+        (void)table.insert(sig, row_of(sig, kRow));
+      }
+    });
+    threads.emplace_back([&, t] {  // readers
+      std::vector<std::byte> out(kRow);
+      for (std::uint64_t i = 0; i < 2000; ++i) {
+        const std::uint64_t sig = (i * 13 + t * 71) % kSignatures;
+        if (!table.lookup(sig, out)) continue;
+        hits.fetch_add(1, std::memory_order_relaxed);
+        if (out != row_of(sig, kRow)) torn = true;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_FALSE(torn.load());
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_GT(table.stats().evictions, 0u);
 }
 
 // ---- ServiceFleet -----------------------------------------------------
@@ -528,8 +606,9 @@ TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
 
 TEST(Fleet, PlanTableEvictionStormMatchesOneShard) {
   // The eviction TSan row: 8 pool threads over 16 areas under kLastSeen,
-  // in a world of ONE location area, so the fleet table holds 32 x 16
-  // plans and the churning last-seen signatures overflow it. Threads
+  // in a world of ONE location area, so the fleet table holds
+  // kPlansPerArea x 16 plans and the churning last-seen signatures
+  // overflow it. Threads
   // race to look up, insert and evict in the same lock shards, and which
   // plans stay resident differs from the 1-shard run. Outcomes and
   // checkpoint bytes must not.
@@ -554,7 +633,8 @@ TEST(Fleet, PlanTableEvictionStormMatchesOneShard) {
   EXPECT_EQ(save_bytes(wide), save_bytes(narrow));
   for (const ServiceFleet* fleet : {&wide, &narrow}) {
     const auto stats = fleet->shared_table().plans.stats();
-    EXPECT_EQ(fleet->shared_table().plans.capacity(), 32u * 16u);
+    EXPECT_EQ(fleet->shared_table().plans.capacity(),
+              SharedPlanTable::kPlansPerArea * 16u);
     EXPECT_GT(stats.evictions, 0u);
     EXPECT_LE(stats.entries, fleet->shared_table().plans.capacity());
   }

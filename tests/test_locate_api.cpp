@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "support/json.h"
 
 namespace confcall::cellular {
@@ -107,6 +110,26 @@ TEST(LocateApi, RejectsMalformedBodies) {
     EXPECT_THROW((void)parse_locate_body(body, kNumUsers),
                  std::invalid_argument)
         << "accepted: " << body;
+  }
+}
+
+TEST(LocateApi, RepeatedCallMembersRejected) {
+  // A JSON object may repeat a key; a call may not. Each body is valid
+  // but for the repeat (areas 1 and 2 exist at num_areas = 8).
+  const char* bad[] = {
+      "{\"users\": [1, 2], \"users\": [1]}",
+      "{\"area\": 1, \"area\": 2, \"users\": [3]}",
+      "[{\"users\": [1]}, {\"users\": [2], \"area\": 1, \"users\": [3]}]",
+  };
+  for (const char* body : bad) {
+    try {
+      (void)parse_locate_body(body, kNumUsers, /*num_areas=*/8);
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("repeated call member"),
+                std::string::npos)
+          << body << ": " << error.what();
+    }
   }
 }
 

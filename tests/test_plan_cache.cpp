@@ -8,6 +8,8 @@
 // batch runner's contract is thread-count invariance via RNG substreams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <vector>
 
@@ -17,9 +19,72 @@
 #include "cellular/service.h"
 #include "cellular/simulator.h"
 #include "cellular/workload.h"
+#include "core/evaluator.h"
+#include "core/greedy.h"
+#include "core/instance.h"
 #include "prob/rng.h"
 
 namespace confcall::cellular {
+
+/// Reaches LocationService's private paging step (see the friend
+/// declaration in cellular/service.h).
+struct LocationServiceTestPeer {
+  using AreaOutcome = LocationService::AreaOutcome;
+  static constexpr std::size_t kUnknownLocal = LocationService::kUnknownLocal;
+
+  static AreaOutcome page_by_row(LocationService& service, const PlanRow& row,
+                                 std::size_t num_cells,
+                                 std::span<const UserId> users,
+                                 std::span<const CellId> true_cells,
+                                 const std::vector<std::size_t>& local_of,
+                                 std::vector<bool>& found,
+                                 LocationService::LocateOutcome& outcome,
+                                 prob::Rng& rng) {
+    return service.execute_area_plan(row, num_cells, users, true_cells,
+                                     local_of, found, outcome, rng);
+  }
+
+  /// The planned phase paged by a core::Strategy, round by round: the
+  /// loop a packed row must reproduce (fault-free).
+  static AreaOutcome page_by_strategy(const LocationService& service,
+                                      const core::Strategy& strategy,
+                                      std::span<const CellId> true_cells,
+                                      const std::vector<std::size_t>& local_of,
+                                      std::vector<bool>& found,
+                                      LocationService::LocateOutcome& outcome,
+                                      prob::Rng& rng) {
+    const std::size_t n = found.size();
+    AreaOutcome area;
+    for (std::size_t r = 0; r < strategy.num_rounds(); ++r) {
+      area.pages += strategy.group(r).size();
+      area.rounds = r + 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (found[i] || local_of[i] == kUnknownLocal) continue;
+        if (strategy.round_of(static_cast<core::CellId>(local_of[i])) != r) {
+          continue;
+        }
+        std::size_t cohabitants = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (!found[j] && true_cells[j] == true_cells[i]) ++cohabitants;
+        }
+        if (service.page_answered(cohabitants, rng)) {
+          found[i] = true;
+        } else {
+          ++outcome.missed_detections;
+        }
+      }
+      bool everyone_found = true;
+      for (std::size_t i = 0; i < n; ++i) everyone_found &= found[i];
+      if (everyone_found) {
+        area.ran_all_rounds = r + 1 == strategy.num_rounds();
+        return area;
+      }
+    }
+    area.ran_all_rounds = true;
+    return area;
+  }
+};
+
 namespace {
 
 bool stats_equal(const prob::RunningStats& a, const prob::RunningStats& b) {
@@ -55,6 +120,100 @@ SimConfig small_config() {
   config.warmup_steps = 30;
   config.seed = 99;
   return config;
+}
+
+TEST(PlanCache, PackedPlanPagesLikeItsStrategy) {
+  // One 16-cell area; imperfect detection with collision losses, so the
+  // detection draws (and their order) are part of what must match.
+  const GridTopology grid(4, 4, true, Neighborhood::kVonNeumann);
+  const LocationAreas areas = LocationAreas::tiles(grid, 4, 4);
+  const MarkovMobility mobility(grid, 0.9);
+  LocationService::Config config;
+  config.detection_probability = 0.7;
+  config.collision_losses = true;
+  LocationService service(grid, areas, mobility, config,
+                          std::vector<CellId>(8, 0));
+  using Peer = LocationServiceTestPeer;
+
+  prob::Rng rng(2026);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t c = 1 + rng.next_below(16);
+    const std::size_t d = 1 + rng.next_below(std::min<std::size_t>(4, c));
+    const std::size_t m = 1 + rng.next_below(4);
+    std::vector<double> probabilities(m * c);
+    for (std::size_t i = 0; i < m; ++i) {
+      double total = 0.0;
+      for (std::size_t j = 0; j < c; ++j) {
+        probabilities[i * c + j] = 0.05 + rng.next_double();
+        total += probabilities[i * c + j];
+      }
+      for (std::size_t j = 0; j < c; ++j) probabilities[i * c + j] /= total;
+    }
+    const core::Instance instance(m, c, probabilities);
+    const core::Strategy strategy = core::plan_greedy(instance, d).strategy;
+    const double ep = core::expected_paging(instance, strategy);
+
+    PlanRow row(PlanRow::stride_for(16));
+    row.pack(strategy, ep);
+    EXPECT_EQ(row.expected_paging(), ep);
+    ASSERT_EQ(row.num_rounds(), strategy.num_rounds());
+    const core::Strategy rebuilt = row.to_strategy(c);
+    for (std::size_t cell = 0; cell < c; ++cell) {
+      EXPECT_EQ(rebuilt.round_of(static_cast<core::CellId>(cell)),
+                strategy.round_of(static_cast<core::CellId>(cell)));
+    }
+    EXPECT_EQ(rebuilt.group_sizes(), strategy.group_sizes());
+    // Rebuilt rounds list their cells in ascending order, so the
+    // evaluator may sum in another order: equal to within 4 ULPs.
+    EXPECT_DOUBLE_EQ(core::expected_paging(instance, rebuilt), ep);
+
+    // Callees at random local cells; one in eight has a stale record.
+    std::vector<UserId> users(m);
+    std::vector<CellId> true_cells(m);
+    std::vector<std::size_t> local_of(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      users[i] = static_cast<UserId>(i);
+      const std::size_t local = rng.next_below(c);
+      true_cells[i] = static_cast<CellId>(local);
+      local_of[i] = rng.next_below(8) == 0 ? Peer::kUnknownLocal : local;
+    }
+    const std::uint64_t seed = rng.next_u64();
+    prob::Rng by_row_rng(seed);
+    prob::Rng by_strategy_rng(seed);
+    std::vector<bool> by_row_found(m, false);
+    std::vector<bool> by_strategy_found(m, false);
+    LocationService::LocateOutcome by_row_outcome;
+    LocationService::LocateOutcome by_strategy_outcome;
+    const Peer::AreaOutcome by_row = Peer::page_by_row(
+        service, row, c, users, true_cells, local_of, by_row_found,
+        by_row_outcome, by_row_rng);
+    const Peer::AreaOutcome by_strategy = Peer::page_by_strategy(
+        service, strategy, true_cells, local_of, by_strategy_found,
+        by_strategy_outcome, by_strategy_rng);
+    EXPECT_EQ(by_row.pages, by_strategy.pages) << "trial " << trial;
+    EXPECT_EQ(by_row.rounds, by_strategy.rounds) << "trial " << trial;
+    EXPECT_EQ(by_row.ran_all_rounds, by_strategy.ran_all_rounds);
+    EXPECT_EQ(by_row_found, by_strategy_found);
+    EXPECT_TRUE(by_row_outcome == by_strategy_outcome);
+    EXPECT_EQ(by_row_rng.next_u64(), by_strategy_rng.next_u64());
+  }
+}
+
+TEST(PlanCache, BlanketRowIsOneRoundOfEveryCell) {
+  PlanRow row(PlanRow::stride_for(9));
+  row.pack(core::Strategy::from_groups({{0, 2}, {1}, {3, 4, 5, 6, 7, 8}}, 9),
+           2.5);
+  row.pack_blanket();
+  EXPECT_EQ(row.num_rounds(), 1u);
+  EXPECT_EQ(row.to_strategy(9), core::Strategy::blanket(9));
+}
+
+TEST(PlanCache, ConfigCapsTheDelayBudgetAtOneRoundByte) {
+  LocationService::Config config;
+  config.max_paging_rounds = 255;
+  EXPECT_NO_THROW(config.validate());
+  config.max_paging_rounds = 256;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
 TEST(PlanCache, SimReportIdenticalWithCacheOnAndOff) {
@@ -253,6 +412,19 @@ TEST(PlanCache, SharedTableFromAnotherWorldIsRejected) {
     EXPECT_THROW(LocationService(grid, areas, mobility, config, cells),
                  std::invalid_argument);
   }
+
+  // A memo-free kind checks only the row width: rows built for 1-cell
+  // areas cannot hold a plan over this world's 4-cell areas.
+  config.profile_kind = ProfileKind::kStationary;
+  SharedPlanTable same_width(grid, areas, mobility, config.profile_kind,
+                             horizon, 64);
+  SharedPlanTable narrow_rows(grid, LocationAreas::tiles(grid, 1, 1),
+                              mobility, config.profile_kind, horizon, 64);
+  config.shared_plan_table = &same_width;
+  EXPECT_NO_THROW(LocationService(grid, areas, mobility, config, cells));
+  config.shared_plan_table = &narrow_rows;
+  EXPECT_THROW(LocationService(grid, areas, mobility, config, cells),
+               std::invalid_argument);
 }
 
 TEST(SimBatch, BitIdenticalAcrossThreadCounts) {

@@ -330,7 +330,9 @@ TEST(ServingNode, LocateAnswersMalformedBodiesWith400AndAJsonError) {
   (void)node.restore_or_warm_up();
   for (const std::string body :
        {"{\"users\": [1,", "{\"users\": [0], \"area\": 99}",
-        "{\"users\": [1000]}", "[{\"users\": [0]}, 7]"}) {
+        "{\"users\": [1000]}", "[{\"users\": [0]}, 7]",
+        "{\"users\": [1, 2], \"users\": [1]}",
+        "{\"area\": 0, \"area\": 1, \"users\": [3]}"}) {
     const Reply reply = call(node, "POST", "/locate", body);
     EXPECT_EQ(reply.status, 400) << body;
     EXPECT_FALSE(member(reply.json, "error").as_string().empty()) << body;

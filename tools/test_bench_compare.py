@@ -15,15 +15,27 @@ import tempfile
 
 COMPARE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "bench_compare.py")
-BASELINE = {"gated": {"locates_per_sec": 100.0}, "free_ratio": 1.0}
+BASELINE = {"gated": {"locates_per_sec": 100.0}, "free_ratio": 1.0,
+            "checkpoint_bytes": 1000}
 
-# (name, current record, expected exit code), each run with
-# --strict-paths locates_per_sec.
+# (name, current record, --strict-paths, expected exit code).
 CASES = [
     ("strict leaf regresses",
-     {"gated": {"locates_per_sec": 50.0}, "free_ratio": 1.0}, 1),
-    ("strict leaf dropped", {"gated": {}, "free_ratio": 1.0}, 1),
-    ("non-strict leaf dropped", {"gated": {"locates_per_sec": 100.0}}, 0),
+     {"gated": {"locates_per_sec": 50.0}, "free_ratio": 1.0,
+      "checkpoint_bytes": 1000}, "locates_per_sec", 1),
+    ("strict leaf dropped",
+     {"gated": {}, "free_ratio": 1.0, "checkpoint_bytes": 1000},
+     "locates_per_sec", 1),
+    ("non-strict leaf dropped",
+     {"gated": {"locates_per_sec": 100.0}, "checkpoint_bytes": 1000},
+     "locates_per_sec", 0),
+    # A byte count is a footprint: it regresses when it grows.
+    ("byte count grows",
+     {"gated": {"locates_per_sec": 100.0}, "free_ratio": 1.0,
+      "checkpoint_bytes": 2000}, "checkpoint_bytes", 1),
+    ("byte count shrinks",
+     {"gated": {"locates_per_sec": 100.0}, "free_ratio": 1.0,
+      "checkpoint_bytes": 500}, "checkpoint_bytes", 0),
 ]
 
 
@@ -34,12 +46,12 @@ def main():
         current = os.path.join(work, "current.json")
         with open(baseline, "w") as handle:
             json.dump(BASELINE, handle)
-        for name, record, expected in CASES:
+        for name, record, strict, expected in CASES:
             with open(current, "w") as handle:
                 json.dump(record, handle)
             code = subprocess.run(
                 [sys.executable, COMPARE, baseline, current,
-                 "--strict-paths", "locates_per_sec"],
+                 "--strict-paths", strict],
                 stdout=subprocess.DEVNULL).returncode
             verdict = "ok" if code == expected else "FAIL"
             print(f"{verdict}  {name}: exit {code}, want {expected}")
