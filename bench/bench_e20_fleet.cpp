@@ -54,7 +54,8 @@ namespace {
 
 using namespace confcall;
 
-/// The shared plan table after a run: its hits and its footprint.
+/// The shared plan table after a run: its hits, summed over the areas
+/// that made the lookups, and its footprint.
 struct PlanTableRecord {
   std::uint64_t hits = 0;
   std::size_t capacity = 0;
@@ -97,9 +98,10 @@ double run_throughput(const bench::World& world, std::size_t num_shards,
   }
   if (table_out != nullptr) {
     const support::SignatureTable& plans = fleet.shared_table().plans;
-    *table_out = {.hits = plans.stats().hits,
-                  .capacity = plans.capacity(),
-                  .bytes = plans.slab_bytes()};
+    *table_out = {.capacity = plans.capacity(), .bytes = plans.slab_bytes()};
+    for (std::size_t a = 0; a < fleet.num_areas(); ++a) {
+      table_out->hits += fleet.service(a).plan_cache_stats().hits;
+    }
   }
   return static_cast<double>(done) / elapsed;
 }

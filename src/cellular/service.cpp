@@ -613,15 +613,13 @@ void LocationService::run_recovery(std::span<const UserId> users,
   outcome.degraded = outcome.retries > 0 || outcome.abandoned;
 }
 
-LocationService::LocateOutcome LocationService::locate(
-    std::span<const UserId> users, std::span<const CellId> true_cells,
-    prob::Rng& rng, const LocateContext& context) {
-  if (users.size() != true_cells.size() || users.empty()) {
-    throw std::invalid_argument(
-        "locate: need one true cell per user, at least one user");
+void LocationService::check_call(std::span<const UserId> users,
+                                 const LocateContext& context) const {
+  if (users.empty()) {
+    throw std::invalid_argument("locate: need at least one user");
   }
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    if (users[i] >= num_users() || true_cells[i] >= grid_->num_cells()) {
+  for (const UserId user : users) {
+    if (user >= num_users()) {
       throw std::invalid_argument("locate: out of range");
     }
   }
@@ -630,17 +628,32 @@ LocationService::LocateOutcome LocationService::locate(
     throw std::invalid_argument(
         "locate: the adaptive policy assumes the full delay budget");
   }
+  if (!context.deadline.is_unbounded() &&
+      (config_.clock == nullptr || config_.round_duration_ns == 0)) {
+    throw std::invalid_argument(
+        "locate: a bounded deadline needs Config::clock and a nonzero "
+        "round_duration_ns");
+  }
+}
+
+LocationService::LocateOutcome LocationService::locate(
+    std::span<const UserId> users, std::span<const CellId> true_cells,
+    prob::Rng& rng, const LocateContext& context) {
+  if (users.size() != true_cells.size()) {
+    throw std::invalid_argument("locate: need one true cell per user");
+  }
+  check_call(users, context);
+  for (const CellId cell : true_cells) {
+    if (cell >= grid_->num_cells()) {
+      throw std::invalid_argument("locate: out of range");
+    }
+  }
   const support::Span locate_span(config_.tracer, "locate");
   config_.metrics.calls.inc();
   // Convert the propagated deadline into this call's round budget.
   // kUnknownLocal doubles as "no cap" (it is SIZE_MAX).
   std::size_t round_cap = kUnknownLocal;
   if (!context.deadline.is_unbounded()) {
-    if (config_.clock == nullptr || config_.round_duration_ns == 0) {
-      throw std::invalid_argument(
-          "locate: a bounded deadline needs Config::clock and a nonzero "
-          "round_duration_ns");
-    }
     round_cap = static_cast<std::size_t>(
         context.deadline.remaining_ns(*config_.clock) /
         config_.round_duration_ns);

@@ -406,6 +406,15 @@ class LocationService {
                        std::span<const CellId> true_cells, prob::Rng& rng,
                        const LocateContext& context);
 
+  /// Every check locate() makes before it touches state, the true cells
+  /// aside: at least one callee, each user id in range, a clock and
+  /// round duration behind a bounded deadline, and the default context
+  /// under the adaptive policy. Throws std::invalid_argument on the first
+  /// that fails. ServiceFleet::locate_many runs it over a whole batch
+  /// before serving any of it.
+  void check_call(std::span<const UserId> users,
+                  const LocateContext& context) const;
+
   /// One call of a locate_many() batch. The spans are views: the caller
   /// keeps the user/cell arrays alive for the duration of the call.
   struct LocateRequest {

@@ -79,26 +79,13 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
       shard_metrics_[s].tasks =
           registry.counter("confcall_fleet_tasks_total",
                            "Area-tasks executed, by owning shard", labels);
-      shard_metrics_[s].queue_depth = registry.gauge(
-          "confcall_fleet_queue_depth",
-          "Area-tasks of the last dispatch owned by this shard",
-          labels);
       shard_metrics_[s].task_ns = registry.histogram(
           "confcall_fleet_task_ns",
           support::HistogramSpec::exponential(1000.0, 2.0, 22),
           "Wall time per area-task, by owning shard", labels);
     }
-    requests_metric_ =
-        registry.counter("confcall_fleet_requests_total",
-                         "Locate requests routed through the fleet");
     dispatches_metric_ = registry.counter(
         "confcall_fleet_dispatches_total", "locate_many fleet dispatches");
-    shared_hits_metric_ = registry.counter(
-        "confcall_fleet_shared_plan_hits_total",
-        "Planned searches answered by the fleet-wide plan table");
-    shared_misses_metric_ = registry.counter(
-        "confcall_fleet_shared_plan_misses_total",
-        "Plan-table lookups that fell through to the planner");
     shared_entries_metric_ = registry.gauge(
         "confcall_fleet_shared_plan_entries",
         "Strategies resident in the fleet-wide plan table");
@@ -180,20 +167,21 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
   if (requests.empty()) return outcomes;
 
   // Validate before any state is touched: a bad element must not leave a
-  // half-executed batch behind.
+  // half-executed batch behind. Each request gets the checks its area's
+  // locate() would make (the fleet supplies the true cells itself).
   for (const Request& request : requests) {
     if (request.area >= config_.num_areas) {
       throw std::invalid_argument("ServiceFleet: area out of range");
     }
-    for (const UserId user : request.users) {
-      if (user >= initial_cells_.size()) {
-        throw std::invalid_argument("ServiceFleet: user out of range");
-      }
-    }
+    areas_state_[request.area]->service->check_call(request.users,
+                                                    request.context);
   }
 
   // Group by area, preserving within-area request order (the scatter
-  // half; index-addressed outcome slots are the gather half).
+  // half; index-addressed outcome slots are the gather half). Groups are
+  // emptied here, not after the tasks ran, so a dispatch that threw
+  // mid-task leaves nothing behind for the next one.
+  for (const std::size_t area : active_areas_) area_groups_[area].clear();
   active_areas_.clear();
   for (std::size_t i = 0; i < requests.size(); ++i) {
     std::vector<std::size_t>& group = area_groups_[requests[i].area];
@@ -201,15 +189,6 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
     group.push_back(i);
   }
   std::sort(active_areas_.begin(), active_areas_.end());
-
-  // queue_depth{shard}: the area-tasks of this dispatch each shard owns.
-  if (!shard_metrics_.empty()) {
-    std::vector<std::size_t> owned(config_.num_shards, 0);
-    for (const std::size_t area : active_areas_) ++owned[shard_of(area)];
-    for (std::size_t s = 0; s < owned.size(); ++s) {
-      shard_metrics_[s].queue_depth.set(static_cast<double>(owned[s]));
-    }
-  }
 
   // One pool task per touched area, the way step_all runs every area.
   // Areas are the unit of state, so which thread runs a task never
@@ -223,14 +202,8 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
     run_task(area, requests, outcomes);
   });
 
-  stats_.dispatches += 1;
-  stats_.requests += requests.size();
-  stats_.tasks += active_areas_.size();  // one task per touched area
-  requests_metric_.inc(requests.size());
   dispatches_metric_.inc();
   export_shared_table_metrics();
-
-  for (const std::size_t area : active_areas_) area_groups_[area].clear();
   return outcomes;
 }
 
@@ -256,11 +229,7 @@ void ServiceFleet::step_all() {
 void ServiceFleet::export_shared_table_metrics() {
   if (config_.registry == nullptr) return;
   const auto stats = shared_table_.plans.stats();
-  shared_hits_metric_.inc(stats.hits - exported_shared_hits_);
-  shared_misses_metric_.inc(stats.misses - exported_shared_misses_);
   shared_evictions_metric_.inc(stats.evictions - exported_shared_evictions_);
-  exported_shared_hits_ = stats.hits;
-  exported_shared_misses_ = stats.misses;
   exported_shared_evictions_ = stats.evictions;
   shared_entries_metric_.set(static_cast<double>(stats.entries));
 }

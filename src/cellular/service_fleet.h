@@ -77,7 +77,8 @@ struct FleetConfig {
   /// Root of every area substream (areas derive mix_seed(seed, area)).
   std::uint64_t seed = 1;
   /// Optional: registers the confcall_fleet_* family (per-shard labelled
-  /// series plus fleet-wide aggregates). Must outlive the fleet.
+  /// series plus fleet-wide aggregates). Must outlive the fleet. The
+  /// registry is the fleet's one record of its dispatches and tasks.
   support::MetricRegistry* registry = nullptr;
   /// Best-effort pinning of each pool helper, once, to core
   /// shard_of(area) % cores of the first area-task it runs (Linux-only;
@@ -128,7 +129,8 @@ class ServiceFleet {
   /// request order — outcomes[i] answers requests[i]. k touched areas
   /// wake at most k - 1 helpers; one area runs on the calling thread.
   /// Bit-identical results at every shard count. Throws
-  /// std::invalid_argument on an out-of-range area or user id.
+  /// std::invalid_argument, before serving any of the batch, on an
+  /// out-of-range area or a request LocationService::check_call rejects.
   std::vector<LocationService::LocateOutcome> locate_many(
       std::span<const Request> requests);
 
@@ -157,14 +159,6 @@ class ServiceFleet {
   [[nodiscard]] CellId user_cell(std::size_t area, UserId user) const {
     return areas_state_[area]->user_cells[user];
   }
-
-  /// Scheduling counters since construction (aggregated over dispatches).
-  struct FleetStats {
-    std::uint64_t dispatches = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t tasks = 0;
-  };
-  [[nodiscard]] const FleetStats& stats() const noexcept { return stats_; }
 
   /// The plan table and last-seen digest memo every area shares.
   [[nodiscard]] const SharedPlanTable& shared_table() const noexcept {
@@ -216,7 +210,6 @@ class ServiceFleet {
   /// registry.
   struct ShardMetrics {
     support::Counter tasks;
-    support::Gauge queue_depth;
     support::Histogram task_ns;
   };
 
@@ -239,17 +232,11 @@ class ServiceFleet {
   support::ThreadPool pool_;
 
   std::vector<ShardMetrics> shard_metrics_;
-  support::Counter requests_metric_;
   support::Counter dispatches_metric_;
-  support::Counter shared_hits_metric_;
-  support::Counter shared_misses_metric_;
   support::Gauge shared_entries_metric_;
   support::Counter shared_evictions_metric_;
-  std::uint64_t exported_shared_hits_ = 0;
-  std::uint64_t exported_shared_misses_ = 0;
   std::uint64_t exported_shared_evictions_ = 0;
 
-  FleetStats stats_;
   std::atomic<std::size_t> areas_restored_{0};
 
   /// Dispatch scratch, reused across locate_many calls (single

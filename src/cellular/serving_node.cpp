@@ -91,8 +91,6 @@ ServingNode::ServingNode(SimConfig config, ServingOptions options,
       arrivals_metric_(registry_.counter(
           "confcall_serve_calls_arrived_total",
           "Conference-call arrivals (loop traffic plus POST /locate)")),
-      shed_metric_(registry_.counter("confcall_serve_calls_shed_total",
-                                     "Arrivals rejected by admission control")),
       checkpoints_metric_(
           registry_.counter("confcall_state_checkpoints_total",
                             "State checkpoints written successfully")),
@@ -114,10 +112,8 @@ ServingNode::ServingNode(SimConfig config, ServingOptions options,
 bool ServingNode::admit(std::size_t participants,
                         LocationService::LocateContext& context) {
   arrivals_metric_.inc();
-  const bool admitted = overload_.admit(participants, context) !=
-                        support::AdmissionController::Decision::kShed;
-  if (!admitted) shed_metric_.inc();
-  return admitted;
+  return overload_.admit(participants, context) !=
+         support::AdmissionController::Decision::kShed;
 }
 
 void ServingNode::step() {
@@ -276,9 +272,9 @@ void ServingNode::install_routes() {
 }
 
 support::HttpResponse ServingNode::fleetz() const {
-  // ONE consistent registry snapshot rendered as per-shard JSON. Counters
-  // come from the snapshot rather than FleetStats: the snapshot is a
-  // race-free cut the dispatcher never has to pause for.
+  // ONE consistent registry snapshot rendered as per-shard JSON: the
+  // registry is the fleet's one record, and a snapshot is a race-free cut
+  // the dispatcher never has to pause for.
   const support::RegistrySnapshot snap = registry_.snapshot();
   std::ostringstream body;
   // `"key": value` of one series: a counter's count, a gauge's level, a
@@ -298,16 +294,23 @@ support::HttpResponse ServingNode::fleetz() const {
       body << metric->histogram.quantile(0.99);
     }
   };
+  // `"key": n` of a counter family summed over its shard labels.
+  const auto total = [&snap, &body](const char* key, std::string_view name,
+                                    const char* separator = ", ") {
+    const std::optional<support::MetricSnapshot> summed = snap.sum_by(name);
+    body << separator << "\"" << key
+         << "\": " << (summed ? summed->counter_value : 0);
+  };
   const support::Readiness phase = readiness_.state();
   body << "{\"shards\": " << fleet_.num_shards()
        << ", \"areas\": " << fleet_.num_areas()
        << ", \"areas_ready\": " << areas_ready(phase) << ", \"phase\": \""
        << support::readiness_name(phase) << "\"";
   field("dispatches", "confcall_fleet_dispatches_total");
-  field("requests", "confcall_fleet_requests_total");
+  total("requests", "confcall_locate_calls_total");
   body << ", \"shared_plan\": {";
-  field("hits", "confcall_fleet_shared_plan_hits_total", {}, "");
-  field("misses", "confcall_fleet_shared_plan_misses_total");
+  total("hits", "confcall_locate_plan_cache_hits_total", "");
+  total("misses", "confcall_locate_plan_cache_misses_total");
   field("entries", "confcall_fleet_shared_plan_entries");
   field("evictions", "confcall_fleet_shared_plan_evictions_total");
   // Fixed at construction, so readable without the sim mutex.
@@ -316,7 +319,6 @@ support::HttpResponse ServingNode::fleetz() const {
   for (std::size_t s = 0; s < fleet_.num_shards(); ++s) {
     const support::MetricLabels shard{{"shard", std::to_string(s)}};
     body << (s > 0 ? ", " : "") << "{\"shard\": " << s;
-    field("queue_depth", "confcall_fleet_queue_depth", shard);
     field("tasks", "confcall_fleet_tasks_total", shard);
     field("task_p99_ns", "confcall_fleet_task_ns", shard);
     field("locate_calls", "confcall_locate_calls_total", shard);

@@ -124,7 +124,8 @@ class ServingNode {
   }
 
  private:
-  /// Counts the arrival and asks the overload stack; false = shed.
+  /// Counts the arrival and asks the overload stack; false = shed (the
+  /// admission controller counts those).
   bool admit(std::size_t participants, LocationService::LocateContext& context);
   [[nodiscard]] bool restore_sections(const support::StateBundle& bundle);
   bool write_checkpoint();
@@ -152,7 +153,6 @@ class ServingNode {
 
   support::Counter steps_metric_;
   support::Counter arrivals_metric_;
-  support::Counter shed_metric_;
   support::Counter checkpoints_metric_;
   support::Counter checkpoint_failed_metric_;
   support::Gauge checkpoint_bytes_metric_;

@@ -28,12 +28,10 @@ bool SignatureTable::lookup(std::uint64_t signature,
   Set& set = sets_[index];
   for (std::size_t way = 0; way < set.size; ++way) {
     if (set.signatures[way] != signature) continue;
-    ++stripe.hits;
     set.referenced |= static_cast<std::uint8_t>(1u << way);
     std::memcpy(out.data(), row(index, way), row_bytes_);
     return true;
   }
-  ++stripe.misses;
   return false;
 }
 
@@ -72,8 +70,6 @@ SignatureTable::Stats SignatureTable::stats() const {
   Stats total;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    total.hits += stripe.hits;
-    total.misses += stripe.misses;
     total.evictions += stripe.evictions;
     total.entries += stripe.entries;
   }

@@ -68,9 +68,9 @@ class SignatureTable {
   }
 
   /// Copies the row for `signature` into `out` and marks it referenced;
-  /// returns false (leaving `out` untouched) when absent. Counts a hit or
-  /// a miss either way. Throws std::invalid_argument unless `out` is
-  /// row_bytes() long.
+  /// returns false (leaving `out` untouched) when absent. The caller
+  /// counts hits and misses (LocationService::plan_cache_stats). Throws
+  /// std::invalid_argument unless `out` is row_bytes() long.
   bool lookup(std::uint64_t signature, std::span<std::byte> out);
 
   /// Publishes `row` under `signature` unless the signature is already
@@ -82,8 +82,6 @@ class SignatureTable {
   bool insert(std::uint64_t signature, std::span<const std::byte> row);
 
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
   };
@@ -106,8 +104,6 @@ class SignatureTable {
 
   struct alignas(64) Stripe {
     mutable std::mutex mutex;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
   };

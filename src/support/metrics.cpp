@@ -337,27 +337,6 @@ RegistrySnapshot RegistrySnapshot::delta(const RegistrySnapshot& prev) const {
   return out;
 }
 
-RegistrySnapshot RegistrySnapshot::erase_labels(
-    const std::vector<std::string>& keys) const {
-  RegistrySnapshot out;
-  for (const MetricSnapshot& metric : metrics) {
-    RegistrySnapshot one;
-    one.metrics.push_back(metric);
-    MetricLabels& labels = one.metrics.front().labels;
-    labels.erase(std::remove_if(labels.begin(), labels.end(),
-                                [&keys](const auto& label) {
-                                  return std::find(keys.begin(), keys.end(),
-                                                   label.first) != keys.end();
-                                }),
-                 labels.end());
-    // merge() supplies the collision semantics: series that collapse
-    // onto the same key after the erasure fold exactly like cross-thread
-    // replication merges (and throw on type/bucket disagreements).
-    out.merge(one);
-  }
-  return out;
-}
-
 std::optional<MetricSnapshot> RegistrySnapshot::sum_by(
     std::string_view name) const {
   RegistrySnapshot acc;

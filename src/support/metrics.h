@@ -249,27 +249,15 @@ struct RegistrySnapshot {
   /// p99s instead of lifetime aggregates.
   [[nodiscard]] RegistrySnapshot delta(const RegistrySnapshot& prev) const;
 
-  /// Label algebra: `sum without (keys)` in PromQL terms. Returns a
-  /// new snapshot with the named label keys stripped from every series;
-  /// series whose keys collide after the erasure fold together with the
-  /// merge() semantics (counters/buckets integer-add, gauges/sums
-  /// double-add, histograms bucket-wise so quantiles over the view stay
-  /// consistent). Erasing the "shard" key turns per-shard fleet series
-  /// into the fleet-wide totals — and because the series are cuts of
-  /// one workload, the erased view is INVARIANT across shard counts
-  /// (resharding redistributes labels, never totals), which is what
-  /// makes fleet SLO control deterministic at shards 1/2/8. Throws
-  /// std::invalid_argument if collapsing series disagree on type or
-  /// bucket layout.
-  [[nodiscard]] RegistrySnapshot erase_labels(
-      const std::vector<std::string>& keys) const;
-
   /// `sum by ()` over one family: every series named `name`, all labels
-  /// erased, folded into a single label-less snapshot (histograms merge
-  /// bucket-wise). nullopt when no series has that name. This is the
-  /// fleet SLO sensor: sum_by("confcall_locate_rounds") over a delta
-  /// window reads the fleet-wide interval rounds distribution whether
-  /// the daemon runs unlabelled single-service or {shard="s"} series.
+  /// erased, folded into a single label-less snapshot with the merge()
+  /// semantics (histograms merge bucket-wise). nullopt when no series has
+  /// that name; throws std::invalid_argument if the series disagree on
+  /// type or bucket layout. Per-shard series are cuts of one workload, so
+  /// the sum is INVARIANT across shard counts (resharding redistributes
+  /// labels, never totals). This is the fleet SLO sensor:
+  /// sum_by("confcall_locate_rounds") over a delta window reads the
+  /// fleet-wide interval rounds distribution whatever the shard count.
   [[nodiscard]] std::optional<MetricSnapshot> sum_by(
       std::string_view name) const;
 

@@ -62,8 +62,6 @@ TEST(FleetSignatureTable, InsertOnceFirstWriterWins) {
   EXPECT_FALSE(table.lookup(8, out));
   EXPECT_EQ(out, row_of(7, 5, 1));  // a miss leaves the caller's row be
   const auto stats = table.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.evictions, 0u);
 }
@@ -319,9 +317,9 @@ class RecordingPlanner final : public core::Planner {
 
 TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
   // A 1-request batch is one area-task. At every shard count it runs on
-  // the calling thread, is charged to its owning shard, and leaves the
-  // owner's queue depth at 1. A wider batch sets each shard's depth to
-  // the area-tasks it owns.
+  // the calling thread and is charged to its owning shard alone. A wider
+  // batch charges each shard the area-tasks it owns: the per-dispatch
+  // delta of confcall_fleet_tasks_total{shard} is the fan-out.
   const FleetWorld world;
   constexpr std::size_t kAreas = 6;
   constexpr std::size_t kDispatches = 60;
@@ -343,14 +341,12 @@ TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
     const support::Counter dispatches =
         registry.counter("confcall_fleet_dispatches_total", "");
     std::vector<support::Counter> tasks;
-    std::vector<support::Gauge> depth;
     for (std::size_t s = 0; s < shards; ++s) {
       const support::MetricLabels labels{{"shard", std::to_string(s)}};
       tasks.push_back(registry.counter("confcall_fleet_tasks_total", "",
                                        labels));
-      depth.push_back(registry.gauge("confcall_fleet_queue_depth", "",
-                                     labels));
     }
+    std::uint64_t tasks_run = 0;
 
     prob::Rng fixture_rng(4242);
     std::vector<LocationService::LocateOutcome> outcomes;
@@ -363,20 +359,23 @@ TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
             k * 16 + fixture_rng.next_below(16)));
       }
       const std::size_t owner = fleet.shard_of(batch[0].area);
-      const std::uint64_t tasks_before = tasks[owner].value();
+      std::vector<std::uint64_t> tasks_before;
+      for (const support::Counter& shard : tasks) {
+        tasks_before.push_back(shard.value());
+      }
       const std::uint64_t dispatches_before = dispatches.value();
       planner.armed.store(true);
       const auto answered = fleet.locate_many(batch);
       planner.armed.store(false);
       outcomes.insert(outcomes.end(), answered.begin(), answered.end());
-      EXPECT_EQ(tasks[owner].value(), tasks_before + 1);
       EXPECT_EQ(dispatches.value(), dispatches_before + 1);
       for (std::size_t s = 0; s < shards; ++s) {
-        EXPECT_EQ(depth[s].value(), s == owner ? 1.0 : 0.0)
+        EXPECT_EQ(tasks[s].value() - tasks_before[s], s == owner ? 1u : 0u)
             << "shard " << s << " at " << shards << " shards";
+        tasks_run += tasks[s].value() - tasks_before[s];
       }
     }
-    EXPECT_EQ(fleet.stats().tasks, kDispatches);
+    EXPECT_EQ(tasks_run, kDispatches);
     EXPECT_EQ(planner.threads(),
               std::set<std::thread::id>{std::this_thread::get_id()})
         << "a 1-task dispatch planned off the caller at " << shards
@@ -394,8 +393,8 @@ TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
   }
 
   // 8 touched areas over 3 shards: shard s owns areas s, s + 3, s + 6,
-  // so the depths read 3/3/2 and each task is charged to its owner. A
-  // later 2-area batch on shard 0 alone resets the depths to 2/0/0.
+  // so the dispatch charges 3/3/2 tasks, each to its owner. A later
+  // 2-area batch on shard 0 alone charges 2/0/0.
   support::MetricRegistry registry;
   FleetConfig config;
   config.num_shards = 3;
@@ -405,7 +404,19 @@ TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
   ServiceFleet fleet(world.grid, world.areas, world.mobility,
                      FleetWorld::service_config(), world.initial_cells,
                      config);
-  const auto dispatch = [&fleet](std::initializer_list<std::size_t> areas) {
+  const auto shard_tasks = [&registry](std::size_t s) {
+    return registry
+        .counter("confcall_fleet_tasks_total", "",
+                 {{"shard", std::to_string(s)}})
+        .value();
+  };
+  // Dispatches one batch over `areas` and checks each shard's task delta
+  // against `fanout` and its running total against `totals`.
+  const auto dispatch = [&](std::initializer_list<std::size_t> areas,
+                            std::initializer_list<std::uint64_t> fanout,
+                            std::initializer_list<std::uint64_t> totals) {
+    std::vector<std::uint64_t> before;
+    for (std::size_t s = 0; s < 3; ++s) before.push_back(shard_tasks(s));
     std::vector<ServiceFleet::Request> batch;
     for (const std::size_t area : areas) {
       for (UserId user = 0; user < 2; ++user) {
@@ -413,28 +424,63 @@ TEST(Fleet, SingleAreaDispatchRunsOnTheCaller) {
       }
     }
     (void)fleet.locate_many(batch);
-  };
-  const auto expect_shards = [&registry](
-                                 std::initializer_list<double> depths,
-                                 std::initializer_list<std::uint64_t> tasks) {
     for (std::size_t s = 0; s < 3; ++s) {
-      const support::MetricLabels labels{{"shard", std::to_string(s)}};
-      EXPECT_EQ(registry.gauge("confcall_fleet_queue_depth", "", labels)
-                    .value(),
-                depths.begin()[s])
+      EXPECT_EQ(shard_tasks(s) - before[s], fanout.begin()[s])
           << "shard " << s;
-      EXPECT_EQ(registry.counter("confcall_fleet_tasks_total", "", labels)
-                    .value(),
-                tasks.begin()[s])
-          << "shard " << s;
+      EXPECT_EQ(shard_tasks(s), totals.begin()[s]) << "shard " << s;
     }
   };
-  dispatch({0, 1, 2, 3, 4, 5, 6, 7});
-  expect_shards({3.0, 3.0, 2.0}, {3, 3, 2});
-  dispatch({3, 6});
-  expect_shards({2.0, 0.0, 0.0}, {5, 3, 2});
-  EXPECT_EQ(fleet.stats().tasks, 10u);
-  EXPECT_EQ(fleet.stats().dispatches, 2u);
+  dispatch({0, 1, 2, 3, 4, 5, 6, 7}, {3, 3, 2}, {3, 3, 2});
+  dispatch({3, 6}, {2, 0, 0}, {5, 3, 2});
+  const support::RegistrySnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.sum_by("confcall_fleet_tasks_total").value().counter_value,
+            10u);
+  EXPECT_EQ(snap.find("confcall_fleet_dispatches_total")->counter_value, 2u);
+}
+
+/// Greedy planning that throws on its next plan once armed.
+class ThrowingPlanner final : public core::Planner {
+ public:
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+  [[nodiscard]] core::Strategy plan(const core::Instance& instance,
+                                    std::size_t num_rounds) const override {
+    if (armed.exchange(false)) throw std::runtime_error("planner down");
+    return greedy_.plan(instance, num_rounds);
+  }
+
+  mutable std::atomic<bool> armed{false};
+
+ private:
+  core::GreedyPlanner greedy_;
+};
+
+TEST(Fleet, TaskThatThrowsLeavesNoRequestsForTheNextDispatch) {
+  // A task that throws part-way (here the planner) must not leave its
+  // area's request group behind: the next dispatch would serve those
+  // stale indices against a batch that no longer holds them.
+  const FleetWorld world;
+  ThrowingPlanner planner;
+  support::MetricRegistry registry;
+  LocationService::Config service_config = FleetWorld::service_config();
+  service_config.planner = &planner;
+  FleetConfig config;
+  config.num_areas = 2;
+  config.seed = 7;
+  config.registry = &registry;
+  ServiceFleet fleet(world.grid, world.areas, world.mobility, service_config,
+                     world.initial_cells, config);
+  const support::Counter calls = registry.counter(
+      "confcall_locate_calls_total", "", {{"shard", "0"}});
+  std::vector<ServiceFleet::Request> batch(2);
+  batch[0].users = {1, 2, 3};
+  batch[1].users = {4, 5};
+  planner.armed.store(true);
+  EXPECT_THROW((void)fleet.locate_many(batch), std::runtime_error);
+  const std::uint64_t calls_before = calls.value();
+  std::vector<ServiceFleet::Request> next(1);
+  next[0].users = {6};
+  EXPECT_EQ(fleet.locate_many(next).size(), 1u);
+  EXPECT_EQ(calls.value(), calls_before + 1);
 }
 
 TEST(Fleet, RoutingMapIsAreaModuloShards) {
@@ -457,9 +503,8 @@ TEST(Fleet, SharedPlanTableAnswersAcrossAreas) {
   batch[1].area = 1;
   batch[1].users = {1, 2, 3};
   (void)fleet.locate_many(batch);
-  const auto stats = fleet.shared_table().plans.stats();
-  EXPECT_GE(stats.hits, 1u);
-  EXPECT_GE(stats.entries, 1u);
+  EXPECT_GE(fleet.service(1).plan_cache_stats().hits, 1u);
+  EXPECT_GE(fleet.shared_table().plans.stats().entries, 1u);
 }
 
 TEST(Fleet, SaveRestoreRoundTrip) {
@@ -553,6 +598,18 @@ TEST(Fleet, RejectsInvalidConfigAndRequests) {
   std::vector<ServiceFleet::Request> bad_user(1);
   bad_user[0].users = {static_cast<UserId>(fleet.num_users())};
   EXPECT_THROW((void)fleet.locate_many(bad_user), std::invalid_argument);
+
+  // The whole batch is checked before any of it is served: a valid call
+  // ahead of an invalid one in the same area must not be served either,
+  // so the area's call counter and the checkpoint stay where they were.
+  const std::string before = save_bytes(fleet);
+  std::vector<ServiceFleet::Request> valid_then_empty(2);
+  valid_then_empty[0].area = 1;
+  valid_then_empty[0].users = {1, 2};
+  valid_then_empty[1].area = 1;  // no users
+  EXPECT_THROW((void)fleet.locate_many(valid_then_empty),
+               std::invalid_argument);
+  EXPECT_EQ(save_bytes(fleet), before);
 }
 
 TEST(Fleet, ConcurrentLocateStormIsRaceFreeAndDeterministic) {
@@ -561,13 +618,26 @@ TEST(Fleet, ConcurrentLocateStormIsRaceFreeAndDeterministic) {
   // signature table and the per-area services. Results must still match
   // the 1-shard run.
   const FleetWorld world;
-  ServiceFleet wide = world.make_fleet(8, /*num_areas=*/16);
+  support::MetricRegistry registry;
+  FleetConfig config;
+  config.num_shards = 8;
+  config.num_areas = 16;
+  config.seed = 7;
+  config.registry = &registry;
+  ServiceFleet wide(world.grid, world.areas, world.mobility,
+                    FleetWorld::service_config(), world.initial_cells,
+                    config);
   ServiceFleet narrow = world.make_fleet(1, /*num_areas=*/16);
   const auto wide_outcomes = drive(wide, 8);
   const auto narrow_outcomes = drive(narrow, 8);
   EXPECT_TRUE(wide_outcomes == narrow_outcomes);
   EXPECT_EQ(save_bytes(wide), save_bytes(narrow));
-  EXPECT_GT(wide.stats().tasks, 0u);
+  // Every batch touches all 16 areas: one task each.
+  EXPECT_EQ(registry.snapshot()
+                .sum_by("confcall_fleet_tasks_total")
+                .value()
+                .counter_value,
+            8u * 16u);
 }
 
 TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
@@ -601,7 +671,11 @@ TEST(Fleet, ColdDigestAndPlanTableFillRaceIsDeterministic) {
   EXPECT_EQ(wide_table.digests->filled(), narrow_table.digests->filled());
   EXPECT_EQ(wide_table.plans.stats().entries,
             narrow_table.plans.stats().entries);
-  EXPECT_GT(narrow_table.plans.stats().hits, 0u);
+  std::size_t narrow_hits = 0;
+  for (std::size_t a = 0; a < narrow.num_areas(); ++a) {
+    narrow_hits += narrow.service(a).plan_cache_stats().hits;
+  }
+  EXPECT_GT(narrow_hits, 0u);
 }
 
 TEST(Fleet, PlanTableEvictionStormMatchesOneShard) {

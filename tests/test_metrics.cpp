@@ -450,57 +450,6 @@ TEST(RegistrySnapshotDelta, LabelledSeriesDisappearThrows) {
 
 // ----------------------------------------------------- label algebra
 
-TEST(RegistrySnapshotLabelAlgebra, EraseLabelsFoldsCollidingSeries) {
-  MetricRegistry registry;
-  registry.counter("calls_total", "help", {{"shard", "0"}}).inc(3);
-  registry.counter("calls_total", "help", {{"shard", "1"}}).inc(4);
-  registry.gauge("depth", "help", {{"shard", "0"}}).set(1.5);
-  registry.gauge("depth", "help", {{"shard", "1"}}).set(2.0);
-  const HistogramSpec spec = HistogramSpec::integers(4);
-  registry.histogram("rounds", spec, "help", {{"shard", "0"}}).observe(1.0);
-  registry.histogram("rounds", spec, "help", {{"shard", "1"}}).observe(3.0);
-
-  const RegistrySnapshot view =
-      registry.snapshot().erase_labels({"shard"});
-  ASSERT_EQ(view.metrics.size(), 3u);
-  EXPECT_EQ(view.find("calls_total")->counter_value, 7u);
-  EXPECT_EQ(view.find("depth")->gauge_value, 3.5);
-  const HistogramSnapshot& h = view.find("rounds")->histogram;
-  EXPECT_EQ(h.count, 2u);
-  EXPECT_EQ(h.counts, (std::vector<std::uint64_t>{0, 1, 0, 1, 0, 0}));
-}
-
-// `sum without (keys)` keeps the labels it was not asked to erase:
-// {shard, result} minus shard folds to per-result series.
-TEST(RegistrySnapshotLabelAlgebra, EraseLabelsKeepsOtherKeys) {
-  MetricRegistry registry;
-  registry
-      .counter("ops_total", "help", {{"result", "ok"}, {"shard", "0"}})
-      .inc(1);
-  registry
-      .counter("ops_total", "help", {{"result", "ok"}, {"shard", "1"}})
-      .inc(2);
-  registry
-      .counter("ops_total", "help", {{"result", "err"}, {"shard", "1"}})
-      .inc(5);
-  const RegistrySnapshot view =
-      registry.snapshot().erase_labels({"shard"});
-  ASSERT_EQ(view.metrics.size(), 2u);
-  EXPECT_EQ(view.find("ops_total", {{"result", "ok"}})->counter_value, 3u);
-  EXPECT_EQ(view.find("ops_total", {{"result", "err"}})->counter_value,
-            5u);
-}
-
-TEST(RegistrySnapshotLabelAlgebra, EraseUnknownKeyIsIdentity) {
-  MetricRegistry registry;
-  registry.counter("calls_total", "help", {{"shard", "0"}}).inc(3);
-  registry.histogram("rounds", HistogramSpec::integers(2), "help")
-      .observe(1.0);
-  const RegistrySnapshot original = registry.snapshot();
-  const RegistrySnapshot view = original.erase_labels({"nonexistent"});
-  EXPECT_EQ(to_json(view), to_json(original));
-}
-
 TEST(RegistrySnapshotLabelAlgebra, SumByFoldsWholeFamily) {
   MetricRegistry registry;
   const HistogramSpec spec = HistogramSpec::integers(4);

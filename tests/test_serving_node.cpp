@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -153,7 +154,7 @@ TEST(ServingNode, ShedSingleCallIs503AndHealthzDrainsWithTheBucket) {
   EXPECT_EQ(admitted, 4);
   EXPECT_EQ(reply.status, 503);
   expect_outcome(reply.json, false);
-  EXPECT_EQ(counter(node, "confcall_serve_calls_shed_total"), 1u);
+  EXPECT_EQ(counter(node, "confcall_admission_shed_total"), 1u);
 
   const Reply health = call(node, "GET", "/healthz");
   EXPECT_EQ(health.status, 503);
@@ -265,6 +266,51 @@ TEST(ServingNode, FleetzRendersShardsPerShardRowsAndPlanCapacity) {
     EXPECT_TRUE(member(per_shard[s], "exemplar_trace_ids").is_array());
   }
   EXPECT_EQ(calls, 16.0);  // call_rate 1: one loop call per step
+}
+
+TEST(ServingNode, FleetzTotalsAreLabelSumsOfTheLocateFamilies) {
+  // /fleetz's fleet-wide request and plan-table counts are not a second
+  // record: they are the per-shard locate families, summed.
+  support::ManualClock clock;
+  ServingOptions options;
+  options.shards = 2;
+  ServingNode node(small_world(), options, clock);
+  node.start();
+  (void)node.restore_or_warm_up();
+  for (int i = 0; i < 8; ++i) {
+    const std::string area = std::to_string(i);
+    const Reply reply =
+        call(node, "POST", "/locate",
+             "[{\"users\": [0, 1], \"area\": " + area +
+                 "}, {\"users\": [2, 3, 4], \"area\": " + area +
+                 "}, {\"area\": " + std::to_string(7 - i) + "}]");
+    EXPECT_EQ(reply.status, 200);
+  }
+
+  const Reply fleetz = call(node, "GET", "/fleetz");
+  ASSERT_EQ(fleetz.status, 200);
+  const support::RegistrySnapshot snap = node.registry().snapshot();
+  const auto summed = [&snap](const char* name) {
+    const std::optional<support::MetricSnapshot> metric = snap.sum_by(name);
+    return metric ? static_cast<double>(metric->counter_value) : -1.0;
+  };
+  const support::JsonValue& shared = member(fleetz.json, "shared_plan");
+  EXPECT_EQ(member(fleetz.json, "requests").as_number(),
+            summed("confcall_locate_calls_total"));
+  EXPECT_EQ(member(fleetz.json, "requests").as_number(), 24.0);
+  EXPECT_EQ(member(shared, "hits").as_number(),
+            summed("confcall_locate_plan_cache_hits_total"));
+  EXPECT_EQ(member(shared, "misses").as_number(),
+            summed("confcall_locate_plan_cache_misses_total"));
+  EXPECT_GT(member(shared, "hits").as_number(), 0.0);
+  EXPECT_GT(member(shared, "misses").as_number(), 0.0);
+  double shard_calls = 0.0;
+  for (const support::JsonValue& shard :
+       member(fleetz.json, "per_shard").as_array()) {
+    shard_calls += member(shard, "locate_calls").as_number();
+    EXPECT_EQ(shard.find("queue_depth"), nullptr);
+  }
+  EXPECT_EQ(shard_calls, 24.0);
 }
 
 TEST(ServingNode, LocateServesEmptySingleAndBatchBodies) {
@@ -558,7 +604,7 @@ TEST(ServingNode, ConcurrentPostsScrapesStepsAndCheckpointsAreRaceFree) {
   ASSERT_TRUE(located.has_value());
   const std::uint64_t arrived =
       counter(node, "confcall_serve_calls_arrived_total");
-  const std::uint64_t shed = counter(node, "confcall_serve_calls_shed_total");
+  const std::uint64_t shed = counter(node, "confcall_admission_shed_total");
   // 200 loop calls, and per client 13 single calls plus 12 batches of 3.
   EXPECT_EQ(arrived, 200u + 4u * (13u * 1u + 12u * 3u));
   EXPECT_GT(shed, 0u);

@@ -13,7 +13,7 @@
 // (route contracts in serving_node.h). This file is the process around
 // the node: flags, --supervise, signals, --port-file, the paced locate
 // loop that moves users and serves arriving conference calls, and the
-// summary line.
+// summary line, which reads the node's metric registry as /fleetz does.
 //
 // There is one serving path. A single service is a one-area, one-shard
 // fleet: without --shards the daemon runs exactly that. --shards N|auto
@@ -92,6 +92,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -415,10 +416,12 @@ int main(int argc, char** argv) {
         throw std::runtime_error("cannot write snapshot file: " + error);
       }
     }
+    const std::optional<support::MetricSnapshot> tasks =
+        node.registry().snapshot().sum_by("confcall_fleet_tasks_total");
     std::cout << "confcall_serve: stopped after " << steps_run
               << " steps, served " << node.server().requests_served()
               << " http requests (" << node.server().connections_shed()
-              << " shed), fleet ran " << node.fleet().stats().tasks
+              << " shed), fleet ran " << (tasks ? tasks->counter_value : 0)
               << " area-tasks";
     if (!options.state_out.empty()) {
       std::cout << ", wrote " << node.checkpoints_written() << " checkpoints";

@@ -13,10 +13,14 @@ Five checks, all offline (CI must not depend on the network):
    bench/CMakeLists.txt — an experiment doc that names a harness that
    does not build is a dead reproduction recipe.
 3. Phantom metrics. Every backticked `confcall_*` metric name in
-   docs/OBSERVABILITY.md must appear somewhere under src/, tools/,
-   bench/ or tests/ — the catalogue may not describe series nothing
-   can emit. (tests/test_observability.cpp gates the opposite
-   direction: every emitted metric must be catalogued.)
+   docs/OBSERVABILITY.md must appear as a quoted string literal
+   ("confcall_...") under src/ or tools/, where families are
+   registered — the catalogue may not describe series nothing can
+   emit. A mention in a test or a bench does not count: a stale
+   assertion must not keep a deleted family's row alive. Names of
+   CMake targets (`confcall_serve`, `confcall_plan`, ...) are not
+   metrics and are skipped. (tests/test_observability.cpp gates the
+   opposite direction: every emitted metric must be catalogued.)
 4. Endpoint-table drift, both directions. Every route registered with
    server.handle("METHOD", "/path") in src/support/http.cpp or
    src/cellular/serving_node.cpp (the daemon's routes; its member is
@@ -50,8 +54,12 @@ BENCH_TARGET_RE = re.compile(r"\b(bench_[ea]\d{2}_[a-z0-9_]+)\b")
 # A catalogued metric: a backticked name with the confcall_ prefix.
 # Label-carrying rows (`name{label="v"}`) contribute the name prefix.
 METRIC_RE = re.compile(r"`(confcall_[a-z0-9_]+)[`{]")
-SOURCE_DIRS = ("src", "tools", "bench", "tests")
+# Where metric families are registered, by quoted name.
+REGISTRY_DIRS = ("src", "tools")
 SOURCE_EXTS = (".h", ".cpp", ".cc", ".py")
+# A CMake target named like a metric: add_executable(confcall_serve ...).
+CMAKE_TARGET_RE = re.compile(
+    r"add_(?:executable|library)\(\s*(confcall_[a-z0-9_]+)")
 
 
 def lint_links(path, root):
@@ -99,7 +107,7 @@ def lint_bench_targets(root):
 
 def source_tree_text(root):
     chunks = []
-    for subdir in SOURCE_DIRS:
+    for subdir in REGISTRY_DIRS:
         for dirpath, _, filenames in os.walk(os.path.join(root, subdir)):
             for name in filenames:
                 if name.endswith(SOURCE_EXTS):
@@ -109,23 +117,37 @@ def source_tree_text(root):
     return "\n".join(chunks)
 
 
+def cmake_targets(root):
+    """confcall_* targets the CMakeLists.txt files under src/ and tools/
+    declare."""
+    targets = set()
+    for subdir in REGISTRY_DIRS:
+        for path in glob.glob(os.path.join(root, subdir, "**",
+                                           "CMakeLists.txt"), recursive=True):
+            with open(path, encoding="utf-8") as handle:
+                targets.update(CMAKE_TARGET_RE.findall(handle.read()))
+    return targets
+
+
 def lint_metric_catalogue(root):
     """Check 3: every metric docs/OBSERVABILITY.md catalogues must be
-    emittable — its name must appear in the source tree."""
+    emittable — its name must be a quoted literal where families are
+    registered."""
     path = os.path.join(root, "docs", "OBSERVABILITY.md")
     if not os.path.exists(path):
         return []
     source = source_tree_text(root)
+    targets = cmake_targets(root)
     errors = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             for metric in METRIC_RE.findall(line):
-                if metric not in source:
+                if metric not in targets and '"%s"' % metric not in source:
                     errors.append(
-                        "%s:%d: metric '%s' is catalogued but appears "
-                        "nowhere under %s" %
-                        (os.path.relpath(path, root), lineno, metric,
-                         "/".join(SOURCE_DIRS)))
+                        "%s:%d: metric '%s' is catalogued but no quoted "
+                        "\"%s\" appears under %s" %
+                        (os.path.relpath(path, root), lineno, metric, metric,
+                         "/".join(REGISTRY_DIRS)))
     return errors
 
 

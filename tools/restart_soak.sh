@@ -8,8 +8,12 @@
 # next iteration must come up printing exactly one typed state line:
 # "state: restored from ..." (the checkpoint survived) or "state: cold
 # start (...)" (it was missing/damaged and the loader said so). A hang,
-# a crash on load, or a missing state line fails the soak. The run ends
-# with one graceful --steps run that must restore and exit 0.
+# a crash on load, or a missing state line fails the soak. Then one
+# graceful --steps run must restore and exit 0. Last, the same daemon runs
+# under --supervise --max-restarts 2: its child is killed with SIGKILL,
+# the supervisor must print "restarting in" and the new child must
+# warm-restore, and SIGTERM to the supervisor must drain the child and
+# exit 0 with "exited cleanly".
 #
 # Usage: restart_soak.sh [path/to/confcall_serve]
 #   RESTART_SOAK_ITERS   kill -9 iterations (default 5)
@@ -19,7 +23,8 @@ BIN="${1:-build/tools/confcall_serve}"
 ITERS="${RESTART_SOAK_ITERS:-5}"
 WORK="$(mktemp -d)"
 STATE="$WORK/state.bin"
-trap 'rm -rf "$WORK"' EXIT
+sup=""
+trap '[ -z "$sup" ] || kill -9 "$sup" $(pgrep -P "$sup") 2>/dev/null; rm -rf "$WORK"' EXIT
 
 if [ ! -x "$BIN" ]; then
   echo "restart_soak: daemon binary not found: $BIN" >&2
@@ -81,4 +86,37 @@ status=$?
 grep -q "state: restored from" "$WORK/log" \
   || fail "graceful final run did not warm-restore the soak checkpoint"
 
-echo "restart_soak: PASS ($ITERS kill -9 iterations, $restored warm restores)"
+# Supervised run: kill -9 the child, require a restart that warm-restores
+# the checkpoint, then SIGTERM the supervisor for a clean drain.
+restores() { grep -c "state: restored from" "$WORK/log"; }
+wait_for_restores() {
+  for _ in $(seq 1 400); do
+    [ "$(restores)" -ge "$1" ] && return 0
+    kill -0 "$sup" 2>/dev/null || fail "supervisor died: wanted $1 restores"
+    sleep 0.05
+  done
+  fail "supervised run: fewer than $1 'state: restored from' lines"
+}
+: > "$WORK/log"
+"$BIN" --supervise --max-restarts 2 --scenario overloaded-urban --port 0 \
+  --workers 2 --step-ms 5 --slo-p99-ms 2 --control-period-ms 100 \
+  --state-in "$STATE" --state-out "$STATE" --checkpoint-every-ms 50 \
+  >"$WORK/log" 2>&1 &
+sup=$!
+wait_for_restores 1
+child="$(pgrep -P "$sup")"
+[ -n "$child" ] || fail "supervised run: no child process under the supervisor"
+sleep 0.4
+kill -9 "$child"
+wait_for_restores 2
+grep -q "restarting in" "$WORK/log" \
+  || fail "supervised run: no 'restarting in' line after kill -9"
+kill -TERM "$sup"
+wait "$sup"
+status=$?
+sup=""
+[ "$status" -eq 0 ] || fail "supervisor exited $status after SIGTERM"
+grep -q "supervised child exited cleanly" "$WORK/log" \
+  || fail "supervised run: no 'exited cleanly' line after SIGTERM"
+
+echo "restart_soak: PASS ($ITERS kill -9 iterations, $restored warm restores, supervised restart)"
