@@ -6,7 +6,8 @@
 // that database and names the reporting policies, among them the two
 // extremes the paper uses to frame the reporting/paging tradeoff — never
 // report (maximal paging) and report every cell crossing (maximal
-// reporting, zero search). LocationService::observe_move applies them.
+// reporting, zero search). LocationService::observe_move and
+// observe_step apply them.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +62,8 @@ class LocationDatabase {
 
   /// Advances every device's "steps since report" clock by one.
   void tick();
+  /// Advances one device's clock by one.
+  void tick(UserId user) { ++steps_since_report_.at(user); }
 
   /// Registers a report (updates the record, resets the clock). Exposed
   /// for call handling: after a device is found by paging it implicitly

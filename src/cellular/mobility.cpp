@@ -11,13 +11,16 @@ MarkovMobility::MarkovMobility(const GridTopology& grid,
   if (stay_ < 0.0 || stay_ >= 1.0) {
     throw std::invalid_argument("MarkovMobility: need 0 <= stay < 1");
   }
-}
-
-CellId MarkovMobility::step(CellId current, prob::Rng& rng) const {
-  if (rng.next_double() < stay_) return current;
-  const auto& neighbors = grid_->neighbors(current);
-  if (neighbors.empty()) return current;  // 1x1 grid
-  return neighbors[rng.next_below(neighbors.size())];
+  const std::size_t c = grid_->num_cells();
+  neighbor_offsets_.reserve(c + 1);
+  neighbor_offsets_.push_back(0);
+  for (std::size_t cell = 0; cell < c; ++cell) {
+    const auto& neighbors = grid_->neighbors(static_cast<CellId>(cell));
+    neighbor_cells_.insert(neighbor_cells_.end(), neighbors.begin(),
+                           neighbors.end());
+    neighbor_offsets_.push_back(
+        static_cast<std::uint32_t>(neighbor_cells_.size()));
+  }
 }
 
 std::vector<double> MarkovMobility::transition_row(CellId cell) const {

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "cellular/topology.h"
@@ -28,8 +30,22 @@ class MarkovMobility {
   [[nodiscard]] const GridTopology& grid() const noexcept { return *grid_; }
   [[nodiscard]] double stay_probability() const noexcept { return stay_; }
 
-  /// One transition from `current`.
-  [[nodiscard]] CellId step(CellId current, prob::Rng& rng) const;
+  /// One transition from `current`: one next_double draw against the
+  /// stay probability, then, on a move, one next_below draw over the
+  /// cell's neighbours in GridTopology::neighbors order. Inline over a
+  /// flat neighbour table, since the simulator and every fleet area run
+  /// it once per user per step. Throws std::out_of_range on a cell
+  /// outside the grid.
+  [[nodiscard]] CellId step(CellId current, prob::Rng& rng) const {
+    if (current + std::size_t{1} >= neighbor_offsets_.size()) {
+      throw std::out_of_range("MarkovMobility::step: cell out of range");
+    }
+    if (rng.next_double() < stay_) return current;
+    const std::uint32_t first = neighbor_offsets_[current];
+    const std::uint32_t count = neighbor_offsets_[current + 1] - first;
+    if (count == 0) return current;  // 1x1 grid
+    return neighbor_cells_[first + rng.next_below(count)];
+  }
 
   /// The full transition-probability row of a cell (dense, length c).
   [[nodiscard]] std::vector<double> transition_row(CellId cell) const;
@@ -52,6 +68,10 @@ class MarkovMobility {
  private:
   const GridTopology* grid_;
   double stay_;
+  /// Every cell's neighbours, concatenated in cell order: cell c's run is
+  /// neighbor_cells_[neighbor_offsets_[c], neighbor_offsets_[c + 1]).
+  std::vector<std::uint32_t> neighbor_offsets_;
+  std::vector<CellId> neighbor_cells_;
 };
 
 /// `count` users placed uniformly at random on `grid`, one

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "cellular/profile.h"
 #include "core/adaptive.h"
@@ -244,33 +245,24 @@ void LocationService::attach_faults(FaultPlan* faults) {
   faults_ = faults;
 }
 
-bool LocationService::observe_move(UserId user, CellId new_cell) {
-  if (user >= num_users() || new_cell >= grid_->num_cells()) {
-    throw std::invalid_argument("observe_move: out of range");
-  }
+template <ReportPolicy P>
+bool LocationService::observe_user(UserId user, CellId new_cell) {
   if (!visit_counts_.empty()) {
     visit_counts_[user * grid_->num_cells() + new_cell] += 1.0;
   }
   bool wants_report = false;
-  switch (config_.report_policy) {
-    case ReportPolicy::kNever:
-      break;
-    case ReportPolicy::kOnAreaCrossing:
-      wants_report = areas_->area_of(new_cell) != db_.reported_area(user);
-      break;
-    case ReportPolicy::kOnCellCrossing:
-      wants_report = new_cell != db_.reported_cell(user);
-      break;
-    case ReportPolicy::kEveryTSteps:
-      // tick() runs after the per-step observe batch, so the clock reads
-      // the number of completed steps since the last report; reporting at
-      // clock == T gives an exact period of T steps.
-      wants_report = db_.steps_since_report(user) >= config_.timer_period;
-      break;
-    case ReportPolicy::kDistanceThreshold:
-      wants_report = grid_->distance(db_.reported_cell(user), new_cell) >=
-                     config_.distance_threshold;
-      break;
+  if constexpr (P == ReportPolicy::kOnAreaCrossing) {
+    wants_report = areas_->area_of(new_cell) != db_.reported_area(user);
+  } else if constexpr (P == ReportPolicy::kOnCellCrossing) {
+    wants_report = new_cell != db_.reported_cell(user);
+  } else if constexpr (P == ReportPolicy::kEveryTSteps) {
+    // The clock ticks after the step's observations, so it reads the
+    // number of completed steps since the last report; reporting at
+    // clock == T gives an exact period of T steps.
+    wants_report = db_.steps_since_report(user) >= config_.timer_period;
+  } else if constexpr (P == ReportPolicy::kDistanceThreshold) {
+    wants_report = grid_->distance(db_.reported_cell(user), new_cell) >=
+                   config_.distance_threshold;
   }
   if (!wants_report) return false;
   if (faults_ != nullptr && faults_->drop_report()) {
@@ -282,6 +274,56 @@ bool LocationService::observe_move(UserId user, CellId new_cell) {
   }
   db_.record_report(user, new_cell);
   return true;
+}
+
+template <typename F>
+decltype(auto) LocationService::with_report_policy(F&& f) {
+  using P = ReportPolicy;
+  switch (config_.report_policy) {
+    case P::kNever:
+      return f(std::integral_constant<P, P::kNever>{});
+    case P::kOnAreaCrossing:
+      return f(std::integral_constant<P, P::kOnAreaCrossing>{});
+    case P::kOnCellCrossing:
+      return f(std::integral_constant<P, P::kOnCellCrossing>{});
+    case P::kEveryTSteps:
+      return f(std::integral_constant<P, P::kEveryTSteps>{});
+    case P::kDistanceThreshold:
+      return f(std::integral_constant<P, P::kDistanceThreshold>{});
+  }
+  throw std::logic_error("LocationService: unknown report policy");
+}
+
+bool LocationService::observe_move(UserId user, CellId new_cell) {
+  if (user >= num_users() || new_cell >= grid_->num_cells()) {
+    throw std::invalid_argument("observe_move: out of range");
+  }
+  return with_report_policy([&](auto policy) {
+    return observe_user<decltype(policy)::value>(user, new_cell);
+  });
+}
+
+std::size_t LocationService::observe_step(std::span<const CellId> cells) {
+  if (cells.size() != num_users()) {
+    throw std::invalid_argument("observe_step: need one cell per user");
+  }
+  const std::size_t num_cells = grid_->num_cells();
+  for (const CellId cell : cells) {
+    if (cell >= num_cells) {
+      throw std::invalid_argument("observe_step: cell out of range");
+    }
+  }
+  return with_report_policy([&](auto policy) {
+    std::size_t reports = 0;
+    for (std::size_t u = 0; u < cells.size(); ++u) {
+      const auto user = static_cast<UserId>(u);
+      reports += observe_user<decltype(policy)::value>(user, cells[u]);
+      // User u's clock is read and reset only by its own observation
+      // above, so ticking it here equals tick() after the whole batch.
+      db_.tick(user);
+    }
+    return reports;
+  });
 }
 
 void LocationService::tick() { db_.tick(); }

@@ -326,6 +326,16 @@ class LocationService {
   /// per global time step after the observe_move batch.
   void tick();
 
+  /// One global time step in one pass: cells[u] is user u's new cell.
+  /// Equivalent to observe_move(u, cells[u]) for every u in order, then
+  /// tick() — the same reports, fault draws and database state — but the
+  /// span is validated once and the report policy dispatched once, not
+  /// per user. Returns the number of reports the policy sent (lost ones
+  /// included, as observe_move counts them). Throws
+  /// std::invalid_argument, before changing any state, unless there is
+  /// exactly one in-range cell per user.
+  std::size_t observe_step(std::span<const CellId> cells);
+
   /// Uplink reports swallowed by the fault plan since construction
   /// (observation-side twin of FaultStats::reports_dropped).
   [[nodiscard]] std::size_t reports_lost() const noexcept {
@@ -526,6 +536,15 @@ class LocationService {
   [[nodiscard]] std::uint64_t plan_signature(
       std::span<const UserId> group_users, std::size_t num_cells,
       std::size_t area, std::size_t d) const;
+  /// The per-user half of observe_move and observe_step under report
+  /// policy P, on validated arguments: counts the visit, asks the policy
+  /// and records the report, or loses it to the fault plan.
+  template <ReportPolicy P>
+  bool observe_user(UserId user, CellId new_cell);
+  /// Calls f(std::integral_constant<ReportPolicy, P>{}) for the
+  /// configured policy P: the one switch over report policies.
+  template <typename F>
+  decltype(auto) with_report_policy(F&& f);
   /// Steps since `user`'s last report, capped at last_seen_horizon: with
   /// the reported cell, the key of its last-seen profile.
   [[nodiscard]] std::size_t last_seen_steps(UserId user) const;

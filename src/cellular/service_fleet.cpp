@@ -207,22 +207,29 @@ std::vector<LocationService::LocateOutcome> ServiceFleet::locate_many(
   return outcomes;
 }
 
-void ServiceFleet::step_all() {
+void ServiceFleet::step_all(std::size_t steps) {
+  if (steps == 0) return;
+  // Area-major: one task per area runs all `steps` back to back. Step t
+  // of area a draws only from substream (a's step seed, t) and from a's
+  // own fault plan, and no locate runs inside the call, so this equals
+  // `steps` one-step calls bit for bit — at one pool dispatch.
   const std::thread::id caller = std::this_thread::get_id();
   pool_.parallel_for(config_.num_areas, [&](std::size_t area) {
     if (config_.pin_threads && std::this_thread::get_id() != caller) {
       pin_helper_once(shard_of(area));
     }
     AreaState& state = *areas_state_[area];
-    prob::Rng step_rng = prob::Rng::substream(
-        prob::mix_seed(area_seed(area), kStepStream), state.step_counter++);
-    if (state.faults) state.faults->begin_step();
-    for (std::size_t u = 0; u < state.user_cells.size(); ++u) {
-      state.user_cells[u] = mobility_->step(state.user_cells[u], step_rng);
-      (void)state.service->observe_move(static_cast<UserId>(u),
-                                        state.user_cells[u]);
+    const std::uint64_t step_seed =
+        prob::mix_seed(area_seed(area), kStepStream);
+    for (std::size_t t = 0; t < steps; ++t) {
+      prob::Rng step_rng =
+          prob::Rng::substream(step_seed, state.step_counter++);
+      if (state.faults) state.faults->begin_step();
+      for (CellId& cell : state.user_cells) {
+        cell = mobility_->step(cell, step_rng);
+      }
+      (void)state.service->observe_step(state.user_cells);
     }
-    state.service->tick();
   });
 }
 

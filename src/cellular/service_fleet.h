@@ -134,11 +134,14 @@ class ServiceFleet {
   std::vector<LocationService::LocateOutcome> locate_many(
       std::span<const Request> requests);
 
-  /// Advances every area one mobility step (fault clocks, moves,
-  /// reports, tick) in parallel, deterministically: area a's step t
-  /// draws from substream (area step seed, t) regardless of execution
-  /// order, and its faults from its own plan's stream.
-  void step_all();
+  /// Advances every area `steps` mobility steps (each: fault clocks,
+  /// moves, then LocationService::observe_step's reports and tick) in
+  /// one parallel_for over areas; each area-task runs its steps back to
+  /// back. Deterministic: area a's step t draws from substream (area
+  /// step seed, t) regardless of execution order, and its faults from
+  /// its own plan's stream, so step_all(n) equals n calls of
+  /// step_all() bit for bit, at any shard count. 0 steps is a no-op.
+  void step_all(std::size_t steps = 1);
 
   [[nodiscard]] std::size_t num_shards() const noexcept {
     return config_.num_shards;

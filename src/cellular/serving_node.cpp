@@ -225,12 +225,11 @@ std::string ServingNode::restore_or_warm_up() {
   if (!restored) {
     // A valid checkpoint stands in for the whole warm-up: movement only,
     // unpaced, so every location database is warm before the first
-    // routed locate.
+    // routed locate. One area-major dispatch under one lock hold: a
+    // POST /locate arriving meanwhile waits for the whole warm-up.
     readiness_.set(support::Readiness::kWarmup);
-    for (std::size_t t = 0; t < config_.warmup_steps; ++t) {
-      std::lock_guard<std::mutex> lock(sim_mutex_);
-      fleet_.step_all();
-    }
+    std::lock_guard<std::mutex> lock(sim_mutex_);
+    fleet_.step_all(config_.warmup_steps);
   }
   readiness_.set(support::Readiness::kReady);
   next_checkpoint_ns_ =

@@ -86,7 +86,10 @@ class ServingNode {
   [[nodiscard]] std::uint16_t port() const noexcept { return server_.port(); }
 
   /// Warm restart from ServingOptions::state_in, or a cold start: /readyz
-  /// answers 503 through restore and warm-up, then 200. A checkpoint
+  /// answers 503 through restore and warm-up, then 200. The warm-up is
+  /// one ServiceFleet::step_all(warmup_steps) dispatch under the sim
+  /// mutex, so a POST /locate arriving meanwhile waits until every area
+  /// has run every warm-up step. A checkpoint
   /// restores only when the fleet AND (with SLO control) the controller
   /// sections all validate; otherwise nothing is committed, the cause is
   /// counted in confcall_state_restore_total{result} and warm-up runs.

@@ -264,13 +264,8 @@ SimReport run_simulation(const SimConfig& config) {
   const auto move_users = [&] {
     clock.advance(overload.step_duration_ns);
     faults.begin_step();
-    for (std::size_t u = 0; u < config.num_users; ++u) {
-      user_cells[u] = mobility.step(user_cells[u], rng);
-      if (service.observe_move(static_cast<UserId>(u), user_cells[u])) {
-        ++report.reports_sent;
-      }
-    }
-    service.tick();
+    for (CellId& cell : user_cells) cell = mobility.step(cell, rng);
+    report.reports_sent += service.observe_step(user_cells);
     // Control steps land on the virtual clock's period grid, so the
     // loop is as deterministic as the rest of the run.
     if (stack.slo()) stack.slo()->maybe_step();

@@ -91,18 +91,22 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform integer in [0, bound) without modulo bias (Lemire's method
-  /// with rejection).
+  /// Uniform integer in [0, bound) without modulo bias: Lemire's
+  /// nearly-divisionless multiply-and-reject. A draw is rejected iff the
+  /// low product word is below (2^64 - bound) % bound; that threshold is
+  /// below `bound`, so the division runs only when the low word is too,
+  /// which for small bounds is almost never. Accepts exactly the draws
+  /// the always-dividing form accepts, so every stream is unchanged.
   std::uint64_t next_below(std::uint64_t bound) noexcept {
     if (bound <= 1) return 0;
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-      const std::uint64_t r = next_u64();
-      const __uint128_t m = static_cast<__uint128_t>(r) * bound;
-      if (static_cast<std::uint64_t>(m) >= threshold) {
-        return static_cast<std::uint64_t>(m >> 64);
+    __uint128_t m = static_cast<__uint128_t>(next_u64()) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (static_cast<std::uint64_t>(m) < threshold) {
+        m = static_cast<__uint128_t>(next_u64()) * bound;
       }
     }
+    return static_cast<std::uint64_t>(m >> 64);
   }
 
   /// Uniform integer in the inclusive range [lo, hi].

@@ -263,6 +263,61 @@ TEST(Fleet, ResultsIdenticalAcrossShardCounts) {
   }
 }
 
+TEST(Fleet, AreaMajorStepsMatchStepMajor) {
+  // step_all(n) runs each area's n steps back to back in one dispatch;
+  // n calls of step_all() run them one step at a time across all areas.
+  // An area draws only from its own step substreams and fault plan, so
+  // both orders must leave the same cells, serve the same next batch and
+  // save the same bytes, at every shard count, with faults off and on.
+  const FleetWorld world;
+  const FaultConfig faulted = degraded_urban_scenario().config.faults;
+  constexpr std::size_t kAreas = 6;
+  constexpr std::size_t kSteps = 40;
+  for (const FaultConfig& faults : {FaultConfig{}, faulted}) {
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE(testing::Message()
+                   << shards << " shards, faults "
+                   << (faults.any_enabled() ? "on" : "off"));
+      ServiceFleet step_major = world.make_fleet(shards, kAreas, faults);
+      ServiceFleet area_major = world.make_fleet(shards, kAreas, faults);
+      const std::string cold = save_bytes(area_major);
+      area_major.step_all(0);
+      EXPECT_EQ(save_bytes(area_major), cold) << "step_all(0) moved state";
+
+      for (std::size_t t = 0; t < kSteps; ++t) step_major.step_all();
+      area_major.step_all(kSteps);
+      std::size_t moved = 0;
+      for (std::size_t area = 0; area < kAreas; ++area) {
+        for (UserId user = 0; user < world.initial_cells.size(); ++user) {
+          ASSERT_EQ(area_major.user_cell(area, user),
+                    step_major.user_cell(area, user))
+              << "area " << area << ", user " << user;
+          if (step_major.user_cell(area, user) != world.initial_cells[user]) {
+            ++moved;
+          }
+        }
+      }
+      EXPECT_GT(moved, 0u) << "nobody moved";
+      const std::string stepped = save_bytes(area_major);
+      EXPECT_NE(stepped, cold);
+      EXPECT_EQ(stepped, save_bytes(step_major));
+      area_major.step_all(0);
+      EXPECT_EQ(save_bytes(area_major), stepped) << "step_all(0) moved state";
+
+      std::vector<ServiceFleet::Request> batch(kAreas * 2);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        batch[i].area = i % kAreas;
+        batch[i].users = {static_cast<UserId>(i), static_cast<UserId>(i + 20),
+                          static_cast<UserId>(i + 40)};
+      }
+      EXPECT_TRUE(area_major.locate_many(batch) ==
+                  step_major.locate_many(batch));
+      EXPECT_EQ(save_bytes(area_major), save_bytes(step_major));
+    }
+  }
+}
+
 TEST(Fleet, DispatchNeverRepinsTheCallingThread) {
   // pin_threads places the pool's helper threads, never the caller: it
   // runs area-tasks inline, and pinning it would confine the

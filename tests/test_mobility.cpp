@@ -5,6 +5,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 namespace confcall::cellular {
 namespace {
@@ -37,6 +38,55 @@ TEST(MarkovMobility, StepFrequenciesMatchRow) {
   for (int t = 0; t < n; ++t) ++counts[mobility.step(start, rng)];
   for (std::size_t j = 0; j < counts.size(); ++j) {
     EXPECT_NEAR(counts[j] / static_cast<double>(n), row[j], 0.01);
+  }
+}
+
+/// MarkovMobility::step as it was before the flat neighbour table: the
+/// move draws over GridTopology::neighbors directly.
+CellId neighbour_list_step(const GridTopology& grid, double stay,
+                           CellId current, prob::Rng& rng) {
+  if (rng.next_double() < stay) return current;
+  const auto& neighbors = grid.neighbors(current);
+  if (neighbors.empty()) return current;
+  return neighbors[rng.next_below(neighbors.size())];
+}
+
+TEST(MarkovMobility, StepMatchesTheNeighbourListDraw) {
+  std::vector<GridTopology> grids;
+  for (const Neighborhood hood : {Neighborhood::kVonNeumann,
+                                  Neighborhood::kMoore,
+                                  Neighborhood::kHexagonal}) {
+    for (const bool toroidal : {false, true}) {
+      grids.emplace_back(4, 5, toroidal, hood);
+    }
+  }
+  grids.emplace_back(1, 1);
+  for (const GridTopology& grid : grids) {
+    SCOPED_TRACE(testing::Message()
+                 << grid.rows() << "x" << grid.cols() << ", neighbourhood "
+                 << static_cast<int>(grid.neighborhood()) << ", toroidal "
+                 << grid.toroidal());
+    for (const double stay : {0.0, 0.4}) {
+      const MarkovMobility mobility(grid, stay);
+      prob::Rng fast(31);
+      prob::Rng reference(31);
+      for (std::size_t start = 0; start < grid.num_cells(); ++start) {
+        CellId a = static_cast<CellId>(start);
+        CellId b = a;
+        for (int t = 0; t < 200; ++t) {
+          a = mobility.step(a, fast);
+          b = neighbour_list_step(grid, stay, b, reference);
+          ASSERT_EQ(a, b) << "start " << start << ", step " << t;
+        }
+        // Same draws consumed: the two generators are still in step.
+        ASSERT_EQ(fast.next_u64(), reference.next_u64());
+      }
+    }
+    const MarkovMobility mobility(grid, 0.4);
+    prob::Rng rng(1);
+    EXPECT_THROW((void)mobility.step(static_cast<CellId>(grid.num_cells()),
+                                     rng),
+                 std::out_of_range);
   }
 }
 

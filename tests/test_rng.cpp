@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -63,6 +65,52 @@ TEST(Rng, NextBelowCoversAllResidues) {
   for (const int count : counts) {
     EXPECT_GT(count, 800);
     EXPECT_LT(count, 1200);
+  }
+}
+
+/// next_below as it was before the nearly-divisionless form: the
+/// rejection threshold is divided out before every draw. Counts the
+/// draws it rejected.
+std::uint64_t dividing_next_below(Rng& rng, std::uint64_t bound,
+                                  std::size_t& rejections) {
+  if (bound <= 1) return 0;
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng.next_u64();
+    const __uint128_t m = static_cast<__uint128_t>(r) * bound;
+    if (static_cast<std::uint64_t>(m) >= threshold) {
+      return static_cast<std::uint64_t>(m >> 64);
+    }
+    ++rejections;
+  }
+}
+
+/// Four outputs of a copy: enough to pin all four state words.
+std::vector<std::uint64_t> peek(Rng rng) {
+  std::vector<std::uint64_t> out(4);
+  for (auto& word : out) word = rng.next_u64();
+  return out;
+}
+
+TEST(Rng, NextBelowMatchesTheDividingForm) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{6}, std::uint64_t{7}, (std::uint64_t{1} << 32) + 1,
+        (std::uint64_t{1} << 63) + 1, kMax}) {
+    SCOPED_TRACE(bound);
+    Rng fast(2024);
+    Rng reference(2024);
+    std::size_t rejections = 0;
+    for (int i = 0; i < 4000; ++i) {
+      ASSERT_EQ(fast.next_below(bound),
+                dividing_next_below(reference, bound, rejections))
+          << "draw " << i;
+      ASSERT_EQ(peek(fast), peek(reference)) << "state after draw " << i;
+    }
+    // Just above 2^63 nearly half the draws are rejected, so the
+    // retry loop is exercised, not only the first draw.
+    if (bound == (std::uint64_t{1} << 63) + 1) EXPECT_GT(rejections, 1000u);
   }
 }
 

@@ -283,6 +283,75 @@ TEST_F(ServiceTest, DroppedReportLeavesDatabaseStale) {
   EXPECT_EQ(plan.stats().reports_dropped, 1u);
 }
 
+TEST_F(ServiceTest, ObserveStepMatchesObserveMoveThenTick) {
+  // Reference: the per-user observe_move calls and the tick() that
+  // observe_step replaces, run on a twin service over the same walk.
+  const std::vector<CellId> start = {0, 7, 20, 35, 14, 3, 28, 11};
+  FaultConfig lossy;
+  lossy.report_loss_rate = 0.3;
+  for (const ReportPolicy policy :
+       {ReportPolicy::kNever, ReportPolicy::kOnAreaCrossing,
+        ReportPolicy::kOnCellCrossing, ReportPolicy::kEveryTSteps,
+        ReportPolicy::kDistanceThreshold}) {
+    for (const ProfileKind kind :
+         {ProfileKind::kLastSeen, ProfileKind::kEmpirical}) {
+      for (const bool faulted : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "policy " << static_cast<int>(policy) << ", kind "
+                     << static_cast<int>(kind) << ", faults " << faulted);
+        LocationService::Config config;
+        config.report_policy = policy;
+        config.profile_kind = kind;
+        config.timer_period = 3;
+        config.distance_threshold = 2;
+        LocationService reference = make_service(config, start);
+        LocationService fused = make_service(config, start);
+        FaultPlan reference_faults(lossy, grid_.num_cells());
+        FaultPlan fused_faults(lossy, grid_.num_cells());
+        if (faulted) {
+          reference.attach_faults(&reference_faults);
+          fused.attach_faults(&fused_faults);
+        }
+        prob::Rng walk(17);
+        std::vector<CellId> cells = start;
+        std::size_t total = 0;
+        for (int t = 0; t < 60; ++t) {
+          for (CellId& cell : cells) cell = mobility_.step(cell, walk);
+          std::size_t expected = 0;
+          for (std::size_t u = 0; u < cells.size(); ++u) {
+            if (reference.observe_move(static_cast<UserId>(u), cells[u])) {
+              ++expected;
+            }
+          }
+          reference.tick();
+          ASSERT_EQ(fused.observe_step(cells), expected) << "step " << t;
+          total += expected;
+        }
+        if (policy != ReportPolicy::kNever) EXPECT_GT(total, 0u);
+        EXPECT_EQ(fused.save_state(), reference.save_state());
+        EXPECT_EQ(fused.reports_lost(), reference.reports_lost());
+        EXPECT_EQ(fused_faults.stats().reports_dropped,
+                  reference_faults.stats().reports_dropped);
+        if (faulted && policy != ReportPolicy::kNever) {
+          EXPECT_GT(fused.reports_lost(), 0u);
+        }
+
+        // Rejected input changes nothing, fault stream included.
+        const std::string before = fused.save_state();
+        const std::size_t dropped = fused_faults.stats().reports_dropped;
+        const std::vector<CellId> short_span(cells.begin(), cells.end() - 1);
+        EXPECT_THROW((void)fused.observe_step(short_span),
+                     std::invalid_argument);
+        std::vector<CellId> bad = cells;
+        bad.back() = static_cast<CellId>(grid_.num_cells());
+        EXPECT_THROW((void)fused.observe_step(bad), std::invalid_argument);
+        EXPECT_EQ(fused.save_state(), before);
+        EXPECT_EQ(fused_faults.stats().reports_dropped, dropped);
+      }
+    }
+  }
+}
+
 TEST_F(ServiceTest, DarkCellPagesAreCountedAndCallAbandoned) {
   // One fresh outage per step that never expires: after enough steps the
   // callee's cell is dark, every page on it is wasted, and the bounded

@@ -49,10 +49,12 @@
 // (confcall_state_restore_total{result=...}) — never a crash. The
 // restore is all-or-nothing across the fleet and the SLO controller, and
 // GET /readyz stays 503 through restore and warmup so a balancer holds
-// traffic until the process is actually warm. --supervise wraps the whole daemon in a
-// fork/exec supervisor: the child is restarted on any unclean exit with
-// exponential backoff and a bounded crash-loop budget (--max-restarts,
-// reset after a healthy run).
+// traffic until the process is actually warm. The warmup is one
+// area-major fleet dispatch under the serving mutex: a POST /locate sent
+// during it is answered only after the whole warmup. --supervise wraps
+// the whole daemon in a fork/exec supervisor: the child is restarted on
+// any unclean exit with exponential backoff and a bounded crash-loop
+// budget (--max-restarts, reset after a healthy run).
 //
 // --slo-p99-ms T attaches a closed-loop SloController (requires a
 // scenario with admission control, e.g. overloaded-urban): every
