@@ -52,7 +52,7 @@ namespace confcall::cellular {
 /// confcall_serve's serving flags, one field per flag.
 struct ServingOptions {
   std::uint16_t port = 0;   ///< --port (0 = ephemeral)
-  std::size_t workers = 2;  ///< --workers (HTTP worker threads)
+  std::size_t workers = 1;  ///< --workers (HTTP event loops)
   /// --shards: 0 = one shard over one area, else N lanes.
   std::size_t shards = 0;
   /// --fleet-areas: 0 = 4 per shard with --shards, else 1.

@@ -2,7 +2,8 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <ctime>
 #include <memory>
@@ -25,8 +27,6 @@
 
 namespace confcall::support {
 namespace {
-
-constexpr int kStopSentinel = -1;
 
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
@@ -47,54 +47,14 @@ std::string trim(const std::string& s) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-// Applies the remaining read budget as the socket receive timeout, so a
-// blocked recv wakes up in time to notice the expired deadline.
-void arm_recv_timeout(int fd, std::uint64_t remaining_ns) {
-  timeval tv{};
-  // At least 1 ms so a nearly-expired deadline still sets a real timeout
-  // instead of "block forever" (tv == 0).
-  const std::uint64_t us = std::max<std::uint64_t>(remaining_ns / 1000, 1000);
-  tv.tv_sec = static_cast<time_t>(us / 1'000'000);
-  tv.tv_usec = static_cast<suseconds_t>(us % 1'000'000);
-  (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-void arm_send_timeout(int fd, std::uint64_t budget_ns) {
-  timeval tv{};
-  const std::uint64_t us = std::max<std::uint64_t>(budget_ns / 1000, 1000);
-  tv.tv_sec = static_cast<time_t>(us / 1'000'000);
-  tv.tv_usec = static_cast<suseconds_t>(us % 1'000'000);
-  (void)setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-// Returns false when the peer stopped reading (EPIPE/ECONNRESET/send
-// timeout) — the caller counts it; there is nobody left to answer.
-// MSG_NOSIGNAL keeps a dead peer an errno, never a SIGPIPE.
-[[nodiscard]] bool send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;  // signal, not failure: retry
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+std::uint64_t now_ns() { return SteadyClockSource::shared().now_ns(); }
 
 std::string render_response(const HttpResponse& response) {
-  std::ostringstream os;
-  os << "HTTP/1.1 " << response.status << ' '
-     << http_status_reason(response.status) << "\r\n"
-     << "Content-Type: " << response.content_type << "\r\n"
-     << "Content-Length: " << response.body.size() << "\r\n"
-     << "Connection: close\r\n\r\n"
-     << response.body;
-  return os.str();
-}
-
-[[nodiscard]] bool send_response(int fd, const HttpResponse& response) {
-  return send_all(fd, render_response(response));
+  return "HTTP/1.1 " + std::to_string(response.status) + ' ' +
+         http_status_reason(response.status) +
+         "\r\nContent-Type: " + response.content_type +
+         "\r\nContent-Length: " + std::to_string(response.body.size()) +
+         "\r\nConnection: close\r\n\r\n" + response.body;
 }
 
 HttpResponse plain_status(int status, const std::string& body) {
@@ -110,109 +70,81 @@ HttpResponse plain_status(int status, const std::string& body) {
 [[nodiscard]] bool parse_content_length(const std::string& text,
                                         std::size_t* out) {
   if (text.empty() || text.size() > 19) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  *out = value;
-  return true;
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, *out);
+  return error == std::errc{} && stop == end;
 }
 
-/// Reads one request; returns false (with `error` filled) on a
-/// malformed, oversized or timed-out request.
-bool read_request(int fd, const HttpServerOptions& options,
-                  HttpRequest* request, HttpResponse* error) {
-  const Deadline deadline =
-      Deadline::after(options.read_deadline_ns, SteadyClockSource::shared());
-  std::string buffer;
-  std::size_t header_end = std::string::npos;
-  char chunk[4096];
-  while (true) {
-    const std::uint64_t remaining =
-        deadline.remaining_ns(SteadyClockSource::shared());
-    if (remaining == 0) {
-      *error = plain_status(408, "request read deadline exceeded");
-      return false;
-    }
-    arm_recv_timeout(fd, remaining);
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        continue;  // timeout slice elapsed; the deadline check decides
-      }
-      *error = plain_status(400, "read error");
-      return false;
-    }
-    if (n == 0) {  // client closed before a full request
-      *error = plain_status(400, "connection closed mid-request");
-      return false;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    if (buffer.size() > options.max_request_bytes) {
-      // Before the blank line this is a runaway header block (431);
-      // after it, body bytes pushed past the cap (413).
-      *error = header_end == std::string::npos
-                   ? plain_status(431, "header block too large")
-                   : plain_status(413, "request body too large");
-      return false;
-    }
-    if (header_end == std::string::npos) {
-      header_end = buffer.find("\r\n\r\n");
-      if (header_end == std::string::npos) continue;
-    }
-    // Headers complete: parse enough to know the body length.
-    std::istringstream head(buffer.substr(0, header_end));
-    std::string request_line;
-    std::getline(head, request_line);
-    if (!request_line.empty() && request_line.back() == '\r') {
-      request_line.pop_back();
-    }
-    std::istringstream rl(request_line);
-    std::string target;
-    std::string version;
-    if (!(rl >> request->method >> target >> version) ||
-        version.rfind("HTTP/1.", 0) != 0) {
-      *error = plain_status(400, "malformed request line");
-      return false;
-    }
-    request->headers.clear();
-    std::string line;
-    while (std::getline(head, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      const std::size_t colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      request->headers.emplace_back(lower(trim(line.substr(0, colon))),
-                                    trim(line.substr(colon + 1)));
-    }
-    const std::size_t query_pos = target.find('?');
-    request->path = target.substr(0, query_pos);
-    request->query = query_pos == std::string::npos
-                         ? std::string{}
-                         : target.substr(query_pos + 1);
-    // Missing Content-Length means an empty body (every scraper GET and
-    // the bodyless curl -X POST smoke path); a present but non-numeric
-    // one is malformed, not zero.
-    std::size_t content_length = 0;
-    const std::string length_header = request->header("content-length");
-    if (!length_header.empty() &&
-        !parse_content_length(length_header, &content_length)) {
-      *error = plain_status(400, "bad Content-Length");
-      return false;
-    }
-    if (content_length > options.max_request_bytes ||
-        header_end + 4 + content_length > options.max_request_bytes) {
-      // The headers fit; the declared payload does not. Reject from the
-      // declaration alone — never read a body the cap already rules out.
-      *error = plain_status(413, "request body too large");
-      return false;
-    }
-    if (buffer.size() >= header_end + 4 + content_length) {
-      request->body = buffer.substr(header_end + 4, content_length);
-      return true;
-    }
-    // else: keep reading body bytes under the same deadline
+enum class Parse { kNeedMore, kComplete, kRejected };
+
+/// Parses the request bytes buffered so far. `header_end` caches where
+/// the header block ends once it has been seen. kRejected fills `error`
+/// for a malformed or oversized request.
+Parse parse_request(const std::string& buffer, std::size_t* header_end,
+                    const HttpServerOptions& options, HttpRequest* request,
+                    HttpResponse* error) {
+  if (buffer.size() > options.max_request_bytes) {
+    // Before the blank line this is a runaway header block (431);
+    // after it, body bytes pushed past the cap (413).
+    *error = *header_end == std::string::npos
+                 ? plain_status(431, "header block too large")
+                 : plain_status(413, "request body too large");
+    return Parse::kRejected;
   }
+  if (*header_end == std::string::npos) {
+    *header_end = buffer.find("\r\n\r\n");
+    if (*header_end == std::string::npos) return Parse::kNeedMore;
+  }
+  // Headers complete: parse enough to know the body length.
+  std::istringstream head(buffer.substr(0, *header_end));
+  std::string request_line;
+  std::getline(head, request_line);
+  if (!request_line.empty() && request_line.back() == '\r') {
+    request_line.pop_back();
+  }
+  std::istringstream rl(request_line);
+  std::string target;
+  std::string version;
+  if (!(rl >> request->method >> target >> version) ||
+      version.rfind("HTTP/1.", 0) != 0) {
+    *error = plain_status(400, "malformed request line");
+    return Parse::kRejected;
+  }
+  request->headers.clear();
+  std::string line;
+  while (std::getline(head, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    request->headers.emplace_back(lower(trim(line.substr(0, colon))),
+                                  trim(line.substr(colon + 1)));
+  }
+  const std::size_t query_pos = target.find('?');
+  request->path = target.substr(0, query_pos);
+  request->query = query_pos == std::string::npos
+                       ? std::string{}
+                       : target.substr(query_pos + 1);
+  // Missing Content-Length means an empty body (every scraper GET and
+  // the bodyless curl -X POST smoke path); a present but non-numeric
+  // one is malformed, not zero.
+  std::size_t content_length = 0;
+  const std::string length_header = request->header("content-length");
+  if (!length_header.empty() &&
+      !parse_content_length(length_header, &content_length)) {
+    *error = plain_status(400, "bad Content-Length");
+    return Parse::kRejected;
+  }
+  const std::size_t body_start = *header_end + 4;
+  if (content_length > options.max_request_bytes ||
+      body_start + content_length > options.max_request_bytes) {
+    // The headers fit; the declared payload does not. Reject from the
+    // declaration alone — never read a body the cap already rules out.
+    *error = plain_status(413, "request body too large");
+    return Parse::kRejected;
+  }
+  if (buffer.size() < body_start + content_length) return Parse::kNeedMore;
+  request->body = buffer.substr(body_start, content_length);
+  return Parse::kComplete;
 }
 
 // Lingering close after a rejected request. The peer may still be
@@ -225,29 +157,241 @@ bool read_request(int fd, const HttpServerOptions& options,
 constexpr std::uint64_t kLingerNs = 100'000'000;  // 100 ms
 constexpr std::size_t kLingerBytes = 1 << 18;     // 256 KiB
 
-void linger_close(int fd) {
-  (void)::shutdown(fd, SHUT_WR);
-  const Deadline deadline =
-      Deadline::after(kLingerNs, SteadyClockSource::shared());
-  char sink[4096];
-  std::size_t drained = 0;
-  while (drained < kLingerBytes) {
-    const std::uint64_t remaining =
-        deadline.remaining_ns(SteadyClockSource::shared());
-    if (remaining == 0) break;
-    arm_recv_timeout(fd, remaining);
-    const ssize_t n = ::recv(fd, sink, sizeof(sink), 0);
-    if (n > 0) {
-      drained += static_cast<std::size_t>(n);
-    } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK &&
-                          errno != EINTR)) {
-      break;  // the peer closed (or reset): nothing left to protect
-    }
-  }
-  ::close(fd);
-}
+// epoll keys of the two shared descriptors; a slot's key is its index.
+constexpr std::uint64_t kListenKey = ~std::uint64_t{0};
+constexpr std::uint64_t kWakeKey = kListenKey - 1;
+
+// The reject classes of confcall_http_rejections_total, by status.
+constexpr std::pair<int, const char*> kRejectClasses[] = {
+    {400, "malformed"},        {408, "slow_client"}, {413, "body_too_large"},
+    {431, "header_too_large"}, {503, "queue_full"},
+};
+
+/// One open connection of a loop.
+struct Slot {
+  enum class Phase { kReading, kWriting, kLingering };
+
+  int fd = -1;  ///< -1 = free
+  Phase phase = Phase::kReading;
+  std::uint32_t events = 0;  ///< epoll interest; 0 = not in the set
+  bool rejected = false;     ///< ends in a lingering close
+  /// Read deadline, write-stall deadline or linger end, by phase.
+  std::uint64_t deadline_ns = 0;
+  std::string in;
+  std::size_t header_end = std::string::npos;
+  std::string out;
+  std::size_t done = 0;  ///< bytes written, then bytes drained lingering
+};
 
 }  // namespace
+
+/// One event loop: an epoll set over the shared listener, the wake
+/// eventfd and this loop's slots. Built by start(), then owned and run
+/// by one thread until stop() drains it.
+class HttpServer::Loop {
+ public:
+  explicit Loop(HttpServer& server)
+      : server_(server),
+        options_(server.options_),
+        epoll_(::epoll_create1(EPOLL_CLOEXEC)),
+        slots_(2 * options_.max_pending_connections) {
+    if (epoll_ < 0) throw_errno("HttpServer: epoll_create1");
+    epoll_event wake{};
+    wake.events = EPOLLIN;
+    wake.data.u64 = kWakeKey;
+    if (::epoll_ctl(epoll_, EPOLL_CTL_ADD, server_.wake_fd_, &wake) != 0) {
+      ::close(epoll_);
+      throw_errno("HttpServer: epoll_ctl");
+    }
+    set_listening(true);
+  }
+  ~Loop() { ::close(epoll_); }  // run() returns only with every slot closed
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  /// Serves until stop() is signalled and the last open slot closes.
+  void run() {
+    int timeout_ms = -1;  // no open slot: sleep until an event
+    epoll_event events[64];
+    while (!draining_ || open_ > 0) {
+      const int n = ::epoll_wait(epoll_, events, 64, timeout_ms);
+      bool acceptable = false;
+      for (int i = 0; i < n; ++i) {
+        const std::uint64_t key = events[i].data.u64;
+        if (key == kWakeKey) {
+          // stop(): take what the backlog already holds, then no more.
+          draining_ = true;
+          (void)::epoll_ctl(epoll_, EPOLL_CTL_DEL, server_.wake_fd_, nullptr);
+        }
+        if (key == kListenKey || key == kWakeKey) {
+          acceptable = true;
+        } else if (slots_[key].fd >= 0) {
+          advance(slots_[key]);
+        }
+      }
+      // After the slot events, so a slot freed above is never reused
+      // while a stale event for it is still in this batch.
+      if (acceptable) accept_ready(draining_);
+      if (draining_) set_listening(false);
+      // Sleep until the nearest deadline, rounded up: waking before it
+      // would only spin.
+      timeout_ms = -1;
+      const std::uint64_t now = now_ns();
+      for (Slot& slot : slots_) {
+        if (slot.fd >= 0 && slot.deadline_ns <= now) expire(slot);
+        if (slot.fd < 0) continue;
+        const auto wait = static_cast<int>(std::min<std::uint64_t>(
+            (slot.deadline_ns - now + 999'999) / 1'000'000, 1 << 30));
+        if (timeout_ms < 0 || wait < timeout_ms) timeout_ms = wait;
+      }
+    }
+  }
+
+ private:
+  void set_listening(bool on) {
+    if (on == listening_) return;
+    listening_ = on;
+    // EPOLLEXCLUSIVE: with several loops, a connection wakes one of them.
+    epoll_event listen{};
+    listen.events = EPOLLIN | EPOLLEXCLUSIVE;
+    listen.data.u64 = kListenKey;
+    (void)::epoll_ctl(epoll_, on ? EPOLL_CTL_ADD : EPOLL_CTL_DEL,
+                      server_.listen_fd_, &listen);
+  }
+
+  /// Accepts one connection (the listener stays ready while more wait),
+  /// or with `backlog` every connection already queued.
+  void accept_ready(bool backlog) {
+    while (listening_) {
+      if (open_ == slots_.size()) {
+        set_listening(false);  // the kernel backlog holds the rest
+        return;
+      }
+      const int fd = ::accept4(server_.listen_fd_, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0 && (errno == EINTR || errno == ECONNABORTED)) continue;
+      if (fd < 0) return;  // EAGAIN: the backlog is empty
+      Slot& slot = *std::find_if(slots_.begin(), slots_.end(),
+                                 [](const Slot& s) { return s.fd < 0; });
+      slot.fd = fd;
+      ++open_;
+      if (++serving_ > options_.max_pending_connections) {
+        server_.connections_shed_.fetch_add(1, std::memory_order_relaxed);
+        reject(slot, plain_status(503, "connection queue full"));
+      } else {
+        slot.deadline_ns = now_ns() + options_.read_deadline_ns;
+      }
+      advance(slot);  // the request is often already here
+      if (!backlog) return;
+    }
+  }
+
+  /// Moves a slot through its phases as far as its socket allows.
+  void advance(Slot& slot) {
+    char chunk[4096];
+    while (slot.fd >= 0) {
+      const bool writing = slot.phase == Slot::Phase::kWriting;
+      // MSG_NOSIGNAL keeps a dead peer an errno, never a SIGPIPE.
+      const ssize_t n =
+          writing ? ::send(slot.fd, slot.out.data() + slot.done,
+                           slot.out.size() - slot.done, MSG_NOSIGNAL)
+                  : ::recv(slot.fd, chunk, sizeof(chunk), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        // EPOLLOUT fires only with room to write, so every wake-up makes
+        // progress and re-arms the stall deadline.
+        if (writing) slot.deadline_ns = now_ns() + options_.read_deadline_ns;
+        watch(slot, writing ? EPOLLOUT : EPOLLIN);
+        return;
+      }
+      if (n > 0 && slot.phase == Slot::Phase::kReading) {
+        slot.in.append(chunk, static_cast<std::size_t>(n));
+        HttpRequest request;
+        HttpResponse error;
+        const Parse parsed = parse_request(slot.in, &slot.header_end,
+                                           options_, &request, &error);
+        if (parsed == Parse::kRejected) reject(slot, error);
+        if (parsed != Parse::kComplete) continue;
+        respond(slot, server_.dispatch(request));
+        server_.requests_served_.fetch_add(1, std::memory_order_relaxed);
+      } else if (n > 0 && writing) {
+        slot.done += static_cast<std::size_t>(n);
+        if (slot.done < slot.out.size()) continue;
+        if (!slot.rejected) {
+          close_slot(slot);
+          return;
+        }
+        (void)::shutdown(slot.fd, SHUT_WR);  // a lingering close
+        slot.phase = Slot::Phase::kLingering;
+        slot.deadline_ns = now_ns() + kLingerNs;
+        slot.done = 0;
+      } else if (n > 0) {
+        slot.done += static_cast<std::size_t>(n);
+        if (slot.done >= kLingerBytes) close_slot(slot);
+      } else if (slot.phase == Slot::Phase::kReading) {
+        reject(slot, plain_status(400, n == 0 ? "connection closed mid-request"
+                                              : "read error"));
+      } else {
+        // EPIPE/ECONNRESET while writing: nobody is left to answer.
+        // While lingering, the peer closed: nothing left to protect.
+        if (writing) server_.send_failed_metric_.inc();
+        close_slot(slot);
+      }
+    }
+  }
+
+  void reject(Slot& slot, const HttpResponse& error) {
+    server_.count_rejection(error.status);
+    slot.rejected = true;
+    --serving_;
+    respond(slot, error);
+  }
+
+  void respond(Slot& slot, const HttpResponse& response) {
+    slot.phase = Slot::Phase::kWriting;
+    slot.out = render_response(response);
+    slot.done = 0;
+  }
+
+  void expire(Slot& slot) {
+    if (slot.phase == Slot::Phase::kReading) {
+      reject(slot, plain_status(408, "request read deadline exceeded"));
+      advance(slot);
+      return;
+    }
+    // A stalled write: the peer stopped reading.
+    if (slot.phase == Slot::Phase::kWriting) server_.send_failed_metric_.inc();
+    close_slot(slot);
+  }
+
+  void watch(Slot& slot, std::uint32_t events) {
+    if (slot.events == events) return;
+    epoll_event event{};
+    event.events = events;
+    event.data.u64 = static_cast<std::uint64_t>(&slot - slots_.data());
+    (void)::epoll_ctl(epoll_, slot.events == 0 ? EPOLL_CTL_ADD : EPOLL_CTL_MOD,
+                      slot.fd, &event);
+    slot.events = events;
+  }
+
+  void close_slot(Slot& slot) {
+    ::close(slot.fd);  // also leaves the epoll set
+    --open_;
+    if (!slot.rejected) --serving_;
+    slot = Slot{};  // frees the buffers, as the connection is gone
+    if (!draining_) set_listening(true);
+  }
+
+  HttpServer& server_;
+  const HttpServerOptions& options_;
+  int epoll_;
+  /// max_pending_connections serving slots plus as many lingering.
+  std::vector<Slot> slots_;
+  std::size_t open_ = 0;     ///< slots in use
+  std::size_t serving_ = 0;  ///< open slots not rejected
+  bool listening_ = false;
+  bool draining_ = false;
+};
 
 std::string HttpRequest::header(const std::string& name) const {
   const std::string needle = lower(name);
@@ -274,27 +418,23 @@ const char* http_status_reason(int status) noexcept {
 }
 
 void HttpServerOptions::validate() const {
-  if (workers == 0) {
-    throw std::invalid_argument("HttpServerOptions: workers must be >= 1");
-  }
-  if (max_pending_connections == 0) {
-    throw std::invalid_argument(
-        "HttpServerOptions: max_pending_connections must be >= 1");
-  }
-  if (read_deadline_ns == 0) {
-    throw std::invalid_argument(
-        "HttpServerOptions: read_deadline_ns must be >= 1");
-  }
-  if (max_request_bytes == 0) {
-    throw std::invalid_argument(
-        "HttpServerOptions: max_request_bytes must be >= 1");
+  const std::pair<const char*, std::uint64_t> knobs[] = {
+      {"workers", workers},
+      {"max_pending_connections", max_pending_connections},
+      {"read_deadline_ns", read_deadline_ns},
+      {"max_request_bytes", max_request_bytes},
+  };
+  for (const auto& [name, value] : knobs) {
+    if (value == 0) {
+      throw std::invalid_argument(std::string("HttpServerOptions: ") + name +
+                                  " must be >= 1");
+    }
   }
 }
 
 HttpServer::HttpServer(HttpServerOptions options)
     : options_(std::move(options)) {
   options_.validate();
-  pending_.reserve(options_.max_pending_connections);
 }
 
 HttpServer::~HttpServer() { stop(); }
@@ -309,173 +449,92 @@ void HttpServer::handle(const std::string& method, const std::string& path,
 
 void HttpServer::start() {
   if (running_) throw std::logic_error("HttpServer: already started");
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("HttpServer: socket");
-  const int one = 1;
-  (void)setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
+  std::vector<std::unique_ptr<Loop>> loops;
   sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    throw std::runtime_error("HttpServer: bad bind address '" +
-                             options_.bind_address + "'");
+  try {
+    listen_fd_ =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (listen_fd_ < 0) throw_errno("HttpServer: socket");
+    const int one = 1;
+    (void)setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(options_.port);
+    if (::inet_pton(AF_INET, options_.bind_address.c_str(),
+                    &addr.sin_addr) != 1) {
+      throw std::runtime_error("HttpServer: bad bind address '" +
+                               options_.bind_address + "'");
+    }
+    auto* const bound = reinterpret_cast<sockaddr*>(&addr);
+    socklen_t bound_len = sizeof(addr);
+    if (::bind(listen_fd_, bound, bound_len) != 0) {
+      throw_errno("HttpServer: bind");
+    }
+    // A loop accepts only between handlers, so the backlog is the queue.
+    if (::listen(listen_fd_, static_cast<int>(std::min<std::size_t>(
+                                 options_.max_pending_connections,
+                                 SOMAXCONN))) != 0) {
+      throw_errno("HttpServer: listen");
+    }
+    if (::getsockname(listen_fd_, bound, &bound_len) != 0) {
+      throw_errno("HttpServer: getsockname");
+    }
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wake_fd_ < 0) throw_errno("HttpServer: eventfd");
+    for (std::size_t i = 0; i < options_.workers; ++i) {
+      loops.push_back(std::make_unique<Loop>(*this));
+    }
+  } catch (...) {
+    loops.clear();
+    close_fds();
+    throw;
   }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw_errno("HttpServer: bind");
-  }
-  if (::listen(fd, 16) != 0) {
-    ::close(fd);
-    throw_errno("HttpServer: listen");
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    ::close(fd);
-    throw_errno("HttpServer: getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
-  listen_fd_.store(fd);
-
+  port_ = ntohs(addr.sin_port);
   running_ = true;
-  // One parallel_for hosts the whole server: task 0 is the blocking
-  // accept loop, tasks 1..workers serve connections. The pool is sized
-  // so every task runs concurrently; the hosting thread participates as
-  // one of them and parallel_for's join IS the server shutdown barrier.
-  const std::size_t tasks = options_.workers + 1;
-  pool_thread_ = std::thread([this, tasks] {
-    const ThreadPool pool(tasks);
-    pool.parallel_for(tasks, [this](std::size_t task) {
-      if (task == 0) {
-        accept_loop();
-      } else {
-        worker_loop();
-      }
-    });
-  });
+  for (std::unique_ptr<Loop>& loop : loops) {
+    loops_.emplace_back([loop = std::move(loop)] { loop->run(); });
+  }
 }
 
 void HttpServer::stop() {
   if (!running_) return;
   running_ = false;
-  // Closing the listener unblocks accept(); the acceptor then enqueues
-  // one stop sentinel per worker BEHIND any accepted connections, so the
-  // drain is graceful: everything accepted before stop() is still
-  // served.
-  const int fd = listen_fd_.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  queue_cv_.notify_all();
-  if (pool_thread_.joinable()) pool_thread_.join();
+  // The eventfd stays readable, so every loop sees it once and drains.
+  const std::uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof(one));
+  for (std::thread& loop : loops_) loop.join();
+  loops_.clear();
+  close_fds();
   port_ = 0;
 }
 
-void HttpServer::accept_loop() {
-  while (true) {
-    const int lfd = listen_fd_.load();
-    if (lfd < 0) break;
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    if (fd < 0) {
-      if (running_ && (errno == EINTR || errno == ECONNABORTED)) continue;
-      break;  // listener closed: shutting down
-    }
-    bool shed = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (pending_.size() >= options_.max_pending_connections) {
-        shed = true;
-      } else {
-        pending_.push_back(fd);
-      }
-    }
-    if (shed) {
-      connections_shed_.fetch_add(1, std::memory_order_relaxed);
-      reject_queue_full_.inc();
-      arm_send_timeout(fd, options_.read_deadline_ns);
-      if (!send_response(fd, plain_status(503, "connection queue full"))) {
-        send_failed_metric_.inc();
-      }
-      ::close(fd);
-    } else {
-      queue_cv_.notify_one();
-    }
-  }
-  // Drain barrier: one sentinel per worker, queued after every accepted
-  // connection.
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    for (std::size_t i = 0; i < options_.workers; ++i) {
-      pending_.push_back(kStopSentinel);
-    }
-  }
-  queue_cv_.notify_all();
-}
-
-void HttpServer::worker_loop() {
-  while (true) {
-    int fd = kStopSentinel;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return !pending_.empty(); });
-      fd = pending_.front();
-      pending_.erase(pending_.begin());
-    }
-    if (fd == kStopSentinel) return;
-    serve_connection(fd);
+void HttpServer::close_fds() noexcept {
+  for (int* fd : {&listen_fd_, &wake_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
 }
 
-void HttpServer::serve_connection(int fd) {
-  arm_send_timeout(fd, options_.read_deadline_ns);
-  HttpRequest request;
-  HttpResponse error;
-  if (!read_request(fd, options_, &request, &error)) {
-    count_rejection(error.status);
-    if (!send_response(fd, error)) send_failed_metric_.inc();
-    linger_close(fd);
-    return;
-  }
-  HttpResponse response;
+HttpResponse HttpServer::dispatch(const HttpRequest& request) const {
   const auto route = routes_.find({request.method, request.path});
   if (route != routes_.end()) {
     try {
-      response = route->second(request);
+      return route->second(request);
     } catch (const std::exception& e) {
-      response = plain_status(500, std::string("handler error: ") + e.what());
+      return plain_status(500, std::string("handler error: ") + e.what());
     }
-  } else {
-    // Exact path under another method -> 405, unknown path -> 404.
-    bool path_known = false;
-    for (const auto& [key, handler] : routes_) {
-      (void)handler;
-      if (key.second == request.path) {
-        path_known = true;
-        break;
-      }
-    }
-    response = path_known ? plain_status(405, "method not allowed")
-                          : plain_status(404, "not found");
   }
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  if (!send_response(fd, response)) send_failed_metric_.inc();
-  ::close(fd);
+  // Exact path under another method -> 405, unknown path -> 404.
+  const bool path_known =
+      std::any_of(routes_.begin(), routes_.end(), [&](const auto& route) {
+        return route.first.second == request.path;
+      });
+  return path_known ? plain_status(405, "method not allowed")
+                    : plain_status(404, "not found");
 }
 
 void HttpServer::count_rejection(int status) const noexcept {
-  switch (status) {
-    case 400: reject_malformed_.inc(); break;
-    case 408: reject_slow_client_.inc(); break;
-    case 413: reject_body_too_large_.inc(); break;
-    case 431: reject_header_too_large_.inc(); break;
-    case 503: reject_queue_full_.inc(); break;
-    default: break;
+  for (std::size_t i = 0; i < rejections_.size(); ++i) {
+    if (kRejectClasses[i].first == status) rejections_[i].inc();
   }
 }
 
@@ -483,20 +542,13 @@ void HttpServer::bind_metrics(MetricRegistry& registry) {
   if (running_) {
     throw std::logic_error("HttpServer: bind_metrics before start()");
   }
-  const std::string help =
-      "Hostile or malformed connections rejected at the protocol layer, "
-      "by reject class";
-  reject_malformed_ = registry.counter("confcall_http_rejections_total",
-                                       help, {{"class", "malformed"}});
-  reject_slow_client_ = registry.counter("confcall_http_rejections_total",
-                                         help, {{"class", "slow_client"}});
-  reject_body_too_large_ = registry.counter(
-      "confcall_http_rejections_total", help, {{"class", "body_too_large"}});
-  reject_header_too_large_ =
-      registry.counter("confcall_http_rejections_total", help,
-                       {{"class", "header_too_large"}});
-  reject_queue_full_ = registry.counter("confcall_http_rejections_total",
-                                        help, {{"class", "queue_full"}});
+  for (std::size_t i = 0; i < rejections_.size(); ++i) {
+    rejections_[i] = registry.counter(
+        "confcall_http_rejections_total",
+        "Hostile or malformed connections rejected at the protocol layer, "
+        "by reject class",
+        {{"class", kRejectClasses[i].second}});
+  }
   send_failed_metric_ = registry.counter(
       "confcall_http_send_failed_total",
       "Responses the peer stopped reading mid-write (EPIPE, ECONNRESET "
@@ -614,70 +666,108 @@ void install_observability_routes(HttpServer& server, MetricRegistry* registry,
   });
 }
 
-HttpClientResponse http_request(const std::string& host, std::uint16_t port,
-                                const std::string& method,
-                                const std::string& target,
-                                const std::string& body,
-                                std::uint64_t timeout_ns) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("http_request: socket");
+namespace {
+
+// A blocking client socket connected to host:port whose sends and
+// receives fail with EAGAIN after `timeout_ns` (at least 1 ms: a zero
+// timeval would mean "block forever"). Throws std::runtime_error
+// prefixed with `who`.
+int connect_client(const std::string& who, const std::string& host,
+                   std::uint16_t port, std::uint64_t timeout_ns) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw_errno(who + ": socket");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     ::close(fd);
-    throw std::runtime_error("http_request: bad host '" + host + "'");
+    throw std::runtime_error(who + ": bad host '" + host + "'");
   }
-  arm_recv_timeout(fd, timeout_ns);
-  arm_send_timeout(fd, timeout_ns);
+  const std::uint64_t us = std::max<std::uint64_t>(timeout_ns / 1000, 1000);
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(us / 1'000'000);
+  tv.tv_usec = static_cast<suseconds_t>(us % 1'000'000);
+  (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  (void)setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    throw_errno("http_request: connect");
+    throw_errno(who + ": connect");
   }
-  std::ostringstream os;
-  os << method << ' ' << target << " HTTP/1.1\r\n"
-     << "Host: " << host << "\r\n"
-     << "Content-Length: " << body.size() << "\r\n"
-     << "Connection: close\r\n\r\n"
-     << body;
-  const std::string request = os.str();
+  return fd;
+}
+
+// False once the peer stops taking bytes (or the send timeout expires).
+bool send_all(int fd, std::string_view data) {
   std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent,
-                             request.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      ::close(fd);
-      throw_errno("http_request: send");
-    }
+  while (sent < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
     sent += static_cast<std::size_t>(n);
   }
-  std::string raw;
+  return true;
+}
+
+// Appends what the peer sends to `raw` until it closes (true), or until
+// `deadline` passes or recv fails (false). The socket's receive timeout
+// wakes a recv that would wait past the deadline.
+bool read_to_close(int fd, const Deadline& deadline, std::string* raw) {
   char chunk[4096];
-  const Deadline deadline =
-      Deadline::after(timeout_ns, SteadyClockSource::shared());
-  while (true) {
-    if (deadline.expired(SteadyClockSource::shared())) {
-      ::close(fd);
-      throw std::runtime_error("http_request: response timeout");
-    }
+  while (!deadline.expired(SteadyClockSource::shared())) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw_errno("http_request: recv");
-    }
-    if (n == 0) break;  // server closed: response complete
-    raw.append(chunk, static_cast<std::size_t>(n));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return n == 0;
+    raw->append(chunk, static_cast<std::size_t>(n));
   }
+  return false;
+}
+
+// The status code of a raw HTTP/1.x response; 0 when it does not start
+// with a status line.
+int response_status(const std::string& raw) {
+  const std::size_t space = raw.find(' ');
+  if (raw.rfind("HTTP/1.", 0) != 0 || space == std::string::npos ||
+      space + 4 > raw.size()) {
+    return 0;
+  }
+  int status = 0;
+  for (std::size_t i = space + 1; i < space + 4; ++i) {
+    if (raw[i] < '0' || raw[i] > '9') return 0;
+    status = status * 10 + (raw[i] - '0');
+  }
+  return status;
+}
+
+}  // namespace
+
+HttpClientResponse http_request(const std::string& host, std::uint16_t port,
+                                const std::string& method,
+                                const std::string& target,
+                                const std::string& body,
+                                std::uint64_t timeout_ns) {
+  const int fd = connect_client("http_request", host, port, timeout_ns);
+  if (!send_all(fd, method + ' ' + target + " HTTP/1.1\r\nHost: " + host +
+                        "\r\nContent-Length: " + std::to_string(body.size()) +
+                        "\r\nConnection: close\r\n\r\n" + body)) {
+    ::close(fd);
+    throw_errno("http_request: send");
+  }
+  std::string raw;
+  const bool closed = read_to_close(
+      fd, Deadline::after(timeout_ns, SteadyClockSource::shared()), &raw);
   ::close(fd);
+  if (!closed) {
+    throw std::runtime_error("http_request: no complete response (timeout "
+                             "or reset)");
+  }
 
   HttpClientResponse response;
   const std::size_t head_end = raw.find("\r\n\r\n");
-  if (head_end == std::string::npos || raw.rfind("HTTP/1.", 0) != 0) {
+  response.status = response_status(raw);
+  if (head_end == std::string::npos || response.status == 0) {
     throw std::runtime_error("http_request: malformed response");
   }
-  const std::size_t space = raw.find(' ');
-  response.status = std::stoi(raw.substr(space + 1));
   response.body = raw.substr(head_end + 4);
   return response;
 }
@@ -701,64 +791,6 @@ const char* socket_fault_class_name(SocketFaultClass fault) noexcept {
 }
 
 namespace {
-
-// Reads whatever the server answers until EOF or the deadline; fills
-// status (when the bytes parse as an HTTP status line), raw, and
-// clean_close (an orderly FIN, not an error or injector timeout).
-void drain_reaction(int fd, const Deadline& deadline,
-                    SocketFaultInjector::Outcome* outcome) {
-  char chunk[4096];
-  while (true) {
-    const std::uint64_t remaining =
-        deadline.remaining_ns(SteadyClockSource::shared());
-    if (remaining == 0) break;  // server never reacted within patience
-    arm_recv_timeout(fd, remaining);
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // re-check
-      // ECONNRESET and friends: not a clean close, but bytes already
-      // drained (a response followed by a reset — the flood classes,
-      // where the server closes on unread abuse) still parse below.
-      break;
-    }
-    if (n == 0) {
-      outcome->clean_close = true;
-      break;
-    }
-    outcome->raw.append(chunk, static_cast<std::size_t>(n));
-  }
-  if (outcome->raw.rfind("HTTP/1.", 0) == 0) {
-    const std::size_t space = outcome->raw.find(' ');
-    if (space != std::string::npos && space + 4 <= outcome->raw.size()) {
-      int status = 0;
-      bool digits = true;
-      for (std::size_t i = space + 1; i < space + 4; ++i) {
-        const char c = outcome->raw[i];
-        if (c < '0' || c > '9') {
-          digits = false;
-          break;
-        }
-        status = status * 10 + (c - '0');
-      }
-      if (digits) outcome->status = status;
-    }
-  }
-}
-
-// Best-effort send that never throws: the server closing on us
-// mid-abuse is a reaction, not an injector failure.
-bool send_ignoring_failure(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 // True when response bytes are already waiting (the server reacted
 // while the injector was still misbehaving).
@@ -785,23 +817,13 @@ std::uint64_t SocketFaultInjector::next_u64() noexcept {
 SocketFaultInjector::Outcome SocketFaultInjector::run(
     const std::string& host, std::uint16_t port, SocketFaultClass fault,
     std::uint64_t patience_ns) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("SocketFaultInjector: socket");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("SocketFaultInjector: bad host '" + host + "'");
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw_errno("SocketFaultInjector: connect");
-  }
-  arm_send_timeout(fd, patience_ns);
+  const int fd = connect_client("SocketFaultInjector", host, port,
+                                patience_ns);
   const Deadline deadline =
       Deadline::after(patience_ns, SteadyClockSource::shared());
 
+  // Failed sends are ignored: the server closing on us mid-abuse is a
+  // reaction, not an injector failure.
   Outcome outcome;
   switch (fault) {
     case SocketFaultClass::kTornWrite: {
@@ -813,7 +835,7 @@ SocketFaultInjector::Outcome SocketFaultInjector::run(
           std::to_string(body.size()) + "\r\n\r\n" + body;
       const std::size_t cut =
           1 + static_cast<std::size_t>(next_u64() % (request.size() - 1));
-      (void)send_ignoring_failure(fd,
+      (void)send_all(fd,
                                   std::string_view(request).substr(0, cut));
       (void)::shutdown(fd, SHUT_WR);
       break;
@@ -827,7 +849,7 @@ SocketFaultInjector::Outcome SocketFaultInjector::run(
       for (std::size_t i = 0; i < sent_bytes; ++i) {
         partial.push_back(static_cast<char>('a' + (next_u64() % 26)));
       }
-      (void)send_ignoring_failure(
+      (void)send_all(
           fd,
           "POST /locate HTTP/1.1\r\nHost: h\r\nContent-Length: 64\r\n\r\n" +
               partial);
@@ -844,7 +866,7 @@ SocketFaultInjector::Outcome SocketFaultInjector::run(
           drip = "X-Slow-" +
                  std::to_string(next_u64() % 1000) + ": trickle\r\n";
         }
-        if (!send_ignoring_failure(fd, std::string_view(&drip[0], 1))) {
+        if (!send_all(fd, std::string_view(&drip[0], 1))) {
           break;  // server gave up on us — go read its parting words
         }
         drip.erase(0, 1);
@@ -857,13 +879,13 @@ SocketFaultInjector::Outcome SocketFaultInjector::run(
       // A header block that never ends, shipped in chunks until the
       // server's size cap answers 431. Stop the moment it reacts so its
       // response is read before any RST can discard it.
-      (void)send_ignoring_failure(fd, "GET / HTTP/1.1\r\nHost: h\r\n");
+      (void)send_all(fd, "GET / HTTP/1.1\r\nHost: h\r\n");
       const std::string filler_line =
           "X-Filler: " + std::string(4000, 'f') + "\r\n";
       // 1024 lines ~ 4 MB, far past any configured cap.
       for (int i = 0; i < 1024; ++i) {
         if (reaction_pending(fd)) break;
-        if (!send_ignoring_failure(fd, filler_line)) break;
+        if (!send_all(fd, filler_line)) break;
         if (deadline.expired(SteadyClockSource::shared())) break;
       }
       break;
@@ -872,7 +894,7 @@ SocketFaultInjector::Outcome SocketFaultInjector::run(
       // Honest headers declaring a payload past any sane cap; the
       // server must reject from the declaration alone (413), never
       // swallow gigabytes first. No body byte is ever sent.
-      (void)send_ignoring_failure(
+      (void)send_all(
           fd,
           "POST /locate HTTP/1.1\r\nHost: h\r\n"
           "Content-Length: 1073741824\r\n\r\n");
@@ -890,13 +912,17 @@ SocketFaultInjector::Outcome SocketFaultInjector::run(
       }
       garbage += "\r\n\r\n";
       garbage += "GET /metrics HTTP/1.1\r\nHost: h\r\n\r\n";
-      (void)send_ignoring_failure(fd, garbage);
+      (void)send_all(fd, garbage);
       (void)::shutdown(fd, SHUT_WR);
       break;
     }
   }
 
-  drain_reaction(fd, deadline, &outcome);
+  // Whatever the server answers, until its close or our patience ends;
+  // bytes that arrive before a reset (the flood classes, where the
+  // server closes on unread abuse) still parse.
+  outcome.clean_close = read_to_close(fd, deadline, &outcome.raw);
+  outcome.status = response_status(outcome.raw);
   ::close(fd);
   return outcome;
 }

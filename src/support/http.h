@@ -10,33 +10,39 @@
 //   * POSIX sockets only, loopback by default. No TLS, no keep-alive,
 //     no chunked encoding: one request per connection, `Connection:
 //     close`, which every scraper and curl speaks.
-//   * A blocking accept loop plus a small fixed worker set, all run as
-//     one parallel_for on a support::ThreadPool (task 0 accepts, tasks
-//     1..N serve), so the server reuses the existing pool machinery
-//     instead of growing its own thread lifecycle code.
-//   * Bounded connections: accepted sockets wait in a fixed-capacity
-//     queue; when it is full the acceptor answers 503 immediately and
-//     closes, so a scrape storm sheds instead of queueing unboundedly —
-//     the same philosophy as the admission controller.
-//   * Deadline-guarded reads: each connection gets a support::Deadline
-//     for reading the request; a client that trickles bytes (or sends
-//     nothing) is answered 408 and closed when it expires. Writes are
-//     bounded by SO_SNDTIMEO.
+//   * One non-blocking epoll loop per worker, each on its own thread.
+//     A loop accepts, reads, runs the handler inline, writes and closes
+//     each connection itself: no hand-off between threads. Loops share
+//     the listening socket and nothing else, so with `workers > 1`
+//     handlers run concurrently.
+//   * Each open connection is a slot: its buffered request bytes, a
+//     read deadline (408), its write progress with a stall deadline
+//     (partial writes wait for EPOLLOUT), and a lingering-close phase.
+//     epoll_wait sleeps until the nearest slot deadline, so a slow
+//     client holds a slot, never the thread.
+//   * Bounded connections: a loop serves at most
+//     max_pending_connections slots at once; a connection accepted past
+//     that is answered 503 at once, so a scrape storm sheds instead of
+//     queueing unboundedly — the same philosophy as the admission
+//     controller. A loop whose slots are all taken stops accepting, and
+//     the kernel backlog (max_pending_connections deep) holds the rest.
+//   * Every rejection (400/408/413/431/503) ends in a lingering close:
+//     half-close, then drain the peer's input for at most 100 ms / 256
+//     KiB, so the error response is not lost to an RST.
 //
-// Handlers run on the worker tasks and must be thread-safe; the
-// observability handlers only take registry/tracer snapshots, which are
-// internally locked. stop() is a graceful drain: the listener closes
-// first, already-accepted connections are still served, then the
-// workers exit.
+// Handlers run on the loops and must be thread-safe; the observability
+// handlers only take registry/tracer snapshots, which are internally
+// locked. stop() is a graceful drain: each loop is woken through an
+// eventfd, accepts what is already in the backlog, stops listening,
+// and exits once its last open slot has closed.
 #pragma once
 
+#include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -44,7 +50,6 @@
 
 #include "support/metrics.h"
 #include "support/overload.h"
-#include "support/thread_pool.h"
 
 namespace confcall::support {
 
@@ -78,12 +83,13 @@ struct HttpServerOptions {
   /// server.
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral, read back via port()
-  /// Handler tasks (>= 1); the accept loop adds one more pool task.
-  std::size_t workers = 2;
-  /// Accepted-but-unserved connection bound; beyond it the acceptor
-  /// answers 503 and closes (>= 1).
+  /// Event loops, one thread each (>= 1).
+  std::size_t workers = 1;
+  /// Connections one loop serves at once, and the listen backlog;
+  /// beyond it the loop answers 503 (>= 1).
   std::size_t max_pending_connections = 64;
-  /// Per-connection budget for reading the full request (>= 1 ns).
+  /// Per-connection budget for reading the full request (>= 1 ns); a
+  /// response write that makes no progress for as long is cut.
   std::uint64_t read_deadline_ns = 2'000'000'000;
   /// Request size cap, head + body (>= 1; oversized requests get 431).
   std::size_t max_request_bytes = 1 << 16;
@@ -93,7 +99,7 @@ struct HttpServerOptions {
 };
 
 /// The server. Register routes, start(), scrape, stop(). Not copyable
-/// or movable (worker tasks hold `this`).
+/// or movable (the loops hold `this`).
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -111,21 +117,21 @@ class HttpServer {
   void handle(const std::string& method, const std::string& path,
               Handler handler);
 
-  /// Binds, listens, and launches the accept + worker tasks. Throws
+  /// Binds, listens, and launches the event loops. Throws
   /// std::runtime_error (with errno text) when the socket setup fails,
   /// std::logic_error when already started.
   void start();
 
-  /// Graceful drain: close the listener, serve what was already
-  /// accepted, join every task. Idempotent.
+  /// Graceful drain: stop accepting, serve every open connection, join
+  /// every loop. Idempotent.
   void stop();
 
   /// The bound port (resolves an ephemeral request); 0 before start().
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  /// Requests answered by a handler (any status), and connections the
-  /// full pending queue shed with an immediate 503.
+  /// Requests answered by a handler (any status), and connections a
+  /// full loop shed with an immediate 503.
   [[nodiscard]] std::uint64_t requests_served() const noexcept {
     return requests_served_.load(std::memory_order_relaxed);
   }
@@ -139,37 +145,34 @@ class HttpServer {
   ///     class — malformed (400), slow_client (408), body_too_large
   ///     (413), header_too_large (431), queue_full (503);
   ///   confcall_http_send_failed_total  responses the peer stopped
-  ///     reading mid-write (EPIPE/ECONNRESET/send timeout) — previously
-  ///     swallowed silently.
+  ///     reading mid-write (EPIPE/ECONNRESET, or no write progress for
+  ///     read_deadline_ns).
   /// Call before start(); unbound handles no-op, so an unmetered server
   /// behaves identically. The registry must outlive the server.
   void bind_metrics(MetricRegistry& registry);
 
  private:
-  void accept_loop();
-  void worker_loop();
-  void serve_connection(int fd);
+  class Loop;  // one epoll loop and its connection slots (http.cpp)
+
+  [[nodiscard]] HttpResponse dispatch(const HttpRequest& request) const;
   void count_rejection(int status) const noexcept;
+  void close_fds() noexcept;
 
   HttpServerOptions options_;
   std::map<std::pair<std::string, std::string>, Handler> routes_;
-  std::atomic<int> listen_fd_{-1};
+  int listen_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd: stop() makes it readable for every loop
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread pool_thread_;  ///< runs the parallel_for hosting all tasks
-  // Pending accepted sockets (bounded; -1 entries are stop sentinels).
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::vector<int> pending_;
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> connections_shed_{0};
   // Hostile-network telemetry (unbound until bind_metrics).
   Counter send_failed_metric_;
-  Counter reject_malformed_;       ///< class="malformed"        (400)
-  Counter reject_slow_client_;     ///< class="slow_client"      (408)
-  Counter reject_body_too_large_;  ///< class="body_too_large"   (413)
-  Counter reject_header_too_large_;  ///< class="header_too_large" (431)
-  Counter reject_queue_full_;      ///< class="queue_full"       (503)
+  /// One per reject class, in bind_metrics' order: malformed (400),
+  /// slow_client (408), body_too_large (413), header_too_large (431),
+  /// queue_full (503).
+  std::array<Counter, 5> rejections_;
+  std::vector<std::thread> loops_;  ///< last: the loops use every member
 };
 
 /// Readiness phases of a serving process, ordered by lifecycle. Only

@@ -55,7 +55,7 @@ class SteadyClockSource final : public ClockSource {
 /// (where one paging round or simulation step costs a fixed number of
 /// virtual nanoseconds). Never goes backwards: advance() only. One
 /// thread may advance it while others read it (a test driving a serving
-/// node whose HTTP workers admit calls against the same clock).
+/// node whose HTTP loops admit calls against the same clock).
 class ManualClock final : public ClockSource {
  public:
   explicit ManualClock(std::uint64_t start_ns = 0) noexcept

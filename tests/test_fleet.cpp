@@ -321,7 +321,7 @@ TEST(Fleet, AreaMajorStepsMatchStepMajor) {
 TEST(Fleet, DispatchNeverRepinsTheCallingThread) {
   // pin_threads places the pool's helper threads, never the caller: it
   // runs area-tasks inline, and pinning it would confine the
-  // daemon's loop and HTTP workers to one core for good.
+  // daemon's step loop and HTTP loop to one core for good.
   cpu_set_t before;
   CPU_ZERO(&before);
   ASSERT_EQ(::sched_getaffinity(0, sizeof(before), &before), 0);

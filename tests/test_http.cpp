@@ -1,8 +1,9 @@
 // Unit tests for the scrape server (support/http.h): option validation,
 // route dispatch (exact match, 404/405, POST bodies), the observability
-// routes (scrape-vs-snapshot byte identity, health mapping, traces), and
-// the read-deadline guard. Every test binds an ephemeral loopback port
-// and talks to it through the blocking http client.
+// routes (scrape-vs-snapshot byte identity, health mapping, traces), the
+// read-deadline guard, and the event loop under hostile clients (queue-full
+// shedding, slow readers and writers, fault injection). Every test binds an
+// ephemeral loopback port and talks to it through blocking sockets.
 #include "support/http.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "support/metrics.h"
 #include "support/overload.h"
@@ -321,6 +324,54 @@ std::string raw_exchange(std::uint16_t port, const std::string& bytes,
   }
   ::close(fd);
   return raw;
+}
+
+/// A blocking socket connected to the loopback server on `port`.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+void send_text(int fd, const std::string& text) {
+  EXPECT_EQ(::send(fd, text.data(), text.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(text.size()));
+}
+
+/// What a client read before the server closed on it.
+struct Reaction {
+  std::string raw;
+  bool clean_close = false;  ///< recv saw an orderly FIN
+};
+
+/// Reads until the server closes or `patience` runs out, then closes fd.
+Reaction read_to_close(int fd, std::chrono::milliseconds patience) {
+  Reaction reaction;
+  const auto give_up = std::chrono::steady_clock::now() + patience;
+  char chunk[4096];
+  while (std::chrono::steady_clock::now() < give_up) {
+    pollfd readable{fd, POLLIN, 0};
+    if (::poll(&readable, 1, 10) <= 0) continue;
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n == 0) reaction.clean_close = true;
+    if (n <= 0) break;
+    reaction.raw.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return reaction;
+}
+
+std::uint64_t counter(const MetricRegistry& registry, const std::string& name,
+                      const MetricLabels& labels = {}) {
+  const RegistrySnapshot snapshot = registry.snapshot();
+  const MetricSnapshot* metric = snapshot.find(name, labels);
+  return metric == nullptr ? 0 : metric->counter_value;
 }
 
 }  // namespace
@@ -630,6 +681,162 @@ TEST(HttpServer, ContentLengthEdgeCasesGetSpecificStatuses) {
                          /*trickle=*/true)
                 .rfind("HTTP/1.1 200", 0),
             0u);
+  server.stop();
+}
+
+TEST(HttpServer, QueueFull503EndsInALingeringClose) {
+  HttpServerOptions options;
+  options.max_pending_connections = 4;
+  options.read_deadline_ns = 300'000'000;
+  MetricRegistry registry;  // before the server: counters must outlive it
+  HttpServer server(options);
+  server.bind_metrics(registry);
+  install_observability_routes(server, &registry);
+  server.start();
+
+  // Four slow-loris clients take every serving slot of the one loop.
+  std::vector<int> holders;
+  for (int i = 0; i < 4; ++i) {
+    holders.push_back(connect_loopback(server.port()));
+    send_text(holders.back(), "GET /healthz HTTP/1.1\r\nHost: t\r\n");
+  }
+  // The fifth is shed. Its request is drained unread, so the 503
+  // arrives whole and the close is a FIN, not an RST.
+  const int fifth = connect_loopback(server.port());
+  send_text(fifth, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+  const Reaction shed = read_to_close(fifth, std::chrono::seconds(3));
+  EXPECT_EQ(shed.raw.rfind("HTTP/1.1 503", 0), 0u) << shed.raw;
+  EXPECT_NE(shed.raw.find("\r\n\r\nconnection queue full\n"),
+            std::string::npos)
+      << shed.raw;
+  EXPECT_TRUE(shed.clean_close);
+
+  for (const int fd : holders) {
+    const Reaction held = read_to_close(fd, std::chrono::seconds(3));
+    EXPECT_EQ(held.raw.rfind("HTTP/1.1 408", 0), 0u) << held.raw;
+    EXPECT_TRUE(held.clean_close);
+  }
+  server.stop();
+  EXPECT_EQ(server.connections_shed(), 1u);
+  EXPECT_EQ(counter(registry, "confcall_http_rejections_total",
+                    {{"class", "queue_full"}}),
+            1u);
+  EXPECT_EQ(counter(registry, "confcall_http_rejections_total",
+                    {{"class", "slow_client"}}),
+            4u);
+}
+
+TEST(HttpServer, SlowClientsDoNotStallTheLoop) {
+  HttpServerOptions options;
+  options.workers = 1;
+  options.read_deadline_ns = 2'000'000'000;
+  HttpServer server(options);
+  server.handle("GET", "/healthz", [](const HttpRequest&) {
+    return HttpResponse{};
+  });
+  server.start();
+
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point opened = Clock::now();
+  std::vector<int> slow;
+  for (int i = 0; i < 8; ++i) {
+    slow.push_back(connect_loopback(server.port()));
+    send_text(slow.back(), "GET /healthz HTTP/1.1\r\nHost: t\r\n");
+  }
+  // Eight clients mid-header hold slots, not the thread.
+  const Clock::time_point asked = Clock::now();
+  EXPECT_EQ(http_get("127.0.0.1", server.port(), "/healthz").status, 200);
+  EXPECT_LT(Clock::now() - asked, std::chrono::milliseconds(100));
+
+  for (const int fd : slow) {
+    const Reaction reaction = read_to_close(fd, std::chrono::seconds(5));
+    EXPECT_EQ(reaction.raw.rfind("HTTP/1.1 408", 0), 0u) << reaction.raw;
+  }
+  const Clock::duration waited = Clock::now() - opened;
+  EXPECT_GE(waited, std::chrono::milliseconds(2000));
+  EXPECT_LT(waited, std::chrono::milliseconds(3500));
+  server.stop();
+}
+
+TEST(HttpServer, PartialWritesReachSlowReadersAndCutStalledOnes) {
+  HttpServerOptions options;
+  options.read_deadline_ns = 500'000'000;  // also the write-stall bound
+  MetricRegistry registry;  // before the server: counters must outlive it
+  HttpServer server(options);
+  server.bind_metrics(registry);
+  server.handle("GET", "/healthz", [](const HttpRequest&) {
+    return HttpResponse{};
+  });
+  const std::string big(1 << 20, 'x');
+  server.handle("GET", "/big", [&big](const HttpRequest&) {
+    HttpResponse response;
+    response.body = big;
+    return response;
+  });
+  // Past what the kernel buffers on both ends, so the write must stall.
+  server.handle("GET", "/huge", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = std::string(std::size_t{32} << 20, 'y');
+    return response;
+  });
+  server.start();
+  const std::size_t fds_before = count_open_fds();
+
+  // A reader that takes 4 KiB at a time through a small receive window.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int window = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &window, sizeof(window)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  send_text(fd, "GET /big HTTP/1.1\r\nHost: t\r\n\r\n");
+  std::string raw;
+  char chunk[4096];
+  bool asked_healthz = false;
+  while (true) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    raw.append(chunk, static_cast<std::size_t>(n));
+    if (!asked_healthz && raw.size() >= (64u << 10)) {
+      // Mid-response: the loop still answers other clients promptly.
+      asked_healthz = true;
+      const auto asked = std::chrono::steady_clock::now();
+      EXPECT_EQ(http_get("127.0.0.1", server.port(), "/healthz").status, 200);
+      EXPECT_LT(std::chrono::steady_clock::now() - asked,
+                std::chrono::milliseconds(100));
+    }
+  }
+  ::close(fd);
+  EXPECT_TRUE(asked_healthz);
+  const std::size_t body_at = raw.find("\r\n\r\n");
+  ASSERT_NE(body_at, std::string::npos);
+  EXPECT_EQ(raw.substr(0, 15), "HTTP/1.1 200 OK");
+  EXPECT_EQ(raw.substr(body_at + 4), big);
+
+  // A reader that never reads is cut once the write stalls past the
+  // deadline, and counted.
+  const int stalled = connect_loopback(server.port());
+  send_text(stalled, "GET /huge HTTP/1.1\r\nHost: t\r\n\r\n");
+  std::uint64_t send_failed = 0;
+  for (int i = 0; i < 300 && send_failed == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    send_failed = counter(registry, "confcall_http_send_failed_total");
+  }
+  EXPECT_EQ(send_failed, 1u);
+  ::close(stalled);
+
+  // Neither connection left an fd behind on the server.
+  std::size_t fds_after = count_open_fds();
+  for (int i = 0; i < 100 && fds_after > fds_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    fds_after = count_open_fds();
+  }
+  EXPECT_EQ(fds_after, fds_before);
   server.stop();
 }
 

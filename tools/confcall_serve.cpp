@@ -30,8 +30,12 @@
 // stays populated within the per-call overhead budget bench_e16 gates
 // (<= 100 ns per call).
 //
+// The HTTP server runs --workers event loops (default 1), each a thread
+// that accepts, reads, handles, writes and closes its connections
+// itself (support/http.h).
+//
 // Shutdown is graceful: SIGINT/SIGTERM stop the locate loop, drain the
-// HTTP server (accepted connections are still answered), dump a final
+// HTTP server (open connections are still answered), dump a final
 // registry snapshot (--snapshot-out, JSON, written atomically), and
 // exit 0.
 //
@@ -246,6 +250,11 @@ constexpr const char* kUsage =
     "loop over the chosen scenario plus an HTTP observability surface\n"
     "(GET /metrics /vars /healthz /readyz /traces /fleetz and POST\n"
     "/locate).\n"
+    "--workers N runs N HTTP event loops (default 1), one thread each;\n"
+    "a loop serves each connection it accepts from start to close, a\n"
+    "slow client holding a slot, never the thread. Past 64 open\n"
+    "connections a loop answers 503 and closes after draining the\n"
+    "request (a lingering close, as for every rejection).\n"
     "--port 0 binds an ephemeral port (--port-file writes the resolved\n"
     "one); --steps 0 serves until SIGINT/SIGTERM, which drain gracefully\n"
     "and dump a final snapshot to --snapshot-out. --slo-p99-ms T closes\n"
@@ -344,7 +353,7 @@ int main(int argc, char** argv) {
     const std::string snapshot_out = cli.get_string("snapshot-out", "");
     cellular::ServingOptions options;
     options.port = static_cast<std::uint16_t>(cli.get_int("port", 0));
-    options.workers = static_cast<std::size_t>(cli.get_int("workers", 2));
+    options.workers = static_cast<std::size_t>(cli.get_int("workers", 1));
     options.shards = parse_shards_flag(cli.get_string("shards", ""));
     options.fleet_areas = count("fleet-areas", 0, 0);
     options.trace_every = count("trace-every", 64, 0);
