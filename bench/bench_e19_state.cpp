@@ -74,7 +74,7 @@ struct Stand {
       : rounds(registry.histogram("confcall_locate_rounds",
                                   support::HistogramSpec::integers(16),
                                   "rounds")),
-        admission(make_admission(initial_refill), clock),
+        admission(make_admission(initial_refill), clock, &registry),
         slo(make_options(), registry, admission, clock, kRoundNs) {}
 
   static support::AdmissionOptions make_admission(double refill) {

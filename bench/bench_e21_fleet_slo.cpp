@@ -220,7 +220,7 @@ double run_aggregation_throughput(
   support::ManualClock clock(1);
   support::MetricRegistry registry;
   support::AdmissionOptions admission_options;
-  support::AdmissionController admission(admission_options, clock);
+  support::AdmissionController admission(admission_options, clock, &registry);
   cellular::ServiceFleet fleet = world.make_fleet(2, &registry);
   std::unique_ptr<support::SloController> slo;
   if (sense) {

@@ -455,12 +455,6 @@ class LocationService {
   struct PlanCacheStats {
     std::size_t hits = 0;
     std::size_t misses = 0;
-    [[nodiscard]] double hit_rate() const noexcept {
-      const std::size_t total = hits + misses;
-      return total == 0 ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(total);
-    }
   };
   [[nodiscard]] const PlanCacheStats& plan_cache_stats() const noexcept {
     return plan_cache_stats_;

@@ -101,7 +101,8 @@ ServingNode::ServingNode(SimConfig config, ServingOptions options,
           registry_.gauge("confcall_state_checkpoint_bytes",
                           "Size of the last checkpoint file written")),
       server_(support::HttpServerOptions{.port = options_.port,
-                                         .workers = options_.workers}) {
+                                         .workers = options_.workers},
+              &registry_) {
   if (config_.burst.enabled) {
     bursty_.emplace(config_.burst, config_.num_users, config_.group_min,
                     config_.group_max);
@@ -254,7 +255,6 @@ std::size_t ServingNode::areas_ready(support::Readiness phase) const {
 }
 
 void ServingNode::install_routes() {
-  server_.bind_metrics(registry_);
   support::install_observability_routes(
       server_, &registry_, tracer_.get(), overload_.admission(),
       overload_.slo(), &readiness_,

@@ -51,9 +51,8 @@ OverloadStack::OverloadStack(const OverloadConfig& config,
         std::move(chain), core::ResilientPlanner::Budget{0.0}, clock,
         config_.breaker, registry);
   }
-  admission_ =
-      std::make_unique<support::AdmissionController>(config_.admission, clock);
-  if (registry != nullptr) admission_->bind_metrics(*registry);
+  admission_ = std::make_unique<support::AdmissionController>(
+      config_.admission, clock, registry);
   if (!config_.slo.enabled) return;
   if (registry == nullptr) {
     throw std::invalid_argument(
@@ -66,7 +65,6 @@ OverloadStack::OverloadStack(const OverloadConfig& config,
       slo_->add_breaker(&resilient_->mutable_breaker(i));
     }
   }
-  slo_->bind_metrics(*registry);
 }
 
 void OverloadStack::configure(LocationService::Config& service) const {

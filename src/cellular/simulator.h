@@ -74,10 +74,12 @@ struct OverloadConfig {
 class OverloadStack {
  public:
   /// `clock` and `registry` (when given) must outlive the stack. With a
-  /// registry, the chain and the admission controller export their
-  /// metric families and the SLO controller senses and mirrors into it;
-  /// slo.enabled needs one. Build the stack after the series the SLO
-  /// sensor reads are registered, so its baseline snapshot covers them.
+  /// registry, the chain, the admission controller and the SLO
+  /// controller count into it and the SLO controller senses it; without
+  /// one, the chain and the admission controller count into private
+  /// registries. slo.enabled needs one. Build the stack after the
+  /// series the SLO sensor reads are registered, so its baseline
+  /// snapshot covers them.
   /// Throws std::invalid_argument on an invalid config.
   OverloadStack(const OverloadConfig& config, const support::ClockSource& clock,
                 support::MetricRegistry* registry);

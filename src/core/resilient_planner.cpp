@@ -29,33 +29,31 @@ ResilientPlanner::ResilientPlanner(
     owned_registry_ = std::make_unique<support::MetricRegistry>();
     registry = owned_registry_.get();
   }
-  registry_ = registry;
   served_metric_.reserve(chain_.size());
   for (std::size_t i = 0; i < chain_.size(); ++i) {
-    served_metric_.push_back(registry_->counter(
+    served_metric_.push_back(registry->counter(
         "confcall_planner_tier_served_total",
         "plan() calls served per fallback-chain tier (0 = preferred)",
         {{"tier", std::to_string(i)}}));
   }
-  failovers_metric_ = registry_->counter(
+  failovers_metric_ = registry->counter(
       "confcall_planner_failovers_total",
       "Tier failures and skips across all plan() calls");
-  breaker_skips_metric_ = registry_->counter(
+  breaker_skips_metric_ = registry->counter(
       "confcall_planner_breaker_skips_total",
       "Tier attempts refused by an open breaker (subset of failovers)");
-  plan_latency_metric_ = registry_->histogram(
+  plan_latency_metric_ = registry->histogram(
       "confcall_planner_plan_latency_ns",
       support::HistogramSpec::exponential(256.0, 4.0, 16),
       "End-to-end plan() latency on the planner's injected clock "
       "(all-zero under a ManualClock)");
   breakers_.reserve(chain_.size() - 1);
   for (std::size_t i = 0; i + 1 < chain_.size(); ++i) {
-    breakers_.push_back(
-        std::make_unique<support::CircuitBreaker>(breaker_options, clock));
-    breakers_.back()->bind_metrics(registry_->counter(
-        "confcall_planner_breaker_trips_total",
-        "Breaker trips per guarded (non-final) tier",
-        {{"tier", std::to_string(i)}}));
+    breakers_.push_back(std::make_unique<support::CircuitBreaker>(
+        breaker_options, clock,
+        registry->counter("confcall_planner_breaker_trips_total",
+                          "Breaker trips per guarded (non-final) tier",
+                          {{"tier", std::to_string(i)}})));
   }
 }
 

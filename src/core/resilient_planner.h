@@ -85,9 +85,9 @@ class ResilientPlanner final : public Planner {
                               std::size_t num_rounds,
                               support::Deadline deadline) const;
 
-  /// How many plan() calls each tier served (index-aligned snapshot).
-  /// Thin adapter over the registry counters, kept for existing callers;
-  /// new code should read metrics_snapshot() for one consistent cut.
+  /// How many plan() calls each tier served (index-aligned), read from
+  /// the {tier} series. Reporting paths that print several series should
+  /// read one registry snapshot instead of racing getters.
   [[nodiscard]] std::vector<std::uint64_t> served_counts() const;
 
   /// Tier index that served the most recent successful plan().
@@ -104,14 +104,6 @@ class ResilientPlanner final : public Planner {
   /// Tier attempts refused by an open breaker (a subset of failovers()).
   [[nodiscard]] std::uint64_t breaker_skips() const noexcept {
     return breaker_skips_metric_.value();
-  }
-
-  /// One consistent cut of the planner's telemetry registry
-  /// (confcall_planner_* series; the whole shared registry when one was
-  /// injected). Reporting paths should print from a single snapshot
-  /// instead of stitching together racing getter calls.
-  [[nodiscard]] support::RegistrySnapshot metrics_snapshot() const {
-    return registry_->snapshot();
   }
 
   /// Breaker trips summed across all non-final tiers.
@@ -150,10 +142,8 @@ class ResilientPlanner final : public Planner {
   /// broken: returning SOMETHING is its whole job).
   mutable std::vector<std::unique_ptr<support::CircuitBreaker>> breakers_;
   mutable std::atomic<std::size_t> last_tier_{0};
-  /// Private fallback registry when no shared one is injected; registry_
-  /// points at whichever holds the confcall_planner_* series.
+  /// Holds the confcall_planner_* series when no registry is injected.
   std::unique_ptr<support::MetricRegistry> owned_registry_;
-  support::MetricRegistry* registry_ = nullptr;
   std::vector<support::Counter> served_metric_;  // per tier, {tier=i}
   support::Counter failovers_metric_;
   support::Counter breaker_skips_metric_;

@@ -161,7 +161,8 @@ constexpr std::size_t kLingerBytes = 1 << 18;     // 256 KiB
 constexpr std::uint64_t kListenKey = ~std::uint64_t{0};
 constexpr std::uint64_t kWakeKey = kListenKey - 1;
 
-// The reject classes of confcall_http_rejections_total, by status.
+// The reject classes of confcall_http_rejections_total, by status;
+// queue_full stays last (HttpServer::connections_shed reads it).
 constexpr std::pair<int, const char*> kRejectClasses[] = {
     {400, "malformed"},        {408, "slow_client"}, {413, "body_too_large"},
     {431, "header_too_large"}, {503, "queue_full"},
@@ -276,7 +277,6 @@ class HttpServer::Loop {
       slot.fd = fd;
       ++open_;
       if (++serving_ > options_.max_pending_connections) {
-        server_.connections_shed_.fetch_add(1, std::memory_order_relaxed);
         reject(slot, plain_status(503, "connection queue full"));
       } else {
         slot.deadline_ns = now_ns() + options_.read_deadline_ns;
@@ -432,9 +432,24 @@ void HttpServerOptions::validate() const {
   }
 }
 
-HttpServer::HttpServer(HttpServerOptions options)
+HttpServer::HttpServer(HttpServerOptions options, MetricRegistry* registry)
     : options_(std::move(options)) {
   options_.validate();
+  if (registry == nullptr) {
+    owned_registry_ = std::make_unique<MetricRegistry>();
+    registry = owned_registry_.get();
+  }
+  for (std::size_t i = 0; i < rejections_.size(); ++i) {
+    rejections_[i] = registry->counter(
+        "confcall_http_rejections_total",
+        "Hostile or malformed connections rejected at the protocol layer, "
+        "by reject class",
+        {{"class", kRejectClasses[i].second}});
+  }
+  send_failed_metric_ = registry->counter(
+      "confcall_http_send_failed_total",
+      "Responses the peer stopped reading mid-write (EPIPE, ECONNRESET "
+      "or send timeout on a half-written response)");
 }
 
 HttpServer::~HttpServer() { stop(); }
@@ -536,23 +551,6 @@ void HttpServer::count_rejection(int status) const noexcept {
   for (std::size_t i = 0; i < rejections_.size(); ++i) {
     if (kRejectClasses[i].first == status) rejections_[i].inc();
   }
-}
-
-void HttpServer::bind_metrics(MetricRegistry& registry) {
-  if (running_) {
-    throw std::logic_error("HttpServer: bind_metrics before start()");
-  }
-  for (std::size_t i = 0; i < rejections_.size(); ++i) {
-    rejections_[i] = registry.counter(
-        "confcall_http_rejections_total",
-        "Hostile or malformed connections rejected at the protocol layer, "
-        "by reject class",
-        {{"class", kRejectClasses[i].second}});
-  }
-  send_failed_metric_ = registry.counter(
-      "confcall_http_send_failed_total",
-      "Responses the peer stopped reading mid-write (EPIPE, ECONNRESET "
-      "or send timeout on a half-written response)");
 }
 
 const char* readiness_name(Readiness state) noexcept {

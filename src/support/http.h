@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -100,12 +101,24 @@ struct HttpServerOptions {
 
 /// The server. Register routes, start(), scrape, stop(). Not copyable
 /// or movable (the loops hold `this`).
+///
+/// Hostile-network telemetry is counted once, in the server's registry
+/// (see docs/OBSERVABILITY.md):
+///   confcall_http_rejections_total{class=...}  one series per reject
+///     class — malformed (400), slow_client (408), body_too_large
+///     (413), header_too_large (431), queue_full (503);
+///   confcall_http_send_failed_total  responses the peer stopped
+///     reading mid-write (EPIPE/ECONNRESET, or no write progress for
+///     read_deadline_ns).
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
-  /// Throws std::invalid_argument on bad options.
-  explicit HttpServer(HttpServerOptions options = {});
+  /// Pass `registry` to count into a shared registry (it must outlive
+  /// the server), or nullptr and the server owns a private one. Throws
+  /// std::invalid_argument on bad options.
+  explicit HttpServer(HttpServerOptions options = {},
+                      MetricRegistry* registry = nullptr);
   ~HttpServer();  ///< stops and joins if still running
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
@@ -131,25 +144,13 @@ class HttpServer {
   [[nodiscard]] bool running() const noexcept { return running_; }
 
   /// Requests answered by a handler (any status), and connections a
-  /// full loop shed with an immediate 503.
+  /// full loop shed with an immediate 503 (the queue_full series).
   [[nodiscard]] std::uint64_t requests_served() const noexcept {
     return requests_served_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t connections_shed() const noexcept {
-    return connections_shed_.load(std::memory_order_relaxed);
+    return rejections_.back().value();
   }
-
-  /// Registers the server's hostile-network counters on `registry` and
-  /// binds them (see docs/OBSERVABILITY.md):
-  ///   confcall_http_rejections_total{class=...}  one series per reject
-  ///     class — malformed (400), slow_client (408), body_too_large
-  ///     (413), header_too_large (431), queue_full (503);
-  ///   confcall_http_send_failed_total  responses the peer stopped
-  ///     reading mid-write (EPIPE/ECONNRESET, or no write progress for
-  ///     read_deadline_ns).
-  /// Call before start(); unbound handles no-op, so an unmetered server
-  /// behaves identically. The registry must outlive the server.
-  void bind_metrics(MetricRegistry& registry);
 
  private:
   class Loop;  // one epoll loop and its connection slots (http.cpp)
@@ -165,12 +166,10 @@ class HttpServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_served_{0};
-  std::atomic<std::uint64_t> connections_shed_{0};
-  // Hostile-network telemetry (unbound until bind_metrics).
+  std::unique_ptr<MetricRegistry> owned_registry_;  ///< when none injected
   Counter send_failed_metric_;
-  /// One per reject class, in bind_metrics' order: malformed (400),
-  /// slow_client (408), body_too_large (413), header_too_large (431),
-  /// queue_full (503).
+  /// One per reject class: malformed (400), slow_client (408),
+  /// body_too_large (413), header_too_large (431), queue_full (503).
   std::array<Counter, 5> rejections_;
   std::vector<std::thread> loops_;  ///< last: the loops use every member
 };

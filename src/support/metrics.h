@@ -3,18 +3,18 @@
 // exporters (JSON for the bench/CI flow, Prometheus text format for
 // scrapers).
 //
-// The stack grew three generations of ad-hoc telemetry — atomic tier
-// counters in ResilientPlanner, locked stats in AdmissionController,
-// hand-rolled JSON writers in every bench. This header is the shared
-// substrate they converge on. Design rules:
+// This header is the one place the stack counts anything. A component
+// takes a MetricRegistry* at construction (nullptr = a private registry
+// it owns), registers its series there once, counts each event only in
+// those series, and its getters read them back. Design rules:
 //
 //   * Handles, not lookups, on the hot path. Registration (name ->
 //     handle) takes a shard lock once; after that a Counter::inc is one
 //     relaxed fetch_add and a Gauge::set one atomic store. Handles are
 //     cheap value types and may be copied freely; a default-constructed
 //     handle is UNBOUND and every operation on it is a no-op, so
-//     components can hold handles unconditionally and pay nothing until
-//     someone binds a registry.
+//     optional instrumentation (ServiceMetrics without a registry) can
+//     hold handles unconditionally and pay nothing.
 //   * Snapshots are the only read path for aggregate output. snapshot()
 //     walks the shards under their locks and returns a RegistrySnapshot
 //     sorted by metric key — one consistent cut, instead of N racing

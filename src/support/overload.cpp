@@ -32,12 +32,6 @@ std::uint64_t Deadline::remaining_ns(const ClockSource& clock) const {
   return now >= expiry_ns_ ? 0 : expiry_ns_ - now;
 }
 
-Deadline Deadline::tightened(std::uint64_t budget_ns,
-                             const ClockSource& clock) const {
-  const Deadline local = after(budget_ns, clock);
-  return local.expiry_ns_ < expiry_ns_ ? local : *this;
-}
-
 void CircuitBreakerOptions::validate() const {
   if (window == 0) {
     throw std::invalid_argument("CircuitBreaker: window must be >= 1");
@@ -56,8 +50,11 @@ void CircuitBreakerOptions::validate() const {
 }
 
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options,
-                               const ClockSource& clock)
-    : options_(options), clock_(&clock), outcomes_(options.window, 0) {
+                               const ClockSource& clock, Counter trips)
+    : options_(options),
+      clock_(&clock),
+      outcomes_(options.window, 0),
+      trips_metric_(trips) {
   options_.validate();
 }
 
@@ -104,11 +101,6 @@ bool CircuitBreaker::allow() {
   }
   probe_in_flight_ = true;
   return true;
-}
-
-void CircuitBreaker::bind_metrics(Counter trips) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  trips_metric_ = trips;
 }
 
 void CircuitBreaker::trip_locked() {
@@ -230,12 +222,38 @@ void AdmissionOptions::validate() const {
 }
 
 AdmissionController::AdmissionController(AdmissionOptions options,
-                                         const ClockSource& clock)
+                                         const ClockSource& clock,
+                                         MetricRegistry* registry)
     : options_(options),
       clock_(&clock),
       tokens_(options.bucket_capacity),
       last_refill_ns_(clock.now_ns()) {
   options_.validate();
+  if (registry == nullptr) {
+    owned_registry_ = std::make_unique<MetricRegistry>();
+    registry = owned_registry_.get();
+  }
+  registry_ = registry;
+  admitted_metric_ = registry_->counter(
+      "confcall_admission_admitted_total",
+      "Arrivals admitted at full quality by the token bucket");
+  admitted_degraded_metric_ = registry_->counter(
+      "confcall_admission_degraded_total",
+      "Arrivals admitted under degraded health (cheap plan tier)");
+  shed_metric_ = registry_->counter(
+      "confcall_admission_shed_total",
+      "Arrivals rejected by admission control (shedding or empty bucket)");
+  for (const Health state :
+       {Health::kHealthy, Health::kDegraded, Health::kShedding}) {
+    transition_metric_[static_cast<std::size_t>(state)] = registry_->counter(
+        "confcall_admission_health_transitions_total",
+        "Health-machine transitions, labelled by the state entered",
+        {{"to", health_name(state)}});
+  }
+  tokens_metric_ = registry_->gauge(
+      "confcall_admission_tokens",
+      "Token-bucket fill after the most recent admit()");
+  tokens_metric_.set(tokens_);
 }
 
 void AdmissionController::refill_locked() {
@@ -281,34 +299,8 @@ void AdmissionController::step_health_locked() {
   }
   if (next != health_) {
     health_ = next;
-    ++health_transitions_;
     transition_metric_[static_cast<std::size_t>(next)].inc();
   }
-}
-
-void AdmissionController::bind_metrics(MetricRegistry& registry) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  admitted_metric_ = registry.counter(
-      "confcall_admission_admitted_total",
-      "Arrivals admitted at full quality by the token bucket");
-  admitted_degraded_metric_ = registry.counter(
-      "confcall_admission_degraded_total",
-      "Arrivals admitted under degraded health (cheap plan tier)");
-  shed_metric_ = registry.counter(
-      "confcall_admission_shed_total",
-      "Arrivals rejected by admission control (shedding or empty bucket)");
-  const Health states[] = {Health::kHealthy, Health::kDegraded,
-                           Health::kShedding};
-  for (const Health state : states) {
-    transition_metric_[static_cast<std::size_t>(state)] = registry.counter(
-        "confcall_admission_health_transitions_total",
-        "Health-machine transitions, labelled by the state entered",
-        {{"to", health_name(state)}});
-  }
-  tokens_metric_ = registry.gauge(
-      "confcall_admission_tokens",
-      "Token-bucket fill after the most recent admit()");
-  tokens_metric_.set(tokens_);
 }
 
 AdmissionController::Decision AdmissionController::admit(double cost) {
@@ -319,7 +311,6 @@ AdmissionController::Decision AdmissionController::admit(double cost) {
   refill_locked();
   step_health_locked();
   if (health_ == Health::kShedding || tokens_ < cost) {
-    ++shed_;
     shed_metric_.inc();
     tokens_metric_.set(tokens_);
     return Decision::kShed;
@@ -327,11 +318,9 @@ AdmissionController::Decision AdmissionController::admit(double cost) {
   tokens_ -= cost;
   tokens_metric_.set(tokens_);
   if (health_ == Health::kDegraded) {
-    ++admitted_degraded_;
     admitted_degraded_metric_.inc();
     return Decision::kAdmitDegraded;
   }
-  ++admitted_;
   admitted_metric_.inc();
   return Decision::kAdmit;
 }
@@ -380,24 +369,12 @@ double AdmissionController::tokens() {
   return tokens_;
 }
 
-std::uint64_t AdmissionController::admitted() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return admitted_;
-}
-
-std::uint64_t AdmissionController::admitted_degraded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return admitted_degraded_;
-}
-
-std::uint64_t AdmissionController::shed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return shed_;
-}
-
 std::uint64_t AdmissionController::health_transitions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return health_transitions_;
+  std::uint64_t transitions = 0;
+  for (const Counter& entered : transition_metric_) {
+    transitions += entered.value();
+  }
+  return transitions;
 }
 
 }  // namespace confcall::support

@@ -22,13 +22,15 @@
 // simulator inject a ManualClock, which makes every state transition
 // reproducible bit-for-bit (the E14 overload grid and the soak harness
 // depend on this). CircuitBreaker and AdmissionController are internally
-// locked and safe to share across threads.
+// locked and safe to share across threads. Their telemetry is counted
+// once, in registry series set up at construction.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -103,11 +105,6 @@ class Deadline {
   /// Nanoseconds left (0 when expired, kUnbounded when unbounded).
   [[nodiscard]] std::uint64_t remaining_ns(const ClockSource& clock) const;
 
-  /// The tighter of this deadline and `budget_ns` from now — the
-  /// propagation helper for layers that add their own local limit.
-  [[nodiscard]] Deadline tightened(std::uint64_t budget_ns,
-                                   const ClockSource& clock) const;
-
  private:
   std::uint64_t expiry_ns_ = kUnbounded;
 };
@@ -147,11 +144,15 @@ class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
 
-  /// The clock must outlive the breaker. Throws std::invalid_argument on
-  /// bad options (see CircuitBreakerOptions::validate).
+  /// The clock must outlive the breaker. Every trip also counts into
+  /// `trips`, a registry counter handle (typically labelled with the
+  /// guarded tier); the default unbound handle counts nowhere. Throws
+  /// std::invalid_argument on bad options (see
+  /// CircuitBreakerOptions::validate).
   explicit CircuitBreaker(
       CircuitBreakerOptions options = {},
-      const ClockSource& clock = SteadyClockSource::shared());
+      const ClockSource& clock = SteadyClockSource::shared(),
+      Counter trips = {});
 
   /// May the protected call proceed right now? While open this counts a
   /// rejection and returns false until the cooldown elapses; then the
@@ -173,12 +174,6 @@ class CircuitBreaker {
   [[nodiscard]] const CircuitBreakerOptions& options() const noexcept {
     return options_;
   }
-
-  /// Mirrors every future trip into `trips` (a registry counter handle,
-  /// typically labelled with the guarded tier). The internal trips()
-  /// counter keeps counting regardless; the handle is an additional,
-  /// registry-visible sink.
-  void bind_metrics(Counter trips);
 
   /// Replaces the open-state cooldown for every FUTURE trip (an already
   /// running cooldown keeps its original expiry). The SLO controller's
@@ -252,6 +247,12 @@ struct AdmissionOptions {
 /// Token-bucket admission control with a three-state health machine.
 /// Deterministic given the injected clock and the admit() sequence.
 /// Internally locked; admit() may be called from any thread.
+///
+/// Every decision is counted once, in the controller's registry:
+/// confcall_admission_admitted_total / _degraded_total / _shed_total,
+/// health transitions labelled by the state entered
+/// (confcall_admission_health_transitions_total{to=...}), and the bucket
+/// fill as the confcall_admission_tokens gauge (set on every refill).
 class AdmissionController {
  public:
   enum class Decision {
@@ -261,10 +262,14 @@ class AdmissionController {
   };
 
   /// The clock must outlive the controller; the bucket starts full.
-  /// Throws std::invalid_argument on bad options.
+  /// Pass `registry` to count into a shared registry (it must outlive
+  /// the controller), or nullptr and the controller owns a private one;
+  /// the getters below read the series either way. Throws
+  /// std::invalid_argument on bad options.
   explicit AdmissionController(
       AdmissionOptions options = {},
-      const ClockSource& clock = SteadyClockSource::shared());
+      const ClockSource& clock = SteadyClockSource::shared(),
+      MetricRegistry* registry = nullptr);
 
   /// Decide one arriving request costing `cost` tokens (> 0). Refills
   /// the bucket for the elapsed clock time, steps the health machine,
@@ -277,19 +282,23 @@ class AdmissionController {
 
   [[nodiscard]] double tokens();  ///< current fill, after refill
 
-  [[nodiscard]] std::uint64_t admitted() const;
-  [[nodiscard]] std::uint64_t admitted_degraded() const;
-  [[nodiscard]] std::uint64_t shed() const;
+  [[nodiscard]] std::uint64_t admitted() const noexcept {
+    return admitted_metric_.value();
+  }
+  [[nodiscard]] std::uint64_t admitted_degraded() const noexcept {
+    return admitted_degraded_metric_.value();
+  }
+  [[nodiscard]] std::uint64_t shed() const noexcept {
+    return shed_metric_.value();
+  }
   /// Health-state changes since construction (flap metric).
   [[nodiscard]] std::uint64_t health_transitions() const;
 
-  /// Registers the controller's metric family on `registry` and mirrors
-  /// every future decision into it: confcall_admission_admitted_total /
-  /// _degraded_total / _shed_total, health transitions labelled by the
-  /// state entered (confcall_admission_health_transitions_total{to=...}),
-  /// and the bucket fill as the confcall_admission_tokens gauge (updated
-  /// on every admit()). The registry must outlive the controller.
-  void bind_metrics(MetricRegistry& registry);
+  /// The registry the confcall_admission_* series live in (the private
+  /// one when none was injected).
+  [[nodiscard]] const MetricRegistry& registry() const noexcept {
+    return *registry_;
+  }
 
   /// A consistent copy of the current tuning (the SLO controller's
   /// actuators mutate it at runtime, so options are state, not config).
@@ -318,10 +327,8 @@ class AdmissionController {
   double tokens_;
   std::uint64_t last_refill_ns_;
   Health health_ = Health::kHealthy;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t admitted_degraded_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t health_transitions_ = 0;
+  std::unique_ptr<MetricRegistry> owned_registry_;
+  MetricRegistry* registry_;
   Counter admitted_metric_;
   Counter admitted_degraded_metric_;
   Counter shed_metric_;

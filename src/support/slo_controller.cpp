@@ -83,6 +83,11 @@ SloController::SloController(SloOptions options, MetricRegistry& registry,
     throw std::invalid_argument(
         "SloController: round_duration_ns must be >= 1");
   }
+  if (&admission_->registry() != registry_) {
+    throw std::invalid_argument(
+        "SloController: the admission controller must count into the "
+        "controller's registry (its shed fraction is sensed there)");
+  }
   const AdmissionOptions admitted = admission_->options();
   refill_per_sec_ = std::clamp(admitted.refill_per_sec,
                                options_.min_refill_per_sec,
@@ -92,6 +97,39 @@ SloController::SloController(SloOptions options, MetricRegistry& registry,
   // Strictly under healthy_above so the hysteresis chain's validation
   // keeps holding at the top of the actuator range.
   degrade_hi_ = admitted.healthy_above - 1e-9;
+  target_metric_ = registry_->gauge("confcall_slo_target_p99_ns",
+                                    "Configured admitted-latency p99 SLO");
+  observed_metric_ = registry_->gauge(
+      "confcall_slo_observed_p99_ns",
+      "Admitted-call p99 of the last measured control interval");
+  shed_fraction_metric_ = registry_->gauge(
+      "confcall_slo_window_shed_fraction",
+      "Shed fraction of the last control interval's arrivals");
+  health_metric_ = registry_->gauge(
+      "confcall_slo_health",
+      "Controller verdict: 0 = ok, 1 = degrading (projected breach), "
+      "2 = breached");
+  refill_metric_ = registry_->gauge(
+      "confcall_slo_refill_per_sec",
+      "Token-rate actuator position on the admission controller");
+  degrade_metric_ = registry_->gauge(
+      "confcall_slo_degrade_threshold",
+      "Degrade-threshold actuator position on the admission controller");
+  cooldown_metric_ = registry_->gauge(
+      "confcall_slo_breaker_cooldown_ns",
+      "Breaker-cooldown actuator derived from the recovery-time EWMA "
+      "(0 until the first observed recovery)");
+  steps_metric_ = registry_->counter("confcall_slo_control_steps_total",
+                                     "Control periods evaluated");
+  breaches_metric_ = registry_->counter(
+      "confcall_slo_breaches_total",
+      "Control intervals whose admitted p99 exceeded the SLO");
+  pre_breach_metric_ = registry_->counter(
+      "confcall_slo_pre_breach_signals_total",
+      "Control intervals flagged degrading before any breach");
+  target_metric_.set(static_cast<double>(options_.target_p99_ns));
+  refill_metric_.set(refill_per_sec_);
+  degrade_metric_.set(degrade_threshold_);
   next_control_ns_ = clock_->now_ns() + options_.control_period_ns;
   prev_ = registry_->snapshot();
 }
@@ -125,7 +163,6 @@ void SloController::step() {
 }
 
 void SloController::step_locked() {
-  ++control_steps_;
   steps_metric_.inc();
 
   // Sensor: the interval view since the previous control step.
@@ -220,10 +257,8 @@ void SloController::step_locked() {
                             : SloHealth::kOk;
   health_metric_.set(static_cast<double>(slo_health_));
   if (breached) {
-    ++breaches_;
     breaches_metric_.inc();
   } else if (degrading) {
-    ++pre_breach_signals_;
     pre_breach_metric_.inc();
   }
 
@@ -326,43 +361,6 @@ bool SloController::restore_state(std::string_view payload,
   }
 }
 
-void SloController::bind_metrics(MetricRegistry& registry) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  target_metric_ = registry.gauge("confcall_slo_target_p99_ns",
-                                  "Configured admitted-latency p99 SLO");
-  observed_metric_ = registry.gauge(
-      "confcall_slo_observed_p99_ns",
-      "Admitted-call p99 of the last measured control interval");
-  shed_fraction_metric_ = registry.gauge(
-      "confcall_slo_window_shed_fraction",
-      "Shed fraction of the last control interval's arrivals");
-  health_metric_ = registry.gauge(
-      "confcall_slo_health",
-      "Controller verdict: 0 = ok, 1 = degrading (projected breach), "
-      "2 = breached");
-  refill_metric_ = registry.gauge(
-      "confcall_slo_refill_per_sec",
-      "Token-rate actuator position on the admission controller");
-  degrade_metric_ = registry.gauge(
-      "confcall_slo_degrade_threshold",
-      "Degrade-threshold actuator position on the admission controller");
-  cooldown_metric_ = registry.gauge(
-      "confcall_slo_breaker_cooldown_ns",
-      "Breaker-cooldown actuator derived from the recovery-time EWMA "
-      "(0 until the first observed recovery)");
-  steps_metric_ = registry.counter("confcall_slo_control_steps_total",
-                                   "Control periods evaluated");
-  breaches_metric_ = registry.counter(
-      "confcall_slo_breaches_total",
-      "Control intervals whose admitted p99 exceeded the SLO");
-  pre_breach_metric_ = registry.counter(
-      "confcall_slo_pre_breach_signals_total",
-      "Control intervals flagged degrading before any breach");
-  target_metric_.set(static_cast<double>(options_.target_p99_ns));
-  refill_metric_.set(refill_per_sec_);
-  degrade_metric_.set(degrade_threshold_);
-}
-
 SloHealth SloController::slo_health() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return slo_health_;
@@ -391,21 +389,6 @@ double SloController::degrade_threshold() const {
 std::uint64_t SloController::breaker_cooldown_ns() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return cooldown_ns_;
-}
-
-std::uint64_t SloController::control_steps() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return control_steps_;
-}
-
-std::uint64_t SloController::breaches() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return breaches_;
-}
-
-std::uint64_t SloController::pre_breach_signals() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return pre_breach_signals_;
 }
 
 }  // namespace confcall::support

@@ -111,7 +111,10 @@ struct SloOptions {
 };
 
 /// The feedback controller. One instance drives one AdmissionController
-/// (and optionally the breakers of a planner chain) from one registry.
+/// (and optionally the breakers of a planner chain) from one registry,
+/// and counts its own telemetry there: the confcall_slo_* family (the
+/// target, every sensor reading and every actuator position; see
+/// docs/OBSERVABILITY.md) is registered at construction.
 class SloController {
  public:
   /// `registry`, `admission` and `clock` must outlive the controller.
@@ -123,8 +126,11 @@ class SloController {
   /// controller senses a single unlabelled service or a ServiceFleet's
   /// per-shard {shard="s"} series — and because the label-erased sum is
   /// invariant under resharding, the control trajectory is identical at
-  /// any shard count. Throws std::invalid_argument on bad options or a
-  /// zero round duration.
+  /// any shard count. The shed-fraction sensor reads the
+  /// confcall_admission_* family from the same registry, so `admission`
+  /// must count into it. Throws std::invalid_argument on bad options, a
+  /// zero round duration, or an admission controller on another
+  /// registry.
   SloController(SloOptions options, MetricRegistry& registry,
                 AdmissionController& admission, const ClockSource& clock,
                 std::uint64_t round_duration_ns,
@@ -146,12 +152,6 @@ class SloController {
   /// production path).
   void step();
 
-  /// Registers the confcall_slo_* family on `registry` and mirrors the
-  /// target, every sensor reading and every actuator position into it
-  /// (see docs/OBSERVABILITY.md). The registry must outlive the
-  /// controller.
-  void bind_metrics(MetricRegistry& registry);
-
   [[nodiscard]] SloHealth slo_health() const;
   /// Last measured interval p99 in ns (0 until the first thick-enough
   /// interval).
@@ -171,9 +171,15 @@ class SloController {
 
   /// Telemetry: control steps run, breached periods, and pre-breach
   /// (degrading) periods signalled.
-  [[nodiscard]] std::uint64_t control_steps() const;
-  [[nodiscard]] std::uint64_t breaches() const;
-  [[nodiscard]] std::uint64_t pre_breach_signals() const;
+  [[nodiscard]] std::uint64_t control_steps() const noexcept {
+    return steps_metric_.value();
+  }
+  [[nodiscard]] std::uint64_t breaches() const noexcept {
+    return breaches_metric_.value();
+  }
+  [[nodiscard]] std::uint64_t pre_breach_signals() const noexcept {
+    return pre_breach_metric_.value();
+  }
 
   [[nodiscard]] const SloOptions& options() const noexcept {
     return options_;
@@ -231,12 +237,7 @@ class SloController {
   double recovery_ewma_ns_ = 0.0;
   std::uint64_t cooldown_ns_ = 0;
 
-  // Telemetry.
-  std::uint64_t control_steps_ = 0;
-  std::uint64_t breaches_ = 0;
-  std::uint64_t pre_breach_signals_ = 0;
-
-  // Registry mirrors (unbound until bind_metrics).
+  // The confcall_slo_* series on registry_.
   Gauge target_metric_;
   Gauge observed_metric_;
   Gauge shed_fraction_metric_;

@@ -125,7 +125,6 @@ class SamplingTracer final : public Tracer {
                           const ClockSource& clock =
                               SteadyClockSource::shared());
 
-  [[nodiscard]] std::size_t sample_every() const noexcept { return every_; }
   /// Root spans that consulted the sampler / that it kept.
   [[nodiscard]] std::uint64_t roots_seen() const noexcept {
     return roots_seen_.load(std::memory_order_relaxed);

@@ -202,7 +202,7 @@ TEST(ObservabilityRoutes, HealthzWithoutAdmissionIsAlwaysHealthy) {
 TEST(ObservabilityRoutes, HealthzReportsSloVerdictAndFlipsPreBreach) {
   MetricRegistry registry;
   ManualClock clock;
-  AdmissionController admission(AdmissionOptions{}, clock);
+  AdmissionController admission(AdmissionOptions{}, clock, &registry);
   const Histogram rounds = registry.histogram(
       "confcall_locate_rounds", HistogramSpec::integers(16), "rounds");
   SloOptions options;
@@ -380,8 +380,7 @@ TEST(FaultInjector, EveryClassGetsItsDocumentedStatusWithoutFdLeaks) {
   HttpServerOptions options;
   options.read_deadline_ns = 200'000'000;  // keep slow-loris runs short
   MetricRegistry registry;  // before the server: counters must outlive it
-  HttpServer server(options);
-  server.bind_metrics(registry);
+  HttpServer server(options, &registry);
   server.handle("POST", "/locate", [](const HttpRequest&) {
     return HttpResponse{};
   });
@@ -450,8 +449,7 @@ TEST(FaultInjector, EveryClassGetsItsDocumentedStatusWithoutFdLeaks) {
 
 TEST(HttpServer, PeerResetDuringResponseIsCountedNotFatal) {
   MetricRegistry registry;  // before the server: counters must outlive it
-  HttpServer server;
-  server.bind_metrics(registry);
+  HttpServer server({}, &registry);
   install_observability_routes(server, &registry);
   server.handle("GET", "/slow", [](const HttpRequest&) {
     // Give the client time to vanish before the response is written.
@@ -689,8 +687,7 @@ TEST(HttpServer, QueueFull503EndsInALingeringClose) {
   options.max_pending_connections = 4;
   options.read_deadline_ns = 300'000'000;
   MetricRegistry registry;  // before the server: counters must outlive it
-  HttpServer server(options);
-  server.bind_metrics(registry);
+  HttpServer server(options, &registry);
   install_observability_routes(server, &registry);
   server.start();
 
@@ -762,8 +759,7 @@ TEST(HttpServer, PartialWritesReachSlowReadersAndCutStalledOnes) {
   HttpServerOptions options;
   options.read_deadline_ns = 500'000'000;  // also the write-stall bound
   MetricRegistry registry;  // before the server: counters must outlive it
-  HttpServer server(options);
-  server.bind_metrics(registry);
+  HttpServer server(options, &registry);
   server.handle("GET", "/healthz", [](const HttpRequest&) {
     return HttpResponse{};
   });

@@ -3,7 +3,8 @@
 // period grid under a ManualClock, the AIMD law on both admission
 // actuators (including every clamp), anti-windup on thin intervals, the
 // pre-breach trend projection, the breaker-cooldown EWMA, the metric
-// mirrors, and bit-exact reproducibility of a whole control trajectory.
+// series, shed-fraction sensing, and bit-exact reproducibility of a
+// whole control trajectory.
 #include "support/slo_controller.h"
 
 #include <gtest/gtest.h>
@@ -29,7 +30,7 @@ struct Stand {
   explicit Stand(SloOptions options, AdmissionOptions admission_options = {})
       : rounds(registry.histogram("confcall_locate_rounds",
                                   HistogramSpec::integers(16), "rounds")),
-        admission(admission_options, clock),
+        admission(admission_options, clock, &registry),
         slo(options, registry, admission, clock, kRoundNs) {}
 
   /// Feeds `calls` admitted calls of `rounds_used` rounds each and runs
@@ -102,10 +103,54 @@ TEST(SloOptions, ValidatesEveryKnob) {
 TEST(SloController, RejectsZeroRoundDuration) {
   MetricRegistry registry;
   ManualClock clock;
-  AdmissionController admission(AdmissionOptions{}, clock);
+  AdmissionController admission(AdmissionOptions{}, clock, &registry);
   EXPECT_THROW(
       SloController(test_options(), registry, admission, clock, 0),
       std::invalid_argument);
+}
+
+// The shed-fraction sensor reads confcall_admission_* from the
+// controller's registry, so an admission controller counting anywhere
+// else would be sensed as never shedding: refused at construction.
+TEST(SloController, RejectsAdmissionCountingIntoAnotherRegistry) {
+  MetricRegistry registry;
+  MetricRegistry other;
+  ManualClock clock;
+  AdmissionController elsewhere(AdmissionOptions{}, clock, &other);
+  EXPECT_THROW(
+      SloController(test_options(), registry, elsewhere, clock, kRoundNs),
+      std::invalid_argument);
+  AdmissionController private_registry(AdmissionOptions{}, clock);
+  EXPECT_THROW(SloController(test_options(), registry, private_registry,
+                             clock, kRoundNs),
+               std::invalid_argument);
+}
+
+TEST(SloController, SensesTheIntervalShedFraction) {
+  AdmissionOptions bucket;
+  bucket.bucket_capacity = 10.0;
+  bucket.refill_per_sec = 0.0;  // no refill: the bucket drains and sheds
+  Stand stand(test_options(), bucket);
+  const int arrivals = 20;
+  int shed = 0;
+  for (int i = 0; i < arrivals; ++i) {
+    if (stand.admission.admit(1.0) == AdmissionController::Decision::kShed) {
+      ++shed;
+    }
+  }
+  ASSERT_GT(shed, 0);
+  ASSERT_LT(shed, arrivals);
+  stand.interval(8, 1.0);
+  const double expected =
+      static_cast<double>(shed) / static_cast<double>(arrivals);
+  EXPECT_DOUBLE_EQ(stand.slo.shed_fraction(), expected);
+  EXPECT_DOUBLE_EQ(stand.registry.snapshot()
+                       .find("confcall_slo_window_shed_fraction")
+                       ->gauge_value,
+                   expected);
+  // The next interval sees no arrivals: its shed fraction is 0.
+  stand.interval(8, 1.0);
+  EXPECT_DOUBLE_EQ(stand.slo.shed_fraction(), 0.0);
 }
 
 TEST(SloController, MaybeStepLandsOnThePeriodGrid) {
@@ -259,9 +304,8 @@ TEST(SloController, BreakerCooldownTracksRecoveryEwma) {
   EXPECT_EQ(stand.slo.breaker_cooldown_ns(), 42'500'000u);
 }
 
-TEST(SloController, BindMetricsMirrorsSensorAndActuators) {
+TEST(SloController, SeriesTrackSensorAndActuators) {
   Stand stand(test_options());
-  stand.slo.bind_metrics(stand.registry);
   const RegistrySnapshot initial = stand.registry.snapshot();
   const MetricSnapshot* target = initial.find("confcall_slo_target_p99_ns");
   ASSERT_NE(target, nullptr);
@@ -404,7 +448,7 @@ TEST(SloController, SensesLabelSummedFleetWindow) {
         "confcall_locate_rounds", HistogramSpec::integers(16), "rounds",
         {{"shard", std::to_string(s)}}));
   }
-  AdmissionController admission(AdmissionOptions{}, clock);
+  AdmissionController admission(AdmissionOptions{}, clock, &registry);
   SloController slo(test_options(), registry, admission, clock, kRoundNs);
 
   const auto drive = [&](int calls, double rounds_used) {

@@ -417,18 +417,21 @@ int main(int argc, char** argv) {
     // connections are still answered, the final checkpoint is cut), then
     // the snapshot.
     node.drain();
+    // One cut for the snapshot file and the summary line. Nothing
+    // counts after drain(), so the getters the line also reads (sheds,
+    // control steps) agree with this cut.
+    const support::RegistrySnapshot final_cut = node.registry().snapshot();
     if (!snapshot_out.empty()) {
       // Atomic temp+rename: a crash mid-dump must never leave a torn
       // snapshot where a complete one is expected.
       std::string error;
-      if (!support::write_file_atomic(
-              snapshot_out, support::to_json(node.registry().snapshot()),
-              &error)) {
+      if (!support::write_file_atomic(snapshot_out,
+                                      support::to_json(final_cut), &error)) {
         throw std::runtime_error("cannot write snapshot file: " + error);
       }
     }
     const std::optional<support::MetricSnapshot> tasks =
-        node.registry().snapshot().sum_by("confcall_fleet_tasks_total");
+        final_cut.sum_by("confcall_fleet_tasks_total");
     std::cout << "confcall_serve: stopped after " << steps_run
               << " steps, served " << node.server().requests_served()
               << " http requests (" << node.server().connections_shed()
