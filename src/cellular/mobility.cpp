@@ -37,26 +37,67 @@ std::vector<double> MarkovMobility::transition_row(CellId cell) const {
 }
 
 std::vector<double> MarkovMobility::evolve(std::vector<double> dist,
-                                           std::size_t steps) const {
+                                           std::size_t steps,
+                                           std::span<const CellId> allowed,
+                                           double outside_weight) const {
   const std::size_t c = grid_->num_cells();
   if (dist.size() != c) {
     throw std::invalid_argument("MarkovMobility::evolve: wrong length");
   }
-  std::vector<double> next(c);
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::fill(next.begin(), next.end(), 0.0);
+  if (!(outside_weight >= 0.0 && outside_weight <= 1.0)) {
+    throw std::invalid_argument(
+        "MarkovMobility::evolve: outside_weight must be in [0, 1]");
+  }
+  // inside[j] = 1 on the allowed cells; empty when every cell is allowed.
+  std::vector<std::uint8_t> inside;
+  if (!allowed.empty()) {
+    inside.assign(c, 0);
+    for (const CellId cell : allowed) {
+      if (cell >= c) {
+        throw std::invalid_argument(
+            "MarkovMobility::evolve: cell out of range");
+      }
+      inside[cell] = 1;
+    }
+  }
+  // Killed: no mass ever stands outside the allowed cells, so the walk
+  // visits only them and drops what they send beyond. Weighted: the walk
+  // visits every cell and scales the outside mass after each step.
+  const bool killed = !inside.empty() && outside_weight == 0.0;
+  const bool weighted = !inside.empty() && !killed && outside_weight < 1.0;
+  if (killed) {
     for (std::size_t j = 0; j < c; ++j) {
+      if (inside[j] == 0 && dist[j] != 0.0) {
+        throw std::invalid_argument(
+            "MarkovMobility::evolve: mass outside a killed chain's cells");
+      }
+    }
+  }
+  const std::size_t walk = killed ? allowed.size() : c;
+  std::vector<double> next(c, 0.0);
+  for (std::size_t t = 0; t < steps; ++t) {
+    for (std::size_t k = 0; k < walk; ++k) next[killed ? allowed[k] : k] = 0.0;
+    for (std::size_t k = 0; k < walk; ++k) {
+      const std::size_t j = killed ? allowed[k] : k;
       const double mass = dist[j];
       if (mass == 0.0) continue;
-      const auto& neighbors = grid_->neighbors(static_cast<CellId>(j));
-      if (neighbors.empty()) {
+      const std::uint32_t first = neighbor_offsets_[j];
+      const std::uint32_t count = neighbor_offsets_[j + 1] - first;
+      if (count == 0) {  // 1x1 grid
         next[j] += mass;
         continue;
       }
       next[j] += mass * stay_;
-      const double move =
-          mass * (1.0 - stay_) / static_cast<double>(neighbors.size());
-      for (const CellId n : neighbors) next[n] += move;
+      const double move = mass * (1.0 - stay_) / static_cast<double>(count);
+      for (std::uint32_t e = first; e < first + count; ++e) {
+        const CellId n = neighbor_cells_[e];
+        if (!killed || inside[n] != 0) next[n] += move;
+      }
+    }
+    if (weighted) {
+      for (std::size_t j = 0; j < c; ++j) {
+        if (inside[j] == 0) next[j] *= outside_weight;
+      }
     }
     dist.swap(next);
   }

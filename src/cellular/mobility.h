@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -55,10 +56,19 @@ class MarkovMobility {
   [[nodiscard]] std::vector<double> stationary_distribution(
       std::size_t max_iters = 100000, double tol = 1e-12) const;
 
-  /// `dist` advanced `steps` transitions (the t-step predictive
-  /// distribution used by the last-seen profile estimator).
-  [[nodiscard]] std::vector<double> evolve(std::vector<double> dist,
-                                           std::size_t steps) const;
+  /// `dist` advanced `steps` transitions, each followed by multiplying the
+  /// mass on every cell outside `allowed` (distinct cells) by
+  /// `outside_weight`. The one evolution loop: with `allowed` empty every
+  /// cell is allowed and this is the plain chain (the t-step predictive
+  /// distribution); the last-seen profile passes the cells a silent device
+  /// may occupy and the report-loss rate (profile.h). With outside_weight
+  /// 0 the chain is killed on leaving `allowed` and only the allowed cells
+  /// are walked. Throws std::invalid_argument on a wrong length, an
+  /// out-of-range allowed cell, a weight outside [0, 1], or, with weight
+  /// 0, mass outside `allowed`.
+  [[nodiscard]] std::vector<double> evolve(
+      std::vector<double> dist, std::size_t steps,
+      std::span<const CellId> allowed = {}, double outside_weight = 1.0) const;
 
   /// A trace of `steps + 1` cells starting at `start` (inclusive).
   [[nodiscard]] std::vector<CellId> generate_trace(CellId start,

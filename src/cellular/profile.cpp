@@ -1,5 +1,6 @@
 #include "cellular/profile.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -70,16 +71,67 @@ prob::ProbabilityVector stationary_profile(
   return restrict_to_area(stationary, area_cells);
 }
 
+namespace {
+
+/// The cells within `radius` hops of `center`, breadth first.
+std::vector<CellId> ball(const GridTopology& grid, CellId center,
+                         std::size_t radius) {
+  std::vector<std::size_t> hops(grid.num_cells(), radius + 1);
+  std::vector<CellId> cells = {center};
+  hops[center] = 0;
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    const CellId cell = cells[k];
+    if (hops[cell] == radius) continue;
+    for (const CellId next : grid.neighbors(cell)) {
+      if (hops[next] <= radius) continue;
+      hops[next] = hops[cell] + 1;
+      cells.push_back(next);
+    }
+  }
+  return cells;
+}
+
+}  // namespace
+
 prob::ProbabilityVector last_seen_profile(
     const MarkovMobility& mobility, CellId last_seen, std::size_t steps_since,
-    std::span<const CellId> area_cells) {
+    std::span<const CellId> area_cells, const SilenceModel& silence) {
   const std::size_t c = mobility.grid().num_cells();
   if (last_seen >= c) {
     throw std::invalid_argument("last_seen_profile: cell out of range");
   }
+  std::vector<CellId> own_cells;
+  std::span<const CellId> allowed;  // empty: the whole grid
+  switch (silence.policy) {
+    case ReportPolicy::kNever:
+    case ReportPolicy::kEveryTSteps:
+      break;
+    case ReportPolicy::kOnAreaCrossing:
+      if (std::find(area_cells.begin(), area_cells.end(), last_seen) ==
+          area_cells.end()) {
+        throw std::invalid_argument(
+            "last_seen_profile: the area is not the reported one");
+      }
+      allowed = area_cells;
+      break;
+    case ReportPolicy::kOnCellCrossing:
+      own_cells = {last_seen};
+      allowed = own_cells;
+      break;
+    case ReportPolicy::kDistanceThreshold:
+      if (silence.distance_threshold == 0) {
+        throw std::invalid_argument(
+            "last_seen_profile: distance_threshold must be >= 1");
+      }
+      own_cells =
+          ball(mobility.grid(), last_seen, silence.distance_threshold - 1);
+      allowed = own_cells;
+      break;
+  }
   std::vector<double> dist(c, 0.0);
   dist[last_seen] = 1.0;
-  dist = mobility.evolve(std::move(dist), steps_since);
+  dist = mobility.evolve(std::move(dist), steps_since, allowed,
+                         silence.report_loss);
   return restrict_to_area(dist, area_cells);
 }
 

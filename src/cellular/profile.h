@@ -10,8 +10,9 @@
 //                  paper's model assumes positive probabilities);
 //  * stationary  — the mobility chain's long-run distribution (what a
 //                  system knowing only the mobility model would use);
-//  * last-seen   — the t-step predictive distribution given the cell where
-//                  the device last contacted the network t steps ago.
+//  * last-seen   — the law of the device's cell given the cell where it
+//                  last contacted the network t steps ago and that it has
+//                  been silent since (SilenceModel).
 //
 // Each estimator returns the distribution conditioned on (restricted and
 // renormalized to) the cells of one location area.
@@ -20,6 +21,7 @@
 #include <cstddef>
 #include <span>
 
+#include "cellular/location_db.h"
 #include "cellular/mobility.h"
 #include "cellular/topology.h"
 #include "prob/distribution.h"
@@ -51,12 +53,42 @@ prob::ProbabilityVector profile_from_counts(std::span<const double> counts,
                                             std::span<const CellId> area_cells,
                                             double laplace_alpha = 1.0);
 
-/// The `steps_since`-step predictive distribution from `last_seen`,
-/// restricted to the area. steps_since = 0 returns a point mass (requires
-/// last_seen to be inside the area).
+/// What a device's silence since its last report says about where it is.
+/// Under `policy`, each step the device spends outside the allowed set
+/// sends a report, and each report is lost with probability
+/// `report_loss` (FaultConfig::report_loss_rate). The allowed set of a
+/// device last seen at cell c:
+///
+///  * kOnAreaCrossing    — c's location area;
+///  * kOnCellCrossing    — c itself;
+///  * kDistanceThreshold — the cells within distance_threshold - 1 hops
+///                         of c;
+///  * kNever, kEveryTSteps — the whole grid (the timer fires wherever the
+///                         device is, so its silence says nothing).
+///
+/// The default, kNever, is the unconditioned chain.
+struct SilenceModel {
+  ReportPolicy policy = ReportPolicy::kNever;
+  std::size_t distance_threshold = 1;  ///< D, under kDistanceThreshold
+  double report_loss = 0.0;            ///< q, in [0, 1]
+
+  bool operator==(const SilenceModel&) const = default;
+};
+
+/// The law of a device's cell `steps_since` steps after it reported from
+/// `last_seen`, given that no report reached the network since, restricted
+/// to the area: the chain from `last_seen`, each step followed by
+/// multiplying the mass outside the allowed set by report_loss (with
+/// report_loss 0, the chain killed on leaving the set). Under
+/// kOnAreaCrossing, `area_cells` must be last_seen's area. steps_since = 0
+/// returns a point mass (requires last_seen to be inside the area).
+/// Throws std::invalid_argument on a cell out of range, a last_seen outside
+/// the area under kOnAreaCrossing, D = 0 under kDistanceThreshold, or a
+/// law with no mass in the area.
 prob::ProbabilityVector last_seen_profile(const MarkovMobility& mobility,
                                           CellId last_seen,
                                           std::size_t steps_since,
-                                          std::span<const CellId> area_cells);
+                                          std::span<const CellId> area_cells,
+                                          const SilenceModel& silence = {});
 
 }  // namespace confcall::cellular

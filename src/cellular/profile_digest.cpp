@@ -13,8 +13,13 @@ std::uint64_t profile_digest(std::span<const double> row) noexcept {
 LastSeenDigests::LastSeenDigests(const GridTopology& grid,
                                  const LocationAreas& areas,
                                  const MarkovMobility& mobility,
-                                 std::size_t horizon)
-    : grid_(&grid), areas_(&areas), mobility_(&mobility), horizon_(horizon) {
+                                 std::size_t horizon,
+                                 const SilenceModel& silence)
+    : grid_(&grid),
+      areas_(&areas),
+      mobility_(&mobility),
+      horizon_(horizon),
+      silence_(silence) {
   const std::size_t cells = grid.num_cells();
   if (horizon >= kMaxSlots || (horizon + 1) > kMaxSlots / cells) {
     throw std::invalid_argument(
@@ -45,9 +50,10 @@ void LastSeenDigests::store(CellId cell, std::size_t steps,
 bool LastSeenDigests::built_for(const GridTopology& grid,
                                 const LocationAreas& areas,
                                 const MarkovMobility& mobility,
-                                std::size_t horizon) const noexcept {
+                                std::size_t horizon,
+                                const SilenceModel& silence) const noexcept {
   return grid_ == &grid && areas_ == &areas && mobility_ == &mobility &&
-         horizon_ == horizon;
+         horizon_ == horizon && silence_ == silence;
 }
 
 std::size_t LastSeenDigests::filled() const noexcept {

@@ -4,15 +4,16 @@
 // A plan-cache signature (LocationService) must change whenever any
 // callee's location profile changes, so it is built from one digest per
 // callee profile row. Hashing the row means having the row, and under
-// ProfileKind::kLastSeen a row is a t-step Markov evolution over the
-// whole grid (last_seen_profile). But that row is a pure function of the
-// callee's reported cell and its step count since the report (capped at
-// the horizon), given the grid, the location-area layout and the
-// mobility model. LastSeenDigests remembers the digest per (cell, steps)
-// key, so a plan-cache hit signs its callees with a few array reads and
-// never evolves anything. Rows are built only when a key is new (and a
-// row built to sign it serves the planner too) or when the planner or
-// the lazy EP fill reads them.
+// ProfileKind::kLastSeen a row is a t-step evolution of the mobility chain
+// given the callee's silence (last_seen_profile). But that row is a pure
+// function of the callee's reported cell and its step count since the
+// report (capped at the horizon), given the grid, the location-area
+// layout, the mobility model and the silence model (report policy, its
+// distance threshold, report-loss rate). LastSeenDigests remembers the
+// digest per (cell, steps) key, so a plan-cache hit signs its callees
+// with a few array reads and never evolves anything. Rows are built only
+// when a key is new (and a row built to sign it serves the planner too)
+// or when the planner or the lazy EP fill reads them.
 #pragma once
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include <span>
 
 #include "cellular/mobility.h"
+#include "cellular/profile.h"
 #include "cellular/topology.h"
 
 namespace confcall::cellular {
@@ -53,10 +55,10 @@ class SignatureHasher {
 [[nodiscard]] std::uint64_t profile_digest(std::span<const double> row) noexcept;
 
 /// Memo of the profile_digest of every area-restricted last-seen
-/// profile of one world (grid, location areas, mobility model, horizon),
-/// keyed by (reported cell, steps since the report). The slots form one
-/// flat, steps-major array of relaxed atomics — (horizon + 1) *
-/// num_cells * 8 bytes — where 0 means "not yet computed". Callers fill
+/// profile of one world (grid, location areas, mobility model, horizon,
+/// silence model), keyed by (reported cell, steps since the report). The
+/// slots form one flat, steps-major array of relaxed atomics — (horizon +
+/// 1) * num_cells * 8 bytes — where 0 means "not yet computed". Callers fill
 /// a key from the row they built; racing fillers store the same value
 /// computed from the same inputs, so whichever store lands, the slot
 /// holds it. Safe to share across threads and across every service of a
@@ -67,7 +69,8 @@ class LastSeenDigests {
   /// kMaxSlots (a horizon far beyond any mixing time). The topology
   /// objects must outlive the memo.
   LastSeenDigests(const GridTopology& grid, const LocationAreas& areas,
-                  const MarkovMobility& mobility, std::size_t horizon);
+                  const MarkovMobility& mobility, std::size_t horizon,
+                  const SilenceModel& silence);
 
   LastSeenDigests(const LastSeenDigests&) = delete;
   LastSeenDigests& operator=(const LastSeenDigests&) = delete;
@@ -80,17 +83,24 @@ class LastSeenDigests {
   [[nodiscard]] std::uint64_t find(CellId cell, std::size_t steps) const;
 
   /// Stores `digest`, which must be profile_digest(last_seen_profile(
-  /// mobility, cell, steps, cells of cell's area)). A digest of 0 stores
-  /// nothing: that row is simply re-hashed on every use (probability
-  /// 2^-64). Throws like find().
+  /// mobility, cell, steps, cells of cell's area, silence)). A digest of
+  /// 0 stores nothing: that row is simply re-hashed on every use
+  /// (probability 2^-64). Throws like find().
   void store(CellId cell, std::size_t steps, std::uint64_t digest);
 
   /// True when this memo describes exactly that world: the same grid,
-  /// area layout and mobility objects, and the same horizon.
+  /// area layout and mobility objects, and the same horizon and silence
+  /// model.
   [[nodiscard]] bool built_for(const GridTopology& grid,
                                const LocationAreas& areas,
                                const MarkovMobility& mobility,
-                               std::size_t horizon) const noexcept;
+                               std::size_t horizon,
+                               const SilenceModel& silence) const noexcept;
+
+  /// The silence model the stored digests' rows condition on.
+  [[nodiscard]] const SilenceModel& silence() const noexcept {
+    return silence_;
+  }
 
   /// Keys stored so far (a scan; for inspection and tests).
   [[nodiscard]] std::size_t filled() const noexcept;
@@ -103,6 +113,7 @@ class LastSeenDigests {
   const LocationAreas* areas_;
   const MarkovMobility* mobility_;
   std::size_t horizon_;
+  SilenceModel silence_;
   std::size_t num_slots_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
 };

@@ -132,10 +132,11 @@ SharedPlanTable::SharedPlanTable(const GridTopology& grid,
                                  const MarkovMobility& mobility,
                                  ProfileKind profile_kind,
                                  std::size_t last_seen_horizon,
+                                 const SilenceModel& silence,
                                  std::size_t capacity)
     : plans(capacity, PlanRow::stride_for(largest_area(areas))) {
   if (profile_kind == ProfileKind::kLastSeen) {
-    digests.emplace(grid, areas, mobility, last_seen_horizon);
+    digests.emplace(grid, areas, mobility, last_seen_horizon, silence);
   }
 }
 
@@ -194,7 +195,9 @@ LocationService::LocationService(const GridTopology& grid,
       mobility_(&mobility),
       config_(config),
       db_(checked_initial_cells(grid, initial_cells).size(), areas,
-          checked_initial_cells(grid, initial_cells)) {
+          checked_initial_cells(grid, initial_cells)),
+      silence_{config_.report_policy, config_.distance_threshold, 0.0},
+      stepped_(db_.num_users(), 0) {
   config_.validate();
   if (config_.profile_kind == ProfileKind::kEmpirical) {
     visit_counts_.assign(num_users() * grid_->num_cells(), 0.0);
@@ -213,21 +216,28 @@ LocationService::LocationService(const GridTopology& grid,
   const bool last_seen = config_.profile_kind == ProfileKind::kLastSeen;
   const std::size_t stride = PlanRow::stride_for(largest_area(areas));
   table_ = config_.shared_plan_table;
+  // A shared memo fixes the report-loss rate its rows assume, before any
+  // fault plan is attached (attach_faults holds the plan to it).
+  if (table_ != nullptr && table_->digests) {
+    silence_.report_loss = table_->digests->silence().report_loss;
+  }
   if (table_ != nullptr &&
-      ((table_->digests ? !table_->digests->built_for(
-                              grid, areas, mobility, config_.last_seen_horizon)
-                        : last_seen) ||
+      ((table_->digests
+            ? !table_->digests->built_for(grid, areas, mobility,
+                                          config_.last_seen_horizon, silence_)
+            : last_seen) ||
        table_->plans.row_bytes() < stride)) {
     throw std::invalid_argument(
         "LocationService: shared_plan_table was built for another grid, "
-        "area layout, mobility model, last_seen_horizon or profile kind");
+        "area layout, mobility model, last_seen_horizon, report policy, "
+        "distance threshold or profile kind");
   }
   if (!config_.enable_plan_cache) {
     table_ = nullptr;
   } else if (table_ == nullptr) {
     own_table_ = std::make_unique<SharedPlanTable>(
         grid, areas, mobility, config_.profile_kind,
-        config_.last_seen_horizon,
+        config_.last_seen_horizon, silence_,
         SharedPlanTable::kPlansPerArea * areas.num_areas());
     table_ = own_table_.get();
   }
@@ -242,6 +252,22 @@ void LocationService::attach_faults(FaultPlan* faults) {
         "LocationService: the adaptive policy assumes a fault-free "
         "network");
   }
+  SilenceModel silence = silence_;
+  silence.report_loss =
+      faults != nullptr ? faults->config().report_loss_rate : 0.0;
+  if (silence != silence_ && table_ != nullptr && table_->digests) {
+    if (own_table_ == nullptr) {
+      throw std::invalid_argument(
+          "LocationService: shared_plan_table was built for another "
+          "report-loss rate");
+    }
+    // The memo's digests name rows of the old rate. Resident plans stay
+    // valid: each is keyed by the digests of the rows it was planned
+    // from.
+    own_table_->digests.emplace(*grid_, *areas_, *mobility_,
+                                config_.last_seen_horizon, silence);
+  }
+  silence_ = silence;
   faults_ = faults;
 }
 
@@ -256,9 +282,9 @@ bool LocationService::observe_user(UserId user, CellId new_cell) {
   } else if constexpr (P == ReportPolicy::kOnCellCrossing) {
     wants_report = new_cell != db_.reported_cell(user);
   } else if constexpr (P == ReportPolicy::kEveryTSteps) {
-    // The clock ticks after the step's observations, so it reads the
-    // number of completed steps since the last report; reporting at
-    // clock == T gives an exact period of T steps.
+    // The clock advanced before this observation, so it counts the steps
+    // since the last report, this one included; reporting at clock == T
+    // gives an exact period of T steps.
     wants_report = db_.steps_since_report(user) >= config_.timer_period;
   } else if constexpr (P == ReportPolicy::kDistanceThreshold) {
     wants_report = grid_->distance(db_.reported_cell(user), new_cell) >=
@@ -298,6 +324,10 @@ bool LocationService::observe_move(UserId user, CellId new_cell) {
   if (user >= num_users() || new_cell >= grid_->num_cells()) {
     throw std::invalid_argument("observe_move: out of range");
   }
+  if (stepped_[user] == 0) {
+    db_.tick(user);
+    stepped_[user] = 1;
+  }
   return with_report_policy([&](auto policy) {
     return observe_user<decltype(policy)::value>(user, new_cell);
   });
@@ -317,16 +347,27 @@ std::size_t LocationService::observe_step(std::span<const CellId> cells) {
     std::size_t reports = 0;
     for (std::size_t u = 0; u < cells.size(); ++u) {
       const auto user = static_cast<UserId>(u);
+      // Advance the clock first, as observe_move does; user u's clock is
+      // read and reset only by its own observation, so this equals
+      // observe_move for every user, then tick().
+      close_step(user);
       reports += observe_user<decltype(policy)::value>(user, cells[u]);
-      // User u's clock is read and reset only by its own observation
-      // above, so ticking it here equals tick() after the whole batch.
-      db_.tick(user);
     }
     return reports;
   });
 }
 
-void LocationService::tick() { db_.tick(); }
+void LocationService::close_step(UserId user) {
+  if (stepped_[user] == 0) {
+    db_.tick(user);
+  } else {
+    stepped_[user] = 0;
+  }
+}
+
+void LocationService::tick() {
+  for (UserId user = 0; user < num_users(); ++user) close_step(user);
+}
 
 prob::ProbabilityVector LocationService::profile_for(
     UserId user, std::size_t area) const {
@@ -345,7 +386,7 @@ prob::ProbabilityVector LocationService::profile_for(
       return stationary_area_.at(area);
     case ProfileKind::kLastSeen:
       return last_seen_profile(*mobility_, db_.reported_cell(user),
-                               last_seen_steps(user), cells);
+                               last_seen_steps(user), cells, silence_);
   }
   throw std::logic_error("profile_for: unknown profile kind");
 }
@@ -940,6 +981,7 @@ bool LocationService::restore_state(std::string_view payload,
                          records[user].second);
     }
     visit_counts_ = std::move(visits);
+    std::fill(stepped_.begin(), stepped_.end(), std::uint8_t{0});
     return true;
   } catch (const support::StateFormatError&) {
     return false;

@@ -69,7 +69,7 @@ enum class PagingPolicy {
 enum class ProfileKind {
   kEmpirical,   ///< smoothed visit counts observed so far
   kStationary,  ///< mobility chain's stationary distribution
-  kLastSeen,    ///< t-step prediction from the last reported cell
+  kLastSeen,    ///< law given the last reported cell and the silence since
 };
 
 /// Governs the recovery path of locate(): how many whole-grid sweeps a
@@ -198,8 +198,9 @@ class PlanRow {
 /// cell, steps) profile is evolved once per table instead of once per
 /// call. ServiceFleet wires every area to one; a service given none
 /// builds a private one. The topology objects must outlive it; a service
-/// over a different grid, area layout, mobility model or horizon refuses
-/// to attach it.
+/// over a different grid, area layout, mobility model, horizon, report
+/// policy or distance threshold refuses to attach it, and the memo's
+/// report-loss rate is the one its services' rows assume.
 struct SharedPlanTable {
   /// Table rows per (serving area, in-grid location area) — the sizing
   /// rule both the fleet and a private table apply.
@@ -207,10 +208,12 @@ struct SharedPlanTable {
 
   /// Holds up to `capacity` plans, each a PlanRow as wide as the largest
   /// of `areas`. The digest memo is built only under
-  /// ProfileKind::kLastSeen, the one profile kind that signs from it.
+  /// ProfileKind::kLastSeen, the one profile kind that signs from it, for
+  /// rows of that horizon and silence model.
   SharedPlanTable(const GridTopology& grid, const LocationAreas& areas,
                   const MarkovMobility& mobility, ProfileKind profile_kind,
-                  std::size_t last_seen_horizon, std::size_t capacity);
+                  std::size_t last_seen_horizon, const SilenceModel& silence,
+                  std::size_t capacity);
 
   support::SignatureTable plans;
   std::optional<LastSeenDigests> digests;
@@ -285,9 +288,11 @@ class LocationService {
     /// with or without the table: a hit returns exactly the plan the
     /// deterministic planner would produce for the same signed inputs.
     /// The constructor throws std::invalid_argument when the table was
-    /// built for a different grid, area layout, mobility model or
-    /// last_seen_horizon, lacks the digest memo a kLastSeen service signs
-    /// from, or has rows narrower than this service's largest area.
+    /// built for a different grid, area layout, mobility model,
+    /// last_seen_horizon, report_policy or distance_threshold, lacks the
+    /// digest memo a kLastSeen service signs from, or has rows narrower
+    /// than this service's largest area. Its memo's report-loss rate is
+    /// the one this service's last-seen rows assume (attach_faults).
     SharedPlanTable* shared_plan_table = nullptr;
 
     /// Consolidated validation with one specific message per rejection.
@@ -307,9 +312,12 @@ class LocationService {
 
   /// Attaches a fault injector (non-owning; must outlive the service,
   /// nullptr detaches). The caller advances the plan's outage clocks via
-  /// FaultPlan::begin_step. Throws std::invalid_argument under the
+  /// FaultPlan::begin_step. Last-seen rows then assume the plan's
+  /// report-loss rate (0 when detached); a private plan table's digest
+  /// memo is rebuilt for it. Throws std::invalid_argument under the
   /// adaptive paging policy, whose conditioning assumes a fault-free
-  /// network.
+  /// network, and under kLastSeen when a shared plan table's memo was
+  /// built for another report-loss rate.
   void attach_faults(FaultPlan* faults);
 
   [[nodiscard]] std::size_t num_users() const noexcept {
@@ -319,11 +327,15 @@ class LocationService {
   /// Ingests one movement event; returns true when the reporting policy
   /// sent an uplink report (which the caller accounts — a report lost to
   /// an injected fault still returns true: the uplink cost was paid,
-  /// only the database missed it, and reports_lost() counts it).
+  /// only the database missed it, and reports_lost() counts it). The
+  /// move opens the user's step: its "steps since last report" clock
+  /// advances (once per step) before the policy reads it, so a report
+  /// leaves the clock at 0 at the end of its step.
   bool observe_move(UserId user, CellId new_cell);
 
-  /// Advances the per-device "steps since last report" clocks; call once
-  /// per global time step after the observe_move batch.
+  /// Closes a global time step: advances the clock of every device that
+  /// observe_move has not already advanced this step. Call once per step
+  /// after the observe_move batch.
   void tick();
 
   /// One global time step in one pass: cells[u] is user u's new cell.
@@ -444,7 +456,10 @@ class LocationService {
                                          prob::Rng& rng);
 
   /// The location profile the service would use for `user` over the cells
-  /// of `area` right now (exposed for inspection and tests).
+  /// of `area` right now (exposed for inspection and tests). Under
+  /// kLastSeen with kOnAreaCrossing, `area` must be the user's reported
+  /// one (a silent user has not left it): another area throws
+  /// std::invalid_argument.
   [[nodiscard]] prob::ProbabilityVector profile_for(UserId user,
                                                     std::size_t area) const;
 
@@ -469,8 +484,9 @@ class LocationService {
   /// Version 2 dropped the plan-cache entries version 1 carried: which
   /// plans a shared evicting table holds depends on lane interleaving.
   /// Version 3 carries visit counts only under ProfileKind::kEmpirical;
-  /// version 2 carried them for every profile kind.
-  static constexpr std::uint32_t kStateVersion = 3;
+  /// version 2 carried them for every profile kind. Version 4's clocks
+  /// read 0 at the end of a report's step; version 3's read 1.
+  static constexpr std::uint32_t kStateVersion = 4;
 
   /// Serializes the service's learned state — the location database
   /// records and, under ProfileKind::kEmpirical, the per-user visit
@@ -539,6 +555,9 @@ class LocationService {
   /// configured policy P: the one switch over report policies.
   template <typename F>
   decltype(auto) with_report_policy(F&& f);
+  /// Advances `user`'s clock for the open step unless observe_move
+  /// already did, and closes the step for it.
+  void close_step(UserId user);
   /// Steps since `user`'s last report, capped at last_seen_horizon: with
   /// the reported cell, the key of its last-seen profile.
   [[nodiscard]] std::size_t last_seen_steps(UserId user) const;
@@ -555,6 +574,13 @@ class LocationService {
   LocationDatabase db_;
   FaultPlan* faults_ = nullptr;
   std::size_t reports_lost_ = 0;
+  /// What a silent callee's last-seen row conditions on: the report
+  /// policy, its distance threshold, and the report-loss rate of the
+  /// attached fault plan (of a shared table's memo, from construction).
+  SilenceModel silence_;
+  /// 1 for each user whose clock observe_move advanced in the open step;
+  /// tick() advances the rest and clears it.
+  std::vector<std::uint8_t> stepped_;
   /// Visit counts, users x cells row-major. Allocated only under
   /// ProfileKind::kEmpirical, the one profile kind that reads them;
   /// empty otherwise, so observe_move, save_state and restore_state

@@ -67,6 +67,9 @@ ServiceFleet::ServiceFleet(const GridTopology& grid, const LocationAreas& areas,
       config_(validated(std::move(config))),
       shared_table_(grid, areas, mobility, base_config_.profile_kind,
                     base_config_.last_seen_horizon,
+                    SilenceModel{base_config_.report_policy,
+                                 base_config_.distance_threshold,
+                                 config_.faults.report_loss_rate},
                     SharedPlanTable::kPlansPerArea * config_.num_areas *
                         areas.num_areas()),
       pool_(config_.num_shards) {

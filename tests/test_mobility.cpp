@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -99,6 +100,52 @@ TEST(MarkovMobility, EvolvePreservesMass) {
   EXPECT_NEAR(std::accumulate(evolved.begin(), evolved.end(), 0.0), 1.0,
               1e-12);
   EXPECT_THROW(mobility.evolve(std::vector<double>(3, 0.0), 1),
+               std::invalid_argument);
+}
+
+TEST(MarkovMobility, EvolveWeightsTheMassOutsideTheAllowedCells) {
+  const GridTopology grid(4, 4);
+  const MarkovMobility mobility(grid, 0.4);
+  std::vector<double> dist(grid.num_cells(), 0.0);
+  dist[5] = 1.0;
+  const std::vector<CellId> allowed = {0, 1, 4, 5};
+  // Every cell allowed: the plain chain, bit for bit.
+  std::vector<CellId> all(grid.num_cells());
+  std::iota(all.begin(), all.end(), CellId{0});
+  EXPECT_EQ(mobility.evolve(dist, 6, all, 0.0), mobility.evolve(dist, 6));
+  EXPECT_EQ(mobility.evolve(dist, 6, allowed, 1.0), mobility.evolve(dist, 6));
+  // One step, then the outside mass scaled: the weighted kernel.
+  std::vector<double> once = mobility.evolve(dist, 1);
+  for (std::size_t j = 0; j < once.size(); ++j) {
+    if (std::find(allowed.begin(), allowed.end(), j) == allowed.end()) {
+      once[j] *= 0.3;
+    }
+  }
+  const auto weighted = mobility.evolve(dist, 1, allowed, 0.3);
+  for (std::size_t j = 0; j < once.size(); ++j) {
+    EXPECT_DOUBLE_EQ(weighted[j], once[j]) << "cell " << j;
+  }
+  // Killed: no mass leaves the allowed cells, and the survivors' mass
+  // falls every step.
+  const auto killed = mobility.evolve(dist, 3, allowed, 0.0);
+  double kept = 0.0;
+  for (std::size_t j = 0; j < killed.size(); ++j) {
+    if (std::find(allowed.begin(), allowed.end(), j) == allowed.end()) {
+      EXPECT_EQ(killed[j], 0.0) << "cell " << j;
+    }
+    kept += killed[j];
+  }
+  EXPECT_GT(kept, 0.0);
+  EXPECT_LT(kept, 1.0);
+  // A killed chain walks only its cells, so it needs no mass elsewhere.
+  std::vector<double> stray = dist;
+  stray[15] = 0.5;
+  EXPECT_THROW((void)mobility.evolve(stray, 1, allowed, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)mobility.evolve(dist, 1, allowed, 1.5),
+               std::invalid_argument);
+  const std::vector<CellId> off_grid = {99};
+  EXPECT_THROW((void)mobility.evolve(dist, 1, off_grid, 0.5),
                std::invalid_argument);
 }
 

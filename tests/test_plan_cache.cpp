@@ -351,8 +351,10 @@ TEST(PlanCache, LastSeenDigestMemoHoldsEachKeysRowDigest) {
   LocationService::Config config;
   config.profile_kind = ProfileKind::kLastSeen;
   config.last_seen_horizon = 6;
+  const SilenceModel silence{config.report_policy, config.distance_threshold,
+                             0.0};
   SharedPlanTable shared(grid, areas, mobility, config.profile_kind,
-                         config.last_seen_horizon, /*capacity=*/64);
+                         config.last_seen_horizon, silence, /*capacity=*/64);
   config.shared_plan_table = &shared;
   LocationService service(grid, areas, mobility, config, {0, 5, 10, 15});
 
@@ -372,7 +374,7 @@ TEST(PlanCache, LastSeenDigestMemoHoldsEachKeysRowDigest) {
       if (stored == 0) continue;
       EXPECT_EQ(stored, profile_digest(last_seen_profile(
                             mobility, cell, steps,
-                            areas.cells_in(areas.area_of(cell)))))
+                            areas.cells_in(areas.area_of(cell)), silence)))
           << "cell " << cell << " steps " << steps;
     }
   }
@@ -393,21 +395,34 @@ TEST(PlanCache, SharedTableFromAnotherWorldIsRejected) {
   LocationService::Config config;
   const ProfileKind kind = config.profile_kind;  // kLastSeen
   const std::size_t horizon = config.last_seen_horizon;
-  SharedPlanTable matching(grid, areas, mobility, kind, horizon, 64);
+  const SilenceModel silence{config.report_policy, config.distance_threshold,
+                             0.0};
+  SharedPlanTable matching(grid, areas, mobility, kind, horizon, silence, 64);
   config.shared_plan_table = &matching;
   EXPECT_NO_THROW(LocationService(grid, areas, mobility, config, cells));
 
   SharedPlanTable wrong_grid(other_grid, areas, other_mobility, kind,
-                             horizon, 64);
-  SharedPlanTable wrong_areas(grid, other_areas, mobility, kind, horizon, 64);
+                             horizon, silence, 64);
+  SharedPlanTable wrong_areas(grid, other_areas, mobility, kind, horizon,
+                              silence, 64);
   SharedPlanTable wrong_mobility(grid, areas, other_mobility, kind, horizon,
-                                 64);
-  SharedPlanTable wrong_horizon(grid, areas, mobility, kind, horizon + 1, 64);
+                                 silence, 64);
+  SharedPlanTable wrong_horizon(grid, areas, mobility, kind, horizon + 1,
+                                silence, 64);
+  SilenceModel other_policy = silence;
+  other_policy.policy = ReportPolicy::kOnCellCrossing;
+  SharedPlanTable wrong_policy(grid, areas, mobility, kind, horizon,
+                               other_policy, 64);
+  SilenceModel other_threshold = silence;
+  other_threshold.distance_threshold += 1;
+  SharedPlanTable wrong_threshold(grid, areas, mobility, kind, horizon,
+                                  other_threshold, 64);
   // No digest memo: a kLastSeen service would have nothing to sign from.
   SharedPlanTable no_memo(grid, areas, mobility, ProfileKind::kStationary,
-                          horizon, 64);
-  for (SharedPlanTable* table : {&wrong_grid, &wrong_areas, &wrong_mobility,
-                                 &wrong_horizon, &no_memo}) {
+                          horizon, silence, 64);
+  for (SharedPlanTable* table :
+       {&wrong_grid, &wrong_areas, &wrong_mobility, &wrong_horizon,
+        &wrong_policy, &wrong_threshold, &no_memo}) {
     config.shared_plan_table = table;
     EXPECT_THROW(LocationService(grid, areas, mobility, config, cells),
                  std::invalid_argument);
@@ -417,14 +432,66 @@ TEST(PlanCache, SharedTableFromAnotherWorldIsRejected) {
   // areas cannot hold a plan over this world's 4-cell areas.
   config.profile_kind = ProfileKind::kStationary;
   SharedPlanTable same_width(grid, areas, mobility, config.profile_kind,
-                             horizon, 64);
+                             horizon, silence, 64);
   SharedPlanTable narrow_rows(grid, LocationAreas::tiles(grid, 1, 1),
-                              mobility, config.profile_kind, horizon, 64);
+                              mobility, config.profile_kind, horizon, silence,
+                              64);
   config.shared_plan_table = &same_width;
   EXPECT_NO_THROW(LocationService(grid, areas, mobility, config, cells));
   config.shared_plan_table = &narrow_rows;
   EXPECT_THROW(LocationService(grid, areas, mobility, config, cells),
                std::invalid_argument);
+}
+
+TEST(PlanCache, SharedTableFixesTheReportLossRate) {
+  // A shared memo's rows assume one report-loss rate: a service adopts it
+  // at construction, accepts a fault plan of that rate and refuses any
+  // other. A private table's memo follows the attached plan instead.
+  const GridTopology grid(4, 4, true, Neighborhood::kVonNeumann);
+  const LocationAreas areas = LocationAreas::tiles(grid, 2, 2);
+  const MarkovMobility mobility(grid, 0.4);
+  const std::vector<CellId> cells = {0, 5, 10};
+  LocationService::Config config;
+  const SilenceModel lossy{config.report_policy, config.distance_threshold,
+                           0.3};
+  SharedPlanTable shared(grid, areas, mobility, config.profile_kind,
+                         config.last_seen_horizon, lossy, 64);
+  config.shared_plan_table = &shared;
+  LocationService service(grid, areas, mobility, config, cells);
+  FaultConfig matching;
+  matching.report_loss_rate = 0.3;
+  FaultConfig other;
+  other.report_loss_rate = 0.1;
+  FaultPlan matching_plan(matching, grid.num_cells());
+  FaultPlan other_plan(other, grid.num_cells());
+  EXPECT_THROW(service.attach_faults(&other_plan), std::invalid_argument);
+  EXPECT_THROW(service.attach_faults(nullptr), std::invalid_argument);
+  EXPECT_NO_THROW(service.attach_faults(&matching_plan));
+
+  config.shared_plan_table = nullptr;
+  LocationService alone(grid, areas, mobility, config, cells);
+  prob::Rng rng(3);
+  const UserId users[] = {0, 1, 2};
+  const auto call_three_steps_later = [&] {
+    for (int t = 0; t < 3; ++t) alone.tick();
+    (void)alone.locate(users, cells, rng);
+  };
+  call_three_steps_later();
+  call_three_steps_later();  // the same keys: every area hits
+  const LocationService::PlanCacheStats before = alone.plan_cache_stats();
+  EXPECT_EQ(before.hits, before.misses);
+  alone.attach_faults(&other_plan);
+  call_three_steps_later();  // rows of the new rate sign anew: misses
+  EXPECT_EQ(alone.plan_cache_stats().misses, 2 * before.misses);
+  for (int t = 0; t < 3; ++t) alone.tick();
+  for (UserId user = 0; user < 3; ++user) {
+    const CellId cell = cells[user];
+    EXPECT_EQ(alone.profile_for(user, areas.area_of(cell)),
+              last_seen_profile(mobility, cell, 3,
+                                areas.cells_in(areas.area_of(cell)),
+                                {config.report_policy,
+                                 config.distance_threshold, 0.1}));
+  }
 }
 
 TEST(SimBatch, BitIdenticalAcrossThreadCounts) {

@@ -122,7 +122,74 @@ TEST_F(ServiceTest, TimerPolicyReportsEveryTSteps) {
     if (service.observe_move(0, 0)) ++reports;  // not even moving
     service.tick();
   }
-  EXPECT_EQ(reports, 4);  // steps 4, 8, 12, 16: exact period 4
+  // Steps 4, 8, 12, 16 and 20 after the power-on attach: exact period 4.
+  EXPECT_EQ(reports, 5);
+}
+
+TEST_F(ServiceTest, ClockReadsZeroAtTheEndOfAReportsStep) {
+  LocationService::Config config;
+  config.report_policy = ReportPolicy::kOnAreaCrossing;
+  for (const bool fused : {false, true}) {
+    SCOPED_TRACE(fused ? "observe_step" : "observe_move + tick");
+    LocationService service = make_service(config, {0, 7});
+    const auto step = [&](CellId cell0) {
+      const std::vector<CellId> cells = {cell0, 7};
+      if (fused) {
+        return service.observe_step(cells) > 0;
+      }
+      const bool reported = service.observe_move(0, cells[0]);
+      (void)service.observe_move(1, cells[1]);
+      service.tick();
+      return reported;
+    };
+    EXPECT_FALSE(step(1));  // a move inside the attach area
+    EXPECT_EQ(service.database().steps_since_report(0), 1u);
+    EXPECT_TRUE(step(3));  // into the next tile: a mobility report
+    EXPECT_EQ(service.database().steps_since_report(0), 0u);
+    EXPECT_EQ(service.database().steps_since_report(1), 2u);
+    EXPECT_FALSE(step(3));
+    EXPECT_EQ(service.database().steps_since_report(0), 1u);
+    EXPECT_FALSE(step(4));
+    EXPECT_EQ(service.database().steps_since_report(0), 2u);
+  }
+}
+
+TEST_F(ServiceTest, PagingReportClockIsUnchanged) {
+  // A found callee re-registers between steps: its clock reads 0 after the
+  // call and 1 after the next step, as before the clock moved.
+  LocationService service = make_service({}, {0, 7});
+  const std::vector<CellId> cells = {1, 7};
+  (void)service.observe_step(cells);
+  (void)service.observe_step(cells);
+  EXPECT_EQ(service.database().steps_since_report(0), 2u);
+  prob::Rng rng(5);
+  const UserId users[] = {0};
+  const CellId truth[] = {1};
+  (void)service.locate(users, truth, rng);
+  EXPECT_EQ(service.database().steps_since_report(0), 0u);
+  EXPECT_EQ(service.database().reported_cell(0), 1u);
+  (void)service.observe_step(cells);
+  EXPECT_EQ(service.database().steps_since_report(0), 1u);
+  service.tick();
+  EXPECT_EQ(service.database().steps_since_report(0), 2u);
+}
+
+TEST_F(ServiceTest, TimerReportsKeepAnExactPeriod) {
+  // Under kEveryTSteps, reports come exactly T steps after the last
+  // report, whether that was the attach, a timer report or a page.
+  LocationService::Config config;
+  config.report_policy = ReportPolicy::kEveryTSteps;
+  config.timer_period = 3;
+  LocationService service = make_service(config, {0});
+  const std::vector<CellId> cells = {0};
+  std::vector<int> report_steps;
+  prob::Rng rng(9);
+  const UserId users[] = {0};
+  for (int step = 1; step <= 16; ++step) {
+    if (service.observe_step(cells) > 0) report_steps.push_back(step);
+    if (step == 7) (void)service.locate(users, cells, rng);  // a page
+  }
+  EXPECT_EQ(report_steps, (std::vector<int>{3, 6, 10, 13, 16}));
 }
 
 TEST_F(ServiceTest, DistancePolicyReportsOnThreshold) {

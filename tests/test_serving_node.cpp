@@ -466,6 +466,53 @@ TEST(ServingNode, RestoreWithGoodFleetButNoSloSectionCommitsNothing) {
   expect_same_sections(load(out), cold_checkpoint(10));
 }
 
+TEST(ServingNode, VersionThreeAreaSectionsRestoreAsACountedColdStart) {
+  // A version 3 clock read one step more after a mobility report than a
+  // version 4 clock does, so a version 3 checkpoint is a cold start.
+  const std::string current = temp_path("current.ckpt");
+  support::ManualClock clock;
+  ServingOptions options;
+  options.shards = 2;  // 8 areas
+  options.state_out = current;
+  {
+    ServingNode writer(small_world(), options, clock);
+    run_to_checkpoint(writer, 30);
+  }
+  const support::StateBundle written = load(current);
+  const auto with_area_version = [&](std::uint32_t version,
+                                     const std::string& name) {
+    support::StateBundle bundle;
+    for (const support::StateSection& section : written.sections()) {
+      bool area = false;
+      for (std::size_t a = 0; a < 8; ++a) {
+        area |= section.name == ServiceFleet::area_section_name(a);
+      }
+      bundle.add(section.name, area ? version : section.version,
+                 section.payload);
+    }
+    const std::string path = temp_path(name);
+    (void)support::save_state_file(path, bundle);
+    return path;
+  };
+  ASSERT_EQ(LocationService::kStateVersion, 4u);
+  options.state_in = with_area_version(3, "v3.ckpt");
+  options.state_out.clear();
+  ServingNode old_node(small_world(), options, clock);
+  EXPECT_EQ(old_node.restore_or_warm_up(),
+            "state: cold start (section missing, version skew, or shape "
+            "mismatch)");
+  EXPECT_EQ(counter(old_node, "confcall_state_restore_total",
+                    {{"result", "cold_section_mismatch"}}),
+            1u);
+  // The same payloads at the current version restore.
+  options.state_in = with_area_version(4, "v4.ckpt");
+  ServingNode node(small_world(), options, clock);
+  EXPECT_EQ(node.restore_or_warm_up().rfind("state: restored from", 0), 0u);
+  EXPECT_EQ(counter(node, "confcall_state_restore_total",
+                    {{"result", "restored"}}),
+            1u);
+}
+
 TEST(ServingNode, RestoreWithCorruptFleetSectionRollsBackTheSlo) {
   // Write a checkpoint whose controller has moved off its cold point.
   const std::string good = temp_path("warm.ckpt");

@@ -241,30 +241,40 @@ TEST(Simulator, EveryCalleeEventuallyRegistered) {
 }
 
 TEST(Simulator, SeedRegressionPinned) {
-  // Byte-for-byte pins captured from the pre-fault-layer seed build.
-  // With all fault rates zero and the retry policy at defaults the
-  // simulation must not consume a single extra rng draw; any drift here
+  // Byte-for-byte pins, last re-captured when the report clock started
+  // reading 0 at the end of a report's step and last-seen rows started
+  // conditioning on the callee's silence. With all fault rates zero and
+  // the retry policy at defaults the simulation must not consume a
+  // single extra rng draw; the same pins must hold whatever else the
+  // zero-rate fault plan says (seed, outage duration). Any drift here
   // means the fault layer is not inert when disabled.
-  const SimReport plain = run_simulation(small_config());
-  EXPECT_EQ(plain.calls_served, 113u);
-  EXPECT_EQ(plain.reports_sent, 556u);
-  EXPECT_EQ(plain.cells_paged_total, 853u);
-  EXPECT_EQ(plain.fallback_pages, 0u);
-  EXPECT_EQ(plain.missed_detections, 0u);
-  EXPECT_EQ(plain.pages_per_call.mean(), 7.5486725663716809);
-  EXPECT_EQ(plain.rounds_per_call.mean(), 1.9469026548672574);
+  SimConfig inert = small_config();
+  inert.faults.seed = 0xdead;
+  inert.faults.outage_duration = 3;
+  for (const SimConfig& base : {small_config(), inert}) {
+    SCOPED_TRACE(base.faults.seed == inert.faults.seed ? "re-seeded plan"
+                                                       : "default plan");
+    const SimReport plain = run_simulation(base);
+    EXPECT_EQ(plain.calls_served, 113u);
+    EXPECT_EQ(plain.reports_sent, 556u);
+    EXPECT_EQ(plain.cells_paged_total, 824u);
+    EXPECT_EQ(plain.fallback_pages, 0u);
+    EXPECT_EQ(plain.missed_detections, 0u);
+    EXPECT_EQ(plain.pages_per_call.mean(), 7.2920353982300865);
+    EXPECT_EQ(plain.rounds_per_call.mean(), 1.9646017699115041);
 
-  SimConfig lossy = small_config();
-  lossy.detection_probability = 0.6;
-  lossy.collision_losses = true;
-  const SimReport noisy = run_simulation(lossy);
-  EXPECT_EQ(noisy.calls_served, 121u);
-  EXPECT_EQ(noisy.reports_sent, 558u);
-  EXPECT_EQ(noisy.cells_paged_total, 7874u);
-  EXPECT_EQ(noisy.fallback_pages, 6264u);
-  EXPECT_EQ(noisy.missed_detections, 236u);
-  EXPECT_EQ(noisy.pages_per_call.mean(), 65.074380165289256);
-  EXPECT_EQ(noisy.rounds_per_call.mean(), 4.2975206611570265);
+    SimConfig lossy = base;
+    lossy.detection_probability = 0.6;
+    lossy.collision_losses = true;
+    const SimReport noisy = run_simulation(lossy);
+    EXPECT_EQ(noisy.calls_served, 121u);
+    EXPECT_EQ(noisy.reports_sent, 558u);
+    EXPECT_EQ(noisy.cells_paged_total, 7880u);
+    EXPECT_EQ(noisy.fallback_pages, 6264u);
+    EXPECT_EQ(noisy.missed_detections, 236u);
+    EXPECT_EQ(noisy.pages_per_call.mean(), 65.123966942148783);
+    EXPECT_EQ(noisy.rounds_per_call.mean(), 4.2975206611570274);
+  }
 }
 
 TEST(Simulator, ZeroRetriesAbandonsInsteadOfLooping) {
