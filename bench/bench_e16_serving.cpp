@@ -29,17 +29,27 @@
 //     and ServiceFleet::locate_many) on the same loaded node. Every
 //     response must be a 200 with one admitted outcome per call, and
 //     the round-trips share the scrape latency gate above.
+//   * Codec cost: heap allocations and ns for each HTTP request parse
+//     (support::detail::parse_request on a POST /locate request), each
+//     decoded POST /locate body (1- and 64-call) and each /metrics render
+//     (to_prometheus of a fresh snapshot of a fixed registry). A counting
+//     global operator new in this binary counts the allocations; the
+//     inputs are fixed, so the counts are exact on any machine.
 //
 // Flags (shared bench set, bench/harness.h): --smoke, --threads N
 // (unused, accepted for uniformity), --out FILE (default BENCH_E16.json).
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <new>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "cellular/locate_api.h"
 #include "cellular/serving_node.h"
 #include "support/http.h"
 #include "support/json.h"
@@ -49,6 +59,36 @@
 
 #include "fixture.h"
 #include "harness.h"
+
+// Every allocation in this binary, for the codec section: replacing the
+// global operator new counts them and changes nothing else. Every form
+// of new and delete is replaced, so a sanitizer's own operators never
+// see a block they did not hand out.
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete[](void* block) noexcept { std::free(block); }
+void operator delete[](void* block, std::size_t) noexcept { std::free(block); }
 
 namespace {
 
@@ -94,6 +134,79 @@ double run_side(bool traced, bool smoke, std::size_t* calls_out) {
   const double elapsed = bench::seconds_since(loop_start);
   *calls_out = n;
   return elapsed > 0.0 ? static_cast<double>(n) / elapsed : 0.0;
+}
+
+/// Allocations and ns per call of `op`, over `reps` calls after one
+/// warm-up call (which may fill thread-local scratch).
+struct CodecCost {
+  double allocs = 0.0;
+  double ns = 0.0;
+};
+
+template <typename Op>
+CodecCost codec_cost(std::size_t reps, Op&& op) {
+  op();
+  const std::uint64_t allocs_before =
+      g_allocations.load(std::memory_order_relaxed);
+  const auto start = bench::Clock::now();
+  for (std::size_t i = 0; i < reps; ++i) op();
+  const double elapsed = bench::seconds_since(start);
+  const std::uint64_t allocs =
+      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  return {static_cast<double>(allocs) / static_cast<double>(reps),
+          1e9 * elapsed / static_cast<double>(reps)};
+}
+
+/// A POST /locate body of `calls` 3-callee calls ({3k, 3k+1, 3k+2} mod
+/// 96, distinct within a call): one call object, or an array of them.
+std::string locate_body(std::size_t calls, bool batch) {
+  std::string body = batch ? "[" : "";
+  for (std::size_t k = 0; k < calls; ++k) {
+    if (k > 0) body += ", ";
+    body += "{\"users\": [" + std::to_string((3 * k) % 96) + ", " +
+            std::to_string((3 * k + 1) % 96) + ", " +
+            std::to_string((3 * k + 2) % 96) + "]}";
+  }
+  if (batch) body += "]";
+  return body;
+}
+
+/// A registry of the serving daemon's shape and a fixed content: two
+/// shards of latency and round histograms, per-class counters and
+/// fractional gauges, filled from a fixed-seed stream.
+void fill_render_registry(support::MetricRegistry& registry) {
+  std::uint64_t state = 2024;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int shard = 0; shard < 2; ++shard) {
+    const support::MetricLabels labels{{"shard", std::to_string(shard)}};
+    const support::Histogram latency = registry.histogram(
+        "bench_locate_latency_ns",
+        support::HistogramSpec::exponential(1000.0, 2.0, 22),
+        "Locate latency", labels);
+    const support::Histogram rounds = registry.histogram(
+        "bench_locate_rounds", support::HistogramSpec::integers(8),
+        "Rounds used", labels);
+    const support::Counter calls =
+        registry.counter("bench_locate_calls_total", "Calls", labels);
+    for (int i = 0; i < 5000; ++i) {
+      latency.observe(static_cast<double>(next() % 4'000'000));
+      rounds.observe(static_cast<double>(next() % 9));
+      calls.inc();
+    }
+  }
+  for (int i = 0; i < 24; ++i) {
+    registry
+        .counter("bench_events_total", "Events by class",
+                 {{"class", "class_" + std::to_string(i)}})
+        .inc(next() % 100000);
+    registry
+        .gauge("bench_level_" + std::to_string(i % 6), "A level",
+               {{"area", std::to_string(i)}})
+        .set(static_cast<double>(next() % 1000) / 7.0);
+  }
 }
 
 }  // namespace
@@ -241,6 +354,41 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- 4. Codec cost: the in-place request parse, the DOM-free body
+  // decode and the exposition render, each on fixed input.
+  const std::size_t codec_reps = smoke ? 2000 : 20000;
+  const std::string body1 = locate_body(1, /*batch=*/false);
+  const std::string body64 = locate_body(64, /*batch=*/true);
+  const std::string request_bytes =
+      "POST /locate HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n"
+      "Content-Type: application/json\r\nContent-Length: " +
+      std::to_string(body1.size()) + "\r\n\r\n" + body1;
+  bool codec_ok = true;
+  const support::HttpServerOptions http_options;
+  const CodecCost http_parse = codec_cost(codec_reps, [&] {
+    support::HttpRequest request;
+    support::HttpResponse error;
+    std::size_t header_end = std::string_view::npos;
+    codec_ok = codec_ok &&
+               support::detail::parse_request(request_bytes, &header_end,
+                                              http_options, &request, &error) ==
+                   support::detail::RequestParse::kComplete &&
+               request.body == body1;
+  });
+  const CodecCost decode1 = codec_cost(codec_reps, [&] {
+    codec_ok = codec_ok && cellular::parse_locate_body(body1, 96).calls.size() == 1;
+  });
+  const CodecCost decode64 = codec_cost(codec_reps / 16, [&] {
+    codec_ok =
+        codec_ok && cellular::parse_locate_body(body64, 96).calls.size() == 64;
+  });
+  support::MetricRegistry render_registry;
+  fill_render_registry(render_registry);
+  std::size_t render_bytes = 0;
+  const CodecCost render = codec_cost(smoke ? 50 : 500, [&] {
+    render_bytes = support::to_prometheus(render_registry.snapshot()).size();
+  });
+
   // ---- Report.
   support::TextTable table({"metric", "value"});
   table.add_row({"locates/sec (metrics, untraced)",
@@ -266,6 +414,18 @@ int main(int argc, char** argv) {
                    support::TextTable::fmt(batch_p99_ms[s], 2) + " ms"});
   }
   table.add_row({"batch POST round-trips ok", batch_ok ? "yes" : "NO"});
+  const auto codec_row = [&](const std::string& what, const CodecCost& cost,
+                             double calls_per_op) {
+    table.add_row({what, support::TextTable::fmt(cost.allocs, 2) +
+                             " allocs, " +
+                             support::TextTable::fmt(cost.ns / calls_per_op, 0) +
+                             " ns" + (calls_per_op > 1.0 ? "/call" : "")});
+  };
+  codec_row("HTTP request parse", http_parse, 1.0);
+  codec_row("POST /locate decode (1 call)", decode1, 1.0);
+  codec_row("POST /locate decode (64 calls)", decode64, 64.0);
+  codec_row("/metrics render (" + support::TextTable::fmt(render_bytes) + " B)",
+            render, 1.0);
   std::cout << "\n" << table;
 
   bench.gate("sampling_overhead_at_most_100ns",
@@ -273,6 +433,7 @@ int main(int argc, char** argv) {
   bench.gate("scrape_byte_identical", scrape_identical);
   bench.gate("p99_at_most_250ms_under_load", p99_ms > 0.0 && p99_ms <= 250.0);
   bench.gate("batch_post_round_trips", batch_ok);
+  bench.gate("codec_round_trips", codec_ok);
 
   // ---- Machine-readable trajectory record.
   bench::Json& record = bench.record;
@@ -293,5 +454,15 @@ int main(int argc, char** argv) {
     locate_batch["p99_ms_batch" + std::to_string(kBatchSizes[s])] =
         batch_p99_ms[s];
   }
+  bench::Json& codec = record["codec"];
+  codec["http_parse_allocs"] = http_parse.allocs;
+  codec["http_parse_ns"] = http_parse.ns;
+  codec["decode_body1_allocs"] = decode1.allocs;
+  codec["decode_body1_ns_per_call"] = decode1.ns;
+  codec["decode_body64_allocs"] = decode64.allocs;
+  codec["decode_body64_ns_per_call"] = decode64.ns / 64.0;
+  codec["metrics_render_allocs"] = render.allocs;
+  codec["metrics_render_ns"] = render.ns;
+  codec["metrics_render_bytes"] = render_bytes;
   return bench.finish();
 }

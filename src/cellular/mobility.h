@@ -70,12 +70,34 @@ class MarkovMobility {
       std::vector<double> dist, std::size_t steps,
       std::span<const CellId> allowed = {}, double outside_weight = 1.0) const;
 
+  /// The killed chain in the allowed cells' local indices: `mass[k]` is
+  /// the mass on `allowed[k]` (distinct cells), advanced `steps`
+  /// transitions with whatever leaves `allowed` dropped. Bit for bit what
+  /// evolve(dist, steps, allowed, 0) leaves on `allowed`, without a
+  /// grid-sized array: the walk touches only the allowed cells. Throws
+  /// std::invalid_argument on a length other than allowed.size() or an
+  /// out-of-range cell.
+  [[nodiscard]] std::vector<double> evolve_within(
+      std::vector<double> mass, std::size_t steps,
+      std::span<const CellId> allowed) const;
+
   /// A trace of `steps + 1` cells starting at `start` (inclusive).
   [[nodiscard]] std::vector<CellId> generate_trace(CellId start,
                                                    std::size_t steps,
                                                    prob::Rng& rng) const;
 
  private:
+  /// The one evolution loop, over walk indices 0..offsets.size()-2:
+  /// index k's neighbours are targets[offsets[k], offsets[k + 1]) (an
+  /// index past the walk is a sink nobody reads). `next` is scratch of
+  /// dist's size. With `inside` non-empty, the mass on every index whose
+  /// flag is 0 is multiplied by `outside_weight` after each step.
+  void walk(std::vector<double>& dist, std::vector<double>& next,
+            std::size_t steps, std::span<const std::uint32_t> offsets,
+            std::span<const std::uint32_t> targets,
+            std::span<const std::uint8_t> inside = {},
+            double outside_weight = 1.0) const;
+
   const GridTopology* grid_;
   double stay_;
   /// Every cell's neighbours, concatenated in cell order: cell c's run is

@@ -128,11 +128,36 @@ prob::ProbabilityVector last_seen_profile(
       allowed = own_cells;
       break;
   }
-  std::vector<double> dist(c, 0.0);
-  dist[last_seen] = 1.0;
-  dist = mobility.evolve(std::move(dist), steps_since, allowed,
-                         silence.report_loss);
-  return restrict_to_area(dist, area_cells);
+  if (allowed.empty() || silence.report_loss != 0.0) {
+    std::vector<double> dist(c, 0.0);
+    dist[last_seen] = 1.0;
+    dist = mobility.evolve(std::move(dist), steps_since, allowed,
+                           silence.report_loss);
+    return restrict_to_area(dist, area_cells);
+  }
+  // Lossless reports: a silent device never left `allowed`, so only its
+  // cells are walked, and the row is read off their local indices.
+  const auto start = std::find(allowed.begin(), allowed.end(), last_seen);
+  std::vector<double> mass(allowed.size(), 0.0);
+  mass[static_cast<std::size_t>(start - allowed.begin())] = 1.0;
+  mass = mobility.evolve_within(std::move(mass), steps_since, allowed);
+  if (allowed.data() == area_cells.data()) {
+    return prob::normalized(std::move(mass));  // the area is the set
+  }
+  if (area_cells.empty()) {
+    throw std::invalid_argument("restrict_to_area: empty area");
+  }
+  std::vector<double> weights(area_cells.size(), 0.0);
+  for (std::size_t i = 0; i < area_cells.size(); ++i) {
+    if (area_cells[i] >= c) {
+      throw std::invalid_argument("restrict_to_area: cell out of range");
+    }
+    const auto at = std::find(allowed.begin(), allowed.end(), area_cells[i]);
+    if (at != allowed.end()) {
+      weights[i] = mass[static_cast<std::size_t>(at - allowed.begin())];
+    }
+  }
+  return prob::normalized(std::move(weights));
 }
 
 }  // namespace confcall::cellular

@@ -238,6 +238,12 @@ void ServiceFleet::step_all(std::size_t steps) {
 
 void ServiceFleet::export_shared_table_metrics() {
   if (config_.registry == nullptr) return;
+  // Entries and evictions move only when a plan lands in the table, which
+  // only a plan-cache miss does: an all-hit dispatch skips the sweep over
+  // every stripe.
+  const std::uint64_t inserts = shared_table_.plans.inserts();
+  if (inserts == exported_shared_inserts_) return;
+  exported_shared_inserts_ = inserts;
   const auto stats = shared_table_.plans.stats();
   shared_evictions_metric_.inc(stats.evictions - exported_shared_evictions_);
   exported_shared_evictions_ = stats.evictions;

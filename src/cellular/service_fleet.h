@@ -239,6 +239,7 @@ class ServiceFleet {
   support::Gauge shared_entries_metric_;
   support::Counter shared_evictions_metric_;
   std::uint64_t exported_shared_evictions_ = 0;
+  std::uint64_t exported_shared_inserts_ = 0;  ///< inserts() at last export
 
   std::atomic<std::size_t> areas_restored_{0};
 

@@ -50,10 +50,8 @@ ResilientPlanner::ResilientPlanner(
   breakers_.reserve(chain_.size() - 1);
   for (std::size_t i = 0; i + 1 < chain_.size(); ++i) {
     breakers_.push_back(std::make_unique<support::CircuitBreaker>(
-        breaker_options, clock,
-        registry->counter("confcall_planner_breaker_trips_total",
-                          "Breaker trips per guarded (non-final) tier",
-                          {{"tier", std::to_string(i)}})));
+        breaker_options, clock, registry,
+        support::MetricLabels{{"tier", std::to_string(i)}}));
   }
 }
 

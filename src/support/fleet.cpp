@@ -63,6 +63,7 @@ bool SignatureTable::insert(std::uint64_t signature,
   set.signatures[victim] = signature;
   set.referenced &= static_cast<std::uint8_t>(~(1u << victim));
   std::memcpy(row(index, victim), bytes.data(), row_bytes_);
+  inserts_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -28,6 +28,7 @@
 //     requirement.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -90,6 +91,13 @@ class SignatureTable {
   /// under its own mutex; cross-stripe skew is bounded by in-flight ops).
   [[nodiscard]] Stats stats() const;
 
+  /// Inserts that landed since construction. Only a landed insert moves
+  /// stats(), so a reader that saw this unchanged can skip the sweep of
+  /// every stripe that stats() takes.
+  [[nodiscard]] std::uint64_t inserts() const noexcept {
+    return inserts_.load(std::memory_order_relaxed);
+  }
+
  private:
   static constexpr std::size_t kNumStripes = 16;
 
@@ -125,6 +133,7 @@ class SignatureTable {
   std::vector<Set> sets_;
   std::unique_ptr<std::byte[]> slab_;
   Stripe stripes_[kNumStripes];
+  std::atomic<std::uint64_t> inserts_{0};
 };
 
 /// Best-effort CPU pinning of the calling thread (Linux sched_setaffinity;

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
@@ -28,19 +27,32 @@
 namespace confcall::support {
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+// The "C" locale's isspace and tolower, which the request grammar has
+// always used: ASCII only, whatever the process locale.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+constexpr char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+std::string_view trim(std::string_view s) noexcept {
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
 }
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
-  return s.substr(b, e - b);
+/// The next whitespace-delimited token of `line` from `*pos`; empty
+/// when only whitespace is left.
+std::string_view next_token(std::string_view line, std::size_t* pos) noexcept {
+  std::size_t b = *pos;
+  while (b < line.size() && is_space(line[b])) ++b;
+  std::size_t e = b;
+  while (e < line.size() && !is_space(line[e])) ++e;
+  *pos = e;
+  return line.substr(b, e - b);
 }
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -49,12 +61,21 @@ std::string trim(const std::string& s) {
 
 std::uint64_t now_ns() { return SteadyClockSource::shared().now_ns(); }
 
+// One allocation: the head is small next to the reserve for the body.
 std::string render_response(const HttpResponse& response) {
-  return "HTTP/1.1 " + std::to_string(response.status) + ' ' +
-         http_status_reason(response.status) +
-         "\r\nContent-Type: " + response.content_type +
-         "\r\nContent-Length: " + std::to_string(response.body.size()) +
-         "\r\nConnection: close\r\n\r\n" + response.body;
+  std::string out;
+  out.reserve(128 + response.content_type.size() + response.body.size());
+  out += "HTTP/1.1 ";
+  out += std::to_string(response.status);
+  out += ' ';
+  out += http_status_reason(response.status);
+  out += "\r\nContent-Type: ";
+  out += response.content_type;
+  out += "\r\nContent-Length: ";
+  out += std::to_string(response.body.size());
+  out += "\r\nConnection: close\r\n\r\n";
+  out += response.body;
+  return out;
 }
 
 HttpResponse plain_status(int status, const std::string& body) {
@@ -67,7 +88,7 @@ HttpResponse plain_status(int status, const std::string& body) {
 // Strict Content-Length: decimal digits only, no sign, no whitespace,
 // no trailing junk, bounded width. std::stoul would accept "+5", " 5"
 // and "5x" — exactly the ambiguity request-smuggling rides on.
-[[nodiscard]] bool parse_content_length(const std::string& text,
+[[nodiscard]] bool parse_content_length(std::string_view text,
                                         std::size_t* out) {
   if (text.empty() || text.size() > 19) return false;
   const char* const end = text.data() + text.size();
@@ -75,64 +96,81 @@ HttpResponse plain_status(int status, const std::string& body) {
   return error == std::errc{} && stop == end;
 }
 
-enum class Parse { kNeedMore, kComplete, kRejected };
+}  // namespace
 
-/// Parses the request bytes buffered so far. `header_end` caches where
-/// the header block ends once it has been seen. kRejected fills `error`
-/// for a malformed or oversized request.
-Parse parse_request(const std::string& buffer, std::size_t* header_end,
-                    const HttpServerOptions& options, HttpRequest* request,
-                    HttpResponse* error) {
+namespace detail {
+
+// One scan over the bytes the slot holds: views into the buffer, and a
+// std::string only for each field HttpRequest keeps.
+RequestParse parse_request(std::string_view buffer, std::size_t* header_end,
+                           const HttpServerOptions& options,
+                           HttpRequest* request, HttpResponse* error) {
   if (buffer.size() > options.max_request_bytes) {
     // Before the blank line this is a runaway header block (431);
     // after it, body bytes pushed past the cap (413).
-    *error = *header_end == std::string::npos
+    *error = *header_end == std::string_view::npos
                  ? plain_status(431, "header block too large")
                  : plain_status(413, "request body too large");
-    return Parse::kRejected;
+    return RequestParse::kRejected;
   }
-  if (*header_end == std::string::npos) {
+  if (*header_end == std::string_view::npos) {
     *header_end = buffer.find("\r\n\r\n");
-    if (*header_end == std::string::npos) return Parse::kNeedMore;
+    if (*header_end == std::string_view::npos) return RequestParse::kNeedMore;
   }
-  // Headers complete: parse enough to know the body length.
-  std::istringstream head(buffer.substr(0, *header_end));
-  std::string request_line;
-  std::getline(head, request_line);
+  // Headers complete: parse enough to know the body length. The request
+  // line is three whitespace-separated tokens; more are ignored.
+  const std::string_view head = buffer.substr(0, *header_end);
+  const std::size_t line_end = std::min(head.find('\n'), head.size());
+  std::string_view request_line = head.substr(0, line_end);
   if (!request_line.empty() && request_line.back() == '\r') {
-    request_line.pop_back();
+    request_line.remove_suffix(1);
   }
-  std::istringstream rl(request_line);
-  std::string target;
-  std::string version;
-  if (!(rl >> request->method >> target >> version) ||
-      version.rfind("HTTP/1.", 0) != 0) {
+  std::size_t at = 0;
+  const std::string_view method = next_token(request_line, &at);
+  const std::string_view target = next_token(request_line, &at);
+  const std::string_view version = next_token(request_line, &at);
+  if (!version.starts_with("HTTP/1.")) {
     *error = plain_status(400, "malformed request line");
-    return Parse::kRejected;
+    return RequestParse::kRejected;
   }
+  request->method = method;
+  // Header lines: a name before the first ':' (trimmed, lower-cased) and
+  // a trimmed value; a line without ':' is skipped.
   request->headers.clear();
-  std::string line;
-  while (std::getline(head, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  request->headers.reserve(
+      static_cast<std::size_t>(std::count(head.begin(), head.end(), '\n')));
+  std::string_view length_header;
+  bool length_seen = false;
+  for (std::size_t line_start = line_end + 1; line_start < head.size();) {
+    const std::size_t end = std::min(head.find('\n', line_start), head.size());
+    std::string_view line = head.substr(line_start, end - line_start);
+    line_start = end + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    request->headers.emplace_back(lower(trim(line.substr(0, colon))),
-                                  trim(line.substr(colon + 1)));
+    if (colon == std::string_view::npos) continue;
+    std::string& name = request->headers
+                            .emplace_back(trim(line.substr(0, colon)),
+                                          trim(line.substr(colon + 1)))
+                            .first;
+    for (char& c : name) c = ascii_lower(c);
+    if (!length_seen && name == "content-length") {
+      length_seen = true;
+      length_header = trim(line.substr(colon + 1));
+    }
   }
   const std::size_t query_pos = target.find('?');
   request->path = target.substr(0, query_pos);
-  request->query = query_pos == std::string::npos
-                       ? std::string{}
+  request->query = query_pos == std::string_view::npos
+                       ? std::string_view{}
                        : target.substr(query_pos + 1);
   // Missing Content-Length means an empty body (every scraper GET and
   // the bodyless curl -X POST smoke path); a present but non-numeric
   // one is malformed, not zero.
   std::size_t content_length = 0;
-  const std::string length_header = request->header("content-length");
   if (!length_header.empty() &&
       !parse_content_length(length_header, &content_length)) {
     *error = plain_status(400, "bad Content-Length");
-    return Parse::kRejected;
+    return RequestParse::kRejected;
   }
   const std::size_t body_start = *header_end + 4;
   if (content_length > options.max_request_bytes ||
@@ -140,12 +178,18 @@ Parse parse_request(const std::string& buffer, std::size_t* header_end,
     // The headers fit; the declared payload does not. Reject from the
     // declaration alone — never read a body the cap already rules out.
     *error = plain_status(413, "request body too large");
-    return Parse::kRejected;
+    return RequestParse::kRejected;
   }
-  if (buffer.size() < body_start + content_length) return Parse::kNeedMore;
+  if (buffer.size() < body_start + content_length) {
+    return RequestParse::kNeedMore;
+  }
   request->body = buffer.substr(body_start, content_length);
-  return Parse::kComplete;
+  return RequestParse::kComplete;
 }
+
+}  // namespace detail
+
+namespace {
 
 // Lingering close after a rejected request. The peer may still be
 // sending (a slow-loris drip, a header flood, a pipelined request), and
@@ -308,10 +352,10 @@ class HttpServer::Loop {
         slot.in.append(chunk, static_cast<std::size_t>(n));
         HttpRequest request;
         HttpResponse error;
-        const Parse parsed = parse_request(slot.in, &slot.header_end,
-                                           options_, &request, &error);
-        if (parsed == Parse::kRejected) reject(slot, error);
-        if (parsed != Parse::kComplete) continue;
+        const detail::RequestParse parsed = detail::parse_request(
+            slot.in, &slot.header_end, options_, &request, &error);
+        if (parsed == detail::RequestParse::kRejected) reject(slot, error);
+        if (parsed != detail::RequestParse::kComplete) continue;
         respond(slot, server_.dispatch(request));
         server_.requests_served_.fetch_add(1, std::memory_order_relaxed);
       } else if (n > 0 && writing) {
@@ -394,9 +438,12 @@ class HttpServer::Loop {
 };
 
 std::string HttpRequest::header(const std::string& name) const {
-  const std::string needle = lower(name);
   for (const auto& [key, value] : headers) {
-    if (key == needle) return value;
+    if (key.size() == name.size() &&
+        std::equal(key.begin(), key.end(), name.begin(),
+                   [](char k, char n) { return k == ascii_lower(n); })) {
+      return value;
+    }
   }
   return {};
 }

@@ -45,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -98,6 +99,29 @@ struct HttpServerOptions {
   /// Throws std::invalid_argument with a specific message per violation.
   void validate() const;
 };
+
+namespace detail {
+
+/// How far parse_request got with the bytes a connection holds so far.
+enum class RequestParse { kNeedMore, kComplete, kRejected };
+
+/// The server's request parser, one in-place scan over the bytes a
+/// connection has buffered so far (exposed for the parser fuzz tests).
+/// `header_end` caches where the header block ends once it has been
+/// seen (npos before). kComplete fills `request`; kRejected fills
+/// `error` with the 400 (malformed), 413 (body too large) or 431
+/// (header block too large) answer. The grammar: a request line of
+/// method, target and an `HTTP/1.x` version (whitespace-separated,
+/// extra tokens ignored), header lines `name: value` (lines without a
+/// ':' skipped), then Content-Length body bytes (strict decimal; absent
+/// or empty means no body).
+[[nodiscard]] RequestParse parse_request(std::string_view buffer,
+                                         std::size_t* header_end,
+                                         const HttpServerOptions& options,
+                                         HttpRequest* request,
+                                         HttpResponse* error);
+
+}  // namespace detail
 
 /// The server. Register routes, start(), scrape, stop(). Not copyable
 /// or movable (the loops hold `this`).

@@ -27,233 +27,41 @@ void append_utf8(std::string& out, std::uint32_t code_point) {
   }
 }
 
-class Parser {
- public:
-  Parser(std::string_view text, std::size_t max_depth)
-      : text_(text), max_depth_(max_depth) {}
-
-  JsonValue parse_document() {
-    JsonValue value = parse_value(0);
-    skip_whitespace();
-    if (pos_ != text_.size()) {
-      throw JsonError("trailing characters after JSON document", pos_);
-    }
-    return value;
-  }
-
- private:
-  [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const noexcept { return text_[pos_]; }
-
-  void skip_whitespace() noexcept {
-    while (!at_end()) {
-      const char c = peek();
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& message) const {
-    throw JsonError(message, pos_);
-  }
-
-  void expect(char c) {
-    if (at_end() || peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  void expect_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) {
-      fail("invalid literal");
-    }
-    pos_ += literal.size();
-  }
-
-  JsonValue parse_value(std::size_t depth) {
-    if (depth > max_depth_) fail("nesting too deep");
-    skip_whitespace();
-    if (at_end()) fail("unexpected end of input");
-    switch (peek()) {
-      case 'n':
-        expect_literal("null");
-        return JsonValue::make_null();
-      case 't':
-        expect_literal("true");
-        return JsonValue::make_bool(true);
-      case 'f':
-        expect_literal("false");
-        return JsonValue::make_bool(false);
-      case '"':
-        return JsonValue::make_string(parse_string());
-      case '[':
-        return parse_array(depth);
-      case '{':
-        return parse_object(depth);
-      default:
-        return parse_number();
-    }
-  }
-
-  JsonValue parse_array(std::size_t depth) {
-    expect('[');
-    JsonValue::Array items;
-    skip_whitespace();
-    if (!at_end() && peek() == ']') {
-      ++pos_;
+/// The reader driven into a value tree; recursion is bounded by the
+/// reader's nesting cap.
+JsonValue build_value(JsonReader& reader) {
+  switch (reader.begin_value()) {
+    case JsonReader::Kind::kNull:
+      reader.read_null();
+      return JsonValue::make_null();
+    case JsonReader::Kind::kBool:
+      return JsonValue::make_bool(reader.read_bool());
+    case JsonReader::Kind::kNumber:
+      return JsonValue::make_number(reader.read_number());
+    case JsonReader::Kind::kString:
+      return JsonValue::make_string(std::string(reader.read_string()));
+    case JsonReader::Kind::kArray: {
+      JsonValue::Array items;
+      if (reader.enter_array()) {
+        do {
+          items.push_back(build_value(reader));
+        } while (reader.next_element());
+      }
       return JsonValue::make_array(std::move(items));
     }
-    while (true) {
-      items.push_back(parse_value(depth + 1));
-      skip_whitespace();
-      if (at_end()) fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+    case JsonReader::Kind::kObject: {
+      JsonValue::Object members;
+      if (reader.enter_object()) {
+        do {
+          std::string key(reader.read_key());
+          members.emplace_back(std::move(key), build_value(reader));
+        } while (reader.next_member());
       }
-      expect(']');
-      return JsonValue::make_array(std::move(items));
-    }
-  }
-
-  JsonValue parse_object(std::size_t depth) {
-    expect('{');
-    JsonValue::Object members;
-    skip_whitespace();
-    if (!at_end() && peek() == '}') {
-      ++pos_;
-      return JsonValue::make_object(std::move(members));
-    }
-    while (true) {
-      skip_whitespace();
-      if (at_end() || peek() != '"') fail("expected object key string");
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':');
-      members.emplace_back(std::move(key), parse_value(depth + 1));
-      skip_whitespace();
-      if (at_end()) fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
       return JsonValue::make_object(std::move(members));
     }
   }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (at_end()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        --pos_;
-        fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (at_end()) fail("unterminated escape");
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          std::uint32_t code_point = parse_hex4();
-          if (code_point >= 0xD800 && code_point <= 0xDBFF) {
-            // High surrogate: a \uDC00–\uDFFF low half must follow.
-            if (text_.substr(pos_, 2) != "\\u") {
-              fail("lone high surrogate");
-            }
-            pos_ += 2;
-            const std::uint32_t low = parse_hex4();
-            if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
-            code_point =
-                0x10000 + ((code_point - 0xD800) << 10) + (low - 0xDC00);
-          } else if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
-            fail("lone low surrogate");
-          }
-          append_utf8(out, code_point);
-          break;
-        }
-        default:
-          --pos_;
-          fail("invalid escape character");
-      }
-    }
-  }
-
-  std::uint32_t parse_hex4() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<std::uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<std::uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<std::uint32_t>(c - 'A' + 10);
-      } else {
-        --pos_;
-        fail("invalid hex digit in \\u escape");
-      }
-    }
-    return value;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (!at_end() && peek() == '-') ++pos_;
-    // Integer part: 0, or a nonzero digit followed by digits.
-    if (at_end() || peek() < '0' || peek() > '9') fail("invalid number");
-    if (peek() == '0') {
-      ++pos_;
-    } else {
-      while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
-    }
-    if (!at_end() && peek() == '.') {
-      ++pos_;
-      if (at_end() || peek() < '0' || peek() > '9') {
-        fail("digit required after decimal point");
-      }
-      while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
-    }
-    if (!at_end() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!at_end() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (at_end() || peek() < '0' || peek() > '9') {
-        fail("digit required in exponent");
-      }
-      while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
-    }
-    double value = 0.0;
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    const auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc{} || ptr != last) {
-      // Grammar already validated; only overflow can land here.
-      throw JsonError("number out of range", start);
-    }
-    return JsonValue::make_number(value);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t max_depth_;
-};
+  return JsonValue::make_null();  // unreachable: every kind returns above
+}
 
 [[noreturn]] void type_mismatch(const char* wanted) {
   throw JsonError(std::string("JSON value is not ") + wanted, 0);
@@ -261,8 +69,280 @@ class Parser {
 
 }  // namespace
 
+void JsonReader::skip_whitespace() noexcept {
+  while (!at_end()) {
+    const char c = peek();
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
+  }
+}
+
+void JsonReader::fail(const std::string& message) const {
+  throw JsonError(message, pos_);
+}
+
+void JsonReader::expect(char c) {
+  if (at_end() || peek() != c) {
+    fail(std::string("expected '") + c + "'");
+  }
+  ++pos_;
+}
+
+void JsonReader::expect_literal(std::string_view literal) {
+  if (text_.substr(pos_, literal.size()) != literal) {
+    fail("invalid literal");
+  }
+  pos_ += literal.size();
+}
+
+JsonReader::Kind JsonReader::begin_value() {
+  if (depth_ > max_depth_) fail("nesting too deep");
+  skip_whitespace();
+  if (at_end()) fail("unexpected end of input");
+  switch (peek()) {
+    case 'n': return Kind::kNull;
+    case 't':
+    case 'f': return Kind::kBool;
+    case '"': return Kind::kString;
+    case '[': return Kind::kArray;
+    case '{': return Kind::kObject;
+    default: return Kind::kNumber;
+  }
+}
+
+void JsonReader::read_null() { expect_literal("null"); }
+
+bool JsonReader::read_bool() {
+  if (!at_end() && peek() == 't') {
+    expect_literal("true");
+    return true;
+  }
+  expect_literal("false");
+  return false;
+}
+
+double JsonReader::read_number() {
+  const std::size_t start = pos_;
+  if (!at_end() && peek() == '-') ++pos_;
+  // Integer part: 0, or a nonzero digit followed by digits.
+  if (at_end() || peek() < '0' || peek() > '9') fail("invalid number");
+  if (peek() == '0') {
+    ++pos_;
+  } else {
+    while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+  }
+  if (!at_end() && peek() == '.') {
+    ++pos_;
+    if (at_end() || peek() < '0' || peek() > '9') {
+      fail("digit required after decimal point");
+    }
+    while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+  }
+  if (!at_end() && (peek() == 'e' || peek() == 'E')) {
+    ++pos_;
+    if (!at_end() && (peek() == '+' || peek() == '-')) ++pos_;
+    if (at_end() || peek() < '0' || peek() > '9') {
+      fail("digit required in exponent");
+    }
+    while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+  }
+  double value = 0.0;
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc{} || ptr != last) {
+    // Grammar already validated; only overflow can land here.
+    throw JsonError("number out of range", start);
+  }
+  return value;
+}
+
+std::string_view JsonReader::read_string() {
+  expect('"');
+  // Plain run first: most strings (every key the wire uses) hold no
+  // escape and are returned as a view of the input.
+  const std::size_t start = pos_;
+  while (true) {
+    if (at_end()) fail("unterminated string");
+    const char c = peek();
+    if (c == '"') {
+      ++pos_;
+      return text_.substr(start, pos_ - 1 - start);
+    }
+    if (c == '\\') break;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      fail("unescaped control character in string");
+    }
+    ++pos_;
+  }
+  scratch_.assign(text_.substr(start, pos_ - start));
+  while (true) {
+    if (at_end()) fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return scratch_;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      --pos_;
+      fail("unescaped control character in string");
+    }
+    if (c != '\\') {
+      scratch_.push_back(c);
+      continue;
+    }
+    if (at_end()) fail("unterminated escape");
+    const char escape = text_[pos_++];
+    switch (escape) {
+      case '"': scratch_.push_back('"'); break;
+      case '\\': scratch_.push_back('\\'); break;
+      case '/': scratch_.push_back('/'); break;
+      case 'b': scratch_.push_back('\b'); break;
+      case 'f': scratch_.push_back('\f'); break;
+      case 'n': scratch_.push_back('\n'); break;
+      case 'r': scratch_.push_back('\r'); break;
+      case 't': scratch_.push_back('\t'); break;
+      case 'u': {
+        std::uint32_t code_point = parse_hex4();
+        if (code_point >= 0xD800 && code_point <= 0xDBFF) {
+          // High surrogate: a \uDC00–\uDFFF low half must follow.
+          if (text_.substr(pos_, 2) != "\\u") {
+            fail("lone high surrogate");
+          }
+          pos_ += 2;
+          const std::uint32_t low = parse_hex4();
+          if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
+          code_point =
+              0x10000 + ((code_point - 0xD800) << 10) + (low - 0xDC00);
+        } else if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
+          fail("lone low surrogate");
+        }
+        append_utf8(scratch_, code_point);
+        break;
+      }
+      default:
+        --pos_;
+        fail("invalid escape character");
+    }
+  }
+}
+
+std::uint32_t JsonReader::parse_hex4() {
+  if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+  std::uint32_t value = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = text_[pos_++];
+    value <<= 4;
+    if (c >= '0' && c <= '9') {
+      value |= static_cast<std::uint32_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      value |= static_cast<std::uint32_t>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      value |= static_cast<std::uint32_t>(c - 'A' + 10);
+    } else {
+      --pos_;
+      fail("invalid hex digit in \\u escape");
+    }
+  }
+  return value;
+}
+
+bool JsonReader::enter_array() {
+  expect('[');
+  skip_whitespace();
+  if (!at_end() && peek() == ']') {
+    ++pos_;
+    return false;
+  }
+  ++depth_;
+  return true;
+}
+
+bool JsonReader::next_element() {
+  skip_whitespace();
+  if (at_end()) fail("unterminated array");
+  if (peek() == ',') {
+    ++pos_;
+    return true;
+  }
+  expect(']');
+  --depth_;
+  return false;
+}
+
+bool JsonReader::enter_object() {
+  expect('{');
+  skip_whitespace();
+  if (!at_end() && peek() == '}') {
+    ++pos_;
+    return false;
+  }
+  ++depth_;
+  return true;
+}
+
+std::string_view JsonReader::read_key() {
+  skip_whitespace();
+  if (at_end() || peek() != '"') fail("expected object key string");
+  const std::string_view key = read_string();
+  skip_whitespace();
+  expect(':');
+  return key;
+}
+
+bool JsonReader::next_member() {
+  skip_whitespace();
+  if (at_end()) fail("unterminated object");
+  if (peek() == ',') {
+    ++pos_;
+    return true;
+  }
+  expect('}');
+  --depth_;
+  return false;
+}
+
+void JsonReader::skip(Kind kind) {
+  switch (kind) {
+    case Kind::kNull:
+      read_null();
+      return;
+    case Kind::kBool:
+      (void)read_bool();
+      return;
+    case Kind::kNumber:
+      (void)read_number();
+      return;
+    case Kind::kString:
+      (void)read_string();
+      return;
+    case Kind::kArray:
+      if (enter_array()) {
+        do {
+          skip(begin_value());
+        } while (next_element());
+      }
+      return;
+    case Kind::kObject:
+      if (enter_object()) {
+        do {
+          (void)read_key();
+          skip(begin_value());
+        } while (next_member());
+      }
+      return;
+  }
+}
+
+void JsonReader::finish() {
+  skip_whitespace();
+  if (pos_ != text_.size()) {
+    fail("trailing characters after JSON document");
+  }
+}
+
 JsonValue JsonValue::parse(std::string_view text, std::size_t max_depth) {
-  return Parser(text, max_depth).parse_document();
+  JsonReader reader(text, max_depth);
+  JsonValue value = build_value(reader);
+  reader.finish();
+  return value;
 }
 
 bool JsonValue::as_bool() const {

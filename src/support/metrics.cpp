@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <functional>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "support/json.h"
@@ -44,10 +44,8 @@ MetricLabels sorted_labels(MetricLabels labels) {
   return labels;
 }
 
-std::string escape_label_value(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
+void append_label_value(std::string& out, std::string_view value) {
+  for (const char c : value) {
     switch (c) {
       case '\\': out += "\\\\"; break;
       case '"': out += "\\\""; break;
@@ -55,66 +53,104 @@ std::string escape_label_value(const std::string& value) {
       default: out += c;
     }
   }
-  return out;
 }
 
 // The exposition format's HELP escaping: backslash and newline only
 // (label VALUES additionally escape the double quote — see
-// escape_label_value above; both run before anything reaches a scraper,
+// append_label_value above; both run before anything reaches a scraper,
 // which the /metrics endpoint now makes externally visible).
-std::string escape_help(const std::string& help) {
-  std::string out;
-  out.reserve(help.size());
-  for (char c : help) {
+void append_help(std::string& out, std::string_view help) {
+  for (const char c : help) {
     switch (c) {
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       default: out += c;
     }
   }
-  return out;
+}
+
+void append_label(std::string& out, const std::pair<std::string, std::string>&
+                                        label) {
+  out += label.first;
+  out += "=\"";
+  append_label_value(out, label.second);
+  out += '"';
+}
+
+/// Appends `{k="v",...}`, or nothing when there are no labels.
+void append_labels(std::string& out, const MetricLabels& labels) {
+  if (labels.empty()) return;
+  out += '{';
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (i > 0) out += ',';
+    append_label(out, labels[i]);
+  }
+  out += '}';
+}
+
+/// Appends a series key: the name, then its labels.
+void append_key(std::string& out, std::string_view name,
+                const MetricLabels& labels) {
+  out += name;
+  append_labels(out, labels);
 }
 
 std::string metric_key(const std::string& name, const MetricLabels& labels) {
-  if (labels.empty()) return name;
-  std::string key = name;
-  key += '{';
-  bool first = true;
-  for (const auto& [label, value] : labels) {
-    if (!first) key += ',';
-    first = false;
-    key += label;
-    key += "=\"";
-    key += escape_label_value(value);
-    key += '"';
-  }
-  key += '}';
+  std::string key;
+  append_key(key, name, labels);
   return key;
 }
 
-// JSON requires shortest-round-trip doubles; %.17g is the portable
-// sufficient precision and keeps exports bit-stable for the E15 gate.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
+void append_uint(std::string& out, std::uint64_t v) {
+  char buffer[24];
+  const auto [end, error] = std::to_chars(buffer, buffer + sizeof(buffer), v);
+  (void)error;  // 24 bytes hold any uint64_t
+  out.append(buffer, end);
 }
 
-std::string prom_number(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
+// %.17g is the portable round-trip precision; it renders the same bytes
+// an ostream at setprecision(17) does, and keeps exports bit-stable for
+// the E15 gate. snprintf, not std::to_chars(double): the latter pulls
+// its shortest-round-trip tables into the daemon's resident set.
+void append_double(std::string& out, double v) {
+  // A whole number below 1e17 (every bucket bound of an integers() or
+  // whole-number exponential layout) prints under %.17g as its plain
+  // digits; render those from the integer and skip printf's machinery.
+  if (v == std::trunc(v) && std::abs(v) < 1e17 && !std::signbit(v)) {
+    append_uint(out, static_cast<std::uint64_t>(v));
+    return;
+  }
+  char buffer[32];
+  const int n = std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+  out.append(buffer, static_cast<std::size_t>(n));
+}
+
+// JSON has no NaN or infinities.
+void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  append_double(out, v);
+}
+
+void append_prom_number(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "NaN";
+  } else if (std::isinf(v)) {
+    out += v > 0 ? "+Inf" : "-Inf";
+  } else {
+    append_double(out, v);
+  }
 }
 
 // 16-hex-digit zero-padded span id — the same rendering /traces uses,
 // so an exemplar's trace_id greps straight into the trace export.
-std::string trace_id_hex(std::uint64_t id) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << id;
-  return os.str();
+void append_trace_id_hex(std::string& out, std::uint64_t id) {
+  constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    out += kHex[(id >> shift) & 0xF];
+  }
 }
 
 // Exemplar fold for merges: first operand wins when both buckets carry
@@ -443,10 +479,11 @@ Histogram MetricRegistry::histogram(const std::string& name,
 
 RegistrySnapshot MetricRegistry::snapshot() const {
   RegistrySnapshot snapshot;
+  std::vector<MetricSnapshot> taken;
+  std::vector<const std::string*> keys;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (const auto& [key, entry] : shard.by_key) {
-      (void)key;
       MetricSnapshot metric;
       metric.name = entry.name;
       metric.labels = entry.labels;
@@ -488,59 +525,78 @@ RegistrySnapshot MetricRegistry::snapshot() const {
           break;
         }
       }
-      snapshot.metrics.push_back(std::move(metric));
+      taken.push_back(std::move(metric));
+      keys.push_back(&key);
     }
   }
-  std::sort(snapshot.metrics.begin(), snapshot.metrics.end(),
-            [](const MetricSnapshot& a, const MetricSnapshot& b) {
-              return a.key() < b.key();
-            });
+  // Order by the keys the shard maps already hold (a map never drops a
+  // node, so they outlive the locks) instead of rebuilding key() per
+  // comparison.
+  std::vector<std::size_t> order(taken.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&keys](std::size_t a, std::size_t b) {
+    return *keys[a] < *keys[b];
+  });
+  snapshot.metrics.reserve(taken.size());
+  for (const std::size_t i : order) {
+    snapshot.metrics.push_back(std::move(taken[i]));
+  }
   return snapshot;
 }
 
 std::string to_json(const RegistrySnapshot& snapshot) {
-  std::ostringstream os;
-  os << "{\n";
+  std::string out = "{\n";
+  std::string key;
   const char* section_names[] = {"counters", "gauges", "histograms"};
   const MetricType section_types[] = {MetricType::kCounter, MetricType::kGauge,
                                       MetricType::kHistogram};
   for (int section = 0; section < 3; ++section) {
-    os << "  \"" << section_names[section] << "\": {";
+    out += "  \"";
+    out += section_names[section];
+    out += "\": {";
     bool first = true;
     for (const auto& metric : snapshot.metrics) {
       if (metric.type != section_types[section]) continue;
-      if (!first) os << ",";
+      if (!first) out += ',';
       first = false;
-      os << "\n    \"" << json_escape(metric.key()) << "\": ";
+      key.clear();
+      append_key(key, metric.name, metric.labels);
+      out += "\n    \"";
+      out += json_escape(key);
+      out += "\": ";
       switch (metric.type) {
         case MetricType::kCounter:
-          os << metric.counter_value;
+          append_uint(out, metric.counter_value);
           break;
         case MetricType::kGauge:
-          os << json_number(metric.gauge_value);
+          append_json_number(out, metric.gauge_value);
           break;
         case MetricType::kHistogram: {
           const auto& h = metric.histogram;
-          os << "{\"count\": " << h.count
-             << ", \"sum\": " << json_number(h.sum)
-             << ", \"p50\": " << json_number(h.quantile(0.50))
-             << ", \"p99\": " << json_number(h.quantile(0.99))
-             << ", \"buckets\": [";
+          out += "{\"count\": ";
+          append_uint(out, h.count);
+          out += ", \"sum\": ";
+          append_json_number(out, h.sum);
+          out += ", \"p50\": ";
+          append_json_number(out, h.quantile(0.50));
+          out += ", \"p99\": ";
+          append_json_number(out, h.quantile(0.99));
+          out += ", \"buckets\": [";
           for (std::size_t i = 0; i < h.counts.size(); ++i) {
-            if (i > 0) os << ", ";
-            os << h.counts[i];
+            if (i > 0) out += ", ";
+            append_uint(out, h.counts[i]);
           }
-          os << "]}";
+          out += "]}";
           break;
         }
       }
     }
-    os << (first ? "}" : "\n  }");
-    if (section < 2) os << ",";
-    os << "\n";
+    out += first ? "}" : "\n  }";
+    if (section < 2) out += ',';
+    out += '\n';
   }
-  os << "}\n";
-  return os.str();
+  out += "}\n";
+  return out;
 }
 
 std::string to_prometheus(const RegistrySnapshot& snapshot) {
@@ -549,66 +605,131 @@ std::string to_prometheus(const RegistrySnapshot& snapshot) {
 
 std::string to_prometheus(const RegistrySnapshot& snapshot,
                           const PrometheusOptions& options) {
-  std::ostringstream os;
+  std::string out;
+  // Bucket lines of one series differ only in their le value, so the
+  // label text around it is built once per series.
+  std::string bucket_head;
+  std::string bucket_tail;
   // HELP/TYPE are per metric family (name), emitted once even when many
   // label sets share the name; the sorted snapshot groups them already.
-  std::string last_family;
+  const std::string* last_family = nullptr;
   for (const auto& metric : snapshot.metrics) {
-    if (metric.name != last_family) {
-      last_family = metric.name;
+    if (last_family == nullptr || metric.name != *last_family) {
+      last_family = &metric.name;
       if (!metric.help.empty()) {
-        os << "# HELP " << metric.name << " " << escape_help(metric.help)
-           << "\n";
+        out += "# HELP ";
+        out += metric.name;
+        out += ' ';
+        append_help(out, metric.help);
+        out += '\n';
       }
-      os << "# TYPE " << metric.name << " " << metric_type_name(metric.type)
-         << "\n";
+      out += "# TYPE ";
+      out += metric.name;
+      out += ' ';
+      out += metric_type_name(metric.type);
+      out += '\n';
     }
     switch (metric.type) {
       case MetricType::kCounter:
-        os << metric.key() << " " << metric.counter_value << "\n";
+        append_key(out, metric.name, metric.labels);
+        out += ' ';
+        append_uint(out, metric.counter_value);
+        out += '\n';
         break;
       case MetricType::kGauge:
-        os << metric.key() << " " << prom_number(metric.gauge_value) << "\n";
+        append_key(out, metric.name, metric.labels);
+        out += ' ';
+        append_prom_number(out, metric.gauge_value);
+        out += '\n';
         break;
       case MetricType::kHistogram: {
         const auto& h = metric.histogram;
+        const MetricLabels& labels = metric.labels;
+        // "le" joins the (sorted) labels where sorting would put it: after
+        // every name below "le", and among labels named "le" — which no
+        // registered series carries — by value.
+        const auto le_first = std::find_if(
+            labels.begin(), labels.end(),
+            [](const auto& label) { return label.first >= "le"; });
+        const auto le_last = std::find_if(
+            le_first, labels.end(),
+            [](const auto& label) { return label.first > "le"; });
+        bucket_head = metric.name;
+        bucket_head += "_bucket{";
+        for (auto it = labels.begin(); it != le_first; ++it) {
+          append_label(bucket_head, *it);
+          bucket_head += ',';
+        }
+        bucket_tail.clear();
+        for (auto it = le_last; it != labels.end(); ++it) {
+          bucket_tail += ',';
+          append_label(bucket_tail, *it);
+        }
+        bucket_tail += "} ";
+        const std::size_t le_at = bucket_head.size();
         std::uint64_t cumulative = 0;
-        auto bucket_key = [&metric](const std::string& le) {
-          MetricLabels labels = metric.labels;
-          labels.emplace_back("le", le);
-          std::sort(labels.begin(), labels.end());
-          return metric_key(metric.name + "_bucket", labels);
-        };
-        // OpenMetrics exemplar suffix on _bucket samples only, behind
-        // the opt-in: the default exposition must stay byte-identical
-        // release over release (the E16 scrape gate).
-        auto bucket_exemplar = [&](std::size_t i) {
-          if (!options.exemplars || i >= h.exemplars.size() ||
-              !h.exemplars[i].valid()) {
-            return;
+        // One bucket line; bound == nullptr is the +Inf bucket.
+        auto bucket_line = [&](std::size_t i, const double* bound) {
+          cumulative += h.counts[i];
+          bucket_head.resize(le_at);
+          if (bound != nullptr) {
+            append_prom_number(bucket_head, *bound);
+          } else {
+            bucket_head += "+Inf";
           }
-          os << " # {trace_id=\"" << trace_id_hex(h.exemplars[i].trace_id)
-             << "\"} " << prom_number(h.exemplars[i].value);
+          const std::string_view le(bucket_head.data() + le_at,
+                                    bucket_head.size() - le_at);
+          out.append(bucket_head, 0, le_at);
+          for (auto it = le_first; it != le_last; ++it) {
+            if (it->second < le) {
+              append_label(out, *it);
+              out += ',';
+            }
+          }
+          out += "le=\"";
+          out += le;
+          out += '"';
+          for (auto it = le_first; it != le_last; ++it) {
+            if (!(it->second < le)) {
+              out += ',';
+              append_label(out, *it);
+            }
+          }
+          out += bucket_tail;
+          append_uint(out, cumulative);
+          // OpenMetrics exemplar suffix on _bucket samples only, behind
+          // the opt-in: the default exposition must stay byte-identical
+          // release over release (the E16 scrape gate).
+          if (options.exemplars && i < h.exemplars.size() &&
+              h.exemplars[i].valid()) {
+            out += " # {trace_id=\"";
+            append_trace_id_hex(out, h.exemplars[i].trace_id);
+            out += "\"} ";
+            append_prom_number(out, h.exemplars[i].value);
+          }
+          out += '\n';
         };
         for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
-          cumulative += h.counts[i];
-          os << bucket_key(prom_number(h.upper_bounds[i])) << " " << cumulative;
-          bucket_exemplar(i);
-          os << "\n";
+          bucket_line(i, &h.upper_bounds[i]);
         }
-        cumulative += h.counts.back();
-        os << bucket_key("+Inf") << " " << cumulative;
-        bucket_exemplar(h.counts.size() - 1);
-        os << "\n";
-        os << metric_key(metric.name + "_sum", metric.labels) << " "
-           << prom_number(h.sum) << "\n";
-        os << metric_key(metric.name + "_count", metric.labels) << " "
-           << h.count << "\n";
+        bucket_line(h.counts.size() - 1, nullptr);
+        out += metric.name;
+        out += "_sum";
+        append_labels(out, labels);
+        out += ' ';
+        append_prom_number(out, h.sum);
+        out += '\n';
+        out += metric.name;
+        out += "_count";
+        append_labels(out, labels);
+        out += ' ';
+        append_uint(out, h.count);
+        out += '\n';
         break;
       }
     }
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace confcall::support

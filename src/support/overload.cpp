@@ -50,12 +50,18 @@ void CircuitBreakerOptions::validate() const {
 }
 
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options,
-                               const ClockSource& clock, Counter trips)
-    : options_(options),
-      clock_(&clock),
-      outcomes_(options.window, 0),
-      trips_metric_(trips) {
+                               const ClockSource& clock,
+                               MetricRegistry* registry,
+                               const MetricLabels& labels)
+    : options_(options), clock_(&clock), outcomes_(options.window, 0) {
   options_.validate();
+  if (registry == nullptr) {
+    owned_registry_ = std::make_unique<MetricRegistry>();
+    registry = owned_registry_.get();
+  }
+  trips_metric_ = registry->counter(
+      "confcall_planner_breaker_trips_total",
+      "Breaker trips per guarded (non-final) tier", labels);
 }
 
 const char* CircuitBreaker::state_name(State state) noexcept {
@@ -110,7 +116,6 @@ void CircuitBreaker::trip_locked() {
   state_ = State::kOpen;
   open_until_ns_ = clock_->now_ns() + options_.cooldown_ns;
   probe_in_flight_ = false;
-  ++trips_;
   trips_metric_.inc();
   // A fresh cooldown deserves a fresh verdict: the window restarts so
   // stale pre-trip failures cannot instantly re-trip a recovering
@@ -163,10 +168,7 @@ void CircuitBreaker::record_failure() {
   }
 }
 
-std::uint64_t CircuitBreaker::trips() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return trips_;
-}
+std::uint64_t CircuitBreaker::trips() const { return trips_metric_.value(); }
 
 std::uint64_t CircuitBreaker::rejections() const {
   const std::lock_guard<std::mutex> lock(mutex_);

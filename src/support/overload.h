@@ -144,15 +144,16 @@ class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
 
-  /// The clock must outlive the breaker. Every trip also counts into
-  /// `trips`, a registry counter handle (typically labelled with the
-  /// guarded tier); the default unbound handle counts nowhere. Throws
-  /// std::invalid_argument on bad options (see
-  /// CircuitBreakerOptions::validate).
+  /// The clock must outlive the breaker. Trips are counted once, in
+  /// `registry`'s confcall_planner_breaker_trips_total series with
+  /// `labels` (typically the guarded tier; the registry must outlive the
+  /// breaker), and trips() reads that series; pass nullptr and the
+  /// breaker owns a private registry. Throws std::invalid_argument on
+  /// bad options (see CircuitBreakerOptions::validate).
   explicit CircuitBreaker(
       CircuitBreakerOptions options = {},
       const ClockSource& clock = SteadyClockSource::shared(),
-      Counter trips = {});
+      MetricRegistry* registry = nullptr, const MetricLabels& labels = {});
 
   /// May the protected call proceed right now? While open this counts a
   /// rejection and returns false until the cooldown elapses; then the
@@ -206,11 +207,11 @@ class CircuitBreaker {
   std::size_t next_slot_ = 0;
   std::size_t samples_ = 0;
   std::size_t failures_in_window_ = 0;
-  std::uint64_t trips_ = 0;
   std::uint64_t rejections_ = 0;
   std::uint64_t tripped_at_ns_ = 0;  ///< first trip of the open episode
   std::uint64_t recoveries_ = 0;
   std::uint64_t last_recovery_ns_ = 0;
+  std::unique_ptr<MetricRegistry> owned_registry_;  ///< when none injected
   Counter trips_metric_;
 };
 

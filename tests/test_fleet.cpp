@@ -66,6 +66,24 @@ TEST(FleetSignatureTable, InsertOnceFirstWriterWins) {
   EXPECT_EQ(stats.evictions, 0u);
 }
 
+TEST(FleetSignatureTable, InsertsCountOnlyLandedInserts) {
+  // stats() moves only when an insert lands, which inserts() counts: a
+  // reader that saw it unchanged may skip the stripe sweep.
+  support::SignatureTable table(/*capacity=*/8, /*row_bytes=*/3);
+  EXPECT_EQ(table.inserts(), 0u);
+  EXPECT_TRUE(table.insert(1, row_of(1, 3)));
+  EXPECT_FALSE(table.insert(1, row_of(1, 3)));  // resident: not landed
+  EXPECT_EQ(table.inserts(), 1u);
+  std::vector<std::byte> out(3);
+  EXPECT_TRUE(table.lookup(1, out));
+  EXPECT_EQ(table.inserts(), 1u);
+  for (std::uint64_t signature = 2; signature < 40; ++signature) {
+    EXPECT_TRUE(table.insert(signature, row_of(signature, 3)));
+  }
+  const auto stats = table.stats();
+  EXPECT_EQ(table.inserts(), stats.entries + stats.evictions);
+}
+
 TEST(FleetSignatureTable, RejectsRowsOfTheWrongWidth) {
   EXPECT_THROW(support::SignatureTable(8, 0), std::invalid_argument);
   support::SignatureTable table(/*capacity=*/8, /*row_bytes=*/4);

@@ -1,17 +1,22 @@
 // Randomized operation-sequence fuzzing: drive LocationService and the
 // planners with random but legal operation streams and assert structural
-// invariants after every step. Complements the deterministic tests by
-// exploring interleavings no hand-written scenario covers.
+// invariants after every step, and feed the text parsers hostile input.
+// Complements the deterministic tests by exploring interleavings and
+// byte soups no hand-written scenario covers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "cellular/locate_api.h"
 #include "cellular/service.h"
 #include "core/evaluator.h"
 #include "core/greedy.h"
 #include "core/io.h"
 #include "prob/distribution.h"
+#include "support/http.h"
 #include "test_util.h"
 
 namespace confcall {
@@ -128,10 +133,41 @@ TEST(Fuzz, LocationServiceInvariantsUnderRandomOps) {
   }
 }
 
+/// A few random edits of `text` — overwrite, insert or delete a byte
+/// from `alphabet`, truncate, or repeat a short slice — so a mutant
+/// stays close enough to a valid seed to reach deep into a grammar.
+std::string mutate(std::string text, std::string_view alphabet,
+                   prob::Rng& rng) {
+  const std::size_t edits = 1 + rng.next_below(6);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = text.empty() ? 0 : rng.next_below(text.size());
+    const char c = alphabet[rng.next_below(alphabet.size())];
+    switch (rng.next_below(5)) {
+      case 0:
+        if (!text.empty()) text[at] = c;
+        break;
+      case 1:
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), c);
+        break;
+      case 2:
+        if (!text.empty()) text.erase(at, 1);
+        break;
+      case 3:
+        text.resize(at);
+        break;
+      default:
+        text.insert(at, text.substr(at, rng.next_below(8)));
+        break;
+    }
+  }
+  return text;
+}
+
 TEST(Fuzz, ParsersRejectGarbageWithoutCrashing) {
-  // Hostile-input sweep: random byte soup into both text parsers. The
-  // only acceptable outcomes are a parsed value or std::invalid_argument
-  // — never a crash, hang, or any other exception type.
+  // Hostile-input sweep: random byte soup into every text parser. The
+  // only acceptable outcomes are a parsed value or a rejection — a
+  // std::invalid_argument, or a 4xx from the HTTP request parser —
+  // never a crash, hang, or any other exception type.
   const char charset[] =
       "0123456789.eE+-{}|, \t\n#nanifconference-call-instance vmc";
   prob::Rng rng(0xbadf00d);
@@ -158,6 +194,67 @@ TEST(Fuzz, ParsersRejectGarbageWithoutCrashing) {
       const core::Strategy parsed =
           core::strategy_from_text(text, 1 + rng.next_below(12));
       EXPECT_GE(parsed.num_rounds(), 1u);
+    } catch (const std::invalid_argument&) {
+      // expected for garbage
+    }
+  }
+
+  // The HTTP request parser, on mutants of well-formed requests: a
+  // complete parse carries exactly its Content-Length of body bytes.
+  const std::string requests[] = {
+      "POST /locate HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n"
+      "Content-Type: application/json\r\nContent-Length: 21\r\n\r\n"
+      "{\"users\": [0, 1, 2]}",
+      "GET /metrics?name=x HTTP/1.0\r\nAccept: */*\r\n\r\n",
+      " GET\t/readyz  HTTP/1.1 extra\r\nX-A:b\nContent-Length:  2 \r\n\r\nok",
+  };
+  const std::string_view http_alphabet(
+      "GET POST/?:\r\n\t\v\f HTtp1.0123456789-Content-Length\0\xff", 50);
+  support::HttpServerOptions options;
+  options.max_request_bytes = 256;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::string text = mutate(requests[iter % 3], http_alphabet, rng);
+    support::HttpRequest request;
+    support::HttpResponse error;
+    std::size_t header_end = std::string_view::npos;
+    const support::detail::RequestParse parsed = support::detail::parse_request(
+        text, &header_end, options, &request, &error);
+    if (parsed == support::detail::RequestParse::kRejected) {
+      EXPECT_TRUE(error.status == 400 || error.status == 413 ||
+                  error.status == 431)
+          << error.status;
+    } else if (parsed == support::detail::RequestParse::kComplete) {
+      EXPECT_LE(header_end + 4 + request.body.size(), text.size());
+      const std::string length = request.header("content-length");
+      EXPECT_EQ(request.body.size(),
+                length.empty() ? 0u : std::stoull(length));
+      EXPECT_FALSE(request.method.empty());
+    }
+  }
+
+  // The POST /locate decoder: whatever it accepts is a valid request.
+  const std::string bodies[] = {
+      "{\"users\": [3, 17, 41]}",
+      "[{\"users\": [1, 2]}, {}, {\"users\": [95], \"area\": 2}]",
+      "{\"area\": 1, \"users\": [5, 6, 7, 8]}",
+      "[{\"us\\u0065rs\": [1, 2e0]}, {\"area\": 3}]",
+  };
+  const std::string_view json_alphabet("{}[],:\" 0123456789.-+eEusra\\tfn");
+  constexpr std::size_t kUsers = 96;
+  constexpr std::size_t kAreas = 4;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::string body = mutate(bodies[iter % 4], json_alphabet, rng);
+    try {
+      const cellular::LocateApiRequest request =
+          cellular::parse_locate_body(body, kUsers, kAreas);
+      EXPECT_TRUE(request.batch || request.calls.size() == 1u);
+      for (const cellular::LocateCallSpec& call : request.calls) {
+        EXPECT_LT(call.area, kAreas);
+        std::vector<UserId> users = call.users;
+        std::sort(users.begin(), users.end());
+        EXPECT_EQ(std::adjacent_find(users.begin(), users.end()), users.end());
+        for (const UserId user : users) EXPECT_LT(user, kUsers);
+      }
     } catch (const std::invalid_argument&) {
       // expected for garbage
     }

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -643,6 +648,88 @@ TEST(Exporters, PrometheusTextFormat) {
             std::string::npos);
   EXPECT_NE(text.find("confcall_lat_ns_count 2"), std::string::npos);
   EXPECT_NE(text.find("confcall_lat_ns_sum 10.5"), std::string::npos);
+}
+
+// The exporters format numbers without iostreams. These are the bytes
+// an ostream at setprecision(17) gives — what every earlier release
+// served, and what the E16 byte-identity gate and scrapers compare.
+std::string ostream_number(double v) {
+  std::ostringstream os;
+  os << std::setprecision(17) << v;
+  return os.str();
+}
+
+std::string reference_prom_number(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  return ostream_number(v);
+}
+
+std::string reference_json_number(double v) {
+  return std::isfinite(v) ? ostream_number(v) : "null";
+}
+
+TEST(Exporters, NumbersMatchTheOstreamRendering) {
+  const double values[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -0.0, 0.0, 0.1, 1e21, 9007199254740992.0 /* 2^53 */,
+      4.9406564584124654e-324 /* the least denormal */,
+      std::numeric_limits<double>::max(), 1e17, 99999999999999984.0, 1e16,
+      -3.0, 1.0 / 3.0, 2.5e-7, 123456.789, -1e300, 4096.0};
+  MetricRegistry registry;
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    registry.gauge("value", "", {{"i", std::to_string(i)}}).set(values[i]);
+  }
+  const std::uint64_t counts[] = {0, 9007199254740993ULL,
+                                  std::numeric_limits<std::uint64_t>::max()};
+  for (std::size_t i = 0; i < std::size(counts); ++i) {
+    registry.counter("count", "", {{"i", std::to_string(i)}}).inc(counts[i]);
+  }
+  // Finite values double as bucket bounds (le labels) and observations
+  // (the _sum line).
+  HistogramSpec spec;
+  spec.upper_bounds = {-1e300, -3.0, 4.9406564584124654e-324, 0.1, 2.5e-7 * 1e6,
+                       4096.0, 9007199254740992.0, 1e21};
+  const Histogram histogram = registry.histogram("hist", spec, "");
+  histogram.observe(0.1);
+  histogram.observe(1e21);
+  const RegistrySnapshot snapshot = registry.snapshot();
+  const std::string prom = to_prometheus(snapshot);
+  const std::string json = to_json(snapshot);
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    const std::string key = "value{i=\"" + std::to_string(i) + "\"}";
+    EXPECT_NE(prom.find("\n" + key + " " + reference_prom_number(values[i]) +
+                        "\n"),
+              std::string::npos)
+        << key;
+    EXPECT_NE(json.find("\"value{i=\\\"" + std::to_string(i) + "\\\"}\": " +
+                        reference_json_number(values[i])),
+              std::string::npos)
+        << key;
+  }
+  for (std::size_t i = 0; i < std::size(counts); ++i) {
+    std::ostringstream os;
+    os << counts[i];
+    EXPECT_NE(prom.find("count{i=\"" + std::to_string(i) + "\"} " + os.str() +
+                        "\n"),
+              std::string::npos);
+  }
+  std::uint64_t cumulative = 0;
+  const HistogramSnapshot& h = snapshot.find("hist")->histogram;
+  for (std::size_t b = 0; b < spec.upper_bounds.size(); ++b) {
+    cumulative += h.counts[b];
+    EXPECT_NE(prom.find("hist_bucket{le=\"" +
+                        reference_prom_number(spec.upper_bounds[b]) + "\"} " +
+                        std::to_string(cumulative) + "\n"),
+              std::string::npos)
+        << spec.upper_bounds[b];
+  }
+  EXPECT_NE(prom.find("hist_sum " + reference_prom_number(0.1 + 1e21) + "\n"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"sum\": " + reference_json_number(0.1 + 1e21)),
+            std::string::npos);
 }
 
 TEST(Exporters, PrometheusEscapesLabelValuesAndHelp) {

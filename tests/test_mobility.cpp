@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -146,6 +148,41 @@ TEST(MarkovMobility, EvolveWeightsTheMassOutsideTheAllowedCells) {
                std::invalid_argument);
   const std::vector<CellId> off_grid = {99};
   EXPECT_THROW((void)mobility.evolve(dist, 1, off_grid, 0.5),
+               std::invalid_argument);
+}
+
+TEST(MarkovMobility, EvolveWithinIsTheKilledChainBitForBit) {
+  // The killed chain walked in the allowed cells' local indices leaves
+  // exactly the doubles the whole-grid evolve leaves on those cells, for
+  // an area, a ball, one cell and a scattered, unsorted set.
+  const GridTopology grid(6, 7);
+  const MarkovMobility mobility(grid, 0.35);
+  const std::vector<std::vector<CellId>> sets = {
+      {8, 9, 10, 15, 16, 17}, {16, 9, 15, 17, 23}, {20}, {41, 0, 3, 40, 34}};
+  for (const std::vector<CellId>& allowed : sets) {
+    std::vector<double> mass(allowed.size(), 0.0);
+    std::vector<double> dist(grid.num_cells(), 0.0);
+    for (std::size_t k = 0; k < allowed.size(); ++k) {
+      mass[k] = 1.0 / static_cast<double>(k + 2);
+      dist[allowed[k]] = mass[k];
+    }
+    for (const std::size_t steps : {0u, 1u, 5u, 12u}) {
+      const std::vector<double> whole =
+          mobility.evolve(dist, steps, allowed, 0.0);
+      const std::vector<double> local =
+          mobility.evolve_within(mass, steps, allowed);
+      ASSERT_EQ(local.size(), allowed.size());
+      for (std::size_t k = 0; k < allowed.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(local[k]),
+                  std::bit_cast<std::uint64_t>(whole[allowed[k]]))
+            << "cell " << allowed[k] << " after " << steps << " steps";
+      }
+    }
+  }
+  EXPECT_THROW((void)mobility.evolve_within({1.0}, 1, sets[0]),
+               std::invalid_argument);
+  const std::vector<CellId> off_grid = {99};
+  EXPECT_THROW((void)mobility.evolve_within({1.0}, 1, off_grid),
                std::invalid_argument);
 }
 

@@ -112,6 +112,31 @@ TEST(CircuitBreaker, TripsAtThresholdAndRejectsWhileOpen) {
   EXPECT_EQ(breaker.rejections(), 2u);
 }
 
+TEST(CircuitBreaker, TripsCountOnceInTheRegistry) {
+  // The registry series is the only count: trips() reads it back, and a
+  // breaker without a registry counts into a private one.
+  ManualClock clock;
+  MetricRegistry registry;
+  CircuitBreaker breaker(small_breaker(), clock, &registry, {{"tier", "0"}});
+  breaker.record_success();
+  breaker.record_failure();
+  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+  const RegistrySnapshot snapshot = registry.snapshot();
+  const MetricSnapshot* trips =
+      snapshot.find("confcall_planner_breaker_trips_total", {{"tier", "0"}});
+  ASSERT_NE(trips, nullptr);
+  EXPECT_EQ(trips->counter_value, 1u);
+  EXPECT_EQ(breaker.trips(), 1u);
+  clock.advance(small_breaker().cooldown_ns);
+  ASSERT_TRUE(breaker.allow());
+  breaker.record_failure();  // the probe fails: a second trip
+  EXPECT_EQ(breaker.trips(), 2u);
+  EXPECT_EQ(registry.snapshot()
+                .find("confcall_planner_breaker_trips_total", {{"tier", "0"}})
+                ->counter_value,
+            2u);
+}
+
 TEST(CircuitBreaker, SuccessesAloneNeverTrip) {
   const ManualClock clock;
   CircuitBreaker breaker(small_breaker(), clock);

@@ -10,8 +10,8 @@ relative to the baseline. Direction matters: for most metrics bigger is
 worse only when the name says so. A metric regresses when
 
   * its name suggests "lower is better" (latency, time, percentiles,
-    shed/abandon counts, failovers, trips, *_bytes footprints) and it
-    grew, or
+    shed/abandon counts, failovers, trips, *_bytes footprints, heap
+    allocation counts) and it grew, or
   * its name suggests "higher is better" (rate as in hit_rate, speedup,
     throughput, *_per_sec, completed) and it shrank.
 
@@ -47,6 +47,7 @@ LOWER_IS_BETTER = (
     "deadline_limited",
     "recovery_periods",
     "_bytes",
+    "allocs",
 )
 HIGHER_IS_BETTER = (
     "per_sec",
