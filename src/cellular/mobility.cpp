@@ -8,25 +8,18 @@ namespace confcall::cellular {
 
 MarkovMobility::MarkovMobility(const GridTopology& grid,
                                double stay_probability)
-    : grid_(&grid), stay_(stay_probability) {
+    : grid_(&grid),
+      stay_(stay_probability),
+      neighbor_offsets_(grid.neighbor_offsets()),
+      neighbor_cells_(grid.neighbor_cells()) {
   if (stay_ < 0.0 || stay_ >= 1.0) {
     throw std::invalid_argument("MarkovMobility: need 0 <= stay < 1");
-  }
-  const std::size_t c = grid_->num_cells();
-  neighbor_offsets_.reserve(c + 1);
-  neighbor_offsets_.push_back(0);
-  for (std::size_t cell = 0; cell < c; ++cell) {
-    const auto& neighbors = grid_->neighbors(static_cast<CellId>(cell));
-    neighbor_cells_.insert(neighbor_cells_.end(), neighbors.begin(),
-                           neighbors.end());
-    neighbor_offsets_.push_back(
-        static_cast<std::uint32_t>(neighbor_cells_.size()));
   }
 }
 
 std::vector<double> MarkovMobility::transition_row(CellId cell) const {
   std::vector<double> row(grid_->num_cells(), 0.0);
-  const auto& neighbors = grid_->neighbors(cell);
+  const std::span<const CellId> neighbors = grid_->neighbors(cell);
   if (neighbors.empty()) {
     row[cell] = 1.0;
     return row;

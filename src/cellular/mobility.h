@@ -33,10 +33,10 @@ class MarkovMobility {
 
   /// One transition from `current`: one next_double draw against the
   /// stay probability, then, on a move, one next_below draw over the
-  /// cell's neighbours in GridTopology::neighbors order. Inline over a
-  /// flat neighbour table, since the simulator and every fleet area run
-  /// it once per user per step. Throws std::out_of_range on a cell
-  /// outside the grid.
+  /// cell's neighbours in GridTopology::neighbors order. Inline over the
+  /// grid's flat neighbour table, since the simulator and every fleet
+  /// area run it once per user per step. Throws std::out_of_range on a
+  /// cell outside the grid.
   [[nodiscard]] CellId step(CellId current, prob::Rng& rng) const {
     if (current + std::size_t{1} >= neighbor_offsets_.size()) {
       throw std::out_of_range("MarkovMobility::step: cell out of range");
@@ -100,10 +100,11 @@ class MarkovMobility {
 
   const GridTopology* grid_;
   double stay_;
-  /// Every cell's neighbours, concatenated in cell order: cell c's run is
+  /// The grid's adjacency table (GridTopology::neighbor_offsets and
+  /// neighbor_cells), viewed, not copied: cell c's neighbours are
   /// neighbor_cells_[neighbor_offsets_[c], neighbor_offsets_[c + 1]).
-  std::vector<std::uint32_t> neighbor_offsets_;
-  std::vector<CellId> neighbor_cells_;
+  std::span<const std::uint32_t> neighbor_offsets_;
+  std::span<const CellId> neighbor_cells_;
 };
 
 /// `count` users placed uniformly at random on `grid`, one

@@ -1,8 +1,6 @@
 #include "cellular/serving_node.h"
 
-#include <iomanip>
-#include <iostream>
-#include <sstream>
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -10,6 +8,7 @@
 #include "support/json.h"
 #include "support/slo_controller.h"
 #include "support/state_io.h"
+#include "support/text.h"
 
 namespace confcall::cellular {
 
@@ -155,8 +154,10 @@ bool ServingNode::write_checkpoint() {
   } catch (const std::exception& error) {
     // A full disk must degrade durability, never serving.
     checkpoint_failed_metric_.inc();
-    std::cerr << "confcall_serve: checkpoint failed: " << error.what()
-              << "\n";
+    const std::string line =
+        std::string("confcall_serve: checkpoint failed: ") + error.what() +
+        "\n";
+    (void)std::fwrite(line.data(), 1, line.size(), stderr);
     return false;
   }
 }
@@ -275,49 +276,65 @@ support::HttpResponse ServingNode::fleetz() const {
   // registry is the fleet's one record, and a snapshot is a race-free cut
   // the dispatcher never has to pause for.
   const support::RegistrySnapshot snap = registry_.snapshot();
-  std::ostringstream body;
+  std::string body;
+  const auto open_member = [&body](const char* separator, const char* key) {
+    body += separator;
+    body += '"';
+    body += key;
+    body += "\": ";
+  };
   // `"key": value` of one series: a counter's count, a gauge's level, a
   // histogram's p99; 0 when the series does not exist (yet).
-  const auto field = [&snap, &body](const char* key, std::string_view name,
-                                    const support::MetricLabels& labels = {},
-                                    const char* separator = ", ") {
-    body << separator << "\"" << key << "\": ";
+  const auto field = [&snap, &body, &open_member](
+                         const char* key, std::string_view name,
+                         const support::MetricLabels& labels = {},
+                         const char* separator = ", ") {
+    open_member(separator, key);
     const support::MetricSnapshot* metric = snap.find(name, labels);
     if (metric == nullptr) {
-      body << 0;
+      body += '0';
     } else if (metric->type == support::MetricType::kCounter) {
-      body << metric->counter_value;
+      support::append_uint(body, metric->counter_value);
     } else if (metric->type == support::MetricType::kGauge) {
-      body << static_cast<std::uint64_t>(metric->gauge_value);
+      support::append_uint(body,
+                           static_cast<std::uint64_t>(metric->gauge_value));
     } else {
-      body << metric->histogram.quantile(0.99);
+      support::append_double_g(body, metric->histogram.quantile(0.99));
     }
   };
   // `"key": n` of a counter family summed over its shard labels.
-  const auto total = [&snap, &body](const char* key, std::string_view name,
-                                    const char* separator = ", ") {
+  const auto total = [&snap, &body, &open_member](
+                         const char* key, std::string_view name,
+                         const char* separator = ", ") {
     const std::optional<support::MetricSnapshot> summed = snap.sum_by(name);
-    body << separator << "\"" << key
-         << "\": " << (summed ? summed->counter_value : 0);
+    open_member(separator, key);
+    support::append_uint(body, summed ? summed->counter_value : 0);
   };
   const support::Readiness phase = readiness_.state();
-  body << "{\"shards\": " << fleet_.num_shards()
-       << ", \"areas\": " << fleet_.num_areas()
-       << ", \"areas_ready\": " << areas_ready(phase) << ", \"phase\": \""
-       << support::readiness_name(phase) << "\"";
+  body += "{\"shards\": ";
+  support::append_uint(body, fleet_.num_shards());
+  body += ", \"areas\": ";
+  support::append_uint(body, fleet_.num_areas());
+  body += ", \"areas_ready\": ";
+  support::append_uint(body, areas_ready(phase));
+  body += ", \"phase\": \"";
+  body += support::readiness_name(phase);
+  body += '"';
   field("dispatches", "confcall_fleet_dispatches_total");
   total("requests", "confcall_locate_calls_total");
-  body << ", \"shared_plan\": {";
+  body += ", \"shared_plan\": {";
   total("hits", "confcall_locate_plan_cache_hits_total", "");
   total("misses", "confcall_locate_plan_cache_misses_total");
   field("entries", "confcall_fleet_shared_plan_entries");
   field("evictions", "confcall_fleet_shared_plan_evictions_total");
   // Fixed at construction, so readable without the sim mutex.
-  body << ", \"capacity\": " << fleet_.shared_table().plans.capacity()
-       << "}, \"per_shard\": [";
+  body += ", \"capacity\": ";
+  support::append_uint(body, fleet_.shared_table().plans.capacity());
+  body += "}, \"per_shard\": [";
   for (std::size_t s = 0; s < fleet_.num_shards(); ++s) {
     const support::MetricLabels shard{{"shard", std::to_string(s)}};
-    body << (s > 0 ? ", " : "") << "{\"shard\": " << s;
+    body += s > 0 ? ", {\"shard\": " : "{\"shard\": ";
+    support::append_uint(body, s);
     field("tasks", "confcall_fleet_tasks_total", shard);
     field("task_p99_ns", "confcall_fleet_task_ns", shard);
     field("locate_calls", "confcall_locate_calls_total", shard);
@@ -326,21 +343,22 @@ support::HttpResponse ServingNode::fleetz() const {
           shard);
     field("rounds_p99", "confcall_locate_rounds", shard);
     // The exemplars bridge the rounds histogram to /traces.
-    body << ", \"exemplar_trace_ids\": [";
-    const char* separator = "";
+    body += ", \"exemplar_trace_ids\": [";
+    const char* separator = "\"";
     if (const support::MetricSnapshot* rounds =
             snap.find("confcall_locate_rounds", shard)) {
       for (const support::Exemplar& exemplar : rounds->histogram.exemplars) {
         if (!exemplar.valid()) continue;
-        body << separator << "\"" << std::hex << std::setfill('0')
-             << std::setw(16) << exemplar.trace_id << std::dec << "\"";
-        separator = ", ";
+        body += separator;
+        support::append_hex16(body, exemplar.trace_id);
+        body += '"';
+        separator = ", \"";
       }
     }
-    body << "]}";
+    body += "]}";
   }
-  body << "]}\n";
-  return {.content_type = "application/json", .body = body.str()};
+  body += "]}\n";
+  return {.content_type = "application/json", .body = std::move(body)};
 }
 
 support::HttpResponse ServingNode::locate(const support::HttpRequest& http) {

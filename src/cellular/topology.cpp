@@ -37,10 +37,11 @@ GridTopology::GridTopology(std::size_t rows, std::size_t cols, bool toroidal,
   static const Offset kHexOdd[] = {{-1, 0}, {-1, 1}, {0, -1},
                                    {0, 1},  {1, 0},  {1, 1}};
 
-  adjacency_.resize(rows_ * cols_);
+  neighbor_offsets_.reserve(rows_ * cols_ + 1);
+  neighbor_offsets_.push_back(0);
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) {
-      auto& adj = adjacency_[r * cols_ + c];
+      const auto first = static_cast<std::ptrdiff_t>(neighbor_cells_.size());
       std::span<const Offset> offsets;
       switch (neighborhood_) {
         case Neighborhood::kVonNeumann:
@@ -74,9 +75,14 @@ GridTopology::GridTopology(std::size_t rows, std::size_t cols, bool toroidal,
         // Wrap on tiny grids can alias to self or duplicate; keep the
         // adjacency a simple graph.
         if (cell == static_cast<CellId>(r * cols_ + c)) continue;
-        if (std::find(adj.begin(), adj.end(), cell) != adj.end()) continue;
-        adj.push_back(cell);
+        if (std::find(neighbor_cells_.begin() + first, neighbor_cells_.end(),
+                      cell) != neighbor_cells_.end()) {
+          continue;
+        }
+        neighbor_cells_.push_back(cell);
       }
+      neighbor_offsets_.push_back(
+          static_cast<std::uint32_t>(neighbor_cells_.size()));
     }
   }
 }
@@ -109,7 +115,7 @@ std::size_t GridTopology::distance(CellId a, CellId b) const {
     const CellId current = frontier.front();
     frontier.pop();
     if (current == b) return dist[current];
-    for (const CellId next : adjacency_[current]) {
+    for (const CellId next : neighbors(current)) {
       if (dist[next] == std::numeric_limits<std::size_t>::max()) {
         dist[next] = dist[current] + 1;
         frontier.push(next);

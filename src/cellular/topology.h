@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/instance.h"
@@ -52,8 +54,22 @@ class GridTopology {
   [[nodiscard]] std::size_t col_of(CellId cell) const { return cell % cols_; }
 
   /// The adjacent cells (2-4 of them; 4 when toroidal or interior).
-  [[nodiscard]] const std::vector<CellId>& neighbors(CellId cell) const {
-    return adjacency_.at(cell);
+  /// Throws std::out_of_range on a cell outside the grid.
+  [[nodiscard]] std::span<const CellId> neighbors(CellId cell) const {
+    const std::uint32_t last = neighbor_offsets_.at(cell + std::size_t{1});
+    const std::uint32_t first = neighbor_offsets_[cell];
+    return {neighbor_cells_.data() + first, last - first};
+  }
+
+  /// The adjacency as one table (CSR): cell c's neighbours are
+  /// neighbor_cells()[neighbor_offsets()[c], neighbor_offsets()[c + 1]),
+  /// in neighbors() order. num_cells() + 1 offsets.
+  [[nodiscard]] std::span<const std::uint32_t> neighbor_offsets()
+      const noexcept {
+    return neighbor_offsets_;
+  }
+  [[nodiscard]] std::span<const CellId> neighbor_cells() const noexcept {
+    return neighbor_cells_;
   }
 
   /// Hop distance between two cells under this grid's neighbourhood
@@ -67,7 +83,8 @@ class GridTopology {
   std::size_t cols_;
   bool toroidal_;
   Neighborhood neighborhood_;
-  std::vector<std::vector<CellId>> adjacency_;
+  std::vector<std::uint32_t> neighbor_offsets_;
+  std::vector<CellId> neighbor_cells_;
 };
 
 /// A partition of a grid's cells into location areas.

@@ -1,8 +1,9 @@
 #include "core/instance.h"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+
+#include "support/text.h"
 
 namespace confcall::core {
 
@@ -121,16 +122,22 @@ Instance Instance::restrict_cells(std::span<const CellId> cells) const {
 }
 
 std::string Instance::to_string() const {
-  std::ostringstream os;
-  os << "Instance(m=" << devices_ << ", c=" << cells_ << ")\n";
+  std::string out = "Instance(m=";
+  support::append_uint(out, devices_);
+  out += ", c=";
+  support::append_uint(out, cells_);
+  out += ")\n";
   for (std::size_t i = 0; i < devices_; ++i) {
-    os << "  device " << i << ":";
+    out += "  device ";
+    support::append_uint(out, i);
+    out += ':';
     for (std::size_t j = 0; j < cells_; ++j) {
-      os << ' ' << probs_[i * cells_ + j];
+      out += ' ';
+      support::append_double_g(out, probs_[i * cells_ + j]);
     }
-    os << '\n';
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 RationalInstance::RationalInstance(

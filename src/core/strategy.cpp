@@ -2,8 +2,9 @@
 
 #include <limits>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
+
+#include "support/text.h"
 
 namespace confcall::core {
 
@@ -88,17 +89,16 @@ std::size_t Strategy::cells_paged_through(std::size_t round) const {
 }
 
 std::string Strategy::to_string() const {
-  std::ostringstream os;
+  std::string out;
   for (std::size_t r = 0; r < groups_.size(); ++r) {
-    if (r != 0) os << '|';
-    os << '{';
+    out += r != 0 ? "|{" : "{";
     for (std::size_t k = 0; k < groups_[r].size(); ++k) {
-      if (k != 0) os << ',';
-      os << groups_[r][k];
+      if (k != 0) out += ',';
+      support::append_uint(out, groups_[r][k]);
     }
-    os << '}';
+    out += '}';
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace confcall::core

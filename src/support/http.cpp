@@ -15,13 +15,13 @@
 #include <cstring>
 #include <ctime>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
 #include "support/metrics.h"
 #include "support/slo_controller.h"
+#include "support/text.h"
 #include "support/trace.h"
 
 namespace confcall::support {
@@ -664,18 +664,23 @@ void install_observability_routes(HttpServer& server, MetricRegistry* registry,
     response.status =
         health == Health::kShedding || verdict != SloHealth::kOk ? 503 : 200;
     response.content_type = "application/json";
-    std::ostringstream os;
-    os << "{\"health\": \"" << health_name(health) << "\"";
+    std::string& body = response.body;
+    body += "{\"health\": \"";
+    body += health_name(health);
+    body += '"';
     if (slo != nullptr) {
-      os << ", \"slo\": {\"state\": \"" << slo_health_name(verdict)
-         << "\", \"target_p99_ms\": "
-         << static_cast<double>(slo->target_p99_ns()) * 1e-6
-         << ", \"observed_p99_ms\": "
-         << static_cast<double>(slo->observed_p99_ns()) * 1e-6
-         << ", \"window_shed_fraction\": " << slo->shed_fraction() << "}";
+      body += ", \"slo\": {\"state\": \"";
+      body += slo_health_name(verdict);
+      body += "\", \"target_p99_ms\": ";
+      append_double_g(body, static_cast<double>(slo->target_p99_ns()) * 1e-6);
+      body += ", \"observed_p99_ms\": ";
+      append_double_g(body,
+                      static_cast<double>(slo->observed_p99_ns()) * 1e-6);
+      body += ", \"window_shed_fraction\": ";
+      append_double_g(body, slo->shed_fraction());
+      body += '}';
     }
-    os << "}\n";
-    response.body = os.str();
+    body += "}\n";
     return response;
   });
   server.handle("GET", "/readyz",

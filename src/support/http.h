@@ -74,7 +74,10 @@ struct HttpRequest {
 
 struct HttpResponse {
   int status = 200;
-  std::string content_type = "text/plain; charset=utf-8";
+  /// A view, not a string: every type a route sets is a literal, so a
+  /// response (even the error one a read builds and never sends)
+  /// allocates nothing for it.
+  std::string_view content_type = "text/plain; charset=utf-8";
   std::string body;
 };
 

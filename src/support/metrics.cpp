@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -10,6 +9,7 @@
 #include <stdexcept>
 
 #include "support/json.h"
+#include "support/text.h"
 
 namespace confcall::support {
 namespace {
@@ -101,13 +101,6 @@ std::string metric_key(const std::string& name, const MetricLabels& labels) {
   return key;
 }
 
-void append_uint(std::string& out, std::uint64_t v) {
-  char buffer[24];
-  const auto [end, error] = std::to_chars(buffer, buffer + sizeof(buffer), v);
-  (void)error;  // 24 bytes hold any uint64_t
-  out.append(buffer, end);
-}
-
 // %.17g is the portable round-trip precision; it renders the same bytes
 // an ostream at setprecision(17) does, and keeps exports bit-stable for
 // the E15 gate. snprintf, not std::to_chars(double): the latter pulls
@@ -141,15 +134,6 @@ void append_prom_number(std::string& out, double v) {
     out += v > 0 ? "+Inf" : "-Inf";
   } else {
     append_double(out, v);
-  }
-}
-
-// 16-hex-digit zero-padded span id — the same rendering /traces uses,
-// so an exemplar's trace_id greps straight into the trace export.
-void append_trace_id_hex(std::string& out, std::uint64_t id) {
-  constexpr char kHex[] = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += kHex[(id >> shift) & 0xF];
   }
 }
 
@@ -703,7 +687,7 @@ std::string to_prometheus(const RegistrySnapshot& snapshot,
           if (options.exemplars && i < h.exemplars.size() &&
               h.exemplars[i].valid()) {
             out += " # {trace_id=\"";
-            append_trace_id_hex(out, h.exemplars[i].trace_id);
+            append_hex16(out, h.exemplars[i].trace_id);
             out += "\"} ";
             append_prom_number(out, h.exemplars[i].value);
           }

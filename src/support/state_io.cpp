@@ -6,8 +6,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 namespace confcall::support {
@@ -294,22 +292,34 @@ std::size_t save_state_file(const std::string& path,
 
 StateLoadResult load_state_file(const std::string& path) {
   StateLoadResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     const bool missing = errno == ENOENT;
     result.status =
         missing ? StateLoadStatus::kMissing : StateLoadStatus::kIoError;
     result.message = "open " + path + ": " + std::strerror(errno);
     return result;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    result.status = StateLoadStatus::kIoError;
-    result.message = "read " + path + " failed";
-    return result;
+  // Straight into the one string the checks below read, sized from
+  // fstat. A read error ends the bytes as end of file does, and the
+  // header checks classify whatever arrived: a directory opens and reads
+  // as a 0-byte file (kTruncated). Those are the statuses checkpoints
+  // have always loaded with (a test holds them to a stream reader).
+  std::string file;
+  struct stat info {};
+  file.resize(::fstat(fd, &info) == 0 && info.st_size > 0
+                  ? static_cast<std::size_t>(info.st_size) + 1
+                  : 4096);
+  std::size_t size = 0;
+  while (true) {
+    if (size == file.size()) file.resize(2 * size);
+    const ssize_t n = ::read(fd, file.data() + size, file.size() - size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    size += static_cast<std::size_t>(n);
   }
-  const std::string file = buffer.str();
+  ::close(fd);
+  file.resize(size);
 
   if (file.size() < kHeaderBytes) {
     result.status = StateLoadStatus::kTruncated;

@@ -148,7 +148,7 @@ class StateBundle {
 enum class StateLoadStatus {
   kOk,
   kMissing,      ///< no file at the path (first boot: the normal cold start)
-  kIoError,      ///< open/read failed for another reason
+  kIoError,      ///< open failed for another reason (e.g. permissions)
   kTruncated,    ///< shorter than the header or the declared payload
   kBadMagic,     ///< not a confcall state file
   kBadVersion,   ///< file-format version this build does not speak

@@ -1,9 +1,9 @@
 #include "support/trace.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "support/json.h"
+#include "support/text.h"
 
 namespace confcall::support {
 namespace {
@@ -22,12 +22,13 @@ thread_local std::size_t t_suppressed_depth = 0;
 // ("1234.567"): trace_event ts/dur are conventionally microseconds, and
 // the fixed-point rendering keeps full ns precision while staying
 // byte-deterministic (no double formatting involved).
-void append_us(std::ostringstream& os, std::uint64_t ns) {
-  os << ns / 1000 << '.';
+void append_us(std::string& out, std::uint64_t ns) {
+  append_uint(out, ns / 1000);
+  out += '.';
   const auto frac = static_cast<unsigned>(ns % 1000);
-  os << static_cast<char>('0' + frac / 100)
-     << static_cast<char>('0' + (frac / 10) % 10)
-     << static_cast<char>('0' + frac % 10);
+  out += static_cast<char>('0' + frac / 100);
+  out += static_cast<char>('0' + (frac / 10) % 10);
+  out += static_cast<char>('0' + frac % 10);
 }
 
 }  // namespace
@@ -121,38 +122,46 @@ Span::~Span() {
 }
 
 std::string to_json(const std::vector<SpanRecord>& spans) {
-  std::ostringstream os;
-  os << "[";
+  std::string out = "[";
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const SpanRecord& span = spans[i];
-    if (i > 0) os << ",";
-    os << "\n  {\"name\": \"" << json_escape(span.name)
-       << "\", \"span_id\": " << span.span_id
-       << ", \"parent_id\": " << span.parent_id
-       << ", \"start_ns\": " << span.start_ns
-       << ", \"end_ns\": " << span.end_ns << "}";
+    if (i > 0) out += ',';
+    out += "\n  {\"name\": \"";
+    out += json_escape(span.name);
+    out += "\", \"span_id\": ";
+    append_uint(out, span.span_id);
+    out += ", \"parent_id\": ";
+    append_uint(out, span.parent_id);
+    out += ", \"start_ns\": ";
+    append_uint(out, span.start_ns);
+    out += ", \"end_ns\": ";
+    append_uint(out, span.end_ns);
+    out += '}';
   }
-  os << (spans.empty() ? "]" : "\n]");
-  os << "\n";
-  return os.str();
+  out += spans.empty() ? "]\n" : "\n]\n";
+  return out;
 }
 
 std::string to_trace_event_json(const std::vector<SpanRecord>& spans) {
-  std::ostringstream os;
-  os << "{\"traceEvents\": [";
+  std::string out = "{\"traceEvents\": [";
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const SpanRecord& span = spans[i];
-    if (i > 0) os << ",";
-    os << "\n  {\"name\": \"" << json_escape(span.name)
-       << "\", \"cat\": \"confcall\", \"ph\": \"X\", \"ts\": ";
-    append_us(os, span.start_ns);
-    os << ", \"dur\": ";
-    append_us(os, span.duration_ns());
-    os << ", \"pid\": 1, \"tid\": 1, \"args\": {\"span_id\": "
-       << span.span_id << ", \"parent_id\": " << span.parent_id << "}}";
+    if (i > 0) out += ',';
+    out += "\n  {\"name\": \"";
+    out += json_escape(span.name);
+    out += "\", \"cat\": \"confcall\", \"ph\": \"X\", \"ts\": ";
+    append_us(out, span.start_ns);
+    out += ", \"dur\": ";
+    append_us(out, span.duration_ns());
+    out += ", \"pid\": 1, \"tid\": 1, \"args\": {\"span_id\": ";
+    append_uint(out, span.span_id);
+    out += ", \"parent_id\": ";
+    append_uint(out, span.parent_id);
+    out += "}}";
   }
-  os << (spans.empty() ? "]" : "\n]") << ", \"displayTimeUnit\": \"ns\"}\n";
-  return os.str();
+  out += spans.empty() ? "]" : "\n]";
+  out += ", \"displayTimeUnit\": \"ns\"}\n";
+  return out;
 }
 
 }  // namespace confcall::support

@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -245,6 +246,84 @@ TEST(ObservabilityRoutes, HealthzReportsSloVerdictAndFlipsPreBreach) {
   EXPECT_NE(breached.body.find("\"state\": \"breached\""),
             std::string::npos);
   server.stop();
+}
+
+// The ostream rendering /healthz used before it appended to a string.
+std::string reference_healthz(AdmissionController* admission,
+                              const SloController* slo) {
+  const Health health =
+      admission == nullptr ? Health::kHealthy : admission->health();
+  const SloHealth verdict =
+      slo == nullptr ? SloHealth::kOk : slo->slo_health();
+  std::ostringstream os;
+  os << "{\"health\": \"" << health_name(health) << "\"";
+  if (slo != nullptr) {
+    os << ", \"slo\": {\"state\": \"" << slo_health_name(verdict)
+       << "\", \"target_p99_ms\": "
+       << static_cast<double>(slo->target_p99_ns()) * 1e-6
+       << ", \"observed_p99_ms\": "
+       << static_cast<double>(slo->observed_p99_ns()) * 1e-6
+       << ", \"window_shed_fraction\": " << slo->shed_fraction() << "}";
+  }
+  os << "}\n";
+  return os.str();
+}
+
+TEST(ObservabilityRoutes, HealthzMatchesTheStreamRendering) {
+  {
+    // No SLO controller: the health word alone, healthy then shedding.
+    MetricRegistry registry;
+    ManualClock clock;
+    AdmissionController admission(AdmissionOptions{}, clock, &registry);
+    HttpServer server;
+    install_observability_routes(server, &registry, nullptr, &admission);
+    server.start();
+    EXPECT_EQ(http_get("127.0.0.1", server.port(), "/healthz").body,
+              reference_healthz(&admission, nullptr));
+    (void)admission.admit(60.0);
+    EXPECT_EQ(http_get("127.0.0.1", server.port(), "/healthz").body,
+              reference_healthz(&admission, nullptr));
+    server.stop();
+  }
+  // With a controller: whole, fractional and tiny milliseconds (a 1 ns
+  // target is 1e-06 ms; a 333 ns round makes p99s like 0.000999 ms) and
+  // a fractional shed share of the window's arrivals.
+  for (const std::uint64_t target_ns :
+       {std::uint64_t{1}, std::uint64_t{1'234'567}, std::uint64_t{4'000'000},
+        std::uint64_t{123'456'789'012}}) {
+    for (const std::uint64_t round_ns :
+         {std::uint64_t{1}, std::uint64_t{333}, std::uint64_t{1'000'000}}) {
+      MetricRegistry registry;
+      ManualClock clock;
+      AdmissionController admission(AdmissionOptions{}, clock, &registry);
+      const Histogram rounds = registry.histogram(
+          "confcall_locate_rounds", HistogramSpec::integers(16), "rounds");
+      SloOptions options;
+      options.target_p99_ns = target_ns;
+      options.min_interval_calls = 4;
+      SloController slo(options, registry, admission, clock, round_ns);
+      HttpServer server;
+      install_observability_routes(server, &registry, nullptr, &admission,
+                                   &slo);
+      server.start();
+      EXPECT_EQ(http_get("127.0.0.1", server.port(), "/healthz").body,
+                reference_healthz(&admission, &slo));
+      // One admitted arrival drains the bucket, the next two are shed:
+      // a 2/3 shed window.
+      (void)admission.admit(60.0);
+      (void)admission.admit(1.0);
+      (void)admission.admit(1.0);
+      for (int i = 0; i < 8; ++i) rounds.observe(3.0);
+      slo.step();
+      const HttpClientResponse reply =
+          http_get("127.0.0.1", server.port(), "/healthz");
+      EXPECT_EQ(reply.body, reference_healthz(&admission, &slo))
+          << target_ns << " ns target, " << round_ns << " ns rounds";
+      EXPECT_GT(slo.shed_fraction(), 0.0);
+      EXPECT_LT(slo.shed_fraction(), 1.0);
+      server.stop();
+    }
+  }
 }
 
 TEST(ObservabilityRoutes, TracesServeSampledSpans) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "prob/rational.h"
 
@@ -100,6 +102,37 @@ TEST(Instance, ToStringMentionsDimensions) {
   const std::string text = instance.to_string();
   EXPECT_NE(text.find("m=2"), std::string::npos);
   EXPECT_NE(text.find("c=3"), std::string::npos);
+}
+
+TEST(Instance, ToStringMatchesTheStreamRendering) {
+  // The ostream rendering to_string used before it appended to a
+  // std::string: default-format doubles (%g, precision 6).
+  const auto reference = [](const Instance& instance) {
+    std::ostringstream os;
+    os << "Instance(m=" << instance.num_devices()
+       << ", c=" << instance.num_cells() << ")\n";
+    for (std::size_t i = 0; i < instance.num_devices(); ++i) {
+      os << "  device " << i << ":";
+      for (std::size_t j = 0; j < instance.num_cells(); ++j) {
+        os << ' '
+           << instance.prob(static_cast<DeviceId>(i), static_cast<CellId>(j));
+      }
+      os << '\n';
+    }
+    return os.str();
+  };
+  const double third = 1.0 / 3.0;
+  const std::vector<Instance> instances = {
+      Instance::uniform(1, 1),
+      Instance::uniform(3, 7),
+      Instance(2, 4,
+               {third, third, third - 2.5e-12, 2.5e-12,  //
+                0.0, 1.0, 0.0, 0.0}),
+      Instance(1, 5, {0.123456789, 1e-7, 0.5, 0.25, 0.126543111}),
+  };
+  for (const Instance& instance : instances) {
+    EXPECT_EQ(instance.to_string(), reference(instance));
+  }
 }
 
 TEST(RationalInstance, ExactRowSumEnforced) {

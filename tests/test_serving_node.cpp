@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <iomanip>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -266,6 +268,99 @@ TEST(ServingNode, FleetzRendersShardsPerShardRowsAndPlanCapacity) {
     EXPECT_TRUE(member(per_shard[s], "exemplar_trace_ids").is_array());
   }
   EXPECT_EQ(calls, 16.0);  // call_rate 1: one loop call per step
+}
+
+/// The ostream rendering of /fleetz before it appended to a string, for a
+/// ready node (every area ready) and the snapshot `snap`.
+std::string reference_fleetz(const ServingNode& node,
+                             const support::RegistrySnapshot& snap) {
+  std::ostringstream body;
+  const auto field = [&snap, &body](const char* key, std::string_view name,
+                                    const support::MetricLabels& labels = {},
+                                    const char* separator = ", ") {
+    body << separator << "\"" << key << "\": ";
+    const support::MetricSnapshot* metric = snap.find(name, labels);
+    if (metric == nullptr) {
+      body << 0;
+    } else if (metric->type == support::MetricType::kCounter) {
+      body << metric->counter_value;
+    } else if (metric->type == support::MetricType::kGauge) {
+      body << static_cast<std::uint64_t>(metric->gauge_value);
+    } else {
+      body << metric->histogram.quantile(0.99);
+    }
+  };
+  const auto total = [&snap, &body](const char* key, std::string_view name,
+                                    const char* separator = ", ") {
+    const std::optional<support::MetricSnapshot> summed = snap.sum_by(name);
+    body << separator << "\"" << key
+         << "\": " << (summed ? summed->counter_value : 0);
+  };
+  const ServiceFleet& fleet = node.fleet();
+  body << "{\"shards\": " << fleet.num_shards()
+       << ", \"areas\": " << fleet.num_areas()
+       << ", \"areas_ready\": " << fleet.num_areas() << ", \"phase\": \""
+       << support::readiness_name(support::Readiness::kReady) << "\"";
+  field("dispatches", "confcall_fleet_dispatches_total");
+  total("requests", "confcall_locate_calls_total");
+  body << ", \"shared_plan\": {";
+  total("hits", "confcall_locate_plan_cache_hits_total", "");
+  total("misses", "confcall_locate_plan_cache_misses_total");
+  field("entries", "confcall_fleet_shared_plan_entries");
+  field("evictions", "confcall_fleet_shared_plan_evictions_total");
+  body << ", \"capacity\": " << fleet.shared_table().plans.capacity()
+       << "}, \"per_shard\": [";
+  for (std::size_t s = 0; s < fleet.num_shards(); ++s) {
+    const support::MetricLabels shard{{"shard", std::to_string(s)}};
+    body << (s > 0 ? ", " : "") << "{\"shard\": " << s;
+    field("tasks", "confcall_fleet_tasks_total", shard);
+    field("task_p99_ns", "confcall_fleet_task_ns", shard);
+    field("locate_calls", "confcall_locate_calls_total", shard);
+    field("plan_cache_hits", "confcall_locate_plan_cache_hits_total", shard);
+    field("plan_cache_misses", "confcall_locate_plan_cache_misses_total",
+          shard);
+    field("rounds_p99", "confcall_locate_rounds", shard);
+    body << ", \"exemplar_trace_ids\": [";
+    const char* separator = "";
+    if (const support::MetricSnapshot* rounds =
+            snap.find("confcall_locate_rounds", shard)) {
+      for (const support::Exemplar& exemplar : rounds->histogram.exemplars) {
+        if (!exemplar.valid()) continue;
+        body << separator << "\"" << std::hex << std::setfill('0')
+             << std::setw(16) << exemplar.trace_id << std::dec << "\"";
+        separator = ", ";
+      }
+    }
+    body << "]}";
+  }
+  body << "]}\n";
+  return body.str();
+}
+
+TEST(ServingNode, FleetzMatchesTheStreamRendering) {
+  // Every call traced, so the rounds histograms carry exemplar ids.
+  support::ManualClock clock;
+  ServingOptions options;
+  options.shards = 2;
+  options.trace_every = 1;
+  ServingNode node(small_world(), options, clock);
+  node.start();
+  (void)node.restore_or_warm_up();
+  EXPECT_EQ(call(node, "GET", "/fleetz").body,
+            reference_fleetz(node, node.registry().snapshot()));
+  for (int i = 0; i < 24; ++i) node.step();
+  EXPECT_EQ(call(node, "POST", "/locate",
+                 "[{\"area\": 1}, {\"area\": 6}, {\"users\": [0, 1]}]")
+                .status,
+            200);
+  const Reply fleetz = call(node, "GET", "/fleetz");
+  EXPECT_EQ(fleetz.body, reference_fleetz(node, node.registry().snapshot()));
+  std::size_t exemplars = 0;
+  for (const support::JsonValue& shard :
+       member(fleetz.json, "per_shard").as_array()) {
+    exemplars += member(shard, "exemplar_trace_ids").as_array().size();
+  }
+  EXPECT_GT(exemplars, 0u);
 }
 
 TEST(ServingNode, FleetzTotalsAreLabelSumsOfTheLocateFamilies) {

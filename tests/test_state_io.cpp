@@ -8,13 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cmath>
+#include <cstring>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 namespace confcall::support {
 namespace {
@@ -173,6 +178,90 @@ TEST_F(StateIoTest, MissingFileIsAcountedColdStartNotAnError) {
   const StateLoadResult result = load_state_file("no_such_state_file.bin");
   EXPECT_EQ(result.status, StateLoadStatus::kMissing);
   EXPECT_STREQ(state_load_status_name(result.status), "missing");
+}
+
+// What load_state_file saw when it read through std::ifstream, before it
+// read with open/read: the open failure as a status and message, or the
+// bytes (`opened`).
+struct StreamRead {
+  bool opened = false;
+  StateLoadStatus status = StateLoadStatus::kOk;
+  std::string message;
+  std::string bytes;
+};
+
+StreamRead stream_read(const std::string& path) {
+  StreamRead read;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    const bool missing = errno == ENOENT;
+    read.status =
+        missing ? StateLoadStatus::kMissing : StateLoadStatus::kIoError;
+    read.message = "open " + path + ": " + std::strerror(errno);
+    return read;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) {
+    read.status = StateLoadStatus::kIoError;
+    read.message = "read " + path + " failed";
+    return read;
+  }
+  read.opened = true;
+  read.bytes = buffer.str();
+  return read;
+}
+
+TEST_F(StateIoTest, LoadMatchesTheStreamReaderOnEveryPath) {
+  (void)save_state_file(path_, sample_bundle());
+  const std::string valid = read_raw(path_);
+  const std::string missing = path_ + ".missing";
+  const std::string directory = path_ + ".dir";
+  const std::string unreadable = path_ + ".unreadable";
+  const std::string short_header = path_ + ".short";
+  const std::string cut_payload = path_ + ".cut";
+  const std::string replay = path_ + ".replay";
+  ASSERT_EQ(::mkdir(directory.c_str(), 0700), 0);
+  write_raw(unreadable, valid);
+  ASSERT_EQ(::chmod(unreadable.c_str(), 0), 0);
+  write_raw(short_header, valid.substr(0, 20));
+  write_raw(cut_payload, valid.substr(0, valid.size() - 3));
+
+  const std::vector<std::string> paths = {
+      missing, directory,  unreadable, short_header,
+      cut_payload, path_, "/dev/null"};
+  for (const std::string& path : paths) {
+    const StateLoadResult loaded = load_state_file(path);
+    const StreamRead reference = stream_read(path);
+    if (!reference.opened) {
+      EXPECT_EQ(loaded.status, reference.status) << path;
+      EXPECT_EQ(loaded.message, reference.message) << path;
+      continue;
+    }
+    // The bytes the stream read, loaded back from a plain file, must
+    // classify exactly as the new reader classifies the path itself.
+    write_raw(replay, reference.bytes);
+    const StateLoadResult replayed = load_state_file(replay);
+    EXPECT_EQ(loaded.status, replayed.status) << path;
+    EXPECT_EQ(loaded.message, replayed.message) << path;
+  }
+  EXPECT_EQ(load_state_file(missing).status, StateLoadStatus::kMissing);
+  // A directory opens and reads as no bytes at all.
+  const StateLoadResult dir = load_state_file(directory);
+  EXPECT_EQ(dir.status, StateLoadStatus::kTruncated);
+  EXPECT_EQ(dir.message, "file is 0 bytes, shorter than the 28-byte header");
+  EXPECT_EQ(load_state_file(short_header).status, StateLoadStatus::kTruncated);
+  EXPECT_EQ(load_state_file(cut_payload).status, StateLoadStatus::kTruncated);
+  // Mode 0 stops every user but root, who reads the file anyway.
+  EXPECT_EQ(load_state_file(unreadable).status,
+            ::geteuid() == 0 ? StateLoadStatus::kOk
+                             : StateLoadStatus::kIoError);
+
+  (void)::rmdir(directory.c_str());
+  for (const std::string& path : {unreadable, short_header, cut_payload,
+                                  replay}) {
+    (void)std::remove(path.c_str());
+  }
 }
 
 TEST_F(StateIoTest, TruncationSweepEveryPrefixIsRejected) {

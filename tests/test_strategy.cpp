@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace confcall::core {
 namespace {
@@ -78,6 +80,38 @@ TEST(Strategy, BlanketPagesEverythingInOneRound) {
 TEST(Strategy, ToStringFormat) {
   const Strategy s = Strategy::from_groups({{1, 0}, {2}}, 3);
   EXPECT_EQ(s.to_string(), "{1,0}|{2}");
+}
+
+TEST(Strategy, ToStringMatchesTheStreamRendering) {
+  // The ostream rendering to_string used before it appended to a
+  // std::string.
+  const auto reference = [](const Strategy& strategy) {
+    std::ostringstream os;
+    for (std::size_t r = 0; r < strategy.groups().size(); ++r) {
+      if (r != 0) os << '|';
+      os << '{';
+      for (std::size_t k = 0; k < strategy.groups()[r].size(); ++k) {
+        if (k != 0) os << ',';
+        os << strategy.groups()[r][k];
+      }
+      os << '}';
+    }
+    return os.str();
+  };
+  std::vector<CellId> order(1200);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<CellId>(order.size() - 1 - i);
+  }
+  const std::vector<std::size_t> sizes = {1, 99, 1000, 100};
+  const std::vector<Strategy> strategies = {
+      Strategy::blanket(1),
+      Strategy::blanket(12),
+      Strategy::from_groups({{1, 0}, {2}}, 3),
+      Strategy::from_order_and_sizes(order, sizes),
+  };
+  for (const Strategy& strategy : strategies) {
+    EXPECT_EQ(strategy.to_string(), reference(strategy));
+  }
 }
 
 TEST(Strategy, EqualityIsStructural) {

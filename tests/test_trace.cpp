@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -304,6 +307,82 @@ TEST(Tracer, TraceEventJsonDump) {
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ns\""), std::string::npos);
   EXPECT_EQ(to_trace_event_json({}),
             "{\"traceEvents\": [], \"displayTimeUnit\": \"ns\"}\n");
+}
+
+// The ostream renderings the exporters used before they appended to a
+// std::string; the string path must produce these bytes exactly.
+void reference_append_us(std::ostringstream& os, std::uint64_t ns) {
+  os << ns / 1000 << '.';
+  const auto frac = static_cast<unsigned>(ns % 1000);
+  os << static_cast<char>('0' + frac / 100)
+     << static_cast<char>('0' + (frac / 10) % 10)
+     << static_cast<char>('0' + frac % 10);
+}
+
+std::string reference_to_json(const std::vector<SpanRecord>& spans) {
+  std::ostringstream os;
+  os << "[";
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const SpanRecord& span = spans[i];
+    if (i > 0) os << ",";
+    os << "\n  {\"name\": \"" << json_escape(span.name)
+       << "\", \"span_id\": " << span.span_id
+       << ", \"parent_id\": " << span.parent_id
+       << ", \"start_ns\": " << span.start_ns
+       << ", \"end_ns\": " << span.end_ns << "}";
+  }
+  os << (spans.empty() ? "]" : "\n]");
+  os << "\n";
+  return os.str();
+}
+
+std::string reference_to_trace_event_json(
+    const std::vector<SpanRecord>& spans) {
+  std::ostringstream os;
+  os << "{\"traceEvents\": [";
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const SpanRecord& span = spans[i];
+    if (i > 0) os << ",";
+    os << "\n  {\"name\": \"" << json_escape(span.name)
+       << "\", \"cat\": \"confcall\", \"ph\": \"X\", \"ts\": ";
+    reference_append_us(os, span.start_ns);
+    os << ", \"dur\": ";
+    reference_append_us(os, span.duration_ns());
+    os << ", \"pid\": 1, \"tid\": 1, \"args\": {\"span_id\": "
+       << span.span_id << ", \"parent_id\": " << span.parent_id << "}}";
+  }
+  os << (spans.empty() ? "]" : "\n]") << ", \"displayTimeUnit\": \"ns\"}\n";
+  return os.str();
+}
+
+TEST(Tracer, ExportersMatchTheStreamRendering) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<std::vector<SpanRecord>> cases = {
+      {},
+      {{"locate", 1, 0, 0, 0}},
+      {{"plan \"quoted\"\\", 7, 3, 999, 1'000},
+       {"a\tb\r\x01", 8, 7, 1'234'567, 1'237'066},
+       {"", kMax, kMax - 1, 5, kMax}},
+  };
+  for (const std::vector<SpanRecord>& spans : cases) {
+    EXPECT_EQ(to_json(spans), reference_to_json(spans));
+    EXPECT_EQ(to_trace_event_json(spans),
+              reference_to_trace_event_json(spans));
+  }
+  // And spans a live tracer recorded.
+  ManualClock clock(1'234'567);
+  Tracer tracer(8, clock);
+  for (int i = 0; i < 5; ++i) {
+    const Span outer(&tracer, "locate");
+    clock.advance(2'500 + static_cast<std::uint64_t>(i) * 37);
+    const Span inner(&tracer, "plan");
+    clock.advance(499);
+  }
+  const std::vector<SpanRecord> recorded = tracer.snapshot();
+  ASSERT_EQ(recorded.size(), 8u);
+  EXPECT_EQ(to_json(recorded), reference_to_json(recorded));
+  EXPECT_EQ(to_trace_event_json(recorded),
+            reference_to_trace_event_json(recorded));
 }
 
 TEST(Tracer, ControlCharactersInNamesStayParseableJson) {

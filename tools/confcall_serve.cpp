@@ -96,8 +96,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <fstream>
-#include <iostream>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <thread>
@@ -120,6 +119,14 @@ using namespace confcall;
 std::atomic<bool> g_stop{false};
 
 void on_signal(int /*signum*/) { g_stop.store(true); }
+
+/// Writes `text` to `stream` (stdout or stderr) and flushes it, so each
+/// status line reaches a pipe when it is printed: scripts wait on the
+/// startup line. The daemon has no iostreams (support/text.h).
+void print(std::FILE* stream, const std::string& text) {
+  (void)std::fwrite(text.data(), 1, text.size(), stream);
+  (void)std::fflush(stream);
+}
 
 // Supervisor state: the live child's pid for signal forwarding.
 std::atomic<pid_t> g_child{0};
@@ -169,7 +176,7 @@ int run_supervisor(int argc, char** argv, std::int64_t max_restarts) {
     const std::uint64_t started_ns = clock.now_ns();
     const pid_t pid = ::fork();
     if (pid < 0) {
-      std::cerr << "confcall_serve: supervisor fork failed\n";
+      print(stderr, "confcall_serve: supervisor fork failed\n");
       return 1;
     }
     if (pid == 0) {
@@ -196,8 +203,7 @@ int run_supervisor(int argc, char** argv, std::int64_t max_restarts) {
     g_child.store(0);
 
     if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-      std::cout << "confcall_serve: supervised child exited cleanly"
-                << std::endl;
+      print(stdout, "confcall_serve: supervised child exited cleanly\n");
       return 0;
     }
     const std::string how =
@@ -209,8 +215,8 @@ int run_supervisor(int argc, char** argv, std::int64_t max_restarts) {
     if (g_supervisor_stop.load()) {
       // We asked it to stop; an unclean death during drain is still the
       // end of the line, not a restart.
-      std::cerr << "confcall_serve: supervised child " << how
-                << " during shutdown\n";
+      print(stderr,
+            "confcall_serve: supervised child " + how + " during shutdown\n");
       return 1;
     }
     if (clock.now_ns() - started_ns >= kHealthyRunNs) {
@@ -218,14 +224,15 @@ int run_supervisor(int argc, char** argv, std::int64_t max_restarts) {
       backoff_ms = kBackoffStartMs;
     }
     if (restarts_left <= 0) {
-      std::cerr << "confcall_serve: supervised child " << how
-                << "; crash-loop budget exhausted, giving up\n";
+      print(stderr, "confcall_serve: supervised child " + how +
+                        "; crash-loop budget exhausted, giving up\n");
       return 1;
     }
     --restarts_left;
-    std::cout << "confcall_serve: supervised child " << how
-              << "; restarting in " << backoff_ms << " ms ("
-              << restarts_left << " restarts left)" << std::endl;
+    print(stdout, "confcall_serve: supervised child " + how +
+                      "; restarting in " + std::to_string(backoff_ms) +
+                      " ms (" + std::to_string(restarts_left) +
+                      " restarts left)\n");
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     if (g_supervisor_stop.load()) return 1;
     backoff_ms = std::min(backoff_ms * 2, kBackoffCapMs);
@@ -324,7 +331,7 @@ int main(int argc, char** argv) {
   try {
     const support::Cli cli(argc, argv);
     if (cli.has("help")) {
-      std::cout << kUsage;
+      print(stdout, kUsage);
       return 0;
     }
     if (cli.has("supervise")) {
@@ -382,26 +389,31 @@ int main(int argc, char** argv) {
     (void)std::signal(SIGTERM, on_signal);
     node.start();
     if (!port_file.empty()) {
-      std::ofstream out(port_file);
-      if (!out) {
+      const std::string port = std::to_string(node.port()) + "\n";
+      std::FILE* out = std::fopen(port_file.c_str(), "w");
+      const bool written =
+          out != nullptr &&
+          std::fwrite(port.data(), 1, port.size(), out) == port.size();
+      if (out == nullptr || std::fclose(out) != 0 || !written) {
         throw std::runtime_error("cannot write port file '" + port_file +
                                  "'");
       }
-      out << node.port() << "\n";
     }
-    std::cout << "confcall_serve: scenario=" << scenario.name
-              << " serving on 127.0.0.1:" << node.port() << " (shards="
-              << node.fleet().num_shards()
-              << ", areas=" << node.fleet().num_areas()
-              << ", trace-every=" << options.trace_every;
+    std::string line = "confcall_serve: scenario=" + scenario.name +
+                       " serving on 127.0.0.1:" +
+                       std::to_string(node.port()) + " (shards=" +
+                       std::to_string(node.fleet().num_shards()) +
+                       ", areas=" + std::to_string(node.fleet().num_areas()) +
+                       ", trace-every=" + std::to_string(options.trace_every);
     if (options.slo_p99_ms > 0) {
-      std::cout << ", slo-p99-ms=" << options.slo_p99_ms
-                << ", control-period-ms=" << options.control_period_ms;
+      line += ", slo-p99-ms=" + std::to_string(options.slo_p99_ms) +
+              ", control-period-ms=" +
+              std::to_string(options.control_period_ms);
     }
-    std::cout << ")" << std::endl;
+    print(stdout, line + ")\n");
     const std::string state_line = node.restore_or_warm_up();
     if (!state_line.empty()) {
-      std::cout << "confcall_serve: " << state_line << std::endl;
+      print(stdout, "confcall_serve: " + state_line + "\n");
     }
 
     std::uint64_t steps_run = 0;
@@ -432,27 +444,31 @@ int main(int argc, char** argv) {
     }
     const std::optional<support::MetricSnapshot> tasks =
         final_cut.sum_by("confcall_fleet_tasks_total");
-    std::cout << "confcall_serve: stopped after " << steps_run
-              << " steps, served " << node.server().requests_served()
-              << " http requests (" << node.server().connections_shed()
-              << " shed), fleet ran " << (tasks ? tasks->counter_value : 0)
-              << " area-tasks";
+    line = "confcall_serve: stopped after " + std::to_string(steps_run) +
+           " steps, served " +
+           std::to_string(node.server().requests_served()) +
+           " http requests (" +
+           std::to_string(node.server().connections_shed()) +
+           " shed), fleet ran " +
+           std::to_string(tasks ? tasks->counter_value : 0) + " area-tasks";
     if (!options.state_out.empty()) {
-      std::cout << ", wrote " << node.checkpoints_written() << " checkpoints";
+      line += ", wrote " + std::to_string(node.checkpoints_written()) +
+              " checkpoints";
     }
     if (const support::SamplingTracer* tracer = node.tracer()) {
-      std::cout << ", sampled " << tracer->roots_sampled() << "/"
-                << tracer->roots_seen() << " traces";
+      line += ", sampled " + std::to_string(tracer->roots_sampled()) + "/" +
+              std::to_string(tracer->roots_seen()) + " traces";
     }
     if (const support::SloController* slo = node.overload().slo()) {
-      std::cout << ", ran " << slo->control_steps() << " control steps ("
-                << slo->breaches() << " breached, "
-                << slo->pre_breach_signals() << " pre-breach)";
+      line += ", ran " + std::to_string(slo->control_steps()) +
+              " control steps (" + std::to_string(slo->breaches()) +
+              " breached, " + std::to_string(slo->pre_breach_signals()) +
+              " pre-breach)";
     }
-    std::cout << std::endl;
+    print(stdout, line + "\n");
     return 0;
   } catch (const std::exception& error) {
-    std::cerr << "confcall_serve: " << error.what() << "\n";
+    print(stderr, std::string("confcall_serve: ") + error.what() + "\n");
     return 1;
   }
 }
