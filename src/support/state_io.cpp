@@ -301,10 +301,8 @@ StateLoadResult load_state_file(const std::string& path) {
     return result;
   }
   // Straight into the one string the checks below read, sized from
-  // fstat. A read error ends the bytes as end of file does, and the
-  // header checks classify whatever arrived: a directory opens and reads
-  // as a 0-byte file (kTruncated). Those are the statuses checkpoints
-  // have always loaded with (a test holds them to a stream reader).
+  // fstat. A failed read is a kIoError, not a short file: a directory
+  // (EISDIR) or a disk fault (EIO) must not pass for a torn checkpoint.
   std::string file;
   struct stat info {};
   file.resize(::fstat(fd, &info) == 0 && info.st_size > 0
@@ -315,7 +313,14 @@ StateLoadResult load_state_file(const std::string& path) {
     if (size == file.size()) file.resize(2 * size);
     const ssize_t n = ::read(fd, file.data() + size, file.size() - size);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
+    if (n < 0) {
+      const int error = errno;
+      result.status = StateLoadStatus::kIoError;
+      result.message = "read " + path + ": " + std::strerror(error);
+      ::close(fd);
+      return result;
+    }
+    if (n == 0) break;
     size += static_cast<std::size_t>(n);
   }
   ::close(fd);

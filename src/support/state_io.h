@@ -148,7 +148,8 @@ class StateBundle {
 enum class StateLoadStatus {
   kOk,
   kMissing,      ///< no file at the path (first boot: the normal cold start)
-  kIoError,      ///< open failed for another reason (e.g. permissions)
+  kIoError,      ///< open failed for another reason (e.g. permissions),
+                 ///< or a read failed (a directory, a disk fault)
   kTruncated,    ///< shorter than the header or the declared payload
   kBadMagic,     ///< not a confcall state file
   kBadVersion,   ///< file-format version this build does not speak

@@ -227,9 +227,10 @@ TEST_F(StateIoTest, LoadMatchesTheStreamReaderOnEveryPath) {
   write_raw(short_header, valid.substr(0, 20));
   write_raw(cut_payload, valid.substr(0, valid.size() - 3));
 
+  // A directory is left out: the stream reader read it as no bytes at
+  // all, and load_state_file reports its failed read as kIoError.
   const std::vector<std::string> paths = {
-      missing, directory,  unreadable, short_header,
-      cut_payload, path_, "/dev/null"};
+      missing, unreadable, short_header, cut_payload, path_, "/dev/null"};
   for (const std::string& path : paths) {
     const StateLoadResult loaded = load_state_file(path);
     const StreamRead reference = stream_read(path);
@@ -246,10 +247,11 @@ TEST_F(StateIoTest, LoadMatchesTheStreamReaderOnEveryPath) {
     EXPECT_EQ(loaded.message, replayed.message) << path;
   }
   EXPECT_EQ(load_state_file(missing).status, StateLoadStatus::kMissing);
-  // A directory opens and reads as no bytes at all.
+  // A directory opens, but reading it fails (EISDIR): an I/O error, not
+  // a 0-byte, truncated checkpoint.
   const StateLoadResult dir = load_state_file(directory);
-  EXPECT_EQ(dir.status, StateLoadStatus::kTruncated);
-  EXPECT_EQ(dir.message, "file is 0 bytes, shorter than the 28-byte header");
+  EXPECT_EQ(dir.status, StateLoadStatus::kIoError);
+  EXPECT_EQ(dir.message, "read " + directory + ": " + std::strerror(EISDIR));
   EXPECT_EQ(load_state_file(short_header).status, StateLoadStatus::kTruncated);
   EXPECT_EQ(load_state_file(cut_payload).status, StateLoadStatus::kTruncated);
   // Mode 0 stops every user but root, who reads the file anyway.
