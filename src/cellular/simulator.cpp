@@ -19,7 +19,6 @@ namespace confcall::cellular {
 void OverloadConfig::validate() const {
   if (!enabled) return;
   admission.validate();
-  breaker.validate();
   if (round_duration_ns == 0) {
     throw std::invalid_argument(
         "OverloadConfig: round_duration_ns must be >= 1");
@@ -49,7 +48,7 @@ OverloadStack::OverloadStack(const OverloadConfig& config,
     chain.push_back(std::make_unique<core::BlanketPlanner>());
     resilient_ = std::make_unique<core::ResilientPlanner>(
         std::move(chain), core::ResilientPlanner::Budget{0.0}, clock,
-        config_.breaker, registry);
+        support::CircuitBreakerOptions{}, registry);
   }
   admission_ = std::make_unique<support::AdmissionController>(
       config_.admission, clock, registry);
@@ -293,15 +292,8 @@ SimReport run_simulation(const SimConfig& config) {
     for (const UserId user : event.participants) {
       true_cells.push_back(user_cells[user]);
     }
-    // Served through the batch API (a batch of one arrival per step):
-    // locate_many is outcome-identical to locate() by contract, so the
-    // report is unchanged while every simulated call exercises the batch
-    // entry point. The daemon does not: its POST /locate goes through
-    // ServiceFleet::locate_many, which calls locate() once per request.
-    const LocationService::LocateRequest request{event.participants,
-                                                 true_cells, context};
     const LocationService::LocateOutcome outcome =
-        service.locate_many({&request, 1}, rng).front();
+        service.locate(event.participants, true_cells, rng, context);
     if (!record) return;
 
     ++report.calls_served;

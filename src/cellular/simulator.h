@@ -49,7 +49,6 @@ struct OverloadConfig {
   /// are rejected by the exact tier.
   bool resilient_planner = false;
   std::uint64_t planner_node_limit = 20'000'000;
-  support::CircuitBreakerOptions breaker{};
   /// Closed-loop SLO control (slo.enabled): a SloController reads the
   /// run's registry on the virtual clock's control-period grid and
   /// adapts the admission token rate, degrade threshold and breaker
@@ -184,8 +183,6 @@ struct SimConfig {
   /// across runs and (after the batch's fixed-order merge) across
   /// thread counts.
   bool collect_metrics = false;
-  double report_cost = 1.0;  ///< uplink cost per location report
-  double page_cost = 1.0;    ///< downlink cost per cell paged
   std::uint64_t seed = 1;
 
   /// Consolidated validation: one specific std::invalid_argument message

@@ -55,7 +55,7 @@ class ResilientPlanner final : public Planner {
   /// planner), or pass nullptr and the planner owns a private registry —
   /// the telemetry getters below work either way. Throws
   /// std::invalid_argument on an empty chain, a null entry, a negative
-  /// time limit, or bad breaker options.
+  /// time limit, or a zero breaker cooldown.
   explicit ResilientPlanner(
       std::vector<std::unique_ptr<Planner>> chain, Budget budget = Budget{0.0},
       const support::ClockSource& clock = support::SteadyClockSource::shared(),

@@ -33,17 +33,6 @@ std::uint64_t Deadline::remaining_ns(const ClockSource& clock) const {
 }
 
 void CircuitBreakerOptions::validate() const {
-  if (window == 0) {
-    throw std::invalid_argument("CircuitBreaker: window must be >= 1");
-  }
-  if (min_samples == 0 || min_samples > window) {
-    throw std::invalid_argument(
-        "CircuitBreaker: need 1 <= min_samples <= window");
-  }
-  if (!(failure_threshold > 0.0 && failure_threshold <= 1.0)) {
-    throw std::invalid_argument(
-        "CircuitBreaker: failure_threshold must be in (0, 1]");
-  }
   if (cooldown_ns == 0) {
     throw std::invalid_argument("CircuitBreaker: cooldown_ns must be >= 1");
   }
@@ -53,8 +42,8 @@ CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options,
                                const ClockSource& clock,
                                MetricRegistry* registry,
                                const MetricLabels& labels)
-    : options_(options), clock_(&clock), outcomes_(options.window, 0) {
-  options_.validate();
+    : cooldown_ns_(options.cooldown_ns), clock_(&clock) {
+  options.validate();
   if (registry == nullptr) {
     owned_registry_ = std::make_unique<MetricRegistry>();
     registry = owned_registry_.get();
@@ -114,13 +103,13 @@ void CircuitBreaker::trip_locked() {
   // episode: the observed recovery time runs from the first trip.
   if (state_ == State::kClosed) tripped_at_ns_ = clock_->now_ns();
   state_ = State::kOpen;
-  open_until_ns_ = clock_->now_ns() + options_.cooldown_ns;
+  open_until_ns_ = clock_->now_ns() + cooldown_ns_;
   probe_in_flight_ = false;
   trips_metric_.inc();
   // A fresh cooldown deserves a fresh verdict: the window restarts so
   // stale pre-trip failures cannot instantly re-trip a recovering
   // dependency.
-  outcomes_.assign(options_.window, 0);
+  outcomes_.fill(0);
   next_slot_ = 0;
   samples_ = 0;
   failures_in_window_ = 0;
@@ -135,7 +124,7 @@ void CircuitBreaker::record_success() {
     last_recovery_ns_ = clock_->now_ns() - tripped_at_ns_;
     state_ = State::kClosed;
     probe_in_flight_ = false;
-    outcomes_.assign(options_.window, 0);
+    outcomes_.fill(0);
     next_slot_ = 0;
     samples_ = 0;
     failures_in_window_ = 0;
@@ -143,8 +132,8 @@ void CircuitBreaker::record_success() {
   }
   failures_in_window_ -= outcomes_[next_slot_];
   outcomes_[next_slot_] = 0;
-  next_slot_ = (next_slot_ + 1) % options_.window;
-  if (samples_ < options_.window) ++samples_;
+  next_slot_ = (next_slot_ + 1) % kWindow;
+  if (samples_ < kWindow) ++samples_;
 }
 
 void CircuitBreaker::record_failure() {
@@ -159,11 +148,11 @@ void CircuitBreaker::record_failure() {
   failures_in_window_ -= outcomes_[next_slot_];
   outcomes_[next_slot_] = 1;
   ++failures_in_window_;
-  next_slot_ = (next_slot_ + 1) % options_.window;
-  if (samples_ < options_.window) ++samples_;
-  if (samples_ >= options_.min_samples &&
+  next_slot_ = (next_slot_ + 1) % kWindow;
+  if (samples_ < kWindow) ++samples_;
+  if (samples_ >= kMinSamples &&
       static_cast<double>(failures_in_window_) >=
-          options_.failure_threshold * static_cast<double>(samples_)) {
+          kFailureThreshold * static_cast<double>(samples_)) {
     trip_locked();
   }
 }
@@ -180,7 +169,7 @@ void CircuitBreaker::set_cooldown_ns(std::uint64_t cooldown_ns) {
     throw std::invalid_argument("CircuitBreaker: cooldown_ns must be >= 1");
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  options_.cooldown_ns = cooldown_ns;
+  cooldown_ns_ = cooldown_ns;
 }
 
 std::uint64_t CircuitBreaker::recoveries() const {
@@ -214,12 +203,11 @@ void AdmissionOptions::validate() const {
     throw std::invalid_argument(
         "AdmissionController: refill_per_sec must be >= 0");
   }
-  if (!(shed_below > 0.0 && shed_below < recover_above &&
-        recover_above <= degraded_below &&
-        degraded_below < healthy_above && healthy_above <= 1.0)) {
+  if (!(AdmissionController::kRecoverAbove <= degraded_below &&
+        degraded_below < AdmissionController::kHealthyAbove)) {
     throw std::invalid_argument(
-        "AdmissionController: need 0 < shed_below < recover_above <= "
-        "degraded_below < healthy_above <= 1");
+        "AdmissionController: need kRecoverAbove <= degraded_below < "
+        "kHealthyAbove");
   }
 }
 
@@ -278,23 +266,23 @@ void AdmissionController::step_health_locked() {
   Health next = health_;
   switch (health_) {
     case Health::kHealthy:
-      if (fill < options_.shed_below) {
+      if (fill < kShedBelow) {
         next = Health::kShedding;
       } else if (fill < options_.degraded_below) {
         next = Health::kDegraded;
       }
       break;
     case Health::kDegraded:
-      if (fill < options_.shed_below) {
+      if (fill < kShedBelow) {
         next = Health::kShedding;
-      } else if (fill > options_.healthy_above) {
+      } else if (fill > kHealthyAbove) {
         next = Health::kHealthy;
       }
       break;
     case Health::kShedding:
       // Stepwise recovery only: shedding can never jump straight back to
       // healthy, no matter how full the bucket refilled.
-      if (fill > options_.recover_above) {
+      if (fill > kRecoverAbove) {
         next = Health::kDegraded;
       }
       break;
@@ -345,11 +333,10 @@ void AdmissionController::set_refill_per_sec(double refill_per_sec) {
 
 void AdmissionController::set_degraded_below(double degraded_below) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!(options_.recover_above <= degraded_below &&
-        degraded_below < options_.healthy_above)) {
+  if (!(kRecoverAbove <= degraded_below && degraded_below < kHealthyAbove)) {
     throw std::invalid_argument(
-        "AdmissionController: set_degraded_below needs recover_above <= "
-        "degraded_below < healthy_above");
+        "AdmissionController: set_degraded_below needs kRecoverAbove <= "
+        "degraded_below < kHealthyAbove");
   }
   options_.degraded_below = degraded_below;
   // Re-judge the current fill against the moved threshold right away so

@@ -26,13 +26,13 @@
 // once, in registry series set up at construction.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "support/metrics.h"
 
@@ -109,25 +109,23 @@ class Deadline {
   std::uint64_t expiry_ns_ = kUnbounded;
 };
 
-/// CircuitBreaker tuning. Defaults suit a per-call dependency probed a
-/// few times per second.
+/// CircuitBreaker tuning: only the open-state cooldown is settable (the
+/// SLO controller's actuator moves it at runtime); the trip rule is
+/// fixed by CircuitBreaker::kWindow, kMinSamples and kFailureThreshold.
 struct CircuitBreakerOptions {
-  /// Sliding window of recorded outcomes the failure rate is computed
-  /// over (>= 1).
-  std::size_t window = 8;
-  /// Outcomes required in the window before the breaker may trip (>= 1,
-  /// <= window) — a single early failure must not open a cold breaker.
-  std::size_t min_samples = 4;
-  /// Trip when failures / outcomes >= this fraction, in (0, 1].
-  double failure_threshold = 0.5;
   /// How long an open breaker rejects before probing again (>= 1 ns).
   std::uint64_t cooldown_ns = 100'000'000;  // 100 ms
 
-  /// Throws std::invalid_argument with a specific message per violation.
+  /// Throws std::invalid_argument on a zero cooldown.
   void validate() const;
 };
 
 /// closed -> open -> half-open failure isolator.
+///
+/// The failure rate is computed over the last kWindow recorded outcomes;
+/// the breaker trips once at least kMinSamples are in the window and
+/// failures / outcomes >= kFailureThreshold. Tuned for a per-call
+/// dependency probed a few times per second.
 ///
 /// Legal state transitions (the soak harness asserts exactly these):
 ///   closed    -> open       window full enough and failure rate tripped
@@ -143,6 +141,14 @@ struct CircuitBreakerOptions {
 class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
+
+  /// Sliding window of recorded outcomes the failure rate is taken over.
+  static constexpr std::size_t kWindow = 8;
+  /// Outcomes required in the window before the breaker may trip: a
+  /// single early failure must not open a cold breaker.
+  static constexpr std::size_t kMinSamples = 4;
+  /// Trip when failures / outcomes reaches this fraction.
+  static constexpr double kFailureThreshold = 0.5;
 
   /// The clock must outlive the breaker. Trips are counted once, in
   /// `registry`'s confcall_planner_breaker_trips_total series with
@@ -172,9 +178,6 @@ class CircuitBreaker {
 
   [[nodiscard]] std::uint64_t trips() const;       ///< closed/half-open -> open
   [[nodiscard]] std::uint64_t rejections() const;  ///< allow() == false
-  [[nodiscard]] const CircuitBreakerOptions& options() const noexcept {
-    return options_;
-  }
 
   /// Replaces the open-state cooldown for every FUTURE trip (an already
   /// running cooldown keeps its original expiry). The SLO controller's
@@ -197,13 +200,13 @@ class CircuitBreaker {
   void trip_locked();
   [[nodiscard]] State state_locked() const;
 
-  CircuitBreakerOptions options_;
+  std::uint64_t cooldown_ns_;
   const ClockSource* clock_;
   mutable std::mutex mutex_;
   State state_ = State::kClosed;
   std::uint64_t open_until_ns_ = 0;
   bool probe_in_flight_ = false;
-  std::vector<std::uint8_t> outcomes_;  // ring: 1 = failure
+  std::array<std::uint8_t, kWindow> outcomes_{};  // ring: 1 = failure
   std::size_t next_slot_ = 0;
   std::size_t samples_ = 0;
   std::size_t failures_in_window_ = 0;
@@ -225,23 +228,22 @@ enum class Health { kHealthy, kDegraded, kShedding };
 /// large conferences weigh more). Health is driven by the bucket's fill
 /// fraction with hysteresis:
 ///
-///   fill < shed_below       ->  kShedding   (reject new work)
+///   fill < kShedBelow       ->  kShedding   (reject new work)
 ///   fill < degraded_below   ->  kDegraded   (admit, but plan cheap)
-///   recovery is stepwise: shedding needs fill > recover_above to become
-///   degraded, degraded needs fill > healthy_above to become healthy —
+///   recovery is stepwise: shedding needs fill > kRecoverAbove to become
+///   degraded, degraded needs fill > kHealthyAbove to become healthy —
 ///   never shedding -> healthy in one move, and the gaps between the
 ///   down- and up-thresholds keep the state from flapping at a boundary.
+///   The AdmissionController::k* thresholds are fixed; degraded_below is
+///   the one the SLO controller moves.
 struct AdmissionOptions {
   double bucket_capacity = 64.0;  ///< max tokens (burst allowance), > 0
   double refill_per_sec = 64.0;   ///< sustained token rate, >= 0
   double degraded_below = 0.5;
-  double healthy_above = 0.75;
-  double shed_below = 0.15;
-  double recover_above = 0.35;
 
   /// Throws std::invalid_argument unless
-  /// 0 < shed_below < recover_above <= degraded_below < healthy_above <= 1
-  /// and capacity/refill are sane.
+  /// kRecoverAbove <= degraded_below < kHealthyAbove and capacity/refill
+  /// are sane.
   void validate() const;
 };
 
@@ -261,6 +263,11 @@ class AdmissionController {
     kAdmitDegraded,  ///< degraded: serve, but with the cheap plan tier
     kShed,           ///< shedding (or bucket empty): reject the request
   };
+
+  /// The fixed fill fractions of the health ladder (see AdmissionOptions).
+  static constexpr double kShedBelow = 0.15;
+  static constexpr double kRecoverAbove = 0.35;
+  static constexpr double kHealthyAbove = 0.75;
 
   /// The clock must outlive the controller; the bucket starts full.
   /// Pass `registry` to count into a shared registry (it must outlive
@@ -314,7 +321,7 @@ class AdmissionController {
   /// Moves the degrade threshold (the SLO controller's quality actuator:
   /// raise it to degrade earlier under load, lower it to restore full
   /// quality). Throws std::invalid_argument unless the hysteresis chain
-  /// recover_above <= degraded_below < healthy_above stays intact; the
+  /// kRecoverAbove <= degraded_below < kHealthyAbove stays intact; the
   /// health state is re-stepped against the new threshold immediately.
   void set_degraded_below(double degraded_below);
 

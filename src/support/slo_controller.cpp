@@ -20,6 +20,16 @@ const char* slo_health_name(SloHealth health) noexcept {
   return "?";
 }
 
+namespace {
+
+// The degrade actuator's range is the admission hysteresis chain,
+// strictly under kHealthyAbove so set_degraded_below's check keeps
+// holding at the top of the range.
+constexpr double kDegradeLo = AdmissionController::kRecoverAbove;
+constexpr double kDegradeHi = AdmissionController::kHealthyAbove - 1e-9;
+
+}  // namespace
+
 void SloOptions::validate() const {
   if (target_p99_ns == 0) {
     throw std::invalid_argument("SloController: target_p99_ns must be >= 1");
@@ -28,56 +38,25 @@ void SloOptions::validate() const {
     throw std::invalid_argument(
         "SloController: control_period_ns must be >= 1");
   }
-  if (!(additive_increase > 0.0)) {
+  if (!(max_refill_per_sec >= SloController::kMinRefillPerSec)) {
     throw std::invalid_argument(
-        "SloController: additive_increase must be > 0");
-  }
-  if (!(multiplicative_decrease > 0.0 && multiplicative_decrease < 1.0)) {
-    throw std::invalid_argument(
-        "SloController: multiplicative_decrease must be in (0, 1)");
-  }
-  if (!(min_refill_per_sec > 0.0 &&
-        min_refill_per_sec <= max_refill_per_sec)) {
-    throw std::invalid_argument(
-        "SloController: need 0 < min_refill_per_sec <= max_refill_per_sec");
-  }
-  if (!(degrade_step > 0.0 && degrade_step < 1.0)) {
-    throw std::invalid_argument(
-        "SloController: degrade_step must be in (0, 1)");
+        "SloController: max_refill_per_sec must be >= kMinRefillPerSec");
   }
   if (min_interval_calls == 0) {
     throw std::invalid_argument(
         "SloController: min_interval_calls must be >= 1");
-  }
-  if (breach_horizon_periods == 0) {
-    throw std::invalid_argument(
-        "SloController: breach_horizon_periods must be >= 1");
-  }
-  if (!(recovery_ewma_alpha > 0.0 && recovery_ewma_alpha <= 1.0)) {
-    throw std::invalid_argument(
-        "SloController: recovery_ewma_alpha must be in (0, 1]");
-  }
-  if (!(cooldown_recovery_multiplier > 0.0)) {
-    throw std::invalid_argument(
-        "SloController: cooldown_recovery_multiplier must be > 0");
-  }
-  if (min_cooldown_ns == 0 || min_cooldown_ns > max_cooldown_ns) {
-    throw std::invalid_argument(
-        "SloController: need 1 <= min_cooldown_ns <= max_cooldown_ns");
   }
 }
 
 SloController::SloController(SloOptions options, MetricRegistry& registry,
                              AdmissionController& admission,
                              const ClockSource& clock,
-                             std::uint64_t round_duration_ns,
-                             std::string rounds_histogram)
+                             std::uint64_t round_duration_ns)
     : options_(options),
       registry_(&registry),
       admission_(&admission),
       clock_(&clock),
-      round_duration_ns_(round_duration_ns),
-      rounds_histogram_(std::move(rounds_histogram)) {
+      round_duration_ns_(round_duration_ns) {
   options_.validate();
   if (round_duration_ns_ == 0) {
     throw std::invalid_argument(
@@ -89,14 +68,9 @@ SloController::SloController(SloOptions options, MetricRegistry& registry,
         "controller's registry (its shed fraction is sensed there)");
   }
   const AdmissionOptions admitted = admission_->options();
-  refill_per_sec_ = std::clamp(admitted.refill_per_sec,
-                               options_.min_refill_per_sec,
+  refill_per_sec_ = std::clamp(admitted.refill_per_sec, kMinRefillPerSec,
                                options_.max_refill_per_sec);
   degrade_threshold_ = admitted.degraded_below;
-  degrade_lo_ = admitted.recover_above;
-  // Strictly under healthy_above so the hysteresis chain's validation
-  // keeps holding at the top of the actuator range.
-  degrade_hi_ = admitted.healthy_above - 1e-9;
   target_metric_ = registry_->gauge("confcall_slo_target_p99_ns",
                                     "Configured admitted-latency p99 SLO");
   observed_metric_ = registry_->gauge(
@@ -177,7 +151,7 @@ void SloController::step_locked() {
   // resharding, the control trajectory — and with it every admission
   // decision — is bit-identical at shards 1/2/8 (the E21 gate).
   const std::optional<MetricSnapshot> rounds =
-      interval.sum_by(rounds_histogram_);
+      interval.sum_by(kRoundsHistogram);
   const std::uint64_t interval_calls = rounds ? rounds->histogram.count : 0;
 
   // Shed fraction of the interval's arrivals (admitted + degraded +
@@ -208,17 +182,15 @@ void SloController::step_locked() {
       recovery_ewma_ns_ =
           recovery_ewma_ns_ == 0.0
               ? sample
-              : options_.recovery_ewma_alpha * sample +
-                    (1.0 - options_.recovery_ewma_alpha) * recovery_ewma_ns_;
+              : kRecoveryEwmaAlpha * sample +
+                    (1.0 - kRecoveryEwmaAlpha) * recovery_ewma_ns_;
       ewma_moved = true;
     }
   }
   if (ewma_moved) {
-    const double derived =
-        options_.cooldown_recovery_multiplier * recovery_ewma_ns_;
-    cooldown_ns_ = std::clamp(
-        static_cast<std::uint64_t>(derived), options_.min_cooldown_ns,
-        options_.max_cooldown_ns);
+    const double derived = kCooldownRecoveryMultiplier * recovery_ewma_ns_;
+    cooldown_ns_ = std::clamp(static_cast<std::uint64_t>(derived),
+                              kMinCooldownNs, kMaxCooldownNs);
     for (CircuitBreaker* breaker : breakers_) {
       breaker->set_cooldown_ns(cooldown_ns_);
     }
@@ -247,9 +219,7 @@ void SloController::step_locked() {
   bool degrading = false;
   if (!breached && have_previous_ && p99_ns > previous_p99_ns_) {
     const std::uint64_t slope = p99_ns - previous_p99_ns_;
-    const std::uint64_t projected =
-        p99_ns + slope * static_cast<std::uint64_t>(
-                             options_.breach_horizon_periods);
+    const std::uint64_t projected = p99_ns + slope * kBreachHorizonPeriods;
     degrading = projected > options_.target_p99_ns;
   }
   slo_health_ = breached    ? SloHealth::kBreached
@@ -267,19 +237,18 @@ void SloController::step_locked() {
   // A degrading verdict already leans on the brake halfway (one degrade
   // step, rate held) so the pre-breach signal acts, not just reports.
   if (breached) {
-    refill_per_sec_ = std::max(options_.min_refill_per_sec,
-                               refill_per_sec_ *
-                                   options_.multiplicative_decrease);
+    refill_per_sec_ = std::max(kMinRefillPerSec,
+                               refill_per_sec_ * kMultiplicativeDecrease);
     degrade_threshold_ =
-        std::min(degrade_hi_, degrade_threshold_ + options_.degrade_step);
+        std::min(kDegradeHi, degrade_threshold_ + kDegradeStep);
   } else if (degrading) {
     degrade_threshold_ =
-        std::min(degrade_hi_, degrade_threshold_ + options_.degrade_step);
+        std::min(kDegradeHi, degrade_threshold_ + kDegradeStep);
   } else {
     refill_per_sec_ = std::min(options_.max_refill_per_sec,
-                               refill_per_sec_ + options_.additive_increase);
+                               refill_per_sec_ + kAdditiveIncrease);
     degrade_threshold_ =
-        std::max(degrade_lo_, degrade_threshold_ - options_.degrade_step);
+        std::max(kDegradeLo, degrade_threshold_ - kDegradeStep);
   }
   admission_->set_refill_per_sec(refill_per_sec_);
   admission_->set_degraded_below(degrade_threshold_);
@@ -324,16 +293,15 @@ bool SloController::restore_state(std::string_view payload,
     }
 
     const std::lock_guard<std::mutex> lock(mutex_);
-    // Clamp back into THIS build's configured ranges: a checkpoint from
-    // a run with wider limits must not install an out-of-range actuator.
-    refill_per_sec_ = std::clamp(refill, options_.min_refill_per_sec,
-                                 options_.max_refill_per_sec);
-    degrade_threshold_ = std::clamp(degrade, degrade_lo_, degrade_hi_);
+    // Clamp back into THIS build's ranges: a checkpoint from a run with
+    // wider limits must not install an out-of-range actuator.
+    refill_per_sec_ =
+        std::clamp(refill, kMinRefillPerSec, options_.max_refill_per_sec);
+    degrade_threshold_ = std::clamp(degrade, kDegradeLo, kDegradeHi);
     recovery_ewma_ns_ = ewma;
     cooldown_ns_ = cooldown == 0
                        ? 0
-                       : std::clamp(cooldown, options_.min_cooldown_ns,
-                                    options_.max_cooldown_ns);
+                       : std::clamp(cooldown, kMinCooldownNs, kMaxCooldownNs);
     observed_p99_ns_ = observed;
     previous_p99_ns_ = previous;
     have_measurement_ = have_measurement;

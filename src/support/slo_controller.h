@@ -26,7 +26,7 @@
 //              first probe walks its cooldown down, one that keeps
 //              failing probes backs it off;
 //   health     a pre-breach "degrading" signal: when the linear p99
-//              trend projects a breach within `breach_horizon_periods`
+//              trend projects a breach within kBreachHorizonPeriods
 //              control periods, slo_health() flips BEFORE the SLO is
 //              broken, so /healthz can shed a load balancer's traffic
 //              proactively.
@@ -34,9 +34,10 @@
 // Stability / anti-windup: actuators only move on intervals with at
 // least `min_interval_calls` admitted calls (an idle window neither
 // ramps the token rate nor relaxes degradation), every actuator is
-// clamped to a configured range, and the degrade threshold stays inside
-// the hysteresis chain (recover_above <= degraded_below < healthy_above)
-// so the health machine's invariants survive the controller.
+// clamped to a fixed range, and the degrade threshold stays inside the
+// admission hysteresis chain (kRecoverAbove <= degraded_below <
+// kHealthyAbove) so the health machine's invariants survive the
+// controller.
 //
 // All time flows through the injectable ClockSource: under a
 // ManualClock every control step lands on a fixed period grid and the
@@ -68,7 +69,8 @@ enum class SloHealth {
 
 /// SloController tuning. The defaults suit the simulator's virtual
 /// timescale (1 ms rounds, 10 ms steps); confcall_serve scales them to
-/// wall time via --slo-p99-ms / --control-period-ms.
+/// wall time via --slo-p99-ms / --control-period-ms. The control law's
+/// gains and clamps are fixed: see the SloController::k* constants.
 struct SloOptions {
   /// Master switch for config embedding (OverloadConfig::slo); the
   /// controller itself is always "on" once constructed.
@@ -79,32 +81,12 @@ struct SloOptions {
   /// Fixed control period; steps land on the period grid regardless of
   /// how irregularly maybe_step() is polled.
   std::uint64_t control_period_ns = 200'000'000;  // 200 ms
-  /// AIMD: tokens/sec added per in-SLO period, and the factor the rate
-  /// is multiplied by on a breached period.
-  double additive_increase = 8.0;
-  double multiplicative_decrease = 0.5;
-  /// Token-rate actuator clamp (anti-windup: the additive ramp cannot
-  /// run away during a long quiet spell).
-  double min_refill_per_sec = 1.0;
+  /// Token-rate actuator ceiling (anti-windup: the additive ramp cannot
+  /// run away during a long quiet spell); >= kMinRefillPerSec.
   double max_refill_per_sec = 1'000'000.0;
-  /// Degrade-threshold actuator: moved by this much per period, clamped
-  /// to the admission options' hysteresis chain at attach time.
-  double degrade_step = 0.08;
   /// Intervals with fewer admitted calls than this hold every actuator
   /// (too thin to estimate a p99 from).
   std::size_t min_interval_calls = 8;
-  /// Pre-breach projection horizon k: degrading when
-  /// p99 + slope * k > target while p99 itself is still within SLO.
-  std::size_t breach_horizon_periods = 3;
-  /// Breaker-cooldown actuator: EWMA weight of each newly observed
-  /// recovery time, and the cooldown = multiplier * EWMA clamp range.
-  /// A multiplier < 1 probes downward when recoveries complete on the
-  /// first probe (observed recovery can never undershoot the cooldown
-  /// itself) and still backs off when probes keep failing.
-  double recovery_ewma_alpha = 0.3;
-  double cooldown_recovery_multiplier = 0.5;
-  std::uint64_t min_cooldown_ns = 1'000'000;          // 1 ms
-  std::uint64_t max_cooldown_ns = 60'000'000'000;     // 60 s
 
   /// Throws std::invalid_argument with a specific message per violation.
   void validate() const;
@@ -117,24 +99,47 @@ struct SloOptions {
 /// docs/OBSERVABILITY.md) is registered at construction.
 class SloController {
  public:
+  /// The registry family the sensor reads: admitted-call rounds, unit
+  /// buckets.
+  static constexpr const char* kRoundsHistogram = "confcall_locate_rounds";
+  /// AIMD: tokens/sec added per in-SLO period, and the factor the rate
+  /// is multiplied by on a breached period.
+  static constexpr double kAdditiveIncrease = 8.0;
+  static constexpr double kMultiplicativeDecrease = 0.5;
+  /// Token-rate actuator floor.
+  static constexpr double kMinRefillPerSec = 1.0;
+  /// Degrade-threshold actuator: moved by this much per period, clamped
+  /// to the admission hysteresis chain.
+  static constexpr double kDegradeStep = 0.08;
+  /// Pre-breach projection horizon k: degrading when
+  /// p99 + slope * k > target while p99 itself is still within SLO.
+  static constexpr std::uint64_t kBreachHorizonPeriods = 3;
+  /// Breaker-cooldown actuator: EWMA weight of each newly observed
+  /// recovery time, and cooldown = multiplier * EWMA, clamped to
+  /// [kMinCooldownNs, kMaxCooldownNs]. A multiplier < 1 probes downward
+  /// when recoveries complete on the first probe (observed recovery can
+  /// never undershoot the cooldown itself) and still backs off when
+  /// probes keep failing.
+  static constexpr double kRecoveryEwmaAlpha = 0.3;
+  static constexpr double kCooldownRecoveryMultiplier = 0.5;
+  static constexpr std::uint64_t kMinCooldownNs = 1'000'000;       // 1 ms
+  static constexpr std::uint64_t kMaxCooldownNs = 60'000'000'000;  // 60 s
+
   /// `registry`, `admission` and `clock` must outlive the controller.
-  /// `round_duration_ns` converts the rounds histogram into latency
-  /// (> 0); `rounds_histogram` names the registry FAMILY the sensor
-  /// reads (admitted-call rounds, unit buckets). The sensor is
-  /// label-summed (RegistrySnapshot::sum_by): every label set of the
-  /// family folds into one fleet-wide interval histogram, so the same
-  /// controller senses a single unlabelled service or a ServiceFleet's
-  /// per-shard {shard="s"} series — and because the label-erased sum is
-  /// invariant under resharding, the control trajectory is identical at
-  /// any shard count. The shed-fraction sensor reads the
-  /// confcall_admission_* family from the same registry, so `admission`
-  /// must count into it. Throws std::invalid_argument on bad options, a
-  /// zero round duration, or an admission controller on another
-  /// registry.
+  /// `round_duration_ns` converts the kRoundsHistogram family into
+  /// latency (> 0). The sensor is label-summed
+  /// (RegistrySnapshot::sum_by): every label set of the family folds
+  /// into one fleet-wide interval histogram, so the same controller
+  /// senses a single unlabelled service or a ServiceFleet's per-shard
+  /// {shard="s"} series — and because the label-erased sum is invariant
+  /// under resharding, the control trajectory is identical at any shard
+  /// count. The shed-fraction sensor reads the confcall_admission_*
+  /// family from the same registry, so `admission` must count into it.
+  /// Throws std::invalid_argument on bad options, a zero round duration,
+  /// or an admission controller on another registry.
   SloController(SloOptions options, MetricRegistry& registry,
                 AdmissionController& admission, const ClockSource& clock,
-                std::uint64_t round_duration_ns,
-                std::string rounds_histogram = "confcall_locate_rounds");
+                std::uint64_t round_duration_ns);
 
   /// Adds a breaker to the cooldown actuator set (non-owning; must
   /// outlive the controller). Typically every non-final tier breaker of
@@ -196,7 +201,7 @@ class SloController {
   [[nodiscard]] std::string save_state() const;
 
   /// Restores a kStateSection payload written by save_state: every
-  /// actuator is clamped back into the configured ranges and re-applied
+  /// actuator is clamped back into this build's ranges and re-applied
   /// to the attached admission controller and breakers, so the very next
   /// control step runs from the warm operating point. Returns false —
   /// leaving the controller in its cold-start state — on a version this
@@ -213,7 +218,6 @@ class SloController {
   AdmissionController* admission_;
   const ClockSource* clock_;
   std::uint64_t round_duration_ns_;
-  std::string rounds_histogram_;
 
   mutable std::mutex mutex_;
   std::vector<CircuitBreaker*> breakers_;
@@ -232,8 +236,6 @@ class SloController {
   // Actuator state.
   double refill_per_sec_;
   double degrade_threshold_;
-  double degrade_lo_;  ///< recover_above of the attached admission
-  double degrade_hi_;  ///< just under healthy_above
   double recovery_ewma_ns_ = 0.0;
   std::uint64_t cooldown_ns_ = 0;
 

@@ -61,32 +61,28 @@ TEST(Deadline, PropagatesByValueUnchanged) {
 
 // ---------------------------------------------------------- CircuitBreaker
 
+// The trip rule is fixed (CircuitBreaker::kWindow / kMinSamples /
+// kFailureThreshold); only the cooldown is set, short for the tests.
 CircuitBreakerOptions small_breaker() {
   CircuitBreakerOptions options;
-  options.window = 4;
-  options.min_samples = 2;
-  options.failure_threshold = 0.5;
   options.cooldown_ns = 1'000;
   return options;
 }
 
+// Records outcomes until the window holds kMinSamples of them, half
+// failures: exactly the kFailureThreshold trip point.
+void record_trip(CircuitBreaker& breaker) {
+  for (std::size_t i = 0; i < CircuitBreaker::kMinSamples / 2; ++i) {
+    breaker.record_success();
+  }
+  for (std::size_t i = 0; i < CircuitBreaker::kMinSamples / 2; ++i) {
+    breaker.record_failure();
+  }
+}
+
 TEST(CircuitBreaker, OptionsValidateRejectsNonsense) {
   CircuitBreakerOptions options;
-  options.window = 0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.min_samples = 0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.min_samples = options.window + 1;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.failure_threshold = 0.0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.failure_threshold = 1.5;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
+  EXPECT_NO_THROW(options.validate());
   options.cooldown_ns = 0;
   EXPECT_THROW(options.validate(), std::invalid_argument);
 }
@@ -94,7 +90,10 @@ TEST(CircuitBreaker, OptionsValidateRejectsNonsense) {
 TEST(CircuitBreaker, StaysClosedBelowMinSamples) {
   const ManualClock clock;
   CircuitBreaker breaker(small_breaker(), clock);
-  breaker.record_failure();  // 1/1 failed, but min_samples = 2
+  // Every outcome failed, but the window holds one short of kMinSamples.
+  for (std::size_t i = 0; i + 1 < CircuitBreaker::kMinSamples; ++i) {
+    breaker.record_failure();
+  }
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   EXPECT_TRUE(breaker.allow());
   EXPECT_EQ(breaker.trips(), 0u);
@@ -104,7 +103,10 @@ TEST(CircuitBreaker, TripsAtThresholdAndRejectsWhileOpen) {
   const ManualClock clock;
   CircuitBreaker breaker(small_breaker(), clock);
   breaker.record_success();
-  breaker.record_failure();  // 1/2 = 0.5 >= threshold, min_samples met
+  breaker.record_success();
+  breaker.record_failure();
+  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kClosed);  // 1/3
+  breaker.record_failure();  // 2/4 = 0.5 >= threshold, min_samples met
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(breaker.trips(), 1u);
   EXPECT_FALSE(breaker.allow());
@@ -118,8 +120,7 @@ TEST(CircuitBreaker, TripsCountOnceInTheRegistry) {
   ManualClock clock;
   MetricRegistry registry;
   CircuitBreaker breaker(small_breaker(), clock, &registry, {{"tier", "0"}});
-  breaker.record_success();
-  breaker.record_failure();
+  record_trip(breaker);
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   const RegistrySnapshot snapshot = registry.snapshot();
   const MetricSnapshot* trips =
@@ -151,8 +152,7 @@ TEST(CircuitBreaker, SuccessesAloneNeverTrip) {
 TEST(CircuitBreaker, HalfOpenProbeRecovers) {
   ManualClock clock;
   CircuitBreaker breaker(small_breaker(), clock);
-  breaker.record_failure();
-  breaker.record_failure();  // trips
+  record_trip(breaker);
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   clock.advance(999);
   EXPECT_FALSE(breaker.allow());  // cooldown not elapsed
@@ -171,8 +171,7 @@ TEST(CircuitBreaker, HalfOpenProbeRecovers) {
 TEST(CircuitBreaker, FailedProbeReopensAndRestartsCooldown) {
   ManualClock clock;
   CircuitBreaker breaker(small_breaker(), clock);
-  breaker.record_failure();
-  breaker.record_failure();
+  record_trip(breaker);
   clock.advance(1'000);
   ASSERT_TRUE(breaker.allow());  // probe
   breaker.record_failure();      // probe fails
@@ -187,21 +186,19 @@ TEST(CircuitBreaker, FailedProbeReopensAndRestartsCooldown) {
 
 TEST(CircuitBreaker, SlidingWindowForgetsOldFailures) {
   const ManualClock clock;
-  CircuitBreakerOptions options = small_breaker();
-  options.window = 4;
-  options.min_samples = 4;
-  options.failure_threshold = 0.5;
-  CircuitBreaker breaker(options, clock);
-  // Two failures, then enough successes to slide them out: 2/4 would
-  // trip, but by the time 4 samples exist the failures are ancient.
+  CircuitBreaker breaker(small_breaker(), clock);
+  // One failure, then successes until it slides out of the full window.
   breaker.record_failure();
-  breaker.record_success();
-  breaker.record_success();
-  breaker.record_success();  // window now F S S S: 1/4 < 0.5
+  for (std::size_t i = 0; i < CircuitBreaker::kWindow; ++i) {
+    breaker.record_success();
+  }
+  // Half a window of fresh failures is the trip point; one short of it
+  // would already trip if the ancient failure still counted.
+  for (std::size_t i = 0; i + 1 < CircuitBreaker::kWindow / 2; ++i) {
+    breaker.record_failure();
+  }
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  breaker.record_success();  // F slides out: S S S S
-  breaker.record_failure();
-  breaker.record_failure();  // S S F F: 2/4 = 0.5 -> trip
+  breaker.record_failure();  // kWindow / 2 of kWindow = 0.5 -> trip
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
 }
 
@@ -212,9 +209,6 @@ AdmissionOptions small_bucket() {
   options.bucket_capacity = 10.0;
   options.refill_per_sec = 1.0;  // 1 token per virtual second
   options.degraded_below = 0.5;
-  options.healthy_above = 0.75;
-  options.shed_below = 0.15;
-  options.recover_above = 0.35;
   return options;
 }
 
@@ -228,19 +222,10 @@ TEST(AdmissionController, OptionsValidateRejectsBrokenLadder) {
   options.refill_per_sec = -1.0;
   EXPECT_THROW(options.validate(), std::invalid_argument);
   options = small_bucket();
-  options.shed_below = 0.0;  // must be > 0
+  options.degraded_below = AdmissionController::kRecoverAbove - 0.01;
   EXPECT_THROW(options.validate(), std::invalid_argument);
   options = small_bucket();
-  options.recover_above = options.shed_below;  // must be strictly above
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = small_bucket();
-  options.degraded_below = options.recover_above - 0.01;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = small_bucket();
-  options.healthy_above = options.degraded_below;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = small_bucket();
-  options.healthy_above = 1.01;
+  options.degraded_below = AdmissionController::kHealthyAbove;
   EXPECT_THROW(options.validate(), std::invalid_argument);
 }
 
@@ -293,11 +278,11 @@ TEST(AdmissionController, RecoveryIsStepwiseNeverSheddingToHealthy) {
   AdmissionController admission(small_bucket(), clock);
   for (int i = 0; i < 10; ++i) (void)admission.admit(1.0);  // drains to 1
   ASSERT_EQ(admission.health(), Health::kShedding);
-  // Refill past recover_above (3.5) but below healthy_above (7.5): one
+  // Refill past kRecoverAbove (3.5) but below kHealthyAbove (7.5): one
   // step up to degraded only.
   clock.advance(4 * kSecond);  // fill 1 -> 5
   EXPECT_EQ(admission.health(), Health::kDegraded);
-  // Refill past healthy_above: the second step completes recovery.
+  // Refill past kHealthyAbove: the second step completes recovery.
   clock.advance(5 * kSecond);  // fill -> 10
   EXPECT_EQ(admission.health(), Health::kHealthy);
 }
@@ -315,7 +300,7 @@ TEST(AdmissionController, SheddingToHealthyFillStopsAtDegraded) {
 }
 
 TEST(AdmissionController, HysteresisGapPreventsFlapping) {
-  // Sit the fill between degraded_below (5) and healthy_above (7.5):
+  // Sit the fill between degraded_below (5) and kHealthyAbove (7.5):
   // a degraded controller must STAY degraded there, not flap.
   ManualClock clock;
   AdmissionController admission(small_bucket(), clock);
@@ -351,7 +336,7 @@ TEST(AdmissionController, NonPositiveCostThrows) {
 // Edge case: every threshold comparison is STRICT, so a fill landing
 // exactly on a boundary keeps the current state — the controller only
 // moves when the fill is clearly past the line. This is what lets the
-// SLO controller park degraded_below exactly at recover_above without
+// SLO controller park degraded_below exactly at kRecoverAbove without
 // perturbing a recovering bucket.
 TEST(AdmissionController, ExactlyAtThresholdFillStaysPut) {
   ManualClock clock;
@@ -364,14 +349,14 @@ TEST(AdmissionController, ExactlyAtThresholdFillStaysPut) {
   (void)admission.admit(1.0);
   EXPECT_EQ(admission.health(), Health::kDegraded);
 
-  // Refill to exactly healthy_above (7.5): still degraded (needs >).
+  // Refill to exactly kHealthyAbove (7.5): still degraded (needs >).
   clock.advance(3'500'000'000);  // fill 4 -> 7.5 at 1 token/sec
   EXPECT_DOUBLE_EQ(admission.tokens(), 7.5);
   EXPECT_EQ(admission.health(), Health::kDegraded);
   clock.advance(500'000'000);  // 8.0 > 7.5: now healthy
   EXPECT_EQ(admission.health(), Health::kHealthy);
 
-  // Drain to shedding, refill to exactly recover_above (3.5): still
+  // Drain to shedding, refill to exactly kRecoverAbove (3.5): still
   // shedding (needs >).
   for (int i = 0; i < 8; ++i) (void)admission.admit(1.0);
   ASSERT_EQ(admission.health(), Health::kShedding);
@@ -384,7 +369,7 @@ TEST(AdmissionController, ExactlyAtThresholdFillStaysPut) {
 }
 
 // Edge case: after recovering to healthy, a fill that dips back into
-// the hysteresis gap (degraded_below, healthy_above] must NOT re-enter
+// the hysteresis gap (degraded_below, kHealthyAbove] must NOT re-enter
 // degraded — healthy only leaves below degraded_below. Together with
 // HysteresisGapPreventsFlapping this pins both directions of the gap.
 TEST(AdmissionController, ReentryIntoTheGapDoesNotFlapBack) {
@@ -453,7 +438,7 @@ TEST(AdmissionController, SetRefillSettlesElapsedTimeAtTheOldRate) {
 TEST(AdmissionController, SetDegradedBelowRejudgesAndStaysInTheChain) {
   ManualClock clock;
   AdmissionController admission(small_bucket(), clock);
-  // Outside recover_above <= v < healthy_above: refused, so the
+  // Outside kRecoverAbove <= v < kHealthyAbove: refused, so the
   // hysteresis ladder can never be broken by the actuator.
   EXPECT_THROW(admission.set_degraded_below(0.3), std::invalid_argument);
   EXPECT_THROW(admission.set_degraded_below(0.75), std::invalid_argument);
@@ -526,8 +511,7 @@ TEST(CircuitBreaker, RecoveriesMeasureWholeEpisodes) {
   EXPECT_EQ(breaker.last_recovery_ns(), 0u);
 
   // First-probe recovery: the episode spans exactly the cooldown.
-  breaker.record_failure();
-  breaker.record_failure();
+  record_trip(breaker);
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   clock.advance(1'000);
   ASSERT_TRUE(breaker.allow());
@@ -537,8 +521,7 @@ TEST(CircuitBreaker, RecoveriesMeasureWholeEpisodes) {
 
   // A failed probe re-trips WITHOUT restarting the episode clock: the
   // next recovery measures from the episode's first trip.
-  breaker.record_failure();
-  breaker.record_failure();
+  record_trip(breaker);
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   clock.advance(1'000);
   ASSERT_TRUE(breaker.allow());
@@ -557,8 +540,7 @@ TEST(CircuitBreaker, SetCooldownAppliesToFutureTrips) {
   EXPECT_THROW(breaker.set_cooldown_ns(0), std::invalid_argument);
 
   breaker.set_cooldown_ns(500);
-  breaker.record_failure();
-  breaker.record_failure();
+  record_trip(breaker);
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   clock.advance(499);
   EXPECT_FALSE(breaker.allow());

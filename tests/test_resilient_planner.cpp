@@ -199,12 +199,11 @@ class FlakyPlanner final : public Planner {
 
 support::CircuitBreakerOptions fast_breaker() {
   support::CircuitBreakerOptions options;
-  options.window = 4;
-  options.min_samples = 2;
-  options.failure_threshold = 0.5;
   options.cooldown_ns = 1'000;
   return options;
 }
+
+constexpr std::size_t kTripCalls = support::CircuitBreaker::kMinSamples;
 
 TEST(ResilientPlanner, BreakerOpensAndSkipsRepeatedlyFailingTier) {
   const Instance instance = Instance::uniform(1, 4);
@@ -213,29 +212,28 @@ TEST(ResilientPlanner, BreakerOpensAndSkipsRepeatedlyFailingTier) {
       chain_of(std::make_unique<ThrowingPlanner>(),
                std::make_unique<BlanketPlanner>()),
       {0.0}, clock, fast_breaker());
-  // Two failing calls fill min_samples and trip the breaker...
-  (void)planner.plan(instance, 2);
-  (void)planner.plan(instance, 2);
+  // kMinSamples failing calls fill the window enough to trip it...
+  for (std::size_t i = 0; i < kTripCalls; ++i) (void)planner.plan(instance, 2);
   EXPECT_EQ(planner.breaker(0).state(),
             support::CircuitBreaker::State::kOpen);
   EXPECT_EQ(planner.breaker_trips(), 1u);
   EXPECT_EQ(planner.breaker_skips(), 0u);
-  // ...so the third call skips tier 0 outright (no attempt, no trip).
+  // ...so the next call skips tier 0 outright (no attempt, no trip).
   (void)planner.plan(instance, 2);
   EXPECT_EQ(planner.breaker_skips(), 1u);
   EXPECT_EQ(planner.breaker_trips(), 1u);
-  EXPECT_EQ(planner.served_counts()[1], 3u);
+  EXPECT_EQ(planner.served_counts()[1], kTripCalls + 1);
 }
 
 TEST(ResilientPlanner, HalfOpenProbeRestoresRecoveredTier) {
   const Instance instance = Instance::uniform(1, 4);
   support::ManualClock clock;
   const ResilientPlanner planner(
-      chain_of(std::make_unique<FlakyPlanner>(/*failures=*/2),
+      chain_of(std::make_unique<FlakyPlanner>(static_cast<int>(kTripCalls)),
                std::make_unique<BlanketPlanner>()),
       {0.0}, clock, fast_breaker());
-  (void)planner.plan(instance, 2);
-  (void)planner.plan(instance, 2);  // second failure trips the breaker
+  // The last of its failures trips the breaker.
+  for (std::size_t i = 0; i < kTripCalls; ++i) (void)planner.plan(instance, 2);
   ASSERT_EQ(planner.breaker(0).state(),
             support::CircuitBreaker::State::kOpen);
   clock.advance(1'000);  // cooldown elapses on the virtual clock

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+
+#include "cellular/workload.h"
 
 namespace confcall::cellular {
 namespace {
@@ -275,6 +278,43 @@ TEST(Simulator, SeedRegressionPinned) {
     EXPECT_EQ(noisy.pages_per_call.mean(), 65.123966942148783);
     EXPECT_EQ(noisy.rounds_per_call.mean(), 4.2975206611570274);
   }
+}
+
+TEST(Simulator, OverloadSeedRegressionPinned) {
+  // Byte-for-byte pins of the overload layer's trajectory: admission
+  // (bucket, health ladder), the breaker-guarded planner chain and the
+  // SLO controller's AIMD, degrade-step, pre-breach and cooldown
+  // actuators all run at their built-in tuning. Any drift in one of
+  // those constants moves at least one of these counters or actuator
+  // positions.
+  SimConfig config = overloaded_urban_scenario(1).config;
+  config.steps = 800;
+  config.overload.slo.enabled = true;
+  config.overload.slo.target_p99_ns = 3'000'000;
+  config.overload.slo.control_period_ns = 100'000'000;
+  config.overload.slo.min_interval_calls = 2;
+  config.collect_metrics = true;
+  const SimReport report = run_simulation(config);
+  EXPECT_EQ(report.calls_arrived, 212u);
+  EXPECT_EQ(report.calls_shed, 57u);
+  EXPECT_EQ(report.calls_degraded_admit, 53u);
+  EXPECT_EQ(report.calls_deadline_limited, 4u);
+  EXPECT_EQ(report.breaker_trips, 17u);
+  EXPECT_EQ(report.breaker_skips, 150u);
+  EXPECT_EQ(report.planner_failovers, 180u);
+  EXPECT_EQ(report.health_transitions, 20u);
+  EXPECT_EQ(report.slo_control_steps, 95u);
+  EXPECT_EQ(report.slo_breaches, 4u);
+  EXPECT_EQ(report.slo_pre_breach_signals, 8u);
+  EXPECT_EQ(report.cells_paged_total, 7084u);
+  const auto gauge = [&report](const char* name) {
+    const std::optional<support::MetricSnapshot> metric =
+        report.metrics.sum_by(name);
+    return metric ? metric->gauge_value : -1.0;
+  };
+  EXPECT_EQ(gauge("confcall_slo_refill_per_sec"), 52.0);
+  EXPECT_EQ(gauge("confcall_slo_degrade_threshold"), 0.58999999999999997);
+  EXPECT_EQ(gauge("confcall_slo_breaker_cooldown_ns"), 740'790'000.0);
 }
 
 TEST(Simulator, ZeroRetriesAbandonsInsteadOfLooping) {

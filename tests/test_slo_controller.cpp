@@ -64,39 +64,10 @@ TEST(SloOptions, ValidatesEveryKnob) {
   options.control_period_ns = 0;
   EXPECT_THROW(options.validate(), std::invalid_argument);
   options = {};
-  options.additive_increase = 0.0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.multiplicative_decrease = 1.0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.min_refill_per_sec = 0.0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.min_refill_per_sec = 10.0;
-  options.max_refill_per_sec = 1.0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.degrade_step = 0.0;
+  options.max_refill_per_sec = SloController::kMinRefillPerSec / 2;
   EXPECT_THROW(options.validate(), std::invalid_argument);
   options = {};
   options.min_interval_calls = 0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.breach_horizon_periods = 0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.recovery_ewma_alpha = 0.0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.cooldown_recovery_multiplier = 0.0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.min_cooldown_ns = 0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.min_cooldown_ns = 10;
-  options.max_cooldown_ns = 1;
   EXPECT_THROW(options.validate(), std::invalid_argument);
 }
 
@@ -208,26 +179,26 @@ TEST(SloController, AimdCutsOnBreachAndRecoversInSlo) {
 
 TEST(SloController, ActuatorsClampToTheirRanges) {
   SloOptions options = test_options();
-  options.min_refill_per_sec = 10.0;
   options.max_refill_per_sec = 80.0;
   Stand stand(options);
-  const AdmissionOptions start = stand.admission.options();
 
-  // Keep breaching: the rate floors at min_refill_per_sec and the
-  // degrade threshold ceilings just under healthy_above, so the
-  // admission hysteresis chain's validation keeps holding.
+  // Keep breaching: the rate halves from 64 down to its kMinRefillPerSec
+  // floor and the degrade threshold ceilings just under kHealthyAbove,
+  // so the admission hysteresis chain's validation keeps holding.
   for (int i = 0; i < 12; ++i) stand.interval(8, 8.0);
-  EXPECT_DOUBLE_EQ(stand.slo.refill_per_sec(), 10.0);
-  EXPECT_LT(stand.slo.degrade_threshold(), start.healthy_above);
-  EXPECT_GT(stand.slo.degrade_threshold(), start.healthy_above - 0.01);
+  EXPECT_DOUBLE_EQ(stand.slo.refill_per_sec(), SloController::kMinRefillPerSec);
+  EXPECT_LT(stand.slo.degrade_threshold(), AdmissionController::kHealthyAbove);
+  EXPECT_GT(stand.slo.degrade_threshold(),
+            AdmissionController::kHealthyAbove - 0.01);
 
   // Keep meeting the SLO: the rate caps at max_refill_per_sec and the
-  // threshold floors at recover_above.
+  // threshold floors at kRecoverAbove.
   for (int i = 0; i < 20; ++i) stand.interval(8, 1.0);
   EXPECT_DOUBLE_EQ(stand.slo.refill_per_sec(), 80.0);
-  EXPECT_DOUBLE_EQ(stand.slo.degrade_threshold(), start.recover_above);
+  EXPECT_DOUBLE_EQ(stand.slo.degrade_threshold(),
+                   AdmissionController::kRecoverAbove);
   EXPECT_DOUBLE_EQ(stand.admission.options().degraded_below,
-                   start.recover_above);
+                   AdmissionController::kRecoverAbove);
 }
 
 TEST(SloController, ThinIntervalsHoldEveryActuator) {
@@ -272,10 +243,8 @@ TEST(SloController, PreBreachProjectionFlagsDegrading) {
 }
 
 TEST(SloController, BreakerCooldownTracksRecoveryEwma) {
-  SloOptions options = test_options();
-  options.min_cooldown_ns = 1'000'000;
-  Stand stand(options);
-  CircuitBreakerOptions breaker_options;  // cooldown 100 ms, min_samples 4
+  Stand stand(test_options());
+  CircuitBreakerOptions breaker_options;  // cooldown 100 ms
   CircuitBreaker breaker(breaker_options, stand.clock);
   stand.slo.add_breaker(&breaker);
   EXPECT_EQ(stand.slo.breaker_cooldown_ns(), 0u);
@@ -283,7 +252,9 @@ TEST(SloController, BreakerCooldownTracksRecoveryEwma) {
   // Trip, wait out the cooldown, recover on the first probe: the
   // observed recovery is ~cooldown (100 ms), and the controller derives
   // the new cooldown = 0.5 * EWMA = 50 ms on every attached breaker.
-  for (int i = 0; i < 4; ++i) breaker.record_failure();
+  for (std::size_t i = 0; i < CircuitBreaker::kMinSamples; ++i) {
+    breaker.record_failure();
+  }
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   stand.clock.advance(100'000'000);
   ASSERT_TRUE(breaker.allow());  // half-open probe
@@ -296,7 +267,9 @@ TEST(SloController, BreakerCooldownTracksRecoveryEwma) {
   // Second episode under the shorter cooldown, again first-probe: the
   // sample is ~50 ms, EWMA = 0.3*50 + 0.7*100 = 85 ms, cooldown 42.5 ms
   // — the loop probes downward when recoveries complete immediately.
-  for (int i = 0; i < 4; ++i) breaker.record_failure();
+  for (std::size_t i = 0; i < CircuitBreaker::kMinSamples; ++i) {
+    breaker.record_failure();
+  }
   stand.clock.advance(50'000'000);
   ASSERT_TRUE(breaker.allow());
   breaker.record_success();
@@ -387,7 +360,6 @@ TEST(SloControllerState, RestoreClampsIntoThisBuildsRanges) {
   const std::string payload = wide.slo.save_state();
 
   SloOptions narrow = test_options();
-  narrow.min_refill_per_sec = 10.0;
   narrow.max_refill_per_sec = 80.0;
   Stand stand(narrow);
   ASSERT_TRUE(stand.slo.restore_state(payload, SloController::kStateVersion));

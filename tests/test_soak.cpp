@@ -100,14 +100,9 @@ SoakCounters run_soak(std::uint64_t seed, std::size_t events, bool check,
   overload.step_duration_ns = kStepNs;
   overload.resilient_planner = true;
   overload.planner_node_limit = 50'000;
-  overload.breaker.window = 8;
-  overload.breaker.min_samples = 4;
-  overload.breaker.failure_threshold = 0.5;
-  overload.breaker.cooldown_ns = 5 * kStepNs;
   overload.slo.enabled = with_slo;
   overload.slo.target_p99_ns = 5 * kRoundNs;
   overload.slo.control_period_ns = 50 * kStepNs;  // 500 ms virtual
-  const support::AdmissionOptions& admission_options = overload.admission;
   const support::SloOptions& slo_options = overload.slo;
 
   // The registry only exists for the closed loop: the SLO sensor reads
@@ -245,17 +240,19 @@ SoakCounters run_soak(std::uint64_t seed, std::size_t events, bool check,
     // Invariant: the feedback loop can move the knobs, but never out of
     // their clamp ranges, and never into an invalid admission config.
     if (slo) {
-      EXPECT_GE(slo->refill_per_sec(), slo_options.min_refill_per_sec);
+      using support::AdmissionController;
+      using support::SloController;
+      EXPECT_GE(slo->refill_per_sec(), SloController::kMinRefillPerSec);
       EXPECT_LE(slo->refill_per_sec(), slo_options.max_refill_per_sec);
-      EXPECT_GE(slo->degrade_threshold(), admission_options.recover_above);
-      EXPECT_LT(slo->degrade_threshold(), admission_options.healthy_above);
+      EXPECT_GE(slo->degrade_threshold(), AdmissionController::kRecoverAbove);
+      EXPECT_LT(slo->degrade_threshold(), AdmissionController::kHealthyAbove);
       EXPECT_NO_THROW(admission.options().validate())
           << "controller wedged admission into an illegal config at event "
           << event;
       const std::uint64_t cooldown = slo->breaker_cooldown_ns();
       if (cooldown != 0) {
-        EXPECT_GE(cooldown, slo_options.min_cooldown_ns);
-        EXPECT_LE(cooldown, slo_options.max_cooldown_ns);
+        EXPECT_GE(cooldown, SloController::kMinCooldownNs);
+        EXPECT_LE(cooldown, SloController::kMaxCooldownNs);
       }
     }
   }

@@ -89,12 +89,16 @@
 // resolved port for scripts (the CI smoke test starts the daemon with an
 // ephemeral port, reads the file, curls /healthz and /metrics, then
 // SIGTERMs and asserts a clean exit). --steps 0 runs until a signal.
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <optional>
@@ -115,10 +119,26 @@ namespace {
 
 using namespace confcall;
 
-// Async-signal-safe stop flag: the handlers only store.
+// Async-signal-safe stop: the handlers store the flag and write one byte
+// to a self-pipe. The paced loop waits on the pipe, so its wait ends as
+// soon as the flag is set, whichever thread the signal landed on (a
+// sleep_for is restarted after the handler and would run to its end).
 std::atomic<bool> g_stop{false};
+int g_stop_pipe[2] = {-1, -1};
 
-void on_signal(int /*signum*/) { g_stop.store(true); }
+void on_signal(int /*signum*/) {
+  const int saved_errno = errno;
+  g_stop.store(true);
+  (void)::write(g_stop_pipe[1], "", 1);
+  errno = saved_errno;
+}
+
+/// Waits `ms` milliseconds, or less once a stop signal arrives.
+void wait_unless_stopped(std::uint64_t ms) {
+  pollfd wake{g_stop_pipe[0], POLLIN, 0};
+  const auto timeout_ms = std::min<std::uint64_t>(ms, INT_MAX);
+  (void)::poll(&wake, 1, static_cast<int>(timeout_ms));
+}
 
 /// Writes `text` to `stream` (stdout or stderr) and flushes it, so each
 /// status line reaches a pipe when it is printed: scripts wait on the
@@ -385,6 +405,9 @@ int main(int argc, char** argv) {
     cellular::ServingNode node(scenario.config, options,
                                support::SteadyClockSource::shared());
 
+    if (::pipe2(g_stop_pipe, O_CLOEXEC | O_NONBLOCK) != 0) {
+      throw std::runtime_error("cannot create the stop pipe");
+    }
     (void)std::signal(SIGINT, on_signal);
     (void)std::signal(SIGTERM, on_signal);
     node.start();
@@ -420,9 +443,7 @@ int main(int argc, char** argv) {
     for (; !g_stop.load() && (steps == 0 || steps_run < steps); ++steps_run) {
       node.step();
       (void)node.poll_checkpoint();
-      if (step_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(step_ms));
-      }
+      if (step_ms > 0) wait_unless_stopped(step_ms);
     }
 
     // Graceful drain first (the balancer stops routing, accepted
